@@ -13,11 +13,14 @@ quotient of a smaller ball is always a prefix of a larger one.
 from __future__ import annotations
 
 import math
+import os
 from functools import lru_cache
+from typing import Optional
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, ResourceLimitError
 
 MAX_DIMENSION = 8
+DEFAULT_MAX_CELLS = 6_000_000
 
 
 def check_dimension(d: int) -> None:
@@ -33,6 +36,31 @@ def check_dimension(d: int) -> None:
 def ball_point_count(d: int, R: int) -> int:
     """Number of x in Z^d with |x|_1 <= R (closed form, no enumeration)."""
     return sum((1 << i) * math.comb(d, i) * math.comb(R, i) for i in range(0, min(d, R) + 1))
+
+
+def max_cells() -> int:
+    """Resource cap on ball cardinality; HARM_MAX_CELLS overrides."""
+    raw = os.environ.get("HARM_MAX_CELLS")
+    if raw is None:
+        return DEFAULT_MAX_CELLS
+    try:
+        v = int(raw)
+        if v <= 0:
+            raise ValueError
+        return v
+    except ValueError:
+        raise ResourceLimitError(f"HARM_MAX_CELLS must be a positive integer, got {raw!r}")
+
+
+def guard_cells(d: int, R: int, limit: Optional[int] = None) -> None:
+    """Refuse B_R of Z^d before enumeration when it exceeds the cell cap."""
+    limit = max_cells() if limit is None else limit
+    cells = ball_point_count(d, R)
+    if cells > limit:
+        raise ResourceLimitError(
+            f"ball B_{R} of Z^{d} has {cells} points, above the cap {limit} "
+            "(raise HARM_MAX_CELLS to override)"
+        )
 
 
 @lru_cache(maxsize=None)

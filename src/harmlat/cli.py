@@ -3,7 +3,8 @@
 All numeric parameters are parsed as exact rationals ("3/4", "0.25",
 "7"); every stochastic output is fully determined by --seed.  Exit
 codes: 0 holds/confirmed, 1 fails/violation-found (the expected success
-of `search`), 2 undecided, 3 usage or hypothesis errors.
+of `search`), 2 undecided, 3 usage, hypothesis or resource-cap errors,
+4 internal failure (any other exception, e.g. out of memory).
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ EXIT_HOLDS = 0
 EXIT_FAILS = 1
 EXIT_UNDECIDED = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 _STATUS_EXIT = {HOLDS: EXIT_HOLDS, FAILS: EXIT_FAILS, UNDECIDED: EXIT_UNDECIDED}
 
@@ -54,8 +56,6 @@ class CommandConfig:
     precision: int = DEFAULT_PRECISION
     fmt: str = "json"
     out: Optional[str] = None
-    seed: int = 0
-    threads: int = 1
 
 
 def _emit(config: CommandConfig, text: str) -> None:
@@ -136,25 +136,20 @@ def _load_polynomial(args) -> MultivariatePolynomial:
 
 
 def _load_function(args, needed_radius: int) -> LatticeFunction:
-    if getattr(args, "function", None):
-        try:
-            with open(args.function) as fh:
-                obj = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read lattice function: {exc}") from exc
-        u = LatticeFunction.from_json(obj, sparse=args.sparse)
-        if u.R < needed_radius:
-            raise UsageError(
-                f"function lives on B_{u.R} but the command needs values up to B_{needed_radius}"
-            )
-        return u
-    from .polynomials import evaluate_on_ball
-
-    P = _load_polynomial(args)
-    return evaluate_on_ball(P, needed_radius)
+    try:
+        with open(args.function) as fh:
+            obj = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read lattice function: {exc}") from exc
+    u = LatticeFunction.from_json(obj, sparse=args.sparse)
+    if u.R < needed_radius:
+        raise UsageError(
+            f"function lives on B_{u.R} but the command needs values up to B_{needed_radius}"
+        )
+    return u
 
 
-def _report_for(args, config: CommandConfig, needed_n: int) -> GrowthReport:
+def _report_for(args, needed_n: int) -> GrowthReport:
     if getattr(args, "function", None):
         u = _load_function(args, needed_n)
         return growth_report(u)
@@ -167,7 +162,7 @@ def _report_for(args, config: CommandConfig, needed_n: int) -> GrowthReport:
 
 def _cmd_growth(args, config: CommandConfig) -> int:
     n_max = args.n_max
-    report = _report_for(args, config, n_max)
+    report = _report_for(args, n_max)
     if report.n_max > n_max:
         report = GrowthReport.from_values(report.values[: n_max + 1], d=report.d)
     if config.fmt == "csv":
@@ -195,24 +190,24 @@ def _cmd_check(args, config: CommandConfig) -> int:
     kind = args.check_kind
     eps = parse_rational(args.eps) if getattr(args, "eps", None) is not None else None
     if kind == "three-circles":
-        report = _report_for(args, config, 4 * args.n)
+        report = _report_for(args, 4 * args.n)
         v = three_circles_check(report, args.n, eps, config.precision, explore=args.explore)
         return _emit_verdict(config, v)
     if kind == "general-p":
         P = parse_rational(args.P)
         outer = -((-(P * P * args.n).numerator) // (P * P * args.n).denominator)
-        report = _report_for(args, config, outer)
+        report = _report_for(args, outer)
         v = general_P_check(report, args.n, P, eps, config.precision, explore=args.explore)
         return _emit_verdict(config, v)
     if kind == "no-error":
-        report = _report_for(args, config, 4 * args.n)
+        report = _report_for(args, 4 * args.n)
         v = no_error_check(report, args.degree, args.n, eps, config.precision)
         return _emit_verdict(config, v)
     if kind == "ratio-125":
         delta = parse_rational(args.delta)
         outer_q = 4 * (1 + delta) * args.n
         outer = -((-outer_q.numerator) // outer_q.denominator)
-        report = _report_for(args, config, outer)
+        report = _report_for(args, outer)
         v = ratio_125_check(report, args.n, delta, config.precision)
         return _emit_verdict(config, v)
     if kind == "aspect":
@@ -220,7 +215,7 @@ def _cmd_check(args, config: CommandConfig) -> int:
         P = parse_rational(args.P)
         outer_q = p * P * args.n
         outer = -((-outer_q.numerator) // outer_q.denominator)
-        report = _report_for(args, config, outer)
+        report = _report_for(args, outer)
         alpha = parse_rational(args.alpha) if args.alpha is not None else None
         v = aspect_ratio_check(report, args.n, p, P, eps, alpha=alpha, precision=config.precision)
         return _emit_verdict(config, v)
@@ -272,7 +267,6 @@ def _cmd_conjecture_scan(args, config: CommandConfig) -> int:
         precision=config.precision,
         family=args.family or "S",
         d=args.d,
-        threads=config.threads,
     )
     if config.fmt == "csv":
         _emit(config, result.to_csv())
@@ -290,7 +284,6 @@ def _add_common_options(sp):
     sp.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
     sp.add_argument("--out", help="write output to this file instead of stdout")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=1)
 
 
 def _add_io_options(sp, with_explore=False, family_index=True):
@@ -417,13 +410,9 @@ def dispatch(args) -> int:
         precision=getattr(args, "precision", DEFAULT_PRECISION),
         fmt=getattr(args, "fmt", "json"),
         out=getattr(args, "out", None),
-        seed=getattr(args, "seed", 0),
-        threads=getattr(args, "threads", 1),
     )
     if config.precision < 1:
         raise UsageError("--precision must be >= 1")
-    if config.threads < 1:
-        raise UsageError("--threads must be >= 1")
     return args.handler(args, config)
 
 
@@ -435,6 +424,11 @@ def main(argv=None) -> int:
     except HarmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # a crash must not read as holds, fails or undecided
+        detail = " ".join(str(exc).split())
+        print(f"error: internal failure: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
     return code
 
 

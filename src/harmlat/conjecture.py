@@ -14,7 +14,6 @@ for large enough k; the scan summary states this explicitly.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -49,7 +48,8 @@ def q_table(
 
     Families: "S" and "T" (discretized planar harmonics, fixed d = 2),
     "u" (coordinate product on Z^d, default d = k), "custom" (explicit
-    polynomial).  Ball size is checked against the resource cap.
+    polynomial).  The ball the report enumerates, B_{min(n_max, 2 deg)},
+    is checked against the resource cap.
     """
     if family in ("S", "T") and d not in (None, 2):
         raise InvalidParameterError(f"family {family} lives on Z^2")
@@ -174,14 +174,13 @@ def conjecture_scan(
     family: str = "S",
     report: Optional[GrowthReport] = None,
     d: Optional[int] = None,
-    threads: int = 1,
     limit: Optional[int] = None,
 ) -> ScanResult:
     """Scan n in [n_from, n_to] for violations of the C-bound on a family member.
 
     An omitted range defaults to the window of radius k centered at
     k^2 / ln k.  Empty ranges produce an empty row list with a "no data"
-    summary.  Rows are ordered by n regardless of thread count.
+    summary.  Rows are ordered by n.
     """
     C = Fraction(C)
     eps = Fraction(eps)
@@ -203,11 +202,7 @@ def conjecture_scan(
         return ScanResult(
             k, C, eps, family, (), {"rows": 0, "violations": 0, "note": "no data"}
         )
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda n: _scan_row(report, n, C, eps, precision), ns))
-    else:
-        rows = [_scan_row(report, n, C, eps, precision) for n in ns]
+    rows = [_scan_row(report, n, C, eps, precision) for n in ns]
     violations = sum(1 for r in rows if r.violation)
     undecided = sum(1 for r in rows if r.violation is None)
     max_residual = max((r.residual.hi for r in rows), default=Fraction(0))

@@ -11,7 +11,9 @@ basis (whose coefficients independently equal the iterated-Laplacian
 values L^k(u^2)(0), a cross-check performed on every report), the
 finite growth polynomial of the continuous-time walk for polynomial
 inputs, and a seeded Monte Carlo estimator used as a statistical
-oracle.
+oracle.  For a polynomial of degree M the binomial expansion stops at
+k = M, so its growth function at every n is summed from a_0..a_M, read
+off the ball B_{2M}.
 
 Walk counts and all origin-centered kernels are invariant under
 coordinate permutations and sign flips, so the heavy convolutions run
@@ -23,7 +25,6 @@ tables are materialized from the quotient on demand and cached per
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -42,32 +43,6 @@ from .lattice import LatticeFunction
 from .polynomials import MultivariatePolynomial, discrete_laplacian, evaluate_on_ball
 from .rationals import format_rational
 from .rng import GOLDEN, MIX1, MIX2, stream_state
-
-DEFAULT_MAX_CELLS = 6_000_000
-
-
-def max_cells() -> int:
-    """Resource cap on ball cardinality; HARM_MAX_CELLS overrides."""
-    raw = os.environ.get("HARM_MAX_CELLS")
-    if raw is None:
-        return DEFAULT_MAX_CELLS
-    try:
-        v = int(raw)
-        if v <= 0:
-            raise ValueError
-        return v
-    except ValueError:
-        raise ResourceLimitError(f"HARM_MAX_CELLS must be a positive integer, got {raw!r}")
-
-
-def _guard_cells(d: int, R: int, limit: Optional[int] = None) -> None:
-    limit = max_cells() if limit is None else limit
-    cells = balls.ball_point_count(d, R)
-    if cells > limit:
-        raise ResourceLimitError(
-            f"ball B_{R} of Z^{d} has {cells} points, above the cap {limit} "
-            "(raise HARM_MAX_CELLS to override)"
-        )
 
 
 # -- walk counts on the orbit quotient ----------------------------------------
@@ -121,7 +96,7 @@ def walk_counts(d: int, n: int, limit: Optional[int] = None) -> WalkCountTable:
     balls.check_dimension(d)
     if n < 0:
         raise InvalidParameterError("step count must be non-negative")
-    _guard_cells(d, n, limit)
+    balls.guard_cells(d, n, limit)
     row = _orbit_walk_rows(d, n)[n]
     po = balls.point_orbit_indices(d, n)
     counts = {}
@@ -341,26 +316,16 @@ class ContinuousGrowthPolynomial:
         }
 
 
-def continuous_growth(
-    P: MultivariatePolynomial, radius: Optional[int] = None
-) -> ContinuousGrowthPolynomial:
+def continuous_growth(P: MultivariatePolynomial) -> ContinuousGrowthPolynomial:
     """Exact growth polynomial of the continuous-time walk for harmonic P.
 
-    The expansion sum_k L^k(P^2)(0) t^k / k! is a finite sum: iterated
-    differences of P of order beyond deg P vanish identically.  The
-    coefficients are extracted from the ball of radius ``radius``
-    (default deg P, the smallest that suffices).
+    The expansion sum_k L^k(P^2)(0) t^k / k! is a finite sum, since
+    a_k = L^k(P^2)(0) vanishes for k > deg P; the a_k are those of
+    :func:`polynomial_report`.
     """
     if not discrete_laplacian(P).is_zero():
         raise HarmonicityError("continuous-time growth requires a lattice-harmonic polynomial")
-    M = max(P.degree, 0)
-    if radius is None:
-        radius = M
-    if radius < M:
-        raise InvalidParameterError(f"coefficient extraction needs radius >= deg = {M}")
-    u = evaluate_on_ball(P, radius)
-    a = _newton_via_laplacian(u)[: M + 1]
-    coeffs = [ak / math.factorial(k) for k, ak in enumerate(a)]
+    coeffs = [ak / math.factorial(k) for k, ak in enumerate(_newton_coefficients(P))]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     if not coeffs:
@@ -478,12 +443,60 @@ def monte_carlo_Q(
 # -- convenience: reports from polynomials ----------------------------------------
 
 
+def _ball_report(P: MultivariatePolynomial, R: int, limit: Optional[int] = None) -> GrowthReport:
+    """Walk-route growth report of P evaluated on B_R, after the cell guard."""
+    balls.guard_cells(P.d, R, limit)
+    return growth_report(evaluate_on_ball(P, R))
+
+
+def _newton_coefficients(P: MultivariatePolynomial, limit: Optional[int] = None) -> tuple:
+    """a_k = L^k(P^2)(0) for k <= M = deg P; they fix the whole growth function of P.
+
+    Each Laplacian lowers the degree of P^2 by two, so a_k = 0 for k > M.
+    The a_k are read from the growth report of P on B_{2M}, which checks the
+    walk route against the Laplacian cascade; the walk route's tail
+    a_{M+1..2M} must vanish as well.
+    """
+    M = max(P.degree, 0)
+    newton = _ball_report(P, 2 * M, limit).newton
+    if any(newton[M + 1 :]):
+        raise HarmError(
+            "internal inconsistency: growth coefficients beyond the degree do not vanish"
+        )
+    return newton[: M + 1]
+
+
 def polynomial_report(
     P: MultivariatePolynomial, n_max: int, limit: Optional[int] = None
 ) -> GrowthReport:
-    """Evaluate P on B_{n_max} and build its growth report."""
+    """Exact growth report of P up to n_max, enumerating only B_{min(n_max, 2 deg P)}.
+
+    Up to n_max = 2M (M = deg P) this is the report of P evaluated on
+    B_{n_max}.  Beyond it, Q(n) = sum_{k<=M} a_k C(n, k) for every n, with
+    the coefficients of :func:`_newton_coefficients`; values are summed in
+    integers over one common denominator, triangle rows k <= M are their
+    differences and rows k > M are zero.  The identity needs no harmonicity.
+    """
     if n_max < 0:
         raise InvalidParameterError("n_max must be non-negative")
-    _guard_cells(P.d, n_max, limit)
-    u = evaluate_on_ball(P, n_max)
-    return growth_report(u)
+    M = max(P.degree, 0)
+    if n_max <= 2 * M:
+        return _ball_report(P, n_max, limit)
+    coeffs = _newton_coefficients(P, limit)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in coeffs]
+    row = [sum(c * math.comb(n, j) for j, c in enumerate(nums)) for n in range(n_max + 1)]
+    triangle = []
+    for _ in range(M + 1):
+        triangle.append(tuple(Fraction(v, den) for v in row))
+        row = [b - a for a, b in zip(row, row[1:])]
+    zero = Fraction(0)
+    triangle += [(zero,) * (n_max + 1 - k) for k in range(M + 1, n_max + 1)]
+    newton = coeffs + (zero,) * (n_max - M)
+    return GrowthReport(
+        values=triangle[0],
+        triangle=tuple(triangle),
+        newton=newton,
+        d=P.d,
+        laplace_newton=newton,
+    )

@@ -191,12 +191,14 @@ class LatticeFunction:
 
     @classmethod
     def from_json(cls, obj: dict, sparse: bool = False) -> "LatticeFunction":
+        """Parse the wire format; the ball is checked against the cell cap first."""
         try:
             d, R = int(obj["d"]), int(obj["R"])
             raw = obj["entries"]
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"malformed lattice function JSON: {exc}") from exc
         ball = LatticeBall(d, R)
+        balls.guard_cells(d, R)
         table = {}
         for entry in raw:
             if len(entry) != d + 1:

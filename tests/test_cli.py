@@ -214,3 +214,26 @@ def test_function_too_small_for_check(capsys, tmp_path):
         capsys, "check", "three-circles", "--function", str(path), "--n", "20", "--eps", "0"
     )
     assert code == 3
+
+
+def test_function_table_above_cap_refused_exit_3(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("HARM_MAX_CELLS", "1000")
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"d": 2, "R": 100, "entries": [[0, 0, "1"]]}))  # 20201 cells
+    code, out, err = run(capsys, "growth", "--function", str(path), "--n-max", "4", "--sparse")
+    assert code == 3
+    assert out == ""
+    assert "HARM_MAX_CELLS" in err
+
+
+def test_internal_failure_exit_4(capsys, monkeypatch):
+    from harmlat import cli
+
+    def crash(*args, **kwargs):
+        raise MemoryError("no room\nfor the table")
+
+    monkeypatch.setattr(cli, "polynomial_report", crash)
+    code, out, err = run(capsys, "growth", "--family", "S", "--k", "2", "--n-max", "6")
+    assert code == 4
+    assert out == ""
+    assert err == "error: internal failure: MemoryError: no room for the table\n"

@@ -57,9 +57,11 @@ def test_q_table_rejects_bad_family():
 
 
 def test_q_table_resource_cap(monkeypatch):
+    # the cap applies to the enumerated ball B_{min(n_max, 2 deg)}
     monkeypatch.setenv("HARM_MAX_CELLS", "1000")
     with pytest.raises(ResourceLimitError):
-        q_table("S", 2, 200)
+        q_table("S", 20, 200)  # B_40 of Z^2: 3281 cells
+    assert q_table("S", 2, 200).n_max == 200  # B_4: 41 cells
 
 
 def test_scan_k1_no_violation():
@@ -106,10 +108,12 @@ def test_scan_csv_deterministic_and_schema():
         assert fields[10] in ("0", "1", "?")
 
 
-def test_scan_threads_do_not_change_output():
-    a = conjecture_scan(2, 1, F(1, 10), 17, 24, threads=1).to_csv()
-    b = conjecture_scan(2, 1, F(1, 10), 17, 24, threads=4).to_csv()
-    assert a == b
+def test_scan_k40_default_window_under_default_cap(monkeypatch):
+    # needs Q up to 1896; only B_80 of Z^2 is enumerated
+    monkeypatch.delenv("HARM_MAX_CELLS", raising=False)
+    result = conjecture_scan(40, 1, F(1, 10))
+    assert len(result.rows) == 81
+    assert result.summary["undecided"] == 0
 
 
 def test_scan_summary_disclaims_finite_window():

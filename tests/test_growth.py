@@ -23,6 +23,8 @@ from harmlat import (
     laplacian_power,
     monomial_uk,
     monte_carlo_Q,
+    polynomial_report,
+    random_harmonic,
     sk_polynomial,
     walk_counts,
 )
@@ -229,6 +231,31 @@ def test_report_n_max_trimming():
     u = evaluate_on_ball(monomial_uk(2, 1), 9)
     rep = growth_report(u, n_max=5)
     assert rep.n_max == 5
+
+
+# -- growth polynomial of polynomial inputs -------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "P",
+    [
+        random_harmonic(2, 4, 11),
+        random_harmonic(2, 5, 12),
+        random_harmonic(3, 3, 13),
+        random_harmonic(3, 4, 14),
+        # not harmonic: Q(n) = sum a_k C(n, k) holds for any polynomial
+        MultivariatePolynomial.variable(2, 0) * MultivariatePolynomial.variable(2, 0)
+        + MultivariatePolynomial.variable(2, 1).scale(F(1, 3)),
+    ],
+)
+def test_polynomial_report_matches_walk_route_beyond_2deg(P):
+    N = 2 * P.degree + 7
+    fast = polynomial_report(P, N)
+    walk = growth_report(evaluate_on_ball(P, N))
+    assert fast.values == walk.values
+    assert fast.triangle == walk.triangle
+    assert fast.newton == walk.newton
+    assert fast.laplace_newton == walk.laplace_newton
 
 
 # -- continuous-time growth ----------------------------------------------------------------

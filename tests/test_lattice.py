@@ -13,6 +13,7 @@ from harmlat import (
     InvalidParameterError,
     LatticeBall,
     LatticeFunction,
+    ResourceLimitError,
     UsageError,
     directional_difference,
     evaluate_on_ball,
@@ -282,3 +283,16 @@ def test_json_rejects_outside_points_and_duplicates():
         LatticeFunction.from_json(
             {"d": 1, "R": 0, "entries": [[0, "1"], [0, "2"]]}, sparse=True
         )
+
+
+def test_json_cell_cap_checked_before_enumeration(monkeypatch):
+    # the small case first: without the guard it fails fast instead of enumerating B_100000
+    monkeypatch.setenv("HARM_MAX_CELLS", "4")
+    with pytest.raises(ResourceLimitError):
+        LatticeFunction.from_json({"d": 1, "R": 2, "entries": [[0, "1"]]}, sparse=True)
+    monkeypatch.delenv("HARM_MAX_CELLS")
+    huge = {"d": 2, "R": 100000, "entries": [[0, 0, "1"]]}
+    with pytest.raises(ResourceLimitError):
+        LatticeFunction.from_json(huge, sparse=True)
+    with pytest.raises(ResourceLimitError):
+        LatticeFunction.from_json(huge)
