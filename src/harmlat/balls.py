@@ -7,7 +7,14 @@ permutations and sign flips) acts on each ball; walk-count tables and
 origin-centered Laplacian kernels are invariant under it, so the heavy
 convolutions run on the orbit quotient.  Orbit representatives are the
 sorted absolute-value tuples, enumerated by (radius, lex) so that the
-quotient of a smaller ball is always a prefix of a larger one.
+quotient of a smaller ball is always a prefix of a larger one.  The
+quotient's neighbour structure is stored column-wise: one list per unit
+step, aligned with the representatives, so the walk-count and Laplacian
+kernels run as C-level passes over whole columns.
+
+The per-(d, R) tables are memoized in bounded caches of
+``BALL_CACHE_SIZE`` entries each, more than the radii any benchmark
+workload reuses (at most 14 per cache, in ``scan``'s correctness gate).
 """
 
 from __future__ import annotations
@@ -15,12 +22,15 @@ from __future__ import annotations
 import math
 import os
 from functools import lru_cache
+from itertools import repeat
+from operator import add
 from typing import Optional
 
 from .errors import InvalidParameterError, ResourceLimitError
 
 MAX_DIMENSION = 8
 DEFAULT_MAX_CELLS = 6_000_000
+BALL_CACHE_SIZE = 32
 
 
 def check_dimension(d: int) -> None:
@@ -63,7 +73,7 @@ def guard_cells(d: int, R: int, limit: Optional[int] = None) -> None:
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=BALL_CACHE_SIZE)
 def ball_points(d: int, R: int) -> tuple:
     """All points of the closed l1 ball of radius R, in lex order."""
     check_dimension(d)
@@ -83,22 +93,23 @@ def ball_points(d: int, R: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=BALL_CACHE_SIZE)
 def ball_position(d: int, R: int) -> dict:
     """Map point -> index into ball_points(d, R)."""
     return {p: i for i, p in enumerate(ball_points(d, R))}
 
 
+def _step_axes(d: int):
+    """(axis, sign) of the 2d generators, in :func:`unit_steps` order."""
+    return [(axis, sign) for axis in range(d) for sign in (1, -1)]
+
+
 def unit_steps(d: int) -> tuple:
     """The 2d generators (+e_1, -e_1, ..., +e_d, -e_d)."""
-    steps = []
-    for axis in range(d):
-        for sign in (1, -1):
-            steps.append(tuple(sign if j == axis else 0 for j in range(d)))
-    return tuple(steps)
+    return tuple(tuple(sign if j == axis else 0 for j in range(d)) for axis, sign in _step_axes(d))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=BALL_CACHE_SIZE)
 def laplacian_plan(d: int, R: int):
     """Index plan for one Laplacian step from B_R down to B_{R-1}.
 
@@ -119,9 +130,9 @@ def laplacian_plan(d: int, R: int):
     return centers, neighbors
 
 
-def canonical_rep(point) -> tuple:
-    """Orbit representative: coordinates replaced by sorted absolute values."""
-    return tuple(sorted(abs(c) for c in point))
+def _canonical_reps(points):
+    """Orbit representative of every point: its sorted absolute values, lazily."""
+    return map(tuple, map(sorted, map(map, repeat(abs), points)))
 
 
 def orbit_size(d: int, rep) -> int:
@@ -149,7 +160,10 @@ class OrbitTable:
 
     ``reps`` is ordered by (radius, lex); extending the radius appends
     representatives, so indices are stable and any table computed against
-    a smaller radius stays valid.
+    a smaller radius stays valid.  ``cols`` holds the neighbours
+    column-wise: ``cols[s][i]`` is the orbit index of ``reps[i]`` plus the
+    s-th unit step (in :func:`unit_steps` order), or -1 when that
+    neighbour lies outside the current ball.
     """
 
     def __init__(self, d: int):
@@ -160,12 +174,14 @@ class OrbitTable:
         self.index: dict = {}
         self.sizes: list = []
         self.prefix: list = []   # prefix[r] = #reps with radius <= r
-        self.nbrs: list = []     # flat, 2d per rep; -1 = outside current ball
+        self.cols: list = [[] for _ in range(2 * d)]  # aligned with reps
 
     def ensure(self, R: int) -> None:
         if R <= self.radius:
             return
         d = self.d
+        # reps inside the old outer shell already see all their neighbours
+        start = self.prefix[self.radius - 1] if self.radius > 0 else 0
         for r in range(self.radius + 1, R + 1):
             new = sorted(_sorted_tuples_with_sum(d, r))
             for rep in new:
@@ -174,17 +190,17 @@ class OrbitTable:
                 self.sizes.append(orbit_size(d, rep))
             self.prefix.append(len(self.reps))
         self.radius = R
-        self._rebuild_neighbors()
+        self._extend_neighbors(start)
 
-    def _rebuild_neighbors(self) -> None:
-        steps = unit_steps(self.d)
-        index = self.index
-        nbrs = []
-        for rep in self.reps:
-            for s in steps:
-                q = canonical_rep(tuple(a + b for a, b in zip(rep, s)))
-                nbrs.append(index.get(q, -1))
-        self.nbrs = nbrs
+    def _extend_neighbors(self, start: int) -> None:
+        """Recompute the neighbour columns of reps[start:] against the current ball."""
+        get = self.index.get
+        coords = list(zip(*self.reps[start:]))
+        for col, (axis, sign) in zip(self.cols, _step_axes(self.d)):
+            moved = list(coords)
+            moved[axis] = map(add, coords[axis], repeat(sign))
+            del col[start:]
+            col.extend(map(get, _canonical_reps(zip(*moved)), repeat(-1)))
 
     def count_up_to(self, r: int) -> int:
         return self.prefix[r]
@@ -221,9 +237,8 @@ def orbit_table(d: int, R: int) -> OrbitTable:
     return tab
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=BALL_CACHE_SIZE)
 def point_orbit_indices(d: int, R: int) -> tuple:
     """Orbit index of every point of B_R, aligned with ball_points(d, R)."""
-    tab = orbit_table(d, R)
-    index = tab.index
-    return tuple(index[canonical_rep(p)] for p in ball_points(d, R))
+    index = orbit_table(d, R).index
+    return tuple(map(index.__getitem__, _canonical_reps(ball_points(d, R))))

@@ -9,6 +9,13 @@ up to the configured cap (default 256), after which the verdict is
 ``undecided``.  All comparisons are homogeneous in Q, so verdicts are
 invariant under rescaling Q by a positive square.
 
+The Q-independent constants of the right-hand sides (e^(n^-2eps), the
+error units base^(-n^r) and 2^(-2n delta), and the balancing exponent
+alpha) are the same for every function checked at the same parameters,
+so each is memoized in a small bounded cache; enclosures are frozen, so
+sharing them is safe.  The violation form of the search and the scans
+meets each of its constants once, so it calls the enclosures directly.
+
 Whether the growth values fed to a checker really come from a function
 harmonic on the large ball the statement needs is the caller's
 obligation; the checkers consume only the Q values.
@@ -19,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .enclosure import (
@@ -39,6 +47,7 @@ FAILS = "fails"
 UNDECIDED = "undecided"
 
 DEFAULT_PRECISION = 256
+CONSTANT_CACHE_SIZE = 256
 
 
 def _ladder(cap: int):
@@ -52,6 +61,24 @@ def _ladder(cap: int):
         yield p
         p *= 2
     yield cap
+
+
+@lru_cache(maxsize=CONSTANT_CACHE_SIZE)
+def _exp_factor(n: int, eps: Fraction, prec: int) -> RealEnclosure:
+    """e^(n^-2eps), the factor of the squared main term."""
+    return exp_enclosure(rational_npow(n, -2 * eps, prec), prec)
+
+
+@lru_cache(maxsize=CONSTANT_CACHE_SIZE)
+def _error_unit(base, n: int, r: Fraction, prec: int) -> RealEnclosure:
+    """base^(-n^r), the unit of the error term."""
+    return enclose_pow(base, n, r, prec)
+
+
+@lru_cache(maxsize=CONSTANT_CACHE_SIZE)
+def _halving_unit(n: int, delta: Fraction, prec: int) -> RealEnclosure:
+    """2^(-2n delta), the error unit of the perturbed ratios."""
+    return pow_enclosure(Fraction(2), -2 * n * delta, prec)
 
 
 def _floor(q: Fraction) -> int:
@@ -175,10 +202,10 @@ def three_circles_check(
     note = "" if hypothesis_met else "outside guarantee hypotheses (n <= 16): empirical check"
 
     def msq_at(p):
-        return exp_enclosure(rational_npow(n, -2 * eps, p), p) * (q_n * q_4n)
+        return _exp_factor(n, eps, p) * (q_n * q_4n)
 
     def err_at(p):
-        return enclose_pow(2, n, Fraction(1, 2) - eps, p) * q_4n
+        return _error_unit(2, n, Fraction(1, 2) - eps, p) * q_4n
 
     return _sqrt_form_verdict(q_2n, msq_at, err_at, precision, hypothesis_met, note)
 
@@ -214,10 +241,10 @@ def general_P_check(
     note = "" if hypothesis_met else "outside guarantee hypotheses (n < 4P^2): empirical check"
 
     def msq_at(p):
-        return exp_enclosure(rational_npow(n, -2 * eps, p), p) * (q_n * q_outer)
+        return _exp_factor(n, eps, p) * (q_n * q_outer)
 
     def err_at(p):
-        return enclose_pow(P, n, Fraction(1, 2) - eps, p) * q_outer
+        return _error_unit(P, n, Fraction(1, 2) - eps, p) * q_outer
 
     return _sqrt_form_verdict(q_mid, msq_at, err_at, precision, hypothesis_met, note)
 
@@ -266,10 +293,10 @@ def binomial_inequality_check(
     else:
 
         def msq_at(p):
-            return exp_enclosure(rational_npow(n, -2 * eps, p), p) * (b_n * b_outer)
+            return _exp_factor(n, eps, p) * (b_n * b_outer)
 
         def err_at(p):
-            return enclose_pow(P, n, Fraction(1, 2) - eps, p) * b_outer
+            return _error_unit(P, n, Fraction(1, 2) - eps, p) * b_outer
 
     plain = _sqrt_form_verdict(lhs, msq_at, err_at, precision, True, "")
 
@@ -341,7 +368,7 @@ def no_error_check(
     q_n, q_2n, q_4n = report.Q(n), report.Q(2 * n), report.Q(4 * n)
 
     def msq_at(p):
-        return exp_enclosure(rational_npow(n, -2 * eps, p), p) * (q_n * q_4n)
+        return _exp_factor(n, eps, p) * (q_n * q_4n)
 
     def err_at(p):
         return RealEnclosure.exact(0)
@@ -372,7 +399,7 @@ def ratio_125_check(
         return msq
 
     def err_at(p):
-        return pow_enclosure(Fraction(2), -2 * n * delta, p) * q_outer
+        return _halving_unit(n, delta, p) * q_outer
 
     return _sqrt_form_verdict(q_2n, msq_at, err_at, precision, True, "")
 
@@ -380,6 +407,7 @@ def ratio_125_check(
 # -- general aspect ratios ----------------------------------------------------------------
 
 
+@lru_cache(maxsize=CONSTANT_CACHE_SIZE)
 def derive_alpha(p, P, precision: int = DEFAULT_PRECISION) -> RealEnclosure:
     """The exponent balancing P^alpha = p^(1-alpha): alpha = ln p / (ln p + ln P)."""
     p = Fraction(p)
@@ -443,7 +471,7 @@ def aspect_ratio_check(
             exponent = c * rational_npow(n, -2 * eps, prec)
         const = exp_enclosure(exponent, prec)
         main = const * _qpow(q_n, a, prec) * _qpow(q_outer, one_minus_a, prec)
-        err = enclose_pow(p_r, n, Fraction(1, 2) - eps, prec) * q_outer
+        err = _error_unit(p_r, n, Fraction(1, 2) - eps, prec) * q_outer
         rhs = main + err
         if q_mid <= rhs.lo:
             status = HOLDS

@@ -3,8 +3,9 @@
 All numeric parameters are parsed as exact rationals ("3/4", "0.25",
 "7"); every stochastic output is fully determined by --seed.  Exit
 codes: 0 holds/confirmed, 1 fails/violation-found (the expected success
-of `search`), 2 undecided, 3 usage, hypothesis or resource-cap errors,
-4 internal failure (any other exception, e.g. out of memory).
+of `search`), 2 undecided, 3 usage (parser errors included), hypothesis
+or resource-cap errors, 4 internal failure (any other exception, e.g.
+out of memory).  `--help` and `--version` exit 0.
 """
 
 from __future__ import annotations
@@ -303,8 +304,16 @@ def _add_io_options(sp, with_explore=False, family_index=True):
         )
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse parser whose usage errors exit 3 (usage), not argparse's 2 (undecided)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="harm",
         description="Exact growth functions of discrete harmonic functions and "
         "certified log-convexity verdicts.",

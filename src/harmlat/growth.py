@@ -17,9 +17,11 @@ off the ball B_{2M}.
 
 Walk counts and all origin-centered kernels are invariant under
 coordinate permutations and sign flips, so the heavy convolutions run
-on the orbit quotient of the ball (see :mod:`harmlat.balls`); public
-tables are materialized from the quotient on demand and cached per
-(d, n) incrementally.
+on the orbit quotient of the ball (see :mod:`harmlat.balls`).  Both
+kernels, walk-count rows and the Laplacian cascade, are C-level map
+passes over the quotient's neighbour columns, in exact Python ints.
+Walk rows are cached per dimension and extended incrementally; public
+tables are materialized from the quotient on demand.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, repeat
+from operator import add, mul, sub
 from typing import Optional
 
 import numpy as np
@@ -50,29 +54,38 @@ from .rng import GOLDEN, MIX1, MIX2, stream_state
 _walk_rows: dict = {}
 
 
+def _neighbour_sums(cols, values: list, m: int):
+    """Lazy sums over the 2d neighbour columns of values[col[i]], for i < m.
+
+    One chain of C-level maps over whole columns (see
+    :class:`harmlat.balls.OrbitTable`); no per-element Python loop.
+    """
+    get = values.__getitem__
+    terms = [map(get, islice(col, m)) for col in cols]
+    acc = terms[0]
+    for term in terms[1:]:
+        acc = map(add, acc, term)
+    return acc
+
+
 def _orbit_walk_rows(d: int, n: int) -> list:
     """Rows 0..n of walk counts on orbit representatives (cached per d).
 
     Row m is a list of ints aligned with the first count_up_to(m) orbit
-    representatives; entries are W(m, x) for any x in the orbit.
+    representatives; entries are W(m, x) for any x in the orbit.  Row m
+    sums row m-1 over the neighbour columns.  Row m-1 is padded with
+    zeros up to the radius the columns reach, so unbuilt radii read 0.
+    The padding always ends in a zero, at radius m, and the -1 of an
+    outside neighbour reads it.
     """
     tab = balls.orbit_table(d, n)
     rows = _walk_rows.setdefault(d, [[1]])
-    twod = 2 * d
     while len(rows) <= n:
         m = len(rows)  # building row m from row m-1
         prev = rows[m - 1]
-        plen = len(prev)
-        cur = []
-        nbrs = tab.nbrs
-        for i in range(tab.count_up_to(m)):
-            acc = 0
-            base = i * twod
-            for j in nbrs[base : base + twod]:
-                if 0 <= j < plen:
-                    acc += prev[j]
-            cur.append(acc)
-        rows.append(cur)
+        reach = tab.count_up_to(min(m + 1, tab.radius))
+        padded = prev + [0] * (reach - len(prev))
+        rows.append(list(_neighbour_sums(tab.cols, padded, tab.count_up_to(m))))
     return rows
 
 
@@ -116,8 +129,8 @@ def _orbit_square_sums(u: LatticeFunction) -> list:
     po = balls.point_orbit_indices(u.d, u.R)
     sums = [0] * tab.count_up_to(u.R)
     nums, _ = u.scaled_values()
-    for oi, v in zip(po, nums):
-        sums[oi] += v * v
+    for oi, sq in zip(po, map(mul, nums, nums)):
+        sums[oi] += sq
     return sums
 
 
@@ -125,52 +138,50 @@ def growth_Q(u: LatticeFunction, n: int) -> Fraction:
     """Exact Q_u(n); requires n <= R so the walk stays inside the ball."""
     if n < 0 or n > u.R:
         raise OutOfRangeError(f"need 0 <= n <= {u.R}, got n={n}")
-    sums = _orbit_square_sums(u)
-    row = _orbit_walk_rows(u.d, n)[n]
-    total = 0
-    for w, s in zip(row, sums):
-        if w:
-            total += w * s
+    total = sum(map(mul, _orbit_walk_rows(u.d, n)[n], _orbit_square_sums(u)))
     _, den = u.scaled_values()
     return Fraction(total, den * den * (2 * u.d) ** n)
 
 
-def _newton_via_laplacian(u: LatticeFunction) -> list:
+def _newton_via_laplacian(u: LatticeFunction, sums: Optional[list] = None) -> list:
     """All values L^k(u^2)(0), k = 0..R, via the symmetrized cascade.
 
     L commutes with the symmetries fixing the origin, so L^k(u^2)(0)
     equals L^k applied to the symmetrized square of u, evaluated at the
-    origin; the cascade then runs on orbit representatives.
+    origin; the cascade then runs on orbit representatives, one pass of
+    column sums per order.  Once L^k(u^2) vanishes on its ball, every
+    higher order is 0 and the passes stop; for a polynomial of degree M
+    that happens at k = M + 1.  ``sums`` are the orbit square sums of u
+    when the caller already has them (:func:`growth_report` does).
     """
     d, R = u.d, u.R
     tab = balls.orbit_table(d, R)
-    sums = _orbit_square_sums(u)
+    if sums is None:
+        sums = _orbit_square_sums(u)
     _, den = u.scaled_values()
     G = balls.group_order(d)
     twod = 2 * d
     # h[i] = G * (symmetrized u^2)(rep_i) * den^2
-    h = [s * (G // sz) for s, sz in zip(sums, tab.sizes[: len(sums)])]
+    h = list(map(mul, sums, map(G.__floordiv__, tab.sizes)))
     out = [Fraction(h[0], G * den * den)]
-    nbrs = tab.nbrs
     for k in range(1, R + 1):
+        if not any(h):
+            out += [Fraction(0)] * (R + 1 - k)
+            break
         m = tab.count_up_to(R - k)
-        nxt = []
-        for i in range(m):
-            acc = -twod * h[i]
-            base = i * twod
-            for j in nbrs[base : base + twod]:
-                acc += h[j]
-            nxt.append(acc)
-        h = nxt
+        h = list(map(sub, _neighbour_sums(tab.cols, h, m), map(mul, h, repeat(twod))))
         out.append(Fraction(h[0], G * den * den * twod ** k))
     return out
 
 
 def _difference_triangle(values: list) -> list:
-    rows = [list(values)]
-    while len(rows[-1]) > 1:
-        prev = rows[-1]
-        rows.append([b - a for a, b in zip(prev, prev[1:])])
+    """Forward differences of all orders, taken in integers over one denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    row = [v.numerator * (den // v.denominator) for v in values]
+    rows = []
+    while row:
+        rows.append([Fraction(v, den) for v in row])
+        row = list(map(sub, row[1:], row))
     return rows
 
 
@@ -231,7 +242,9 @@ def growth_report(u: LatticeFunction, n_max: Optional[int] = None) -> GrowthRepo
 
     The binomial coefficients are computed twice, from the difference
     triangle and through iterated Laplacians of u^2 at the origin; the
-    two routes must agree exactly or the report is refused.
+    two routes must agree exactly or the report is refused.  The orbit
+    square sums of u, the one pass over every cell of the ball, are
+    computed once and feed both routes.
     """
     N = u.R if n_max is None else n_max
     if N < 0 or N > u.R:
@@ -240,18 +253,11 @@ def growth_report(u: LatticeFunction, n_max: Optional[int] = None) -> GrowthRepo
     _, den = u.scaled_values()
     den2 = den * den
     twod = 2 * u.d
-    values = []
     rows = _orbit_walk_rows(u.d, N)
-    for n in range(N + 1):
-        row = rows[n]
-        total = 0
-        for w, s in zip(row, sums):
-            if w:
-                total += w * s
-        values.append(Fraction(total, den2 * twod ** n))
+    values = [Fraction(sum(map(mul, rows[n], sums)), den2 * twod ** n) for n in range(N + 1)]
     tri = _difference_triangle(values)
     newton = tuple(r[0] for r in tri)
-    laplace = tuple(_newton_via_laplacian(u)[: N + 1])
+    laplace = tuple(_newton_via_laplacian(u, sums)[: N + 1])
     if newton != laplace:
         raise HarmError(
             "internal inconsistency: difference-triangle coefficients disagree "

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import balls
 from .errors import HarmError, HarmonicityError, InvalidParameterError, VanishingHypothesisError
-from .growth import _newton_via_laplacian
+from .growth import _newton_coefficients, _newton_via_laplacian
 from .polynomials import MultivariatePolynomial, discrete_laplacian, evaluate_on_ball
 
 
@@ -28,8 +28,9 @@ def degree_bound(P: MultivariatePolynomial) -> int:
 
     Equals deg(P) + 1 for nonzero polynomials (0 for the zero
     polynomial).  Requires P lattice-harmonic.  Cross-checks that the
-    iterated Laplacian values of P^2 at the origin vanish for every
-    order above the degree.
+    iterated Laplacian values of P^2 at the origin vanish above the
+    degree, with the check of :func:`harmlat.growth._newton_coefficients`
+    (walk route against cascade on B_{2 deg}, vanishing tail).
     """
     if not discrete_laplacian(P).is_zero():
         raise HarmonicityError("degree bound is stated for harmonic polynomials")
@@ -51,12 +52,7 @@ def degree_bound(P: MultivariatePolynomial) -> int:
                         nxt[q.canonical_key()] = q
         current = nxt
     # cross-check: growth coefficients vanish beyond the degree
-    radius = min(2 * deg + 1, deg + 4)
-    u = evaluate_on_ball(P, radius)
-    coeffs = _newton_via_laplacian(u)
-    for j, a in enumerate(coeffs):
-        if j > deg and a != 0:
-            raise HarmError(f"growth coefficient a_{j} nonzero beyond the degree")
+    _newton_coefficients(P)
     return k
 
 

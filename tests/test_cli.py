@@ -119,11 +119,36 @@ def test_check_aspect_with_derived_alpha(capsys):
 
 
 def test_check_aspect_requires_alpha_choice(capsys):
-    with pytest.raises(SystemExit):
-        run(
-            capsys, "check", "aspect", "--family", "u", "--k", "2", "--d", "2",
-            "--n", "10", "--p", "3", "--P", "2", "--eps", "1/4",
-        )
+    code, _, err = run(
+        capsys, "check", "aspect", "--family", "u", "--k", "2", "--d", "2",
+        "--n", "10", "--p", "3", "--P", "2", "--eps", "1/4",
+    )
+    assert code == 3
+    assert "--alpha" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "three-circles", "--family", "S", "--k", "2", "--n", "20"],  # no --eps
+        ["conjecture", "scan", "--family", "S", "--k", "4", "--C", "1", "--eps", "1/10",
+         "--threads", "2"],  # removed option
+        ["check", "three-circles", "--family", "S", "--k", "x", "--n", "20", "--eps", "1/4"],
+        ["no-such-command"],
+    ],
+)
+def test_parser_errors_exit_3_not_undecided(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "error:" in err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0
+    assert "three-circles" in capsys.readouterr().out
 
 
 def test_check_no_error_hypothesis_exit_3(capsys):

@@ -1,0 +1,159 @@
+"""Independent checks of the orbit-quotient kernels and the shared caches.
+
+The walk-count rows and the Laplacian cascade run as column passes over
+the orbit quotient (``OrbitTable.cols``); here they are compared with
+closed forms and with the sum-of-squares route, which share no code with
+them.  Verdicts must not depend on the state of the constant caches, and
+every cache in the package must be bounded.
+"""
+
+import importlib
+import math
+import pkgutil
+from fractions import Fraction as F
+from functools import partial
+
+import pytest
+
+import harmlat
+from harmlat import (
+    aspect_ratio_check,
+    evaluate_on_ball,
+    general_P_check,
+    random_harmonic,
+    ratio_125_check,
+    sos_laplacian_power,
+    three_circles_check,
+)
+from harmlat import checks
+from harmlat.balls import OrbitTable, orbit_table, unit_steps
+from harmlat.growth import _newton_via_laplacian, _orbit_walk_rows
+
+
+def _harmlat_modules():
+    return [
+        importlib.import_module(f"harmlat.{info.name}")
+        for info in pkgutil.iter_modules(harmlat.__path__)
+    ]
+
+
+def _lru_caches():
+    found = {}
+    for module in _harmlat_modules():
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_parameters"):
+                found[f"{value.__module__}.{name}"] = value
+    return found
+
+
+# -- walk rows against closed forms ---------------------------------------------
+
+
+def _binom(n, k2):
+    """C(n, k2/2) when k2 is even and 0 <= k2/2 <= n, else 0."""
+    if k2 % 2 or not 0 <= k2 // 2 <= n:
+        return 0
+    return math.comb(n, k2 // 2)
+
+
+def test_column_walk_rows_match_z2_product_formula():
+    # rotating Z^2 by 45 degrees splits the walk into two independent
+    # 1d walks: W(n, x, y) = C(n, (n+x+y)/2) C(n, (n+x-y)/2)
+    N = 40
+    rows = _orbit_walk_rows(2, N)
+    tab = orbit_table(2, N)
+    for n in range(N + 1):
+        assert len(rows[n]) == tab.count_up_to(n)
+        for (x, y), w in zip(tab.reps, rows[n]):
+            assert w == _binom(n, n + x + y) * _binom(n, n + x - y), (n, x, y)
+
+
+def test_column_walk_rows_match_z1_binomials():
+    N = 60
+    rows = _orbit_walk_rows(1, N)
+    tab = orbit_table(1, N)
+    for n in range(N + 1):
+        assert rows[n] == [_binom(n, n + x) for (x,) in tab.reps[: tab.count_up_to(n)]]
+
+
+@pytest.mark.parametrize("d,radii", [(1, [0, 3, 7]), (2, [0, 1, 2, 9]), (3, [4, 5, 8]), (4, [6])])
+def test_neighbour_columns_survive_growth(d, radii):
+    # columns extended radius by radius equal a from-scratch neighbour table
+    tab = OrbitTable(d)
+    for R in radii:
+        tab.ensure(R)
+    for s, step in enumerate(unit_steps(d)):
+        want = [
+            tab.index.get(tuple(sorted(abs(a + b) for a, b in zip(rep, step))), -1)
+            for rep in tab.reps
+        ]
+        assert tab.cols[s] == want
+
+
+# -- cascade against the sum-of-squares identity ---------------------------------
+
+
+@pytest.mark.parametrize("d,M,R,seed", [(2, 5, 7, 11), (2, 4, 6, 12), (3, 4, 5, 13), (3, 3, 5, 14)])
+def test_column_cascade_matches_sum_of_squares(d, M, R, seed):
+    u = evaluate_on_ball(random_harmonic(d, M, seed), R)
+    cascade = _newton_via_laplacian(u)
+    assert len(cascade) == R + 1
+    for k in range(R + 1):
+        assert cascade[k] == sos_laplacian_power(u, k), (d, seed, k)
+
+
+# -- verdicts do not depend on the constant caches --------------------------------
+
+
+def _corpus_checks(report):
+    """The corpus acceptance sweep, one callable per verdict."""
+    calls = []
+    for eps in (F(0), F(1, 4), F(1, 2)):
+        calls += [partial(three_circles_check, report, n, eps, explore=True) for n in range(1, 21)]
+    calls += [partial(general_P_check, report, n, F(3, 2), F(1, 4)) for n in range(9, 21)]
+    calls += [partial(general_P_check, report, n, 3, F(1, 4), explore=True) for n in (4, 6, 8)]
+    for delta in (F(1, 8), F(1, 5)):
+        calls += [partial(ratio_125_check, report, n, delta) for n in range(0, 16)]
+    calls += [partial(aspect_ratio_check, report, n, 3, 2, F(1, 4)) for n in range(1, 14)]
+    return calls
+
+
+def _verdict_key(v):
+    return (v.status, v.margin, v.lhs, v.main, v.error_term, v.precision_bits, v.hypothesis_met)
+
+
+def test_corpus_verdicts_equal_with_cold_and_warm_caches(corpus):
+    caches = [f for f in vars(checks).values() if hasattr(f, "cache_clear")]
+    assert len(caches) >= 4
+    sweeps = [(m.name, _corpus_checks(m.report)) for m in corpus]
+    cold = {}
+    for name, calls in sweeps:
+        for i, call in enumerate(calls):
+            for f in caches:
+                f.cache_clear()
+            cold[name, i] = _verdict_key(call())
+    for call in sweeps[0][1]:  # the constants are the same for every member
+        call()
+    misses = [f.cache_info().misses for f in caches]
+    for name, calls in sweeps:
+        for i, call in enumerate(calls):
+            assert _verdict_key(call()) == cold[name, i], (name, i)
+    assert [f.cache_info().misses for f in caches] == misses  # every lookup was a hit
+
+
+# -- bounded caches -----------------------------------------------------------------
+
+
+def test_every_lru_cache_is_bounded():
+    caches = _lru_caches()
+    for name in (
+        "harmlat.balls.ball_points",
+        "harmlat.balls.ball_position",
+        "harmlat.balls.laplacian_plan",
+        "harmlat.balls.point_orbit_indices",
+        "harmlat.checks.derive_alpha",
+    ):
+        assert name in caches
+    unbounded = [n for n, f in caches.items() if f.cache_parameters()["maxsize"] is None]
+    assert not unbounded
+    assert all(f.cache_parameters()["maxsize"] <= 256 for f in caches.values())
