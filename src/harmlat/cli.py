@@ -1,11 +1,12 @@
 """Command line interface: one binary, verb-noun subcommands, exact I/O.
 
 All numeric parameters are parsed as exact rationals ("3/4", "0.25",
-"7"); every stochastic output is fully determined by --seed.  Exit
-codes: 0 holds/confirmed, 1 fails/violation-found (the expected success
-of `search`), 2 undecided, 3 usage (parser errors included), hypothesis
-or resource-cap errors, 4 internal failure (any other exception, e.g.
-out of memory).  `--help` and `--version` exit 0.
+"7").  `--family random` is fully determined by --seed, which only the
+commands taking --family accept.  Exit codes: 0 holds/confirmed, 1
+fails/violation-found (the expected success of `search`), 2 undecided,
+3 usage (parser errors included), hypothesis or resource-cap errors, 4
+internal failure (any other exception, e.g. out of memory).  `--help`
+and `--version` exit 0.
 """
 
 from __future__ import annotations
@@ -152,8 +153,7 @@ def _load_function(args, needed_radius: int) -> LatticeFunction:
 
 def _report_for(args, needed_n: int) -> GrowthReport:
     if getattr(args, "function", None):
-        u = _load_function(args, needed_n)
-        return growth_report(u)
+        return growth_report(_load_function(args, needed_n), needed_n)
     P = _load_polynomial(args)
     return polynomial_report(P, needed_n)
 
@@ -162,10 +162,7 @@ def _report_for(args, needed_n: int) -> GrowthReport:
 
 
 def _cmd_growth(args, config: CommandConfig) -> int:
-    n_max = args.n_max
-    report = _report_for(args, n_max)
-    if report.n_max > n_max:
-        report = GrowthReport.from_values(report.values[: n_max + 1], d=report.d)
+    report = _report_for(args, args.n_max)
     if config.fmt == "csv":
         if args.newton:
             lines = ["k,a_k"]
@@ -284,7 +281,6 @@ def _add_common_options(sp):
     sp.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
     sp.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
     sp.add_argument("--out", help="write output to this file instead of stdout")
-    sp.add_argument("--seed", type=int, default=0)
 
 
 def _add_io_options(sp, with_explore=False, family_index=True):
@@ -295,6 +291,7 @@ def _add_io_options(sp, with_explore=False, family_index=True):
     if family_index:
         sp.add_argument("--k", type=int, help="family index / degree")
     sp.add_argument("--d", type=int, help="dimension for the u/random families")
+    sp.add_argument("--seed", type=int, default=0, help="seed for the random family")
     _add_common_options(sp)
     if with_explore:
         sp.add_argument(

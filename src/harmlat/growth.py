@@ -143,32 +143,38 @@ def growth_Q(u: LatticeFunction, n: int) -> Fraction:
     return Fraction(total, den * den * (2 * u.d) ** n)
 
 
-def _newton_via_laplacian(u: LatticeFunction, sums: Optional[list] = None) -> list:
-    """All values L^k(u^2)(0), k = 0..R, via the symmetrized cascade.
+def _newton_via_laplacian(
+    u: LatticeFunction, sums: Optional[list] = None, N: Optional[int] = None
+) -> list:
+    """The values L^k(u^2)(0), k = 0..N (default N = R), via the symmetrized cascade.
 
     L commutes with the symmetries fixing the origin, so L^k(u^2)(0)
     equals L^k applied to the symmetrized square of u, evaluated at the
     origin; the cascade then runs on orbit representatives, one pass of
-    column sums per order.  Once L^k(u^2) vanishes on its ball, every
-    higher order is 0 and the passes stop; for a polynomial of degree M
-    that happens at k = M + 1.  ``sums`` are the orbit square sums of u
-    when the caller already has them (:func:`growth_report` does).
+    column sums per order.  Order k at the origin reads only B_k, so the
+    cascade runs on B_N: the representatives are ordered by radius, and
+    those of B_N are a prefix of the table.  Once L^k(u^2) vanishes on
+    its ball, every higher order is 0 and the passes stop; for a
+    polynomial of degree M that happens at k = M + 1.  ``sums`` are the
+    orbit square sums of u when the caller already has them
+    (:func:`growth_report` does).
     """
-    d, R = u.d, u.R
-    tab = balls.orbit_table(d, R)
+    d = u.d
+    N = u.R if N is None else N
+    tab = balls.orbit_table(d, N)
     if sums is None:
         sums = _orbit_square_sums(u)
     _, den = u.scaled_values()
     G = balls.group_order(d)
     twod = 2 * d
-    # h[i] = G * (symmetrized u^2)(rep_i) * den^2
-    h = list(map(mul, sums, map(G.__floordiv__, tab.sizes)))
+    # h[i] = G * (symmetrized u^2)(rep_i) * den^2, for the reps of B_N
+    h = list(map(mul, islice(sums, tab.count_up_to(N)), map(G.__floordiv__, tab.sizes)))
     out = [Fraction(h[0], G * den * den)]
-    for k in range(1, R + 1):
+    for k in range(1, N + 1):
         if not any(h):
-            out += [Fraction(0)] * (R + 1 - k)
+            out += [Fraction(0)] * (N + 1 - k)
             break
-        m = tab.count_up_to(R - k)
+        m = tab.count_up_to(N - k)
         h = list(map(sub, _neighbour_sums(tab.cols, h, m), map(mul, h, repeat(twod))))
         out.append(Fraction(h[0], G * den * den * twod ** k))
     return out
@@ -244,7 +250,8 @@ def growth_report(u: LatticeFunction, n_max: Optional[int] = None) -> GrowthRepo
     triangle and through iterated Laplacians of u^2 at the origin; the
     two routes must agree exactly or the report is refused.  The orbit
     square sums of u, the one pass over every cell of the ball, are
-    computed once and feed both routes.
+    computed once and feed both routes.  With n_max < R both routes run
+    on B_{n_max} only.
     """
     N = u.R if n_max is None else n_max
     if N < 0 or N > u.R:
@@ -257,7 +264,7 @@ def growth_report(u: LatticeFunction, n_max: Optional[int] = None) -> GrowthRepo
     values = [Fraction(sum(map(mul, rows[n], sums)), den2 * twod ** n) for n in range(N + 1)]
     tri = _difference_triangle(values)
     newton = tuple(r[0] for r in tri)
-    laplace = tuple(_newton_via_laplacian(u, sums)[: N + 1])
+    laplace = tuple(_newton_via_laplacian(u, sums, N))
     if newton != laplace:
         raise HarmError(
             "internal inconsistency: difference-triangle coefficients disagree "

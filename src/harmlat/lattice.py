@@ -30,6 +30,8 @@ from .errors import (
 )
 from .rationals import format_rational, parse_rational
 
+_REDUCE_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class LatticeBall:
@@ -75,14 +77,7 @@ class LatticeFunction:
             raise InvalidParameterError(
                 f"expected {ball.point_count} values on B_{ball.R} of Z^{ball.d}, got {len(nums)}"
             )
-        g = den
-        for v in nums:
-            g = math.gcd(g, v)
-            if g == 1:
-                break
-        if g > 1:
-            nums = [v // g for v in nums]
-            den //= g
+        den = reduce_in_place(nums, den)
         self.ball = ball
         self._nums = tuple(nums)
         self._den = den
@@ -218,6 +213,22 @@ class LatticeFunction:
             for p in ball.points:
                 table.setdefault(p, Fraction(0))
         return cls.from_values(ball, table)
+
+
+def reduce_in_place(nums: list, den: int) -> int:
+    """Divide the common factor of ``nums`` and ``den`` out of ``nums`` in place.
+
+    Returns the reduced denominator.  The values are divided in slices of
+    ``_REDUCE_CHUNK``, each replaced as soon as it is divided, so the
+    unreduced and the reduced values are never all alive together.
+    """
+    g = math.gcd(den, *nums)
+    if g > 1:
+        div = g.__rfloordiv__
+        for i in range(0, len(nums), _REDUCE_CHUNK):
+            nums[i : i + _REDUCE_CHUNK] = map(div, nums[i : i + _REDUCE_CHUNK])
+        den //= g
+    return den
 
 
 # -- operators ----------------------------------------------------------

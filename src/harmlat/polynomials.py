@@ -10,7 +10,18 @@ x^alpha / alpha! on R^d to sum a_alpha F_alpha on Z^d (term-by-term
 products of the univariate F's), the planar families S_k / T_k obtained
 by discretizing Re (x+iy)^k / k! and Im (x+iy)^k / k!, the coordinate
 products u_k = x_1 ... x_k, and reproducible random harmonic polynomials
-drawn from the exact kernel of the continuous Laplacian.
+drawn from the exact kernel of the continuous Laplacian.  The F's are
+built in integers: 2^k k! F_k is the product of the linear factors
+2x + k - 1 - 2j, and sums of products F_alpha are taken over one common
+denominator.
+
+Evaluation on a ball runs along lines of the last coordinate z.  The
+forward differences of P at z = 0, on both sides, are polynomials in the
+other coordinates; they are evaluated once on the (d-1)-ball by the same
+scheme, recursively, and every line is then produced by chained running
+sums in exact integers over the coefficients' common denominator.  The
+common factor of the values and that denominator is divided out in
+place (:func:`harmlat.lattice.reduce_in_place`).
 """
 
 from __future__ import annotations
@@ -18,11 +29,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain, islice, repeat
 from typing import Optional, Sequence
 
 from . import balls
 from .errors import HarmonicityError, InvalidParameterError, UsageError
-from .lattice import LatticeBall, LatticeFunction
+from .lattice import LatticeBall, LatticeFunction, reduce_in_place
 from .rationals import format_rational, parse_rational
 from .rng import SplitMix64
 
@@ -236,50 +248,66 @@ def fk_polynomial(k: int) -> DiscreteBasisElement:
     """F_k as an exact univariate polynomial."""
     if k < 0:
         raise InvalidParameterError("k must be non-negative")
-    x = MultivariatePolynomial.variable(1, 0)
-    poly = MultivariatePolynomial.constant(1, 1)
-    for j in range(k):
-        poly = poly * (x + MultivariatePolynomial.constant(1, Fraction(k - 1, 2) - j))
-    poly = poly.scale(Fraction(1, math.factorial(k)))
+    nums, den = _fk_coefficients(k)
+    poly = MultivariatePolynomial(1, {(a,): Fraction(c, den) for a, c in enumerate(nums)})
     return DiscreteBasisElement(k, poly)
 
 
-def _embed_univariate(p: MultivariatePolynomial, d: int, axis: int) -> MultivariatePolynomial:
-    terms = {}
-    for (a,), c in p.terms.items():
-        key = [0] * d
-        key[axis] = a
-        terms[tuple(key)] = c
-    return MultivariatePolynomial(d, terms)
+def _fk_coefficients(k: int) -> tuple:
+    """Integer coefficients of 2^k k! F_k(x) = prod_{j<k} (2x + k - 1 - 2j), and 2^k k!.
+
+    One factor at a time, in ints; coefficient a of the result is the
+    coefficient of x^a.
+    """
+    nums = [1]
+    for j in range(k):
+        c = k - 1 - 2 * j
+        nums = [c * here + 2 * below for here, below in zip(nums + [0], [0] + nums)]
+    return tuple(nums), math.factorial(k) << k
 
 
-def _fk_product(alpha: Sequence[int]) -> MultivariatePolynomial:
-    """F_alpha(x) = prod_l F_{alpha_l}(x_l) in len(alpha) variables."""
-    d = len(alpha)
-    out = MultivariatePolynomial.constant(d, 1)
-    for axis, a in enumerate(alpha):
-        out = out * _embed_univariate(fk_polynomial(a).polynomial, d, axis)
-    return out
+def _fk_combination(d: int, weights: dict) -> MultivariatePolynomial:
+    """sum_alpha w_alpha F_alpha(x), with F_alpha(x) = prod_l F_{alpha_l}(x_l) on Z^d.
+
+    Each F_alpha is the outer product of the univariate integer
+    coefficient lists of :func:`_fk_coefficients`; the sum is taken in
+    ints over one common denominator, with one Fraction per final term.
+    """
+    fk = {a: _fk_coefficients(a) for a in set(chain.from_iterable(weights))}
+    scaled = []
+    den = 1
+    for alpha, w in weights.items():
+        w = Fraction(w)
+        lists = [fk[a] for a in alpha]
+        den_alpha = w.denominator * math.prod(den_a for _, den_a in lists)
+        scaled.append(([nums for nums, _ in lists], w.numerator, den_alpha))
+        den = math.lcm(den, den_alpha)
+    acc: dict = {}
+    for lists, num, den_alpha in scaled:
+        terms = {(): num * (den // den_alpha)}
+        for nums in lists:
+            terms = {
+                key + (e,): c * n for key, c in terms.items() for e, n in enumerate(nums) if n
+            }
+        for key, c in terms.items():
+            acc[key] = acc.get(key, 0) + c
+    return MultivariatePolynomial(d, {key: Fraction(c, den) for key, c in acc.items()})
 
 
 def sk_polynomial(k: int) -> MultivariatePolynomial:
     """S_k(x, y) = sum_{j <= k/2} (-1)^j F_{k-2j}(x) F_{2j}(y); harmonic on Z^2."""
     if k < 0:
         raise InvalidParameterError("k must be non-negative")
-    out = MultivariatePolynomial.zero(2)
-    for j in range(k // 2 + 1):
-        out = out + _fk_product((k - 2 * j, 2 * j)).scale((-1) ** j)
-    return out
+    return _fk_combination(2, {(k - 2 * j, 2 * j): (-1) ** j for j in range(k // 2 + 1)})
 
 
 def tk_polynomial(k: int) -> MultivariatePolynomial:
     """T_k(x, y) = sum_j (-1)^j F_{k-(2j+1)}(x) F_{2j+1}(y); harmonic on Z^2."""
     if k < 1:
         raise InvalidParameterError("k must be >= 1")
-    out = MultivariatePolynomial.zero(2)
-    for j in range((k - 1) // 2 + 1):
-        out = out + _fk_product((k - (2 * j + 1), 2 * j + 1)).scale((-1) ** j)
-    return out
+    return _fk_combination(
+        2, {(k - (2 * j + 1), 2 * j + 1): (-1) ** j for j in range((k - 1) // 2 + 1)}
+    )
 
 
 def monomial_uk(d: int, k: int) -> MultivariatePolynomial:
@@ -309,57 +337,97 @@ def correspondence(P: MultivariatePolynomial) -> MultivariatePolynomial:
         raise HarmonicityError(
             "polynomial is not harmonic on R^d", value=residual
         )
-    out = MultivariatePolynomial.zero(P.d)
-    for alpha, c in P.terms.items():
-        a_alpha = c
-        for a in alpha:
-            a_alpha *= math.factorial(a)
-        out = out + _fk_product(alpha).scale(a_alpha)
-    return out
+    weights = {alpha: c * math.prod(map(math.factorial, alpha)) for alpha, c in P.terms.items()}
+    return _fk_combination(P.d, weights)
 
 
 # -- evaluation over balls ------------------------------------------------------
 
 
 def evaluate_on_ball(P: MultivariatePolynomial, R: int) -> LatticeFunction:
-    """Exact evaluation of P at every point of B_R, in ball enumeration order."""
+    """Exact evaluation of P at every point of B_R, in ball enumeration order.
+
+    The coefficients are brought to integers over their common
+    denominator and :func:`_ball_values` walks the ball line by line
+    along the last coordinate by exact finite differences.  The common
+    factor of the values and the denominator is divided out in place on
+    the evaluator's own list (:func:`harmlat.lattice.reduce_in_place`),
+    so unreduced and reduced values are never held together.
+    """
     ball = LatticeBall(P.d, R)
-    den = 1
-    for c in P.terms.values():
-        den = math.lcm(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in P.terms.values()))
     int_terms = {a: c.numerator * (den // c.denominator) for a, c in P.terms.items()}
-    out: list = []
-    _eval_rec(int_terms, P.d, R, out)
+    out = _ball_values(int_terms, P.d, R)
+    den = reduce_in_place(out, den)
     return LatticeFunction(ball, out, den)
 
 
-def _eval_rec(terms: dict, d: int, budget: int, out: list) -> None:
-    """Append values over the lex-ordered sub-ball to ``out`` (integer terms)."""
-    if d == 1:
-        coeffs: dict = {}
-        for (a,), c in terms.items():
-            coeffs[a] = coeffs.get(a, 0) + c
-        deg = max(coeffs) if coeffs else 0
-        dense = [coeffs.get(i, 0) for i in range(deg + 1)]
-        for v in range(-budget, budget + 1):
-            acc = 0
-            for c in reversed(dense):
-                acc = acc * v + c
-            out.append(acc)
-        return
-    by_exp: dict = {}
+def _ball_values(terms: dict, d: int, R: int) -> list:
+    """Values of an integer polynomial on B_R of Z^d, in lex order (d = 0: one point).
+
+    P is split on its last coordinate z, P = sum_j c_j(x') z^j with
+    m = deg_z P.  Along the line through x' the forward differences at
+    z = 0 are polynomials in x',
+
+        Delta^i P(x', 0) = sum_j i! S2(j, i) c_j(x'),
+
+    and for z -> -z the same with c_j multiplied by (-1)^j.  These 2m + 1
+    seed polynomials are evaluated once on B_R of Z^(d-1) by this same
+    function; each line z = -b..b, b = R - |x'|_1, is then m chained
+    running sums per side, in exact ints.
+    """
+    if d == 0:
+        return [terms.get((), 0)]
+    by_z: dict = {}
     for alpha, c in terms.items():
-        by_exp.setdefault(alpha[0], {})[alpha[1:]] = c
-    exps = sorted(by_exp)
-    for v in range(-budget, budget + 1):
-        sub: dict = {}
-        for e in exps:
-            w = v ** e
-            if w == 0 and e > 0:
-                continue
-            for rest, c in by_exp[e].items():
-                sub[rest] = sub.get(rest, 0) + c * w
-        _eval_rec(sub, d - 1, budget - abs(v), out)
+        by_z.setdefault(alpha[-1], {})[alpha[:-1]] = c
+    m = max(by_z, default=0)
+    surj = _surjection_counts(m)
+    pos, neg = [], []
+    for i in range(m + 1):
+        up: dict = {}
+        down: dict = {}
+        for j, coeffs in by_z.items():
+            w = surj[j][i]
+            if w:
+                sign = -w if j % 2 else w
+                for rest, c in coeffs.items():
+                    up[rest] = up.get(rest, 0) + w * c
+                    down[rest] = down.get(rest, 0) + sign * c
+        pos.append(_ball_values(up, d - 1, R))
+        neg.append(_ball_values(down, d - 1, R) if i else pos[0])
+    out: list = []
+    for b, up, down in zip(_remaining(d - 1, R), zip(*pos), zip(*neg)):
+        out.extend(reversed(list(islice(_line(down), 1, b + 1))))
+        out.extend(islice(_line(up), b + 1))
+    return out
+
+
+def _line(seeds: tuple):
+    """f(0), f(1), ... of the polynomial whose forward differences at 0 are ``seeds``."""
+    seq = repeat(seeds[-1])
+    for s in reversed(seeds[:-1]):
+        seq = accumulate(seq, initial=s)
+    return seq
+
+
+def _surjection_counts(m: int) -> list:
+    """surj[j][i] = i! S2(j, i), the surjections of a j-set onto an i-set, j, i <= m."""
+    surj = [[1] + [0] * m]
+    for j in range(1, m + 1):
+        prev = surj[-1]
+        surj.append([0] + [i * (prev[i - 1] + prev[i]) for i in range(1, m + 1)])
+    return surj
+
+
+def _remaining(d: int, R: int) -> list:
+    """R - |x|_1 for every x of B_R of Z^d, in lex order (d = 0: [R])."""
+    if d == 0:
+        return [R]
+    out: list = []
+    for v in range(-R, R + 1):
+        out += _remaining(d - 1, R - abs(v))
+    return out
 
 
 # -- reproducible random harmonic polynomials ------------------------------------

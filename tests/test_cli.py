@@ -135,6 +135,11 @@ def test_check_aspect_requires_alpha_choice(capsys):
          "--threads", "2"],  # removed option
         ["check", "three-circles", "--family", "S", "--k", "x", "--n", "20", "--eps", "1/4"],
         ["no-such-command"],
+        # --seed belongs to --family; these commands take no family
+        ["search", "counterexample", "--C", "1", "--eps", "1/5", "--k-max", "30",
+         "--seed", "1"],
+        ["check", "binomial", "--n", "20", "--k", "2", "--P", "2", "--eps", "1/4",
+         "--seed", "1"],
     ],
 )
 def test_parser_errors_exit_3_not_undecided(capsys, argv):

@@ -233,6 +233,26 @@ def test_report_n_max_trimming():
     assert rep.n_max == 5
 
 
+@pytest.mark.parametrize(
+    "u",
+    [
+        evaluate_on_ball(sk_polynomial(5), 14),
+        evaluate_on_ball(random_harmonic(3, 4, 31), 9),
+        # not harmonic: the cascade never reaches an all-zero order
+        evaluate_on_ball(MultivariatePolynomial(2, {(3, 1): 1, (0, 2): F(-2, 3), (1, 0): 5}), 12),
+    ],
+)
+def test_report_below_radius_equals_truncated_full_report(u):
+    full = growth_report(u)
+    for N in range(u.R):
+        rep = growth_report(u, N)
+        assert rep.values == full.values[: N + 1]
+        assert rep.triangle == tuple(row[: N + 1 - k] for k, row in enumerate(full.triangle[: N + 1]))
+        assert rep.newton == full.newton[: N + 1]
+        assert rep.laplace_newton == full.laplace_newton[: N + 1]
+        assert rep.d == full.d
+
+
 # -- growth polynomial of polynomial inputs -------------------------------------------------
 
 

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmlat import (
     HarmonicityError,
@@ -22,6 +24,7 @@ from harmlat import (
     sk_polynomial,
     tk_polynomial,
 )
+from harmlat.balls import ball_points
 from harmlat.polynomials import is_harmonic_poly
 
 X2 = MultivariatePolynomial.variable(2, 0)
@@ -70,6 +73,55 @@ def test_fk_small_cases():
     assert f2.evaluate([1]) == F(3, 8)
     f3 = fk_polynomial(3).polynomial
     assert f3 == (x + 1) * x * (x - 1) * F(1, 6)
+
+
+def fk_by_linear_factors(k):
+    """Oracle: F_k as the product of its k linear factors, by polynomial products."""
+    x = MultivariatePolynomial.variable(1, 0)
+    poly = MultivariatePolynomial.constant(1, 1)
+    for j in range(k):
+        poly = poly * (x + F(k - 1, 2) - j)
+    return poly.scale(F(1, math.factorial(k)))
+
+
+def fk_product_by_multiplication(alpha):
+    """Oracle: F_alpha(x) = prod_l F_{alpha_l}(x_l) through MultivariatePolynomial products."""
+    d = len(alpha)
+    out = MultivariatePolynomial.constant(d, 1)
+    for axis, a in enumerate(alpha):
+        terms = {}
+        for (e,), c in fk_by_linear_factors(a).terms.items():
+            key = [0] * d
+            key[axis] = e
+            terms[tuple(key)] = c
+        out = out * MultivariatePolynomial(d, terms)
+    return out
+
+
+def test_fk_integer_recurrence_matches_linear_factor_products():
+    for k in range(41):
+        assert fk_polynomial(k).polynomial == fk_by_linear_factors(k), k
+
+
+def test_families_match_linear_factor_products():
+    for k in range(0, 41, 3):
+        s = MultivariatePolynomial.zero(2)
+        for j in range(k // 2 + 1):
+            s = s + fk_product_by_multiplication((k - 2 * j, 2 * j)).scale((-1) ** j)
+        assert sk_polynomial(k).canonical_key() == s.canonical_key(), k
+    for k in range(1, 41, 3):
+        t = MultivariatePolynomial.zero(2)
+        for j in range((k - 1) // 2 + 1):
+            t = t + fk_product_by_multiplication((k - 2 * j - 1, 2 * j + 1)).scale((-1) ** j)
+        assert tk_polynomial(k).canonical_key() == t.canonical_key(), k
+    for d, M, seed in ((2, 5, 3), (3, 4, 4)):
+        basis = harmonic_kernel_basis(d, M)
+        P = sum((b.scale(i - 3) for i, b in enumerate(basis)), MultivariatePolynomial.zero(d))
+        expected = MultivariatePolynomial.zero(d)
+        for alpha, c in P.terms.items():
+            weight = c * math.prod(map(math.factorial, alpha))
+            expected = expected + fk_product_by_multiplication(alpha).scale(weight)
+        assert correspondence(P).canonical_key() == expected.canonical_key()
 
 
 def test_fk_degree_and_leading_coefficient():
@@ -190,6 +242,52 @@ def test_evaluate_on_ball_order_matches_pointwise_evaluation():
     v = evaluate_on_ball(q, 3)
     for point in LatticeBall(3, 3).points:
         assert v.value(point) == q.evaluate(point)
+
+
+@st.composite
+def rational_polynomials(draw):
+    """(P, R): P any rational polynomial of degree <= R + 3 in d <= 4 variables, R <= 6."""
+    d = draw(st.integers(1, 4))
+    R = draw(st.integers(0, 6))
+    deg = draw(st.integers(0, R + 3))
+    exponents = st.lists(st.integers(0, deg), min_size=d, max_size=d).filter(
+        lambda a: sum(a) <= deg
+    )
+    coeffs = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+    terms = draw(st.dictionaries(exponents.map(tuple), coeffs, max_size=8))
+    return MultivariatePolynomial(d, terms), R
+
+
+@settings(max_examples=120, deadline=None)
+@given(rational_polynomials())
+def test_evaluate_on_ball_matches_pointwise_evaluate(case):
+    P, R = case
+    u = evaluate_on_ball(P, R)
+    nums, den = u.scaled_values()
+    assert math.gcd(den, *nums) == 1
+    assert [F(n, den) for n in nums] == [P.evaluate(p) for p in ball_points(P.d, R)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("R", [0, 1, 5])
+def test_evaluate_on_ball_zero_and_constants(d, R):
+    count = LatticeBall(d, R).point_count
+    assert evaluate_on_ball(MultivariatePolynomial.zero(d), R).scaled_values() == ((0,) * count, 1)
+    c = evaluate_on_ball(MultivariatePolynomial.constant(d, F(-6, 4)), R)
+    assert c.scaled_values() == ((-3,) * count, 2)
+
+
+def test_evaluate_on_ball_z3_degree6_on_b80_samples():
+    P = random_harmonic(3, 6, 2024)
+    assert P.degree == 6
+    u = evaluate_on_ball(P, 80)
+    nums, den = u.scaled_values()
+    pts = ball_points(3, 80)
+    picks = [i for i, p in enumerate(pts) if max(map(abs, p)) in (0, 80)]
+    assert len(picks) == 7  # the origin and the six axis endpoints
+    picks += range(1, len(pts), 6151)
+    for i in picks:
+        assert F(nums[i], den) == P.evaluate(pts[i]), pts[i]
 
 
 # -- random harmonic draws ------------------------------------------------------------------
