@@ -6,7 +6,8 @@ commands taking --family accept.  Exit codes: 0 holds/confirmed, 1
 fails/violation-found (the expected success of `search`), 2 undecided,
 3 usage (parser errors included), hypothesis or resource-cap errors, 4
 internal failure (any other exception, e.g. out of memory).  `--help`
-and `--version` exit 0.
+and `--version` exit 0.  Exact integers print in full, however long: a
+command lifts the interpreter's limit on int-to-str digits while it runs.
 """
 
 from __future__ import annotations
@@ -424,6 +425,12 @@ def dispatch(args) -> int:
 
 def main(argv=None) -> int:
     ap = build_parser()
+    # exact outputs (a search witness's binomials, say) may run past the
+    # interpreter's 4300-digit cap on int <-> str conversion
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    limit = get_limit() if get_limit else None
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         args = ap.parse_args(argv)
         code = dispatch(args)
@@ -435,6 +442,9 @@ def main(argv=None) -> int:
         detail = " ".join(str(exc).split())
         print(f"error: internal failure: {type(exc).__name__}: {detail}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return code
 
 

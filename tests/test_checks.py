@@ -18,11 +18,13 @@ from harmlat import (
     continuous_three_circles_check,
     convexity_defect_check,
     counterexample_search,
+    enclose_pow,
     general_P_check,
     no_error_check,
     ratio_125_check,
     three_circles_check,
 )
+from harmlat.checks import _nstar_candidates, _step_binomials
 from harmlat.rng import SplitMix64
 
 ONES = GrowthReport.from_values([1] * 600)
@@ -351,3 +353,66 @@ def test_search_rejects_bad_parameters():
         counterexample_search(0, F(1, 10), k_max=5)
     with pytest.raises(InvalidParameterError):
         counterexample_search(1, 0, k_max=5)
+
+
+def _reference_search(C, eps, k_max, n0):
+    """math.comb and the full ladder on every candidate, as the search once ran."""
+    checked, undecided = 0, []
+    for k in range(2, k_max + 1):
+        for n in _nstar_candidates(k):
+            if n <= n0:
+                continue
+            checked += 1
+            b = tuple(math.comb(m, k) for m in (n, 2 * n, 4 * n))
+            v = convexity_defect_check(*b, n, C, eps)
+            if v.status == "holds":
+                square_ok = F(b[1]) ** 2 > C * C * F(b[0]) * F(b[2])
+                return dict(found=True, k=k, n=n, checked=checked, undecided=tuple(undecided),
+                            binomials=b, square_ok=square_ok, verdict=v.to_json())
+            if v.status == "undecided":
+                undecided.append((k, n))
+    return dict(found=False, k=None, n=None, checked=checked, undecided=tuple(undecided),
+                binomials=None, square_ok=False, verdict=None)
+
+
+@pytest.mark.parametrize("C", [F(1), F(3, 2), F(2), F(10) ** 6])
+@pytest.mark.parametrize("eps", [F(1, 10), F(1, 5)])
+def test_search_equals_full_ladder_reference(C, eps):
+    for n0 in (0, 100, 1000):
+        ref = _reference_search(C, eps, 80, n0)
+        res = counterexample_search(C, eps, k_max=80, n0=n0)
+        assert (res.found, res.k, res.n) == (ref["found"], ref["k"], ref["n"])
+        assert res.candidates_checked == ref["checked"]
+        assert res.undecided == ref["undecided"]
+        assert res.binomials == ref["binomials"]
+        assert res.square_estimate_certified == ref["square_ok"]
+        assert (res.verdict.to_json() if res.found else None) == ref["verdict"]
+        if res.found:
+            err_unit = enclose_pow(2, res.n, F(1, 2) + eps, 256)
+            b_n, b_2n, b_4n = res.binomials
+            assert res.ratio_estimate_certified == (F(b_2n, b_4n) > err_unit.hi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(2, 60),
+    dn=st.integers(0, 400),
+    C=st.fractions(min_value=F(1, 50), max_value=5, max_denominator=50),
+    eps=st.sampled_from([F(1, 10), F(1, 5), F(1, 3), F(1, 2)]),
+)
+def test_square_test_implies_ladder_fails(k, dn, C, eps):
+    # the search skips every candidate whose main term alone reaches
+    # binom(2n,k); the ladder must say "fails" there at every cap
+    n = k + dn
+    b = tuple(math.comb(m, k) for m in (n, 2 * n, 4 * n))
+    if C.denominator**2 * b[1] ** 2 <= C.numerator**2 * b[0] * b[2]:
+        for cap in (1, 64, 256):
+            assert convexity_defect_check(*b, n, C, eps, precision=cap).status == "fails"
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(2, 80), dm=st.integers(0, 300), gap=st.integers(1, 40))
+def test_stepped_binomials_equal_comb(k, dm, gap):
+    m, n = k + dm, k + dm + gap
+    start = tuple(math.comb(j, k) for j in (m, 2 * m, 4 * m))
+    assert _step_binomials(k, m, start, n) == tuple(math.comb(j, k) for j in (n, 2 * n, 4 * n))

@@ -1,6 +1,7 @@
 """CLI surface: parsing, wire formats, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -174,6 +175,32 @@ def test_search_counterexample_found_exit_1(capsys):
     obj = json.loads(out)
     assert obj["found"] and obj["n"] > 100
     assert obj["ratio_estimate_certified"] and obj["square_estimate_certified"]
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+def test_search_witness_beyond_digit_limit_prints_in_full(capsys):
+    # the witness at k = 250 has binomials of about 670 digits
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(
+            capsys, "search", "counterexample", "--C", "1", "--eps", "1/5",
+            "--k-min", "250", "--k-max", "250",
+        )
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert (code, err) == (1, "")
+        obj = json.loads(out)
+        assert obj["found"] and obj["k"] == 250
+        n = obj["n"]
+        assert [int(b) for b in obj["binomials"]] == [math.comb(m, 250) for m in (n, 2 * n, 4 * n)]
+        assert max(len(b) for b in obj["binomials"]) > 640
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_search_counterexample_exhausted_exit_0(capsys):
