@@ -1,12 +1,24 @@
 """Certified verdicts for the log-convexity inequalities of growth functions.
 
 Every checker compares an exact rational left-hand side against a right
-hand side built from certified enclosures (exp, powers, square roots).
-Square-root comparisons are decided by comparing squares of rational
-bounds; a verdict of ``holds`` or ``fails`` is only issued when the
-enclosures separate the two sides, with precision doubling from 64 bits
-up to the configured cap (default 256), after which the verdict is
-``undecided``.  All comparisons are homogeneous in Q, so verdicts are
+hand side built from certified enclosures (exp, powers, square roots),
+and every one runs the same precision ladder, :func:`_decide`: at 64,
+128, ... bits up to the configured cap (default 256) it builds the two
+enclosures of the right-hand side, the main term and the error term,
+and stops at the first rung whose status rule decides; past the cap
+the verdict is ``undecided``.  Only the status rule differs by form:
+
+- sum, lhs <= sqrt(msq) + err, decided by comparing squares of rational
+  bounds (msq is the squared main term);
+- max, lhs <= max(sqrt(msq), err), the binomial max form;
+- linear, lhs <= main + err, the aspect ratios;
+- strict below, lhs < main, the degree hypothesis M^2 < n^(1-2eps) of
+  the error-free form.
+
+The violation form of :func:`convexity_defect_check` is the sum rule
+with ``holds`` and ``fails`` swapped and the margin negated.  A verdict
+of ``holds`` or ``fails`` is only issued when the enclosures separate
+the two sides.  All comparisons are homogeneous in Q, so verdicts are
 invariant under rescaling Q by a positive square.
 
 The Q-independent constants of the right-hand sides (e^(n^-2eps), the
@@ -32,7 +44,8 @@ obligation; the checkers consume only the Q values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -89,14 +102,6 @@ def _halving_unit(n: int, delta: Fraction, prec: int) -> RealEnclosure:
     return pow_enclosure(Fraction(2), -2 * n * delta, prec)
 
 
-def _floor(q: Fraction) -> int:
-    return q.numerator // q.denominator
-
-
-def _ceil(q: Fraction) -> int:
-    return -((-q.numerator) // q.denominator)
-
-
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of one inequality check with its certified ingredients.
@@ -131,7 +136,11 @@ class Verdict:
         }
 
 
-def _sqrt_form_status(lhs: Fraction, msq: RealEnclosure, err: RealEnclosure) -> str:
+_ZERO = RealEnclosure.exact(0)
+_NEGATED = {HOLDS: FAILS, FAILS: HOLDS, UNDECIDED: UNDECIDED}
+
+
+def _sum_status(lhs: Fraction, msq: RealEnclosure, err: RealEnclosure) -> str:
     """Decide lhs <= sqrt(msq) + err by squared comparisons of bounds."""
     diff_hi = lhs - err.lo
     if diff_hi <= 0 or diff_hi * diff_hi <= msq.lo:
@@ -142,37 +151,87 @@ def _sqrt_form_status(lhs: Fraction, msq: RealEnclosure, err: RealEnclosure) -> 
     return UNDECIDED
 
 
-def _sqrt_form_verdict(
-    lhs: Fraction,
-    msq_at,
-    err_at,
-    precision: int,
-    hypothesis_met: Optional[bool],
-    note: str,
-) -> Verdict:
-    """Run the precision ladder on a sqrt-form inequality.
+def _max_status(lhs: Fraction, msq: RealEnclosure, err: RealEnclosure) -> str:
+    """Decide lhs <= max(sqrt(msq), err)."""
+    square = lhs * lhs
+    if square <= msq.lo or lhs <= err.lo:
+        return HOLDS
+    if square > msq.hi and lhs > err.hi:
+        return FAILS
+    return UNDECIDED
 
-    ``msq_at(p)`` returns the enclosure of the squared main term at
-    precision p, ``err_at(p)`` the enclosure of the additive error term.
+
+def _linear_status(lhs: Fraction, main: RealEnclosure, err: RealEnclosure) -> str:
+    """Decide lhs <= main + err."""
+    if lhs <= main.lo + err.lo:
+        return HOLDS
+    if lhs > main.hi + err.hi:
+        return FAILS
+    return UNDECIDED
+
+
+def _below_status(lhs: Fraction, main: RealEnclosure, err: RealEnclosure) -> str:
+    """Decide lhs < main strictly; err takes no part."""
+    if lhs < main.lo:
+        return HOLDS
+    if main.hi <= lhs:
+        return FAILS
+    return UNDECIDED
+
+
+def _decide(lhs: Fraction, rung, precision: int, status_of) -> tuple:
+    """The precision ladder shared by every checker.
+
+    ``rung(p)`` returns the enclosures (main, err) of the right-hand side
+    at precision p; ``status_of(lhs, main, err)`` is the form's status
+    rule.  Returns (status, main, err, p) at the first rung that
+    decides, or at the cap's rung with status ``undecided``.
     """
-    status = UNDECIDED
-    msq = err = None
-    prec = 0
     for p in _ladder(precision):
-        prec = p
-        msq = msq_at(p)
-        err = err_at(p)
-        status = _sqrt_form_status(lhs, msq, err)
+        main, err = rung(p)
+        status = status_of(lhs, main, err)
         if status != UNDECIDED:
             break
-    main = sqrt_enclosure(msq, prec)
+    return status, main, err, p
+
+
+def _verdict(
+    lhs: Fraction,
+    rung,
+    precision: int,
+    status_of,
+    hypothesis_met: Optional[bool],
+    note: str,
+    combine=operator.add,
+    squared: bool = True,
+) -> Verdict:
+    """Run :func:`_decide` and certify the margin combine(main, err) - lhs.
+
+    With ``squared`` the ladder's main term is the square of the
+    verdict's main term (the sum and max forms).
+    """
+    status, main, err, prec = _decide(lhs, rung, precision, status_of)
+    if squared:
+        main = sqrt_enclosure(main, prec)
     if status == HOLDS:
-        margin = max(Fraction(0), main.lo + err.lo - lhs)
+        margin = max(Fraction(0), combine(main.lo, err.lo) - lhs)
     elif status == FAILS:
-        margin = min(Fraction(0), main.hi + err.hi - lhs)
+        margin = min(Fraction(0), combine(main.hi, err.hi) - lhs)
     else:
         margin = Fraction(0)
     return Verdict(status, lhs, main, err, margin, hypothesis_met, note, prec)
+
+
+def _error_form_rung(n: int, eps: Fraction, base, q_inner: Fraction, q_outer: Fraction):
+    """rung(p) of the forms with error term: the squared main term
+    e^(n^-2eps) q_inner q_outer and the error term base^(-n^(1/2-eps)) q_outer."""
+    product = q_inner * q_outer
+    r = Fraction(1, 2) - eps
+
+    def rung(p):
+        return _exp_factor(n, eps, p) * product, _error_unit(base, n, r, p) * q_outer
+
+    return rung
 
 
 def _check_eps(eps, lo=Fraction(0), hi=Fraction(1, 2), hi_strict=False):
@@ -209,13 +268,8 @@ def three_circles_check(
         )
     note = "" if hypothesis_met else "outside guarantee hypotheses (n <= 16): empirical check"
 
-    def msq_at(p):
-        return _exp_factor(n, eps, p) * (q_n * q_4n)
-
-    def err_at(p):
-        return _error_unit(2, n, Fraction(1, 2) - eps, p) * q_4n
-
-    return _sqrt_form_verdict(q_2n, msq_at, err_at, precision, hypothesis_met, note)
+    rung = _error_form_rung(n, eps, 2, q_n, q_4n)
+    return _verdict(q_2n, rung, precision, _sum_status, hypothesis_met, note)
 
 
 def general_P_check(
@@ -237,8 +291,8 @@ def general_P_check(
     eps = _check_eps(eps)
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
-    mid = _floor(P * n)
-    outer = _ceil(P * P * n)
+    mid = math.floor(P * n)
+    outer = math.ceil(P * P * n)
     q_n, q_mid, q_outer = report.Q(n), report.Q(mid), report.Q(outer)
     hypothesis_met = Fraction(n) >= 4 * P * P
     if not hypothesis_met and not explore:
@@ -248,13 +302,8 @@ def general_P_check(
         )
     note = "" if hypothesis_met else "outside guarantee hypotheses (n < 4P^2): empirical check"
 
-    def msq_at(p):
-        return _exp_factor(n, eps, p) * (q_n * q_outer)
-
-    def err_at(p):
-        return _error_unit(P, n, Fraction(1, 2) - eps, p) * q_outer
-
-    return _sqrt_form_verdict(q_mid, msq_at, err_at, precision, hypothesis_met, note)
+    rung = _error_form_rung(n, eps, P, q_n, q_outer)
+    return _verdict(q_mid, rung, precision, _sum_status, hypothesis_met, note)
 
 
 # -- the underlying binomial inequality ----------------------------------------------
@@ -284,57 +333,24 @@ def binomial_inequality_check(
     if P <= 1:
         raise InvalidParameterError("P must be > 1")
     eps = _check_eps(eps)
-    mid = _floor(P * n)
-    outer = _ceil(P * P * n)
+    mid = math.floor(P * n)
+    outer = math.ceil(P * P * n)
     lhs = Fraction(math.comb(mid, k))
     b_n = Fraction(math.comb(n, k))
     b_outer = Fraction(math.comb(outer, k))
 
     if n == 0:
         # degenerate: 1 <= 1 (k = 0) or 0 <= 0; constants only help
-        def msq_at(p):
-            return RealEnclosure.exact(b_n * b_outer)
+        msq = RealEnclosure.exact(b_n * b_outer)
 
-        def err_at(p):
-            return RealEnclosure.exact(0)
+        def rung(p):
+            return msq, _ZERO
 
     else:
-
-        def msq_at(p):
-            return _exp_factor(n, eps, p) * (b_n * b_outer)
-
-        def err_at(p):
-            return _error_unit(P, n, Fraction(1, 2) - eps, p) * b_outer
-
-    plain = _sqrt_form_verdict(lhs, msq_at, err_at, precision, True, "")
-
-    status = UNDECIDED
-    prec = 0
-    msq = err = None
-    for p in _ladder(precision):
-        prec = p
-        msq = msq_at(p)
-        err = err_at(p)
-        main_holds = lhs * lhs <= msq.lo
-        err_holds = lhs <= err.lo
-        if main_holds or err_holds:
-            status = HOLDS
-            break
-        main_fails = lhs * lhs > msq.hi
-        err_fails = lhs > err.hi
-        if main_fails and err_fails:
-            status = FAILS
-            break
-    main = sqrt_enclosure(msq, prec)
-    if status == HOLDS:
-        margin = max(Fraction(0), max(main.lo, err.lo) - lhs)
-    elif status == FAILS:
-        margin = min(Fraction(0), max(main.hi, err.hi) - lhs)
-    else:
-        margin = Fraction(0)
-    max_form = Verdict(
-        status, lhs, main, err, margin, True, "max-form (strengthened)", prec
-    )
+        rung = _error_form_rung(n, eps, P, b_n, b_outer)
+    plain = _verdict(lhs, rung, precision, _sum_status, True, "")
+    note = "max-form (strengthened)"
+    max_form = _verdict(lhs, rung, precision, _max_status, True, note, combine=max)
     return BinomialCheckResult(plain, max_form)
 
 
@@ -359,29 +375,20 @@ def no_error_check(
         raise HypothesisNotMetError(f"needs n > 16, got n={n}", {"reason": "n<=16"})
     expo = 1 - 2 * eps
     target = Fraction(M * M)
-    met = None
-    for p in _ladder(precision):
-        enc = rational_npow(n, expo, p)
-        if enc.lo > target:
-            met = True
-            break
-        if enc.hi <= target:
-            met = False
-            break
-    if met is not True:
+    met, enc, _, _ = _decide(
+        target, lambda p: (rational_npow(n, expo, p), _ZERO), precision, _below_status
+    )
+    if met != HOLDS:
         raise HypothesisNotMetError(
             f"needs n^(1-2eps) > M^2: n={n}, eps={eps}, M={M}",
             {"reason": "degree hypothesis", "n_power": enc.to_json(), "M_squared": str(target)},
         )
     q_n, q_2n, q_4n = report.Q(n), report.Q(2 * n), report.Q(4 * n)
 
-    def msq_at(p):
-        return _exp_factor(n, eps, p) * (q_n * q_4n)
+    def rung(p):
+        return _exp_factor(n, eps, p) * (q_n * q_4n), _ZERO
 
-    def err_at(p):
-        return RealEnclosure.exact(0)
-
-    return _sqrt_form_verdict(q_2n, msq_at, err_at, precision, True, "no-error form")
+    return _verdict(q_2n, rung, precision, _sum_status, True, "no-error form")
 
 
 # -- perturbed 1:2:4(1+delta) ratios ---------------------------------------------------
@@ -399,17 +406,14 @@ def ratio_125_check(
         raise InvalidParameterError(f"delta must lie in (0, 1/4), got {delta}")
     if n < 0:
         raise InvalidParameterError("n must be non-negative")
-    outer = _ceil(4 * (1 + delta) * n)
+    outer = math.ceil(4 * (1 + delta) * n)
     q_n, q_2n, q_outer = report.Q(n), report.Q(2 * n), report.Q(outer)
     msq = RealEnclosure.exact(q_n * q_outer)
 
-    def msq_at(p):
-        return msq
+    def rung(p):
+        return msq, _halving_unit(n, delta, p) * q_outer
 
-    def err_at(p):
-        return _halving_unit(n, delta, p) * q_outer
-
-    return _sqrt_form_verdict(q_2n, msq_at, err_at, precision, True, "")
+    return _verdict(q_2n, rung, precision, _sum_status, True, "")
 
 
 # -- general aspect ratios ----------------------------------------------------------------
@@ -444,7 +448,8 @@ def aspect_ratio_check(
                         + p^(-n^(1/2-eps)) Q(ceil(pPn)),
 
     with alpha solving P^alpha = p^(1-alpha) (derived via certified
-    logarithms when not supplied) and c = 2(alpha P + (1-alpha)/p - 1).
+    logarithms when not supplied; a supplied alpha must lie in (0, 1))
+    and c = 2(alpha P + (1-alpha)/p - 1).
     The guarantee holds for harmonic u and n large depending on (p, P);
     that threshold is not pinned numerically by the statement, so the
     verdict reports hypothesis_met = None.
@@ -458,51 +463,25 @@ def aspect_ratio_check(
     eps = _check_eps(eps)
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
-    mid = _floor(P_r * n)
-    outer = _ceil(p_r * P_r * n)
+    if alpha is not None:
+        alpha = Fraction(alpha)
+        if not 0 < alpha < 1:
+            raise InvalidParameterError(f"alpha must lie in (0, 1), got {alpha}")
+    mid = math.floor(P_r * n)
+    outer = math.ceil(p_r * P_r * n)
     q_n, q_mid, q_outer = report.Q(n), report.Q(mid), report.Q(outer)
 
-    status = UNDECIDED
-    prec = 0
-    main = err = None
-    for prec_try in _ladder(precision):
-        prec = prec_try
-        if alpha is None:
-            a = derive_alpha(p_r, P_r, prec)
-        else:
-            a = RealEnclosure.exact(Fraction(alpha))
+    def rung(prec):
+        a = derive_alpha(p_r, P_r, prec) if alpha is None else RealEnclosure.exact(alpha)
         one_minus_a = RealEnclosure.exact(1) - a
         c = (a * P_r + one_minus_a * Fraction(1, p_r) - 1) * 2
-        if eps == 0:
-            exponent = c
-        else:
-            exponent = c * rational_npow(n, -2 * eps, prec)
+        exponent = c if eps == 0 else c * rational_npow(n, -2 * eps, prec)
         const = exp_enclosure(exponent, prec)
         main = const * _qpow(q_n, a, prec) * _qpow(q_outer, one_minus_a, prec)
-        err = _error_unit(p_r, n, Fraction(1, 2) - eps, prec) * q_outer
-        rhs = main + err
-        if q_mid <= rhs.lo:
-            status = HOLDS
-            break
-        if q_mid > rhs.hi:
-            status = FAILS
-            break
-    if status == HOLDS:
-        margin = max(Fraction(0), main.lo + err.lo - q_mid)
-    elif status == FAILS:
-        margin = min(Fraction(0), main.hi + err.hi - q_mid)
-    else:
-        margin = Fraction(0)
-    return Verdict(
-        status,
-        q_mid,
-        main,
-        err,
-        margin,
-        None,
-        "guarantee threshold n0(p, P) not pinned by the statement",
-        prec,
-    )
+        return main, _error_unit(p_r, n, Fraction(1, 2) - eps, prec) * q_outer
+
+    note = "guarantee threshold n0(p, P) not pinned by the statement"
+    return _verdict(q_mid, rung, precision, _linear_status, None, note, squared=False)
 
 
 def _qpow(qvalue: Fraction, expo: RealEnclosure, prec: int) -> RealEnclosure:
@@ -588,38 +567,15 @@ def convexity_defect_check(
         raise InvalidParameterError("need C > 0 and eps > 0")
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
-    csq = C * C * q_n * q_4n
-    status = UNDECIDED
-    prec = 0
-    err = None
-    for p in _ladder(precision):
-        prec = p
-        err = enclose_pow(2, n, Fraction(1, 2) + eps, p) * q_4n
-        diff_lo = q_2n - err.hi
-        if diff_lo > 0 and diff_lo * diff_lo > csq:
-            status = HOLDS
-            break
-        diff_hi = q_2n - err.lo
-        if diff_hi <= 0 or diff_hi * diff_hi <= csq:
-            status = FAILS
-            break
-    main = sqrt_enclosure(csq, prec)
-    if status == HOLDS:
-        margin = max(Fraction(0), (q_2n - err.hi) - main.hi)
-    elif status == FAILS:
-        margin = min(Fraction(0), (q_2n - err.lo) - main.lo)
-    else:
-        margin = Fraction(0)
-    return Verdict(
-        status,
-        q_2n,
-        main,
-        err,
-        margin,
-        True,
-        "violation form: holds means the convexity bound is beaten",
-        prec,
-    )
+    msq = RealEnclosure.exact(C * C * q_n * q_4n)
+
+    def rung(p):
+        return msq, enclose_pow(2, n, Fraction(1, 2) + eps, p) * q_4n
+
+    # the violation is the negation of the sum form Q(2n) <= sqrt(msq) + err
+    note = "violation form: holds means the convexity bound is beaten"
+    v = _verdict(q_2n, rung, precision, _sum_status, True, note)
+    return replace(v, status=_NEGATED[v.status], margin=-v.margin)
 
 
 @dataclass(frozen=True)
@@ -659,7 +615,7 @@ def _nstar_candidates(k: int, precision: int = 96) -> list:
     """Integer candidates near k^2 / ln k: both roundings and their neighbors."""
     lnk = ln_enclosure(Fraction(k), precision)
     target = RealEnclosure.exact(Fraction(k * k)) / lnk
-    lo_f, hi_f = _floor(target.lo), _floor(target.hi)
+    lo_f, hi_f = math.floor(target.lo), math.floor(target.hi)
     if lo_f != hi_f:
         # widen deterministically rather than refining forever
         cands = set(range(lo_f - 1, hi_f + 2))

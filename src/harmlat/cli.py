@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
@@ -194,7 +195,7 @@ def _cmd_check(args, config: CommandConfig) -> int:
         return _emit_verdict(config, v)
     if kind == "general-p":
         P = parse_rational(args.P)
-        outer = -((-(P * P * args.n).numerator) // (P * P * args.n).denominator)
+        outer = math.ceil(P * P * args.n)
         report = _report_for(args, outer)
         v = general_P_check(report, args.n, P, eps, config.precision, explore=args.explore)
         return _emit_verdict(config, v)
@@ -204,16 +205,14 @@ def _cmd_check(args, config: CommandConfig) -> int:
         return _emit_verdict(config, v)
     if kind == "ratio-125":
         delta = parse_rational(args.delta)
-        outer_q = 4 * (1 + delta) * args.n
-        outer = -((-outer_q.numerator) // outer_q.denominator)
+        outer = math.ceil(4 * (1 + delta) * args.n)
         report = _report_for(args, outer)
         v = ratio_125_check(report, args.n, delta, config.precision)
         return _emit_verdict(config, v)
     if kind == "aspect":
         p = parse_rational(args.p)
         P = parse_rational(args.P)
-        outer_q = p * P * args.n
-        outer = -((-outer_q.numerator) // outer_q.denominator)
+        outer = math.ceil(p * P * args.n)
         report = _report_for(args, outer)
         alpha = parse_rational(args.alpha) if args.alpha is not None else None
         v = aspect_ratio_check(report, args.n, p, P, eps, alpha=alpha, precision=config.precision)
@@ -364,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     asp.add_argument("--P", required=True)
     asp.add_argument("--eps", required=True)
     group = asp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--alpha", help="user-supplied balancing exponent")
+    group.add_argument("--alpha", help="user-supplied balancing exponent, in (0, 1)")
     group.add_argument(
         "--derive-alpha",
         action="store_true",

@@ -14,6 +14,7 @@ for large enough k; the scan summary states this explicitly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -160,7 +161,7 @@ def default_window(k: int) -> tuple:
     from .enclosure import ln_enclosure
 
     target = RealEnclosure.exact(Fraction(k * k)) / ln_enclosure(Fraction(k), 96)
-    center = (target.lo.numerator // target.lo.denominator + target.hi.numerator // target.hi.denominator) // 2
+    center = (math.floor(target.lo) + math.floor(target.hi)) // 2
     return max(1, center - k), center + k
 
 

@@ -43,6 +43,8 @@ def _iroot(x: int, r: int) -> int:
         return x
     if r == 2:
         return math.isqrt(x)
+    if x.bit_length() <= r:
+        return 1  # 2 <= x < 2^r; the Newton step below would build g^(r-1) for a huge r
     g = 1 << _ceil_div(x.bit_length(), r)
     while True:
         nxt = ((r - 1) * g + x // g ** (r - 1)) // r
@@ -62,16 +64,15 @@ class RealEnclosure:
 
     lo: Fraction
     hi: Fraction
-    label: str = ""
 
     def __post_init__(self):
         if self.lo > self.hi:
             raise InvalidParameterError(f"empty enclosure [{self.lo}, {self.hi}]")
 
     @classmethod
-    def exact(cls, q: Rat, label: str = "") -> "RealEnclosure":
+    def exact(cls, q: Rat) -> "RealEnclosure":
         q = Fraction(q)
-        return cls(q, q, label)
+        return cls(q, q)
 
     # -- queries ---------------------------------------------------------
 
@@ -391,8 +392,7 @@ def enclose_exp(x, precision: int) -> RealEnclosure:
     """Enclosure of exp(x), relative width at most 2**-precision."""
     if precision < 1:
         raise InvalidParameterError("precision must be >= 1")
-    enc = exp_enclosure(x, precision)
-    return RealEnclosure(enc.lo, enc.hi, label=f"exp({x})")
+    return exp_enclosure(x, precision)
 
 
 def enclose_pow(base, n: int, r, precision: int) -> RealEnclosure:
@@ -415,5 +415,4 @@ def enclose_pow(base, n: int, r, precision: int) -> RealEnclosure:
         expo: Union[Fraction, RealEnclosure] = -y
     else:
         expo = -rational_npow(n, r, precision + 24)
-    enc = pow_enclosure(base, expo, precision)
-    return RealEnclosure(enc.lo, enc.hi, label=f"{base}^(-{n}^{r})")
+    return pow_enclosure(base, expo, precision)

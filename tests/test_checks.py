@@ -12,6 +12,7 @@ from harmlat import (
     GrowthReport,
     HypothesisNotMetError,
     InvalidParameterError,
+    RealEnclosure,
     additive_lemma_property,
     aspect_ratio_check,
     binomial_inequality_check,
@@ -19,12 +20,14 @@ from harmlat import (
     convexity_defect_check,
     counterexample_search,
     enclose_pow,
+    exp_enclosure,
     general_P_check,
+    ln_enclosure,
     no_error_check,
     ratio_125_check,
     three_circles_check,
 )
-from harmlat.checks import _nstar_candidates, _step_binomials
+from harmlat.checks import _max_status, _nstar_candidates, _step_binomials, _verdict
 from harmlat.rng import SplitMix64
 
 ONES = GrowthReport.from_values([1] * 600)
@@ -192,6 +195,13 @@ def test_aspect_derived_alpha_vs_supplied():
     assert d1.status == d2.status == "holds"
 
 
+def test_aspect_rejects_alpha_outside_unit_interval():
+    # Q(n) = 0 would make Q(n)^alpha infinite for alpha < 0, not 0
+    for alpha in (-1, 0, 1, F(3, 2)):
+        with pytest.raises(InvalidParameterError, match="alpha"):
+            aspect_ratio_check(Q_XY, 30, 3, 2, F(1, 4), alpha=alpha)
+
+
 def test_aspect_parameter_order():
     with pytest.raises(InvalidParameterError):
         aspect_ratio_check(ONES, 10, F(1, 2), 2, 0)  # pP = 1 violates P < pP
@@ -281,17 +291,117 @@ def test_verdicts_scale_invariant():
         assert check(Q_XY).status == check(scaled).status
 
 
+LADDER_CAPS = (1, 8, 64, 128, 256, 512)
+OPEN = {"undecided", "raised"}
+
+
+def _report_with(values):
+    """A growth report that is 1 except at the given indices."""
+    q = [F(1)] * (max(values) + 1)
+    for n, v in values.items():
+        q[n] = v
+    return GrowthReport.from_values(q)
+
+
+def _near_boundary(check):
+    """(lhs, true status) pairs within about 2^-100 (relative) of the right-hand side.
+
+    ``check(lhs, cap)`` returns a verdict of lhs <= main + err whose main and
+    error terms do not depend on lhs; a coarse rung locates the right-hand
+    side, a fine one brackets it.  Just above the bracket the statement
+    fails, just below it holds; its midpoint has no known side.
+    """
+    v = check(F(1), 64)
+    v = check((v.main.lo + v.error_term.lo + v.main.hi + v.error_term.hi) / 2, 1024)
+    lo, hi = v.main.lo + v.error_term.lo, v.main.hi + v.error_term.hi
+    t = F(1, 2**100)
+    return [(hi * (1 + t), "fails"), (lo * (1 - t), "holds"), ((lo + hi) / 2, None)]
+
+
+def _ladder_cases():
+    """(name, outcome(cap), allowed outcomes or None) for every ladder checker.
+
+    An outcome is a verdict status, or "raised" when the checker raised
+    HypothesisNotMetError.
+    """
+    a, b = F(7, 3), F(50)
+    checks = []
+    for n, eps in ((17, F(1, 4)), (20, F(0)), (5, F(1, 3))):
+        checks += [
+            (f"three-circles n={n} eps={eps}", lambda x, cap, n=n, eps=eps: three_circles_check(
+                _report_with({n: a, 2 * n: x, 4 * n: b}), n, eps, cap, explore=True)),
+            (f"general-P n={n} eps={eps}", lambda x, cap, n=n, eps=eps: general_P_check(
+                _report_with({n: a, 3 * n // 2: x, math.ceil(F(9, 4) * n): b}), n, F(3, 2), eps, cap,
+                explore=True)),
+            (f"ratio-125 n={n}", lambda x, cap, n=n: ratio_125_check(
+                _report_with({n: a, 2 * n: x, math.ceil(F(9, 2) * n): b}), n, F(1, 8), cap)),
+            (f"aspect derived n={n} eps={eps}", lambda x, cap, n=n, eps=eps: aspect_ratio_check(
+                _report_with({n: a, 2 * n: x, 6 * n: b}), n, 3, 2, eps, precision=cap)),
+            (f"aspect alpha=2/5 n={n} eps={eps}", lambda x, cap, n=n, eps=eps: aspect_ratio_check(
+                _report_with({n: a, 2 * n: x, 6 * n: b}), n, 3, 2, eps, alpha=F(2, 5), precision=cap)),
+        ]
+    for n in (17, 20):
+        checks.append((f"no-error n={n}", lambda x, cap, n=n: no_error_check(
+            _report_with({n: a, 2 * n: x, 4 * n: b}), 1, n, F(1, 4), cap)))
+    # the max rule's only public input, the binomial max form, holds with room; drive it directly
+    def square(p):
+        return exp_enclosure(F(1, 3), p) * 5, RealEnclosure.exact(0)
+
+    checks.append(("max rule", lambda x, cap: _verdict(x, square, cap, _max_status, True, "", combine=max)))
+    for n, C, eps in ((17, F(1), F(1, 10)), (30, F(3, 2), F(1, 5))):
+        checks.append((f"convexity-defect n={n} C={C}", lambda x, cap, n=n, C=C, eps=eps:
+                       convexity_defect_check(F(11), x, F(10**6), n, C, eps, cap)))
+    swap = {"holds": "fails", "fails": "holds"}
+    cases = []
+    for name, check in checks:
+        for x, truth in _near_boundary(check) + [(F(1, 10**9), "holds"), (F(10**9), "fails")]:
+            if name.startswith("convexity-defect"):  # the violation form: holds means lhs > rhs
+                truth = swap.get(truth)
+            allowed = OPEN | {truth} if truth else None
+            cases.append((f"{name} lhs={float(x)}", lambda cap, check=check, x=x: check(x, cap).status, allowed))
+    # real profiles, as in the corpus
+    for rep, n, eps in ((Q_XY, 20, F(1, 4)), (ONES, 17, 0), (Q_U3, 20, F(1, 2))):
+        cases.append((f"three-circles profile n={n}",
+                       lambda cap, rep=rep, n=n, eps=eps: three_circles_check(rep, n, eps, cap).status, None))
+    # the error-free form's degree hypothesis M^2 < n^(1-2eps) near equality:
+    # 1 - 2eps within 2^-118 of ln 16 / ln 20, the first two below it (not met)
+    ratio = ln_enclosure(F(16), 300) / ln_enclosure(F(20), 300)
+    edge = (1 - F(math.floor(ratio.lo * 2**120), 2**120)) / 2
+    for eps, allowed in ((edge, {"raised"}), (edge + F(1, 2**119), {"raised"}), (edge - F(1, 2**119), None)):
+        cases.append((f"no-error hypothesis eps={float(eps)}",
+                       lambda cap, eps=eps: _status_or_raised(lambda: no_error_check(Q_X1, 4, 20, eps, cap)),
+                       allowed))
+    for n, k in ((0, 0), (0, 3), (1, 1), (5, 2), (12, 7), (30, 4)):
+        for P, eps in ((2, F(1, 4)), (F(3, 2), 0), (3, F(1, 2))):
+            for form in ("plain", "max_form"):
+                cases.append((f"binomial {form} n={n} k={k} P={P}", lambda cap, n=n, k=k, P=P, eps=eps, form=form:
+                              getattr(binomial_inequality_check(n, k, P, eps, cap), form).status, None))
+    return cases
+
+
+def _status_or_raised(call):
+    try:
+        return call().status
+    except HypothesisNotMetError:
+        return "raised"
+
+
 def test_precision_increase_never_flips():
-    cases = [
-        (Q_XY, 20, F(1, 4)),
-        (ONES, 17, 0),
-        (Q_U3, 20, F(1, 2)),
-    ]
-    for rep, n, eps in cases:
-        low = three_circles_check(rep, n, eps, precision=64)
-        high = three_circles_check(rep, n, eps, precision=256)
-        if low.status != "undecided":
-            assert low.status == high.status
+    """A verdict decided at cap p keeps its status at every larger cap q.
+
+    Inputs built on a known side of the boundary must, where decided, be
+    decided on that side.
+    """
+    refined = 0
+    for name, outcome, allowed in _ladder_cases():
+        statuses = [outcome(cap) for cap in LADDER_CAPS]
+        assert allowed is None or set(statuses) <= allowed, f"{name}: caps {LADDER_CAPS} gave {statuses}"
+        for i, low in enumerate(statuses):
+            if low not in OPEN:
+                assert all(high == low for high in statuses[i + 1:]), f"{name}: caps {LADDER_CAPS} gave {statuses}"
+        refined += statuses[0] in OPEN and statuses[-1] not in OPEN
+    # the near-boundary inputs really exercise the ladder: low caps leave them open
+    assert refined >= 20
 
 
 # -- violation certification and search ---------------------------------------------------------------

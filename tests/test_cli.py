@@ -2,11 +2,14 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import harmlat
 from harmlat import evaluate_on_ball, monomial_uk, polynomial_report
 from harmlat.cli import main
 from harmlat.rationals import parse_rational
@@ -19,8 +22,11 @@ def run(capsys, *argv):
 
 
 def test_version_subprocess():
+    # the child imports the same harmlat as this process, installed or not
+    src = str(Path(harmlat.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     res = subprocess.run(
-        [sys.executable, "-m", "harmlat.cli", "--version"], capture_output=True, text=True
+        [sys.executable, "-m", "harmlat.cli", "--version"], capture_output=True, text=True, env=env
     )
     assert res.returncode == 0
     assert "schema" in res.stdout
@@ -117,6 +123,20 @@ def test_check_aspect_with_derived_alpha(capsys):
     )
     assert code == 0
     assert json.loads(out)["status"] == "holds"
+
+
+def test_check_aspect_alpha_outside_unit_interval_exit_3(capsys, tmp_path):
+    # u = 1 at |x| = 2 on Z, so Q(1) = 0 and Q(1)^alpha is infinite for alpha = -1
+    path = tmp_path / "t.json"
+    entries = [[x, "1" if abs(x) == 2 else "0"] for x in range(-12, 13)]
+    path.write_text(json.dumps({"d": 1, "R": 12, "entries": entries}))
+    code, out, err = run(
+        capsys, "check", "aspect", "--function", str(path), "--n", "1",
+        "--p", "3", "--P", "2", "--eps", "1/4", "--alpha=-1",
+    )
+    assert code == 3
+    assert out == ""
+    assert "alpha must lie in (0, 1)" in err
 
 
 def test_check_aspect_requires_alpha_choice(capsys):

@@ -75,7 +75,13 @@ def test_pow_exact_paths():
 
 @pytest.mark.parametrize(
     "base,n,r",
-    [(F(2), 20, F(1, 4)), (F(3, 2), 40, F(1, 4)), (F(2), 879, F(3, 5)), (F(3), 7, F(2, 5))],
+    [
+        (F(2), 20, F(1, 4)),
+        (F(3, 2), 40, F(1, 4)),
+        (F(2), 879, F(3, 5)),
+        (F(3), 7, F(2, 5)),
+        (F(2), 20, F(1, 2**40)),  # a root of index 2^40: no exact path, no 2^(2^40) on the way
+    ],
 )
 @pytest.mark.parametrize("p", [64, 256])
 def test_pow_general_contains_truth_and_meets_width(base, n, r, p):
