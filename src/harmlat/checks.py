@@ -34,7 +34,9 @@ reaches the left-hand side (an exact integer comparison of squares) the
 violation is certified false.  Only candidates that pass this square
 test reach the precision ladder of :func:`convexity_defect_check`.  The
 search steps its binomials along n by exact integer recurrences in
-place of fresh binomial evaluations.
+place of fresh binomial evaluations, and for C > 1 it first tries an
+O(1) rational upper bound on the log of the squared ratio, which rules
+most candidates out before any binomial is built.
 
 Whether the growth values fed to a checker really come from a function
 harmonic on the large ball the statement needs is the caller's
@@ -61,7 +63,7 @@ from .enclosure import (
 )
 from .errors import HypothesisNotMetError, InvalidParameterError
 from .growth import GrowthReport
-from .rationals import format_rational
+from .rationals import format_int, format_rational
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -364,7 +366,9 @@ def no_error_check(
 
     Valid for harmonic polynomials of degree M once n^(1-2eps) > M^2 and
     n > 16; outside that region a HypothesisNotMetError is raised (the
-    hypothesis is itself decided by certified enclosures).
+    hypothesis is itself decided by certified enclosures).  When the
+    precision cap leaves the degree hypothesis open, the verdict is
+    ``undecided``: a larger cap may decide it.
     """
     eps = _check_eps(eps, hi_strict=True)
     if M < 0:
@@ -375,10 +379,10 @@ def no_error_check(
         raise HypothesisNotMetError(f"needs n > 16, got n={n}", {"reason": "n<=16"})
     expo = 1 - 2 * eps
     target = Fraction(M * M)
-    met, enc, _, _ = _decide(
+    met, enc, _, met_p = _decide(
         target, lambda p: (rational_npow(n, expo, p), _ZERO), precision, _below_status
     )
-    if met != HOLDS:
+    if met == FAILS:
         raise HypothesisNotMetError(
             f"needs n^(1-2eps) > M^2: n={n}, eps={eps}, M={M}",
             {"reason": "degree hypothesis", "n_power": enc.to_json(), "M_squared": str(target)},
@@ -388,6 +392,10 @@ def no_error_check(
     def rung(p):
         return _exp_factor(n, eps, p) * (q_n * q_4n), _ZERO
 
+    if met == UNDECIDED:
+        main = sqrt_enclosure(rung(met_p)[0], met_p)
+        note = f"no-error form: degree hypothesis n^(1-2eps) > M^2 open at {met_p} bits"
+        return Verdict(UNDECIDED, q_2n, main, _ZERO, Fraction(0), None, note, met_p)
     return _verdict(q_2n, rung, precision, _sum_status, True, "no-error form")
 
 
@@ -603,7 +611,7 @@ class CounterexampleSearchResult:
         }
         if self.found:
             obj["verdict"] = self.verdict.to_json()
-            obj["binomials"] = [str(b) for b in self.binomials]
+            obj["binomials"] = [format_int(b) for b in self.binomials]
             obj["ratio_estimate_certified"] = self.ratio_estimate_certified
             obj["square_estimate_certified"] = self.square_estimate_certified
         if self.undecided:
@@ -644,6 +652,16 @@ def _step_binomials(k: int, m: int, binomials: tuple, n: int) -> tuple:
     return b_n, b_2n, b_4n
 
 
+def _log_ratio_bound(n: int, k: int) -> Fraction:
+    """U >= ln(binom(2n,k)^2 / (binom(n,k) binom(4n,k))) for n >= k >= 1.
+
+    The ratio is the product over j < k of (2n-j)^2 / ((n-j)(4n-j))
+    = 1 + nj / ((n-j)(4n-j)); ln(1+t) <= t and (n-j)(4n-j) >=
+    (n-k+1)(4n-k+1) give U = n k(k-1) / (2 (n-k+1)(4n-k+1)).
+    """
+    return Fraction(n * k * (k - 1), 2 * (n - k + 1) * (4 * n - k + 1))
+
+
 def counterexample_search(
     C,
     eps,
@@ -669,10 +687,20 @@ def counterexample_search(
     run the enclosure ladder.  The test does not depend on eps.  Near
     n = k^2/ln k, ln(binom(2n,k)^2 / (binom(n,k) binom(4n,k))) is about
     (ln k)/8 and must exceed ln C^2, so at C = 2 it settles every
-    candidate up to k ~ 65,450 (a floating-point survey puts the first
-    pass between k = 65,452 and 65,453).  binom(., k) is evaluated once
+    candidate below k = 65,455, the first k whose candidates pass it
+    (an exact sweep from k = 65,000).  binom(., k) is evaluated once
     per k and stepped exactly to the later candidates
     (:func:`_step_binomials`).
+
+    Before any binomial is built, a candidate with C > 1 and n >= k is
+    ruled out when the rational bound U = n k(k-1) / (2 (n-k+1)(4n-k+1))
+    of that log ratio (:func:`_log_ratio_bound`) is at most a certified
+    lower bound of ln C^2: then the square test could not pass.  Such a
+    candidate counts as checked and leaves the stepping state alone.
+    Near n = k^2/ln k, U exceeds the log ratio by about (ln k)^2/(16k),
+    so it stops deciding just below the crossover: at C = 2 it settles
+    every candidate up to k = 65,393, and from k = 65,394 on the
+    candidates take the exact route above.
     """
     C = Fraction(C)
     eps = Fraction(eps)
@@ -681,6 +709,8 @@ def counterexample_search(
     if k_min < 2:
         k_min = 2
     c_num2, c_den2 = C.numerator**2, C.denominator**2
+    # ln C^2 from below; only C > 1 can absorb the positive bound U
+    ln_c2 = ln_enclosure(C * C, precision).lo if C > 1 else None
     checked = 0
     undecided = []
     for k in range(k_min, k_max + 1):
@@ -689,6 +719,8 @@ def counterexample_search(
             if n <= n0:
                 continue
             checked += 1
+            if ln_c2 is not None and n >= k and _log_ratio_bound(n, k) <= ln_c2:
+                continue  # the square test below would rule it out
             if m is not None and m >= k:
                 binomials = _step_binomials(k, m, binomials, n)
             else:

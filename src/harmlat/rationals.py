@@ -2,14 +2,21 @@
 
 All quantities in this package are :class:`fractions.Fraction` values;
 this module only adds the string conventions used by the CLI and the
-JSON/CSV wire formats ("num/den", integers, finite decimal strings).
+JSON/CSV wire formats ("num/den", integers, finite decimal strings),
+with a subquadratic decimal conversion for long integers.
 """
 
 from __future__ import annotations
 
+import decimal
 from fractions import Fraction
 
 from .errors import UsageError
+
+# Integers up to this many bits print through str(); longer ones are split.
+# 8192 bits (2,467 digits) stays under str()'s default 4,300-digit limit.
+DECIMAL_LEAF_BITS = 1 << 13
+_SPLIT_LEAF_BITS = 1 << 10
 
 
 def parse_rational(text: str) -> Fraction:
@@ -29,5 +36,49 @@ def format_rational(q: Fraction) -> str:
     """Render a Fraction as "num" or "num/den" in lowest terms."""
     q = Fraction(q)
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return format_int(q.numerator)
+    return f"{format_int(q.numerator)}/{format_int(q.denominator)}"
+
+
+def format_int(n: int) -> str:
+    """Decimal digits of n, equal to str(n) but subquadratic for long n.
+
+    str() of an int takes time quadratic in its length.  Past
+    DECIMAL_LEAF_BITS bits, n is split into halves by powers of 2 and
+    rebuilt as an exact ``decimal.Decimal`` (libmpdec multiplies long
+    numbers fast), as CPython 3.12's ``_pylong`` does; its decimal
+    string is the result.  No digit limit applies on this route.
+    """
+    if n.bit_length() <= DECIMAL_LEAF_BITS:
+        return str(n)
+    two = decimal.Decimal(2)
+    powers = {}
+
+    def pow2(w):
+        # 2^w, kept: the halves of one level share their splitting powers
+        result = powers.get(w)
+        if result is None:
+            if w <= _SPLIT_LEAF_BITS:
+                result = two**w
+            elif w - 1 in powers:
+                result = powers[w - 1] * 2
+            else:
+                half = w >> 1
+                result = pow2(half) * pow2(w - half)
+            powers[w] = result
+        return result
+
+    def build(m, w):
+        if w <= _SPLIT_LEAF_BITS:
+            return decimal.Decimal(m)
+        half = w >> 1
+        hi = m >> half
+        return build(m - (hi << half), half) + build(hi, w - half) * pow2(half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.Emin = decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = True
+        digits = str(build(abs(n), n.bit_length()))
+    return "-" + digits if n < 0 else digits

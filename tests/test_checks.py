@@ -27,7 +27,15 @@ from harmlat import (
     ratio_125_check,
     three_circles_check,
 )
-from harmlat.checks import _max_status, _nstar_candidates, _step_binomials, _verdict
+from harmlat import checks
+from harmlat.checks import (
+    CounterexampleSearchResult,
+    _log_ratio_bound,
+    _max_status,
+    _nstar_candidates,
+    _step_binomials,
+    _verdict,
+)
 from harmlat.rng import SplitMix64
 
 ONES = GrowthReport.from_values([1] * 600)
@@ -292,7 +300,7 @@ def test_verdicts_scale_invariant():
 
 
 LADDER_CAPS = (1, 8, 64, 128, 256, 512)
-OPEN = {"undecided", "raised"}
+OPEN = {"undecided"}
 
 
 def _report_with(values):
@@ -322,7 +330,8 @@ def _ladder_cases():
     """(name, outcome(cap), allowed outcomes or None) for every ladder checker.
 
     An outcome is a verdict status, or "raised" when the checker raised
-    HypothesisNotMetError.
+    HypothesisNotMetError, which it does only once the hypothesis is
+    certified false, so "raised" is a decided outcome.
     """
     a, b = F(7, 3), F(50)
     checks = []
@@ -364,10 +373,11 @@ def _ladder_cases():
         cases.append((f"three-circles profile n={n}",
                        lambda cap, rep=rep, n=n, eps=eps: three_circles_check(rep, n, eps, cap).status, None))
     # the error-free form's degree hypothesis M^2 < n^(1-2eps) near equality:
-    # 1 - 2eps within 2^-118 of ln 16 / ln 20, the first two below it (not met)
-    ratio = ln_enclosure(F(16), 300) / ln_enclosure(F(20), 300)
-    edge = (1 - F(math.floor(ratio.lo * 2**120), 2**120)) / 2
-    for eps, allowed in ((edge, {"raised"}), (edge + F(1, 2**119), {"raised"}), (edge - F(1, 2**119), None)):
+    # 1 - 2eps within 2^-118 of ln 16 / ln 20, the first two below it (not met);
+    # low caps leave it open, which is undecided, never raised
+    edge = _degree_edge()
+    for eps, allowed in ((edge, OPEN | {"raised"}), (edge + F(1, 2**119), OPEN | {"raised"}),
+                         (edge - F(1, 2**119), OPEN | {"holds"})):
         cases.append((f"no-error hypothesis eps={float(eps)}",
                        lambda cap, eps=eps: _status_or_raised(lambda: no_error_check(Q_X1, 4, 20, eps, cap)),
                        allowed))
@@ -377,6 +387,12 @@ def _ladder_cases():
                 cases.append((f"binomial {form} n={n} k={k} P={P}", lambda cap, n=n, k=k, P=P, eps=eps, form=form:
                               getattr(binomial_inequality_check(n, k, P, eps, cap), form).status, None))
     return cases
+
+
+def _degree_edge():
+    """eps with 1 - 2eps just above ln 16 / ln 20: n = 20, M = 4 sits on the hypothesis' edge."""
+    ratio = ln_enclosure(F(16), 300) / ln_enclosure(F(20), 300)
+    return (1 - F(math.floor(ratio.lo * 2**120), 2**120)) / 2
 
 
 def _status_or_raised(call):
@@ -402,6 +418,31 @@ def test_precision_increase_never_flips():
         refined += statuses[0] in OPEN and statuses[-1] not in OPEN
     # the near-boundary inputs really exercise the ladder: low caps leave them open
     assert refined >= 20
+
+
+def test_no_error_open_hypothesis_is_undecided():
+    # met by 2^-119, which only caps >= 128 can certify
+    eps = _degree_edge() - F(1, 2**119)
+    for cap in (1, 8, 64):
+        v = no_error_check(Q_X1, 4, 20, eps, cap)
+        assert (v.status, v.hypothesis_met, v.precision_bits) == ("undecided", None, cap)
+        assert "degree hypothesis" in v.note and "open" in v.note
+        assert v.margin == 0 and v.lhs == 40
+        main = math.sqrt(20 * 80 * math.exp(20 ** float(-2 * eps)))
+        assert float(v.main.lo) <= main * (1 + 1e-12) and main <= float(v.main.hi) * (1 + 1e-12)
+    for cap in (128, 256):
+        assert no_error_check(Q_X1, 4, 20, eps, cap).status == "holds"
+
+
+def test_no_error_certified_not_met_still_raises():
+    # eps = 0 and n = M^2: n^(1-2eps) = M^2 exactly, so "M^2 < n" is certified false at every cap
+    for cap in (1, 64, 256):
+        with pytest.raises(HypothesisNotMetError):
+            no_error_check(Q_X1, 5, 25, 0, cap)
+    # missed by 2^-119, which caps >= 128 certify
+    for cap in (128, 256):
+        with pytest.raises(HypothesisNotMetError):
+            no_error_check(Q_X1, 4, 20, _degree_edge() + F(1, 2**119), cap)
 
 
 # -- violation certification and search ---------------------------------------------------------------
@@ -526,3 +567,62 @@ def test_stepped_binomials_equal_comb(k, dm, gap):
     m, n = k + dm, k + dm + gap
     start = tuple(math.comb(j, k) for j in (m, 2 * m, 4 * m))
     assert _step_binomials(k, m, start, n) == tuple(math.comb(j, k) for j in (n, 2 * n, 4 * n))
+
+
+def test_log_ratio_bound_rules_out_only_square_test_failures():
+    # exhaustive: wherever U <= ln C^2 (certified from below) lets the search
+    # skip a candidate, the exact square test would have ruled it out too
+    ruled_out = 0
+    for C in (F(2), F(3, 2), F(5, 4), F(11, 10)):
+        ln_c2 = ln_enclosure(C * C, 256).lo
+        for k in range(2, 41):
+            for n in range(k, 400):
+                if _log_ratio_bound(n, k) <= ln_c2:
+                    ruled_out += 1
+                    b_n, b_2n, b_4n = (math.comb(m, k) for m in (n, 2 * n, 4 * n))
+                    assert C.denominator**2 * b_2n**2 <= C.numerator**2 * b_n * b_4n, (C, k, n)
+    assert ruled_out > 38000
+
+
+def _square_test_reference(C, eps, k_max, n0):
+    """The search without the log bound: math.comb, the square test, then the ladder."""
+    checked, undecided = 0, []
+    for k in range(2, k_max + 1):
+        for n in _nstar_candidates(k):
+            if n <= n0:
+                continue
+            checked += 1
+            b_n, b_2n, b_4n = (math.comb(m, k) for m in (n, 2 * n, 4 * n))
+            if C.denominator**2 * b_2n**2 <= C.numerator**2 * b_n * b_4n:
+                continue
+            v = convexity_defect_check(b_n, b_2n, b_4n, n, C, eps)
+            if v.status == "holds":
+                ratio_ok = F(b_2n, b_4n) > enclose_pow(2, n, F(1, 2) + eps, 256).hi
+                return CounterexampleSearchResult(
+                    True, k, n, v, (b_n, b_2n, b_4n), ratio_ok, True, (2, k_max), checked,
+                    tuple(undecided),
+                )
+            if v.status == "undecided":
+                undecided.append((k, n))
+    return CounterexampleSearchResult(
+        False, k_range=(2, k_max), candidates_checked=checked, undecided=tuple(undecided)
+    )
+
+
+@pytest.mark.parametrize("C", [F(2), F(3, 2), F(5, 4), F(1)])
+@pytest.mark.parametrize("eps", [F(1, 10), F(1, 5)])
+def test_search_equals_square_test_reference(C, eps):
+    for n0 in (0, 3, 100):
+        expected = _square_test_reference(C, eps, 120, n0).to_json()
+        assert counterexample_search(C, eps, k_max=120, n0=n0).to_json() == expected
+
+
+def test_log_bound_settles_c2_near_k60000_without_binomials(monkeypatch):
+    def no_binomials(*args):
+        raise AssertionError("a binomial was built")
+
+    monkeypatch.setattr(checks.math, "comb", no_binomials)
+    monkeypatch.setattr(checks, "_step_binomials", no_binomials)
+    res = counterexample_search(F(2), F(1, 10), 60050, k_min=60000)
+    assert not res.found and res.undecided == ()
+    assert res.candidates_checked == sum(len(_nstar_candidates(k)) for k in range(60000, 60051))

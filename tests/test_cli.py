@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -184,6 +185,22 @@ def test_check_no_error_hypothesis_exit_3(capsys):
     )
     assert code == 3
     assert "n^(1-2eps)" in err
+
+
+def test_check_no_error_open_hypothesis_exit_2(capsys):
+    # 1 - 2eps exceeds ln 16 / ln 20 by about 2^-119: u = x on Z^1 (Q(n) = n
+    # up to scale), M = 4, n = 20; 64 bits leave the degree hypothesis open
+    ratio = harmlat.ln_enclosure(Fraction(16), 300) / harmlat.ln_enclosure(Fraction(20), 300)
+    eps = (1 - Fraction(math.floor(ratio.lo * 2**120), 2**120)) / 2 - Fraction(1, 2**119)
+    argv = ["check", "no-error", "--family", "u", "--k", "1", "--d", "1", "--n", "20",
+            "--eps", str(eps), "--degree", "4"]
+    code, out, err = run(capsys, *argv, "--precision", "64")
+    assert (code, err) == (2, "")
+    obj = json.loads(out)
+    assert obj["status"] == "undecided" and obj["hypothesis_met"] is None
+    assert "degree hypothesis" in obj["note"] and obj["precision_bits"] == 64
+    code, out, _ = run(capsys, *argv, "--precision", "128")
+    assert code == 0 and json.loads(out)["status"] == "holds"
 
 
 def test_search_counterexample_found_exit_1(capsys):
