@@ -26,6 +26,7 @@ from .polynomials import (  # noqa: F401
     correspondence,
     discrete_laplacian,
     evaluate_on_ball,
+    family_polynomial,
     fk_polynomial,
     harmonic_kernel_basis,
     monomial_uk,
@@ -34,13 +35,13 @@ from .polynomials import (  # noqa: F401
     tk_polynomial,
 )
 from .growth import (  # noqa: F401
-    ContinuousGrowthPolynomial,
+    GrowthPolynomial,
     GrowthReport,
     MonteCarloEstimate,
     WalkCountTable,
     check_absolute_monotonicity,
-    continuous_growth,
     growth_Q,
+    growth_polynomial,
     growth_report,
     monte_carlo_Q,
     polynomial_report,

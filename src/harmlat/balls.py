@@ -24,7 +24,6 @@ import os
 from functools import lru_cache
 from itertools import repeat
 from operator import add
-from typing import Optional
 
 from .errors import InvalidParameterError, ResourceLimitError
 
@@ -62,9 +61,9 @@ def max_cells() -> int:
         raise ResourceLimitError(f"HARM_MAX_CELLS must be a positive integer, got {raw!r}")
 
 
-def guard_cells(d: int, R: int, limit: Optional[int] = None) -> None:
+def guard_cells(d: int, R: int) -> None:
     """Refuse B_R of Z^d before enumeration when it exceeds the cell cap."""
-    limit = max_cells() if limit is None else limit
+    limit = max_cells()
     cells = ball_point_count(d, R)
     if cells > limit:
         raise ResourceLimitError(

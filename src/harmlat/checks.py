@@ -504,17 +504,19 @@ def _qpow(qvalue: Fraction, expo: RealEnclosure, prec: int) -> RealEnclosure:
 # -- continuous-time version: exact, no enclosures ---------------------------------------
 
 
-def continuous_three_circles_check(qc, t) -> Verdict:
+def continuous_three_circles_check(growth, t) -> Verdict:
     """Check Qc(2t)^2 <= Qc(t) Qc(4t) exactly in rational arithmetic.
 
-    ``margin`` is reported on the squared scale: Qc(t)Qc(4t) - Qc(2t)^2.
+    Qc is the continuous-time growth of a
+    :class:`harmlat.growth.GrowthPolynomial`.  ``margin`` is reported on
+    the squared scale: Qc(t)Qc(4t) - Qc(2t)^2.
     """
     t = Fraction(t)
     if t <= 0:
         raise InvalidParameterError("t must be positive")
-    lhs = qc.evaluate(2 * t)
-    a = qc.evaluate(t)
-    b = qc.evaluate(4 * t)
+    lhs = growth.continuous(2 * t)
+    a = growth.continuous(t)
+    b = growth.continuous(4 * t)
     holds = lhs * lhs <= a * b
     margin = a * b - lhs * lhs
     return Verdict(
@@ -619,11 +621,15 @@ class CounterexampleSearchResult:
         return obj
 
 
-def _nstar_candidates(k: int, precision: int = 96) -> list:
+def k2_over_ln_k_floors(k: int) -> tuple:
+    """Floors of both ends of a 96-bit enclosure of k^2 / ln k, for k >= 2."""
+    target = RealEnclosure.exact(Fraction(k * k)) / ln_enclosure(Fraction(k), 96)
+    return math.floor(target.lo), math.floor(target.hi)
+
+
+def _nstar_candidates(k: int) -> list:
     """Integer candidates near k^2 / ln k: both roundings and their neighbors."""
-    lnk = ln_enclosure(Fraction(k), precision)
-    target = RealEnclosure.exact(Fraction(k * k)) / lnk
-    lo_f, hi_f = math.floor(target.lo), math.floor(target.hi)
+    lo_f, hi_f = k2_over_ln_k_floors(k)
     if lo_f != hi_f:
         # widen deterministically rather than refining forever
         cands = set(range(lo_f - 1, hi_f + 2))

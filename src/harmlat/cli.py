@@ -2,12 +2,13 @@
 
 All numeric parameters are parsed as exact rationals ("3/4", "0.25",
 "7").  `--family random` is fully determined by --seed, which only the
-commands taking --family accept.  Exit codes: 0 holds/confirmed, 1
-fails/violation-found (the expected success of `search`), 2 undecided,
-3 usage (parser errors included), hypothesis or resource-cap errors, 4
-internal failure (any other exception, e.g. out of memory).  `--help`
-and `--version` exit 0.  Exact integers print in full, however long: a
-command lifts the interpreter's limit on int-to-str digits while it runs.
+commands offering the random family accept.  Exit codes: 0
+holds/confirmed, 1 fails/violation-found (the expected success of
+`search`), 2 undecided, 3 usage (parser errors included), hypothesis or
+resource-cap errors, 4 internal failure (any other exception, e.g. out
+of memory).  `--help` and `--version` exit 0.  Exact integers print in
+full, however long: a command lifts the interpreter's limit on
+int-to-str digits while it runs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import SCHEMA_VERSION, __version__
@@ -36,10 +37,10 @@ from .checks import (
     three_circles_check,
 )
 from .conjecture import conjecture_scan
-from .errors import HarmError, UsageError
-from .growth import GrowthReport, continuous_growth, growth_report, polynomial_report
+from .errors import HarmError, HarmonicityError, UsageError
+from .growth import GrowthReport, growth_polynomial, growth_report
 from .lattice import LatticeFunction
-from .polynomials import MultivariatePolynomial, monomial_uk, random_harmonic, sk_polynomial, tk_polynomial
+from .polynomials import MultivariatePolynomial, discrete_laplacian, family_polynomial
 from .rationals import format_rational, parse_rational
 
 EXIT_HOLDS = 0
@@ -53,10 +54,8 @@ _STATUS_EXIT = {HOLDS: EXIT_HOLDS, FAILS: EXIT_FAILS, UNDECIDED: EXIT_UNDECIDED}
 
 @dataclass
 class CommandConfig:
-    """Resolved invocation: subcommand, exact parameters, output routing."""
+    """Resolved invocation: precision and output routing."""
 
-    subcommand: str
-    params: dict = field(default_factory=dict)
     precision: int = DEFAULT_PRECISION
     fmt: str = "json"
     out: Optional[str] = None
@@ -120,22 +119,10 @@ def _load_polynomial(args) -> MultivariatePolynomial:
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read polynomial: {exc}") from exc
         return MultivariatePolynomial.from_json(obj)
-    family = getattr(args, "family", None)
-    if family:
-        k = args.k
-        if k is None:
+    if getattr(args, "family", None):
+        if args.k is None:
             raise UsageError("--family needs --k")
-        if family == "S":
-            return sk_polynomial(k)
-        if family == "T":
-            return tk_polynomial(k)
-        if family == "u":
-            return monomial_uk(args.d if args.d else k, k)
-        if family == "random":
-            if args.d is None:
-                raise UsageError("--family random needs --d")
-            return random_harmonic(args.d, k, args.seed)
-        raise UsageError(f"unknown family {family!r}")
+        return family_polynomial(args.family, args.k, args.d, args.seed)
     raise UsageError("no input: pass --poly, --family or --function")
 
 
@@ -156,8 +143,7 @@ def _load_function(args, needed_radius: int) -> LatticeFunction:
 def _report_for(args, needed_n: int) -> GrowthReport:
     if getattr(args, "function", None):
         return growth_report(_load_function(args, needed_n), needed_n)
-    P = _load_polynomial(args)
-    return polynomial_report(P, needed_n)
+    return growth_polynomial(_load_polynomial(args), needed_n).report(needed_n)
 
 
 # -- subcommand handlers -----------------------------------------------------------
@@ -219,9 +205,11 @@ def _cmd_check(args, config: CommandConfig) -> int:
         return _emit_verdict(config, v)
     if kind == "continuous":
         P = _load_polynomial(args)
-        qc = continuous_growth(P)
-        v = continuous_three_circles_check(qc, parse_rational(args.t))
-        return _emit_verdict(config, v, extra={"growth_polynomial": qc.to_json()})
+        if not discrete_laplacian(P).is_zero():
+            raise HarmonicityError("continuous-time growth requires a lattice-harmonic polynomial")
+        growth = growth_polynomial(P)
+        v = continuous_three_circles_check(growth, parse_rational(args.t))
+        return _emit_verdict(config, v, extra={"growth_polynomial": growth.continuous_json()})
     if kind == "binomial":
         P = parse_rational(args.P)
         result = binomial_inequality_check(args.n, args.k, P, eps, config.precision)
@@ -263,7 +251,7 @@ def _cmd_conjecture_scan(args, config: CommandConfig) -> int:
         args.n_from,
         args.n_to,
         precision=config.precision,
-        family=args.family or "S",
+        family=args.family,
         d=args.d,
     )
     if config.fmt == "csv":
@@ -283,13 +271,12 @@ def _add_common_options(sp):
     sp.add_argument("--out", help="write output to this file instead of stdout")
 
 
-def _add_io_options(sp, with_explore=False, family_index=True):
+def _add_io_options(sp, with_explore=False):
     sp.add_argument("--function", help="lattice function JSON file")
     sp.add_argument("--sparse", action="store_true", help="omitted table points default to 0")
     sp.add_argument("--poly", help="polynomial JSON (inline or a file path)")
     sp.add_argument("--family", choices=["S", "T", "u", "random"], help="named harmonic family")
-    if family_index:
-        sp.add_argument("--k", type=int, help="family index / degree")
+    sp.add_argument("--k", type=int, help="family index / degree")
     sp.add_argument("--d", type=int, help="dimension for the u/random families")
     sp.add_argument("--seed", type=int, default=0, help="seed for the random family")
     _add_common_options(sp)
@@ -398,7 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
     cj = sub.add_parser("conjecture", help="conjecture evidence scans")
     cjsub = cj.add_subparsers(dest="conjecture_kind", required=True)
     scan = cjsub.add_parser("scan", help="residual scan against the conjectured bound")
-    _add_io_options(scan)
+    scan.add_argument(
+        "--family", choices=["S", "T", "u"], default="S", help="named harmonic family"
+    )
+    scan.add_argument("--k", type=int, help="family index / degree")
+    scan.add_argument("--d", type=int, help="dimension for the u family")
+    _add_common_options(scan)
     scan.add_argument("--C", required=True)
     scan.add_argument("--eps", required=True)
     scan.add_argument(
@@ -412,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def dispatch(args) -> int:
     config = CommandConfig(
-        subcommand=args.command,
         precision=getattr(args, "precision", DEFAULT_PRECISION),
         fmt=getattr(args, "fmt", "json"),
         out=getattr(args, "out", None),

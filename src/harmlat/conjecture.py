@@ -14,21 +14,15 @@ for large enough k; the scan summary states this explicitly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .checks import DEFAULT_PRECISION, FAILS, HOLDS, convexity_defect_check
+from .checks import DEFAULT_PRECISION, FAILS, HOLDS, convexity_defect_check, k2_over_ln_k_floors
 from .enclosure import RealEnclosure, enclose_pow, sqrt_enclosure
-from .errors import InvalidParameterError, OutOfRangeError
-from .growth import GrowthReport, polynomial_report
-from .polynomials import (
-    MultivariatePolynomial,
-    monomial_uk,
-    sk_polynomial,
-    tk_polynomial,
-)
+from .errors import InvalidParameterError
+from .growth import GrowthReport, growth_polynomial, polynomial_report
+from .polynomials import family_polynomial
 from .rationals import format_rational
 
 SCAN_CSV_HEADER = (
@@ -37,36 +31,15 @@ SCAN_CSV_HEADER = (
 )
 
 
-def q_table(
-    family: str,
-    k: int,
-    n_max: int,
-    d: Optional[int] = None,
-    poly: Optional[MultivariatePolynomial] = None,
-    limit: Optional[int] = None,
-) -> GrowthReport:
+def q_table(family: str, k: int, n_max: int, d: Optional[int] = None) -> GrowthReport:
     """Exact growth report of a named harmonic family member up to n_max.
 
-    Families: "S" and "T" (discretized planar harmonics, fixed d = 2),
-    "u" (coordinate product on Z^d, default d = k), "custom" (explicit
-    polynomial).  The ball the report enumerates, B_{min(n_max, 2 deg)},
-    is checked against the resource cap.
+    Families: "S" and "T" (discretized planar harmonics, fixed d = 2) and
+    "u" (coordinate product on Z^d, default d = k); see
+    :func:`harmlat.polynomials.family_polynomial`.  The ball the report
+    enumerates, B_{min(n_max, 2 deg)}, is checked against the cell cap.
     """
-    if family in ("S", "T") and d not in (None, 2):
-        raise InvalidParameterError(f"family {family} lives on Z^2")
-    if family == "S":
-        P = sk_polynomial(k)
-    elif family == "T":
-        P = tk_polynomial(k)
-    elif family == "u":
-        P = monomial_uk(k if d is None else d, k)
-    elif family == "custom":
-        if poly is None:
-            raise InvalidParameterError("custom family needs an explicit polynomial")
-        P = poly
-    else:
-        raise InvalidParameterError(f"unknown family {family!r}")
-    return polynomial_report(P, n_max, limit)
+    return polynomial_report(family_polynomial(family, k, d), n_max)
 
 
 @dataclass(frozen=True)
@@ -134,8 +107,8 @@ class ScanResult:
         }
 
 
-def _scan_row(report, n, C, eps, precision) -> ScanRow:
-    q_n, q_2n, q_4n = report.Q(n), report.Q(2 * n), report.Q(4 * n)
+def _scan_row(growth, n, C, eps, precision) -> ScanRow:
+    q_n, q_2n, q_4n = growth.Q(n), growth.Q(2 * n), growth.Q(4 * n)
     zero = q_n == 0 or q_4n == 0
     ratio = None if zero else q_2n * q_2n / (q_n * q_4n)
     bound = enclose_pow(2, n, Fraction(1, 2) + eps, precision)
@@ -158,10 +131,8 @@ def default_window(k: int) -> tuple:
         raise InvalidParameterError(
             "no default window below k = 2 (ln k vanishes); pass the range explicitly"
         )
-    from .enclosure import ln_enclosure
-
-    target = RealEnclosure.exact(Fraction(k * k)) / ln_enclosure(Fraction(k), 96)
-    center = (math.floor(target.lo) + math.floor(target.hi)) // 2
+    lo_f, hi_f = k2_over_ln_k_floors(k)
+    center = (lo_f + hi_f) // 2
     return max(1, center - k), center + k
 
 
@@ -173,15 +144,14 @@ def conjecture_scan(
     n_to: Optional[int] = None,
     precision: int = DEFAULT_PRECISION,
     family: str = "S",
-    report: Optional[GrowthReport] = None,
     d: Optional[int] = None,
-    limit: Optional[int] = None,
 ) -> ScanResult:
     """Scan n in [n_from, n_to] for violations of the C-bound on a family member.
 
     An omitted range defaults to the window of radius k centered at
     k^2 / ln k.  Empty ranges produce an empty row list with a "no data"
-    summary.  Rows are ordered by n.
+    summary.  Rows are ordered by n.  Q is summed only at the scanned n,
+    2n and 4n, from the member's :class:`harmlat.growth.GrowthPolynomial`.
     """
     C = Fraction(C)
     eps = Fraction(eps)
@@ -191,19 +161,13 @@ def conjecture_scan(
         lo, hi = default_window(k)
         n_from = lo if n_from is None else n_from
         n_to = hi if n_to is None else n_to
-    ns = [n for n in range(max(1, n_from), n_to + 1)]
-    if report is None:
-        if ns:
-            report = q_table(family, k, 4 * max(ns), d=d, limit=limit)
-    elif ns and report.n_max < 4 * max(ns):
-        raise OutOfRangeError(
-            f"report covers 0..{report.n_max} but the scan needs Q({4 * max(ns)})"
-        )
+    ns = range(max(1, n_from), n_to + 1)
     if not ns:
         return ScanResult(
             k, C, eps, family, (), {"rows": 0, "violations": 0, "note": "no data"}
         )
-    rows = [_scan_row(report, n, C, eps, precision) for n in ns]
+    growth = growth_polynomial(family_polynomial(family, k, d), 4 * n_to)
+    rows = [_scan_row(growth, n, C, eps, precision) for n in ns]
     violations = sum(1 for r in rows if r.violation)
     undecided = sum(1 for r in rows if r.violation is None)
     max_residual = max((r.residual.hi for r in rows), default=Fraction(0))

@@ -6,14 +6,16 @@ the origin, computed exactly as
     Q_u(n) = sum_x u(x)^2 W(n, x) / (2d)^n,
 
 where W(n, x) counts n-step walks ending at x.  The module also builds
-the forward-difference triangle of Q, its expansion in the binomial
-basis (whose coefficients independently equal the iterated-Laplacian
-values L^k(u^2)(0), a cross-check performed on every report), the
-finite growth polynomial of the continuous-time walk for polynomial
-inputs, and a seeded Monte Carlo estimator used as a statistical
-oracle.  For a polynomial of degree M the binomial expansion stops at
-k = M, so its growth function at every n is summed from a_0..a_M, read
-off the ball B_{2M}.
+the forward-difference triangle of Q and its expansion in the binomial
+basis, whose coefficients a_k independently equal the iterated-Laplacian
+values L^k(u^2)(0), a cross-check performed on every report, and a
+seeded Monte Carlo estimator used as a statistical oracle.
+
+For a polynomial P of degree M, a_k = 0 for k > M.  Its
+:class:`GrowthPolynomial` holds a_0..a_M, read off the report on the
+ball B_{2M}, and gives Q(n) = sum_k a_k C(n, k) at any n it is asked
+for, as well as the growth Qc(t) = sum_k a_k t^k / k! of the
+continuous-time walk.
 
 Walk counts and all origin-centered kernels are invariant under
 coordinate permutations and sign flips, so the heavy convolutions run
@@ -27,8 +29,9 @@ tables are materialized from the quotient on demand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice, repeat
 from operator import add, mul, sub
 from typing import Optional
@@ -38,13 +41,12 @@ import numpy as np
 from . import balls
 from .errors import (
     HarmError,
-    HarmonicityError,
     InvalidParameterError,
     OutOfRangeError,
     ResourceLimitError,
 )
 from .lattice import LatticeFunction
-from .polynomials import MultivariatePolynomial, discrete_laplacian, evaluate_on_ball
+from .polynomials import MultivariatePolynomial, evaluate_on_ball
 from .rationals import format_rational
 from .rng import GOLDEN, MIX1, MIX2, stream_state
 
@@ -104,12 +106,12 @@ class WalkCountTable:
         return sum(self.counts.values())
 
 
-def walk_counts(d: int, n: int, limit: Optional[int] = None) -> WalkCountTable:
+def walk_counts(d: int, n: int) -> WalkCountTable:
     """Materialize the full walk-count table for n steps in Z^d."""
     balls.check_dimension(d)
     if n < 0:
         raise InvalidParameterError("step count must be non-negative")
-    balls.guard_cells(d, n, limit)
+    balls.guard_cells(d, n)
     row = _orbit_walk_rows(d, n)[n]
     po = balls.point_orbit_indices(d, n)
     counts = {}
@@ -181,13 +183,20 @@ def _newton_via_laplacian(
 
 
 def _difference_triangle(values: list) -> list:
-    """Forward differences of all orders, taken in integers over one denominator."""
+    """Forward differences of all orders, taken in integers over one denominator.
+
+    The differences of an all-zero row are zero, so the rows after the
+    first all-zero row are filled with zeros, not computed; for the values
+    of a polynomial of degree M that is every row past M.
+    """
     den = math.lcm(*(v.denominator for v in values))
     row = [v.numerator * (den // v.denominator) for v in values]
     rows = []
-    while row:
+    while any(row):
         rows.append([Fraction(v, den) for v in row])
         row = list(map(sub, row[1:], row))
+    zero = Fraction(0)
+    rows += [[zero] * m for m in range(len(row), 0, -1)]
     return rows
 
 
@@ -298,54 +307,6 @@ def check_absolute_monotonicity(report: GrowthReport) -> AbsoluteMonotonicityRes
     return AbsoluteMonotonicityResult(True)
 
 
-# -- continuous-time growth for polynomial inputs --------------------------------
-
-
-@dataclass(frozen=True)
-class ContinuousGrowthPolynomial:
-    """Growth polynomial of the continuous-time walk: sum c_k t^k."""
-
-    coeffs: tuple
-
-    def evaluate(self, t) -> Fraction:
-        t = Fraction(t)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
-
-    @property
-    def degree(self) -> int:
-        deg = -1
-        for k, c in enumerate(self.coeffs):
-            if c != 0:
-                deg = k
-        return deg
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "continuous_growth",
-            "coeffs": [format_rational(c) for c in self.coeffs],
-        }
-
-
-def continuous_growth(P: MultivariatePolynomial) -> ContinuousGrowthPolynomial:
-    """Exact growth polynomial of the continuous-time walk for harmonic P.
-
-    The expansion sum_k L^k(P^2)(0) t^k / k! is a finite sum, since
-    a_k = L^k(P^2)(0) vanishes for k > deg P; the a_k are those of
-    :func:`polynomial_report`.
-    """
-    if not discrete_laplacian(P).is_zero():
-        raise HarmonicityError("continuous-time growth requires a lattice-harmonic polynomial")
-    coeffs = [ak / math.factorial(k) for k, ak in enumerate(_newton_coefficients(P))]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if not coeffs:
-        coeffs = [Fraction(0)]
-    return ContinuousGrowthPolynomial(tuple(coeffs))
-
-
 # -- Monte Carlo oracle ------------------------------------------------------------
 
 
@@ -453,63 +414,102 @@ def monte_carlo_Q(
     return MonteCarloEstimate(mean, stderr, samples, seed, workers)
 
 
-# -- convenience: reports from polynomials ----------------------------------------
 
 
-def _ball_report(P: MultivariatePolynomial, R: int, limit: Optional[int] = None) -> GrowthReport:
-    """Walk-route growth report of P evaluated on B_R, after the cell guard."""
-    balls.guard_cells(P.d, R, limit)
-    return growth_report(evaluate_on_ball(P, R))
+# -- growth polynomials of polynomial inputs ----------------------------------------
 
 
-def _newton_coefficients(P: MultivariatePolynomial, limit: Optional[int] = None) -> tuple:
-    """a_k = L^k(P^2)(0) for k <= M = deg P; they fix the whole growth function of P.
+@dataclass(frozen=True)
+class GrowthPolynomial:
+    """The growth function of a polynomial input, from a_k = L^k(P^2)(0).
 
-    Each Laplacian lowers the degree of P^2 by two, so a_k = 0 for k > M.
-    The a_k are read from the growth report of P on B_{2M}, which checks the
-    walk route against the Laplacian cascade; the walk route's tail
-    a_{M+1..2M} must vanish as well.
+    Q(n) = sum_k a_k C(n, k) for the walk and Qc(t) = sum_k a_k t^k / k!
+    for the continuous-time walk.  ``newton`` holds a_0..a_m; ``n_max``
+    is None when they are all of the nonzero a_k (Q is then known at
+    every n), else the largest n for which Q(n) is known, since Q(n)
+    reads only the a_j with j <= n.
     """
+
+    d: int
+    newton: tuple
+    n_max: Optional[int] = None
+
+    @cached_property
+    def _scaled(self) -> tuple:
+        den = math.lcm(*(a.denominator for a in self.newton))
+        return den, [a.numerator * (den // a.denominator) for a in self.newton]
+
+    def Q(self, n: int) -> Fraction:
+        """Q(n), summed in integers over one denominator with running binomials."""
+        if n < 0 or (self.n_max is not None and n > self.n_max):
+            covers = "every n >= 0" if self.n_max is None else f"0..{self.n_max}"
+            raise OutOfRangeError(
+                f"growth value at n={n} not available (the growth polynomial covers {covers})"
+            )
+        den, nums = self._scaled
+        total, binom = 0, 1
+        for j, c in enumerate(nums):
+            total += c * binom
+            binom = binom * (n - j) // (j + 1)  # C(n, j+1); 0 from j = n on
+        return Fraction(total, den)
+
+    def report(self, n_max: int) -> GrowthReport:
+        """The growth report of Q(0..n_max); ``laplace_newton`` is ``newton``, padded."""
+        report = GrowthReport.from_values([self.Q(n) for n in range(n_max + 1)], self.d)
+        newton = (self.newton + (Fraction(0),) * n_max)[: n_max + 1]
+        return replace(report, laplace_newton=newton)
+
+    @cached_property
+    def continuous_coeffs(self) -> tuple:
+        """c_k = a_k / k!, trailing zeros trimmed: Qc(t) = sum_k c_k t^k."""
+        if self.n_max is not None:
+            raise OutOfRangeError(
+                "the continuous-time growth needs every a_k; build the growth polynomial "
+                "without n_max"
+            )
+        coeffs = [a / math.factorial(k) for k, a in enumerate(self.newton)]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        return tuple(coeffs) or (Fraction(0),)
+
+    def continuous(self, t) -> Fraction:
+        """Exact Qc(t), the growth function of the continuous-time walk."""
+        t = Fraction(t)
+        acc = Fraction(0)
+        for c in reversed(self.continuous_coeffs):
+            acc = acc * t + c
+        return acc
+
+    def continuous_json(self) -> dict:
+        return {
+            "kind": "continuous_growth",
+            "coeffs": [format_rational(c) for c in self.continuous_coeffs],
+        }
+
+
+def growth_polynomial(P: MultivariatePolynomial, n_max: Optional[int] = None) -> GrowthPolynomial:
+    """The growth polynomial of P, enumerating only B_R with R = min(n_max, 2M).
+
+    Each Laplacian lowers the degree of P^2 by two, so a_k = 0 for k > M
+    = deg P.  a_0..a_{min(R, M)} are read from the growth report of P on
+    B_R (R = 2M when n_max is None), which checks the walk route against
+    the Laplacian cascade; the walk route's tail a_{M+1..R} must vanish
+    as well.  With R < 2M the object covers Q(n) for n <= R only.  The
+    identity needs no harmonicity.
+    """
+    if n_max is not None and n_max < 0:
+        raise InvalidParameterError("n_max must be non-negative")
     M = max(P.degree, 0)
-    newton = _ball_report(P, 2 * M, limit).newton
+    R = 2 * M if n_max is None else min(n_max, 2 * M)
+    balls.guard_cells(P.d, R)
+    newton = growth_report(evaluate_on_ball(P, R)).newton
     if any(newton[M + 1 :]):
         raise HarmError(
             "internal inconsistency: growth coefficients beyond the degree do not vanish"
         )
-    return newton[: M + 1]
+    return GrowthPolynomial(P.d, newton[: M + 1], None if R == 2 * M else R)
 
 
-def polynomial_report(
-    P: MultivariatePolynomial, n_max: int, limit: Optional[int] = None
-) -> GrowthReport:
-    """Exact growth report of P up to n_max, enumerating only B_{min(n_max, 2 deg P)}.
-
-    Up to n_max = 2M (M = deg P) this is the report of P evaluated on
-    B_{n_max}.  Beyond it, Q(n) = sum_{k<=M} a_k C(n, k) for every n, with
-    the coefficients of :func:`_newton_coefficients`; values are summed in
-    integers over one common denominator, triangle rows k <= M are their
-    differences and rows k > M are zero.  The identity needs no harmonicity.
-    """
-    if n_max < 0:
-        raise InvalidParameterError("n_max must be non-negative")
-    M = max(P.degree, 0)
-    if n_max <= 2 * M:
-        return _ball_report(P, n_max, limit)
-    coeffs = _newton_coefficients(P, limit)
-    den = math.lcm(*(c.denominator for c in coeffs))
-    nums = [c.numerator * (den // c.denominator) for c in coeffs]
-    row = [sum(c * math.comb(n, j) for j, c in enumerate(nums)) for n in range(n_max + 1)]
-    triangle = []
-    for _ in range(M + 1):
-        triangle.append(tuple(Fraction(v, den) for v in row))
-        row = [b - a for a, b in zip(row, row[1:])]
-    zero = Fraction(0)
-    triangle += [(zero,) * (n_max + 1 - k) for k in range(M + 1, n_max + 1)]
-    newton = coeffs + (zero,) * (n_max - M)
-    return GrowthReport(
-        values=triangle[0],
-        triangle=tuple(triangle),
-        newton=newton,
-        d=P.d,
-        laplace_newton=newton,
-    )
+def polynomial_report(P: MultivariatePolynomial, n_max: int) -> GrowthReport:
+    """Exact growth report of P up to n_max, enumerating only B_{min(n_max, 2 deg P)}."""
+    return growth_polynomial(P, n_max).report(n_max)

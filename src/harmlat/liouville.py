@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import balls
 from .errors import HarmError, HarmonicityError, InvalidParameterError, VanishingHypothesisError
-from .growth import _newton_coefficients, _newton_via_laplacian
+from .growth import _newton_via_laplacian, growth_polynomial
 from .polynomials import MultivariatePolynomial, discrete_laplacian, evaluate_on_ball
 
 
@@ -29,7 +29,7 @@ def degree_bound(P: MultivariatePolynomial) -> int:
     Equals deg(P) + 1 for nonzero polynomials (0 for the zero
     polynomial).  Requires P lattice-harmonic.  Cross-checks that the
     iterated Laplacian values of P^2 at the origin vanish above the
-    degree, with the check of :func:`harmlat.growth._newton_coefficients`
+    degree, with the check of :func:`harmlat.growth.growth_polynomial`
     (walk route against cascade on B_{2 deg}, vanishing tail).
     """
     if not discrete_laplacian(P).is_zero():
@@ -52,7 +52,7 @@ def degree_bound(P: MultivariatePolynomial) -> int:
                         nxt[q.canonical_key()] = q
         current = nxt
     # cross-check: growth coefficients vanish beyond the degree
-    _newton_coefficients(P)
+    growth_polynomial(P)
     return k
 
 

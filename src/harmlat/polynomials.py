@@ -321,6 +321,30 @@ def monomial_uk(d: int, k: int) -> MultivariatePolynomial:
     return MultivariatePolynomial.monomial(d, alpha)
 
 
+def family_polynomial(
+    family: str, k: int, d: Optional[int] = None, seed: Optional[int] = None
+) -> MultivariatePolynomial:
+    """Member k of a named harmonic family.
+
+    "S" and "T" are S_k and T_k on Z^2, "u" is u_k on Z^d (d defaults to
+    k), and "random" is :func:`random_harmonic` of degree <= k on Z^d,
+    which needs d and a seed.
+    """
+    if family in ("S", "T") and d not in (None, 2):
+        raise InvalidParameterError(f"family {family} lives on Z^2")
+    if family == "S":
+        return sk_polynomial(k)
+    if family == "T":
+        return tk_polynomial(k)
+    if family == "u":
+        return monomial_uk(k if d is None else d, k)
+    if family == "random":
+        if d is None or seed is None:
+            raise InvalidParameterError("family random needs a dimension d and a seed")
+        return random_harmonic(d, k, seed)
+    raise InvalidParameterError(f"unknown family {family!r}")
+
+
 # -- discretization of continuous harmonic polynomials ------------------------
 
 

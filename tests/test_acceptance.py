@@ -18,7 +18,6 @@ from harmlat import (
     aspect_ratio_check,
     check_absolute_monotonicity,
     conjecture_scan,
-    continuous_growth,
     continuous_three_circles_check,
     convexity_defect_check,
     counterexample_search,
@@ -27,6 +26,7 @@ from harmlat import (
     fk_polynomial,
     general_P_check,
     growth_Q,
+    growth_polynomial,
     is_harmonic,
     laplacian_power,
     monomial_uk,
@@ -184,7 +184,7 @@ def test_c06_error_omitted(corpus):
 
 def test_c07_continuous_three_circles(corpus):
     for m in corpus:
-        qc = continuous_growth(m.poly)
+        qc = growth_polynomial(m.poly)
         for t in (F(1, 2), F(1), F(3), F(10)):
             v = continuous_three_circles_check(qc, t)
             assert v.holds, (m.name, t)
@@ -213,7 +213,7 @@ def test_c08_optimality_witness():
             "scan over all n shows the window where binom(2n,k)^2 > 4 binom(n,k) "
             "binom(4n,k) (n below ~k^2/11) is disjoint from the window where "
             "2^(-n^(3/5)) binom(4n,k) < binom(2n,k) (n above ~(k+2)^(5/3)) for all "
-            "k <= 60; the first C=2 witnesses near k^2/ln k need k around 66000",
+            "k <= 60; the first C=2 witness near k^2/ln k is at k = 65,455",
         )
 
 

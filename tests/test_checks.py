@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmlat import (
-    ContinuousGrowthPolynomial,
+    GrowthPolynomial,
     GrowthReport,
     HypothesisNotMetError,
     InvalidParameterError,
@@ -221,32 +221,32 @@ def test_aspect_parameter_order():
 
 
 def test_continuous_constant_equality():
-    qc = ContinuousGrowthPolynomial((F(9),))
+    qc = GrowthPolynomial(1, (F(9),))
     v = continuous_three_circles_check(qc, F(1, 2))
     assert v.holds and v.margin == 0
 
 
 def test_continuous_single_term_equality():
-    qc = ContinuousGrowthPolynomial((F(0), F(1)))
+    qc = GrowthPolynomial(1, (F(0), F(1)))
     v = continuous_three_circles_check(qc, 3)
     assert v.holds and v.margin == 0
 
 
 def test_continuous_two_terms():
-    qc = ContinuousGrowthPolynomial((F(0), F(1), F(1, 4)))
+    qc = GrowthPolynomial(1, (F(0), F(1), F(1, 2)))  # Qc(t) = t + t^2/4
     for t in (F(1), F(3), F(10)):
         assert continuous_three_circles_check(qc, t).holds
 
 
 def test_continuous_rejects_nonpositive_t():
-    qc = ContinuousGrowthPolynomial((F(1),))
+    qc = GrowthPolynomial(1, (F(1),))
     with pytest.raises(InvalidParameterError):
         continuous_three_circles_check(qc, 0)
 
 
 def test_continuous_detects_failure():
     # Qc(t) = (t - 2)^2 dips to zero at t = 2, so the bound fails at t = 1/2
-    qc = ContinuousGrowthPolynomial((F(4), F(-4), F(1)))
+    qc = GrowthPolynomial(1, (F(4), F(-4), F(2)))  # a_k = k! c_k
     v = continuous_three_circles_check(qc, F(1, 2))
     assert v.status == "fails" and v.margin < 0
 
@@ -626,3 +626,32 @@ def test_log_bound_settles_c2_near_k60000_without_binomials(monkeypatch):
     res = counterexample_search(F(2), F(1, 10), 60050, k_min=60000)
     assert not res.found and res.undecided == ()
     assert res.candidates_checked == sum(len(_nstar_candidates(k)) for k in range(60000, 60051))
+
+
+def _window_before_sharing(k):
+    """conjecture.default_window as written before it shared the k^2/ln k floors."""
+    target = RealEnclosure.exact(F(k * k)) / ln_enclosure(F(k), 96)
+    center = (math.floor(target.lo) + math.floor(target.hi)) // 2
+    return max(1, center - k), center + k
+
+
+def _candidates_before_sharing(k):
+    """checks._nstar_candidates as written before it shared the k^2/ln k floors."""
+    target = RealEnclosure.exact(F(k * k)) / ln_enclosure(F(k), 96)
+    lo_f, hi_f = math.floor(target.lo), math.floor(target.hi)
+    if lo_f != hi_f:
+        cands = set(range(lo_f - 1, hi_f + 2))
+    else:
+        cands = {lo_f - 1, lo_f, lo_f + 1, lo_f + 2}
+    return sorted(c for c in cands if c >= 1)
+
+
+def test_shared_k2_over_ln_k_keeps_windows_and_candidates():
+    from harmlat.conjecture import default_window
+
+    assert [default_window(k) for k in range(2, 301)] == [
+        _window_before_sharing(k) for k in range(2, 301)
+    ]
+    assert [_nstar_candidates(k) for k in range(2, 3001)] == [
+        _candidates_before_sharing(k) for k in range(2, 3001)
+    ]

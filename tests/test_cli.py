@@ -42,6 +42,28 @@ def test_check_continuous_single_term(capsys):
     assert obj["growth_polynomial"]["coeffs"] == ["0", "1"]
 
 
+def test_check_continuous_non_harmonic_exit_3(capsys):
+    poly = '{"d":1,"terms":[{"alpha":[2],"coeff":"1"}]}'  # x^2: L x^2 = 2
+    code, out, err = run(capsys, "check", "continuous", "--poly", poly, "--t", "3")
+    assert code == 3
+    assert out == ""
+    assert "lattice-harmonic" in err
+
+
+@pytest.mark.parametrize("family", ["S", "T"])
+@pytest.mark.parametrize("command", ["growth", "scan"])
+def test_planar_family_off_z2_exit_3(capsys, family, command):
+    if command == "growth":
+        argv = ["growth", "--family", family, "--k", "3", "--d", "3", "--n-max", "6"]
+    else:
+        argv = ["conjecture", "scan", "--family", family, "--k", "3", "--d", "3", "--C", "1",
+                "--eps", "1/10"]
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "lives on Z^2" in err
+
+
 def test_growth_json_golden(capsys, tmp_path):
     u = evaluate_on_ball(monomial_uk(2, 2), 8)
     path = tmp_path / "f.json"
@@ -162,6 +184,16 @@ def test_check_aspect_requires_alpha_choice(capsys):
          "--seed", "1"],
         ["check", "binomial", "--n", "20", "--k", "2", "--P", "2", "--eps", "1/4",
          "--seed", "1"],
+        # the scan reads a named family only: S, T or u with --k and --d
+        ["conjecture", "scan", "--poly", '{"d":2,"terms":[[[1,0],"1"]]}', "--k", "3",
+         "--C", "1", "--eps", "1/10"],
+        ["conjecture", "scan", "--function", "f.json", "--k", "3", "--C", "1", "--eps", "1/10"],
+        ["conjecture", "scan", "--family", "S", "--k", "3", "--C", "1", "--eps", "1/10",
+         "--sparse"],
+        ["conjecture", "scan", "--family", "S", "--k", "3", "--C", "1", "--eps", "1/10",
+         "--seed", "1"],
+        ["conjecture", "scan", "--family", "random", "--k", "3", "--d", "2", "--C", "1",
+         "--eps", "1/10"],
     ],
 )
 def test_parser_errors_exit_3_not_undecided(capsys, argv):
@@ -326,7 +358,7 @@ def test_internal_failure_exit_4(capsys, monkeypatch):
     def crash(*args, **kwargs):
         raise MemoryError("no room\nfor the table")
 
-    monkeypatch.setattr(cli, "polynomial_report", crash)
+    monkeypatch.setattr(cli, "growth_polynomial", crash)
     code, out, err = run(capsys, "growth", "--family", "S", "--k", "2", "--n-max", "6")
     assert code == 4
     assert out == ""

@@ -135,22 +135,11 @@ def test_scan_default_window_centered_at_target():
         default_window(1)
 
 
-def test_scan_report_reuse_and_range_guard():
-    report = q_table("S", 2, 60)
-    result = conjecture_scan(2, 1, F(1, 10), 10, 15, report=report)
-    assert len(result.rows) == 6
-    from harmlat import OutOfRangeError
-
-    with pytest.raises(OutOfRangeError):
-        conjecture_scan(2, 1, F(1, 10), 10, 30, report=report)
-
-
 def test_uk_scan_flags_agree_with_search_verdicts():
     # growth of the coordinate product is an exact multiple of binom(n, k),
     # so scan flags must coincide with the binomial violation verdicts
     k = 2
-    rep = q_table("u", k, 80, d=2)
-    result = conjecture_scan(k, 1, F(1, 5), 17, 20, report=rep, family="u")
+    result = conjecture_scan(k, 1, F(1, 5), 17, 20, family="u", d=2)
     for row in result.rows:
         direct = convexity_defect_check(
             math.comb(row.n, k), math.comb(2 * row.n, k), math.comb(4 * row.n, k),

@@ -5,20 +5,21 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmlat import (
-    ContinuousGrowthPolynomial,
+    GrowthPolynomial,
     GrowthReport,
-    HarmonicityError,
     LatticeBall,
     LatticeFunction,
     MultivariatePolynomial,
     OutOfRangeError,
     ResourceLimitError,
     check_absolute_monotonicity,
-    continuous_growth,
     evaluate_on_ball,
     growth_Q,
+    growth_polynomial,
     growth_report,
     laplacian_power,
     monomial_uk,
@@ -29,7 +30,7 @@ from harmlat import (
     walk_counts,
 )
 from harmlat.balls import orbit_table
-from harmlat.growth import _orbit_walk_rows
+from harmlat.growth import _difference_triangle, _orbit_walk_rows
 
 
 def brute_force_walk_counts(d, n):
@@ -278,37 +279,102 @@ def test_polynomial_report_matches_walk_route_beyond_2deg(P):
     assert fast.laplace_newton == walk.laplace_newton
 
 
+@st.composite
+def growth_inputs(draw):
+    """(P, N): P random harmonic or any rational, d <= 3, deg <= 4; N <= 2 deg + 5."""
+    d = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        P = random_harmonic(d, draw(st.integers(0, 4)), draw(st.integers(0, 10**6)))
+    else:
+        exponents = st.lists(st.integers(0, 4), min_size=d, max_size=d).filter(
+            lambda a: sum(a) <= 4
+        )
+        coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+        terms = draw(st.dictionaries(exponents.map(tuple), coeffs, max_size=6))
+        P = MultivariatePolynomial(d, terms)
+    return P, draw(st.integers(0, 2 * max(P.degree, 0) + 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(growth_inputs())
+def test_growth_polynomial_matches_walk_route(case):
+    P, N = case
+    walk = growth_report(evaluate_on_ball(P, N))
+    full, part = growth_polynomial(P), growth_polynomial(P, N)
+    assert [full.Q(n) for n in range(N + 1)] == list(walk.values)
+    assert [part.Q(n) for n in range(N + 1)] == list(walk.values)
+    assert part.report(N) == walk
+
+
+def test_partial_growth_polynomial_refuses_q_beyond_its_range():
+    P = sk_polynomial(4)  # M = 4: a partial object below n_max = 8
+    part = growth_polynomial(P, 5)
+    assert part.n_max == 5 and len(part.newton) == 5
+    assert part.Q(5) == growth_polynomial(P).Q(5)
+    with pytest.raises(OutOfRangeError):
+        part.Q(6)
+    with pytest.raises(OutOfRangeError):
+        part.report(6)
+    with pytest.raises(OutOfRangeError):
+        part.continuous(1)
+    assert growth_polynomial(P, 8).n_max is None
+    with pytest.raises(OutOfRangeError):
+        growth_polynomial(P).Q(-1)
+
+
+def _full_triangle(values):
+    rows, row = [], list(values)
+    while row:
+        rows.append(row)
+        row = [b - a for a, b in zip(row, row[1:])]
+    return rows
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [F(n * n * n - 2 * n, 3) for n in range(12)],  # a cubic: rows past 3 are zero
+        [F(7)] * 9,
+        [F(0)] * 5,
+        [F(1)],
+        [F(2) ** n for n in range(10)],  # no zero row
+        [F(1, n + 1) for n in range(10)],
+        [F(n % 3) for n in range(11)],
+    ],
+)
+def test_early_stop_triangle_equals_full_triangle(values):
+    assert _difference_triangle(values) == _full_triangle(values)
+
+
 # -- continuous-time growth ----------------------------------------------------------------
 
 
 def test_continuous_growth_examples():
     c = MultivariatePolynomial.constant(2, F(5, 3))
-    assert continuous_growth(c).coeffs == (F(25, 9),)
+    assert growth_polynomial(c).continuous_coeffs == (F(25, 9),)
 
     x = MultivariatePolynomial.variable(1, 0)
-    assert continuous_growth(x).coeffs == (F(0), F(1))
+    assert growth_polynomial(x).continuous_coeffs == (F(0), F(1))
 
     xy = monomial_uk(2, 2)
-    assert continuous_growth(xy).coeffs == (F(0), F(0), F(1, 4))
-
-
-def test_continuous_growth_rejects_non_harmonic():
-    x = MultivariatePolynomial.variable(1, 0)
-    with pytest.raises(HarmonicityError):
-        continuous_growth(x * x)
+    assert growth_polynomial(xy).continuous_coeffs == (F(0), F(0), F(1, 4))
+    assert growth_polynomial(MultivariatePolynomial.zero(2)).continuous_json() == {
+        "kind": "continuous_growth",
+        "coeffs": ["0"],
+    }
 
 
 def test_continuous_growth_coefficients_nonnegative_and_scaled():
     p = sk_polynomial(4)
-    qc = continuous_growth(p)
-    assert all(c >= 0 for c in qc.coeffs)
-    qc2 = continuous_growth(p.scale(3))
-    assert tuple(9 * c for c in qc.coeffs) == qc2.coeffs
+    qc = growth_polynomial(p)
+    assert all(c >= 0 for c in qc.continuous_coeffs)
+    qc2 = growth_polynomial(p.scale(3))
+    assert tuple(9 * c for c in qc.continuous_coeffs) == qc2.continuous_coeffs
 
 
 def test_continuous_growth_evaluation():
-    qc = ContinuousGrowthPolynomial((F(1), F(0), F(2)))
-    assert qc.evaluate(F(1, 2)) == F(3, 2)
+    qc = GrowthPolynomial(1, (F(1), F(0), F(4)))  # Qc(t) = 1 + 2 t^2
+    assert qc.continuous(F(1, 2)) == F(3, 2)
 
 
 # -- Monte Carlo oracle -------------------------------------------------------------------------
