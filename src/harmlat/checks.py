@@ -38,9 +38,10 @@ place of fresh binomial evaluations, and for C > 1 it first tries an
 O(1) rational upper bound on the log of the squared ratio, which rules
 most candidates out before any binomial is built.
 
-Whether the growth values fed to a checker really come from a function
-harmonic on the large ball the statement needs is the caller's
-obligation; the checkers consume only the Q values.
+A checker of Q takes ``growth``, any object whose ``Q(n)`` returns the
+exact growth value at n (a GrowthReport or a GrowthPolynomial), and
+calls nothing else on it.  Whether those values come from a function
+harmonic on the ball the statement needs is the caller's obligation.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ from .enclosure import (
     sqrt_enclosure,
 )
 from .errors import HypothesisNotMetError, InvalidParameterError
-from .growth import GrowthReport
 from .rationals import format_int, format_rational
 
 HOLDS = "holds"
@@ -248,7 +248,7 @@ def _check_eps(eps, lo=Fraction(0), hi=Fraction(1, 2), hi_strict=False):
 
 
 def three_circles_check(
-    report: GrowthReport,
+    growth,
     n: int,
     eps,
     precision: int = DEFAULT_PRECISION,
@@ -262,7 +262,7 @@ def three_circles_check(
     eps = _check_eps(eps)
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
-    q_n, q_2n, q_4n = report.Q(n), report.Q(2 * n), report.Q(4 * n)
+    q_n, q_2n, q_4n = growth.Q(n), growth.Q(2 * n), growth.Q(4 * n)
     hypothesis_met = n > 16
     if not hypothesis_met and not explore:
         raise HypothesisNotMetError(
@@ -275,7 +275,7 @@ def three_circles_check(
 
 
 def general_P_check(
-    report: GrowthReport,
+    growth,
     n: int,
     P,
     eps,
@@ -295,7 +295,7 @@ def general_P_check(
         raise InvalidParameterError("n must be >= 1")
     mid = math.floor(P * n)
     outer = math.ceil(P * P * n)
-    q_n, q_mid, q_outer = report.Q(n), report.Q(mid), report.Q(outer)
+    q_n, q_mid, q_outer = growth.Q(n), growth.Q(mid), growth.Q(outer)
     hypothesis_met = Fraction(n) >= 4 * P * P
     if not hypothesis_met and not explore:
         raise HypothesisNotMetError(
@@ -360,7 +360,7 @@ def binomial_inequality_check(
 
 
 def no_error_check(
-    report: GrowthReport, M: int, n: int, eps, precision: int = DEFAULT_PRECISION
+    growth, M: int, n: int, eps, precision: int = DEFAULT_PRECISION
 ) -> Verdict:
     """Check Q(2n) <= sqrt(e^(n^-2eps) Q(n) Q(4n)) without the error term.
 
@@ -387,7 +387,7 @@ def no_error_check(
             f"needs n^(1-2eps) > M^2: n={n}, eps={eps}, M={M}",
             {"reason": "degree hypothesis", "n_power": enc.to_json(), "M_squared": str(target)},
         )
-    q_n, q_2n, q_4n = report.Q(n), report.Q(2 * n), report.Q(4 * n)
+    q_n, q_2n, q_4n = growth.Q(n), growth.Q(2 * n), growth.Q(4 * n)
 
     def rung(p):
         return _exp_factor(n, eps, p) * (q_n * q_4n), _ZERO
@@ -403,7 +403,7 @@ def no_error_check(
 
 
 def ratio_125_check(
-    report: GrowthReport, n: int, delta, precision: int = DEFAULT_PRECISION
+    growth, n: int, delta, precision: int = DEFAULT_PRECISION
 ) -> Verdict:
     """Check Q(2n) <= sqrt(Q(n) Q(ceil(4(1+delta)n))) + 2^(-2n delta) Q(ceil(4(1+delta)n)).
 
@@ -415,7 +415,7 @@ def ratio_125_check(
     if n < 0:
         raise InvalidParameterError("n must be non-negative")
     outer = math.ceil(4 * (1 + delta) * n)
-    q_n, q_2n, q_outer = report.Q(n), report.Q(2 * n), report.Q(outer)
+    q_n, q_2n, q_outer = growth.Q(n), growth.Q(2 * n), growth.Q(outer)
     msq = RealEnclosure.exact(q_n * q_outer)
 
     def rung(p):
@@ -440,7 +440,7 @@ def derive_alpha(p, P, precision: int = DEFAULT_PRECISION) -> RealEnclosure:
 
 
 def aspect_ratio_check(
-    report: GrowthReport,
+    growth,
     n: int,
     p,
     P,
@@ -477,7 +477,7 @@ def aspect_ratio_check(
             raise InvalidParameterError(f"alpha must lie in (0, 1), got {alpha}")
     mid = math.floor(P_r * n)
     outer = math.ceil(p_r * P_r * n)
-    q_n, q_mid, q_outer = report.Q(n), report.Q(mid), report.Q(outer)
+    q_n, q_mid, q_outer = growth.Q(n), growth.Q(mid), growth.Q(outer)
 
     def rung(prec):
         a = derive_alpha(p_r, P_r, prec) if alpha is None else RealEnclosure.exact(alpha)

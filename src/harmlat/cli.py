@@ -8,7 +8,10 @@ holds/confirmed, 1 fails/violation-found (the expected success of
 resource-cap errors, 4 internal failure (any other exception, e.g. out
 of memory).  `--help` and `--version` exit 0.  Exact integers print in
 full, however long: a command lifts the interpreter's limit on
-int-to-str digits while it runs.
+int-to-str digits while it runs.  A command registers only the options
+it reads; --function, --poly and --family exclude one another.  A check
+reads Q(n) from the input's growth object where its statement asks:
+a table's growth report, or a polynomial's growth polynomial.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from . import SCHEMA_VERSION, __version__
@@ -38,9 +40,9 @@ from .checks import (
 )
 from .conjecture import conjecture_scan
 from .errors import HarmError, HarmonicityError, UsageError
-from .growth import GrowthReport, growth_polynomial, growth_report
+from .growth import growth_polynomial, growth_report
 from .lattice import LatticeFunction
-from .polynomials import MultivariatePolynomial, discrete_laplacian, family_polynomial
+from .polynomials import MultivariatePolynomial, family_polynomial, is_harmonic_poly
 from .rationals import format_rational, parse_rational
 
 EXIT_HOLDS = 0
@@ -52,18 +54,9 @@ EXIT_INTERNAL = 4
 _STATUS_EXIT = {HOLDS: EXIT_HOLDS, FAILS: EXIT_FAILS, UNDECIDED: EXIT_UNDECIDED}
 
 
-@dataclass
-class CommandConfig:
-    """Resolved invocation: precision and output routing."""
-
-    precision: int = DEFAULT_PRECISION
-    fmt: str = "json"
-    out: Optional[str] = None
-
-
-def _emit(config: CommandConfig, text: str) -> None:
-    if config.out:
-        with open(config.out, "w") as fh:
+def _emit(args, text: str) -> None:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -71,9 +64,9 @@ def _emit(config: CommandConfig, text: str) -> None:
             sys.stdout.write("\n")
 
 
-def _emit_json(config: CommandConfig, obj: dict) -> None:
+def _emit_json(args, obj: dict) -> None:
     obj = {"schema": SCHEMA_VERSION, **obj}
-    _emit(config, json.dumps(obj, indent=2))
+    _emit(args, json.dumps(obj, indent=2))
 
 
 def _verdict_csv(v: Verdict) -> str:
@@ -93,14 +86,14 @@ def _verdict_csv(v: Verdict) -> str:
     return head + "\n" + row + "\n"
 
 
-def _emit_verdict(config: CommandConfig, v: Verdict, extra: Optional[dict] = None) -> int:
-    if config.fmt == "csv":
-        _emit(config, _verdict_csv(v))
+def _emit_verdict(args, v: Verdict, extra: Optional[dict] = None) -> int:
+    if args.fmt == "csv":
+        _emit(args, _verdict_csv(v))
     else:
         obj = {"kind": "verdict", **v.to_json()}
         if extra:
             obj.update(extra)
-        _emit_json(config, obj)
+        _emit_json(args, obj)
     return _STATUS_EXIT[v.status]
 
 
@@ -108,7 +101,8 @@ def _emit_verdict(config: CommandConfig, v: Verdict, extra: Optional[dict] = Non
 
 
 def _load_polynomial(args) -> MultivariatePolynomial:
-    if getattr(args, "poly", None):
+    """The --poly or --family input; the parser demands exactly one of the inputs."""
+    if args.poly:
         raw = args.poly
         try:
             if raw.strip().startswith("{"):
@@ -119,11 +113,9 @@ def _load_polynomial(args) -> MultivariatePolynomial:
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read polynomial: {exc}") from exc
         return MultivariatePolynomial.from_json(obj)
-    if getattr(args, "family", None):
-        if args.k is None:
-            raise UsageError("--family needs --k")
-        return family_polynomial(args.family, args.k, args.d, args.seed)
-    raise UsageError("no input: pass --poly, --family or --function")
+    if args.k is None:
+        raise UsageError("--family needs --k")
+    return family_polynomial(args.family, args.k, args.d, args.seed)
 
 
 def _load_function(args, needed_radius: int) -> LatticeFunction:
@@ -140,18 +132,22 @@ def _load_function(args, needed_radius: int) -> LatticeFunction:
     return u
 
 
-def _report_for(args, needed_n: int) -> GrowthReport:
-    if getattr(args, "function", None):
+def _growth_for(args, needed_n: int):
+    """A --function table's report on B_needed_n, or a polynomial's growth polynomial."""
+    if args.function:
         return growth_report(_load_function(args, needed_n), needed_n)
-    return growth_polynomial(_load_polynomial(args), needed_n).report(needed_n)
+    if args.sparse:
+        raise UsageError("--sparse applies to --function tables only")
+    return growth_polynomial(_load_polynomial(args), needed_n)
 
 
 # -- subcommand handlers -----------------------------------------------------------
 
 
-def _cmd_growth(args, config: CommandConfig) -> int:
-    report = _report_for(args, args.n_max)
-    if config.fmt == "csv":
+def _cmd_growth(args) -> int:
+    growth = _growth_for(args, args.n_max)
+    report = growth if args.function else growth.report(args.n_max)
+    if args.fmt == "csv":
         if args.newton:
             lines = ["k,a_k"]
             for k, a in enumerate(report.newton):
@@ -166,58 +162,55 @@ def _cmd_growth(args, config: CommandConfig) -> int:
                     row = report.triangle[j]
                     cells.append(format_rational(row[n]) if n < len(row) else "")
                 lines.append(",".join(cells))
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     else:
-        _emit_json(config, report.to_json(include_newton=args.newton))
+        _emit_json(args, report.to_json(include_newton=args.newton))
     return EXIT_HOLDS
 
 
-def _cmd_check(args, config: CommandConfig) -> int:
+def _cmd_check(args) -> int:
     kind = args.check_kind
     eps = parse_rational(args.eps) if getattr(args, "eps", None) is not None else None
     if kind == "three-circles":
-        report = _report_for(args, 4 * args.n)
-        v = three_circles_check(report, args.n, eps, config.precision, explore=args.explore)
-        return _emit_verdict(config, v)
+        growth = _growth_for(args, 4 * args.n)
+        v = three_circles_check(growth, args.n, eps, args.precision, explore=args.explore)
+        return _emit_verdict(args, v)
     if kind == "general-p":
         P = parse_rational(args.P)
-        outer = math.ceil(P * P * args.n)
-        report = _report_for(args, outer)
-        v = general_P_check(report, args.n, P, eps, config.precision, explore=args.explore)
-        return _emit_verdict(config, v)
+        growth = _growth_for(args, math.ceil(P * P * args.n))
+        v = general_P_check(growth, args.n, P, eps, args.precision, explore=args.explore)
+        return _emit_verdict(args, v)
     if kind == "no-error":
-        report = _report_for(args, 4 * args.n)
-        v = no_error_check(report, args.degree, args.n, eps, config.precision)
-        return _emit_verdict(config, v)
+        growth = _growth_for(args, 4 * args.n)
+        v = no_error_check(growth, args.degree, args.n, eps, args.precision)
+        return _emit_verdict(args, v)
     if kind == "ratio-125":
         delta = parse_rational(args.delta)
-        outer = math.ceil(4 * (1 + delta) * args.n)
-        report = _report_for(args, outer)
-        v = ratio_125_check(report, args.n, delta, config.precision)
-        return _emit_verdict(config, v)
+        growth = _growth_for(args, math.ceil(4 * (1 + delta) * args.n))
+        v = ratio_125_check(growth, args.n, delta, args.precision)
+        return _emit_verdict(args, v)
     if kind == "aspect":
         p = parse_rational(args.p)
         P = parse_rational(args.P)
-        outer = math.ceil(p * P * args.n)
-        report = _report_for(args, outer)
+        growth = _growth_for(args, math.ceil(p * P * args.n))
         alpha = parse_rational(args.alpha) if args.alpha is not None else None
-        v = aspect_ratio_check(report, args.n, p, P, eps, alpha=alpha, precision=config.precision)
-        return _emit_verdict(config, v)
+        v = aspect_ratio_check(growth, args.n, p, P, eps, alpha=alpha, precision=args.precision)
+        return _emit_verdict(args, v)
     if kind == "continuous":
         P = _load_polynomial(args)
-        if not discrete_laplacian(P).is_zero():
+        if not is_harmonic_poly(P):
             raise HarmonicityError("continuous-time growth requires a lattice-harmonic polynomial")
         growth = growth_polynomial(P)
         v = continuous_three_circles_check(growth, parse_rational(args.t))
-        return _emit_verdict(config, v, extra={"growth_polynomial": growth.continuous_json()})
+        return _emit_verdict(args, v, extra={"growth_polynomial": growth.continuous_json()})
     if kind == "binomial":
         P = parse_rational(args.P)
-        result = binomial_inequality_check(args.n, args.k, P, eps, config.precision)
-        if config.fmt == "csv":
-            _emit(config, _verdict_csv(result.plain) + _verdict_csv(result.max_form))
+        result = binomial_inequality_check(args.n, args.k, P, eps, args.precision)
+        if args.fmt == "csv":
+            _emit(args, _verdict_csv(result.plain) + _verdict_csv(result.max_form))
         else:
             _emit_json(
-                config,
+                args,
                 {
                     "kind": "binomial_check",
                     "plain": result.plain.to_json(),
@@ -228,20 +221,20 @@ def _cmd_check(args, config: CommandConfig) -> int:
     raise UsageError(f"unknown check {kind!r}")
 
 
-def _cmd_search(args, config: CommandConfig) -> int:
+def _cmd_search(args) -> int:
     result = counterexample_search(
         parse_rational(args.C),
         parse_rational(args.eps),
         k_max=args.k_max,
         k_min=args.k_min,
         n0=args.n0,
-        precision=config.precision,
+        precision=args.precision,
     )
-    _emit_json(config, {"kind": "counterexample_search", **result.to_json()})
+    _emit_json(args, {"kind": "counterexample_search", **result.to_json()})
     return EXIT_FAILS if result.found else EXIT_HOLDS
 
 
-def _cmd_conjecture_scan(args, config: CommandConfig) -> int:
+def _cmd_conjecture_scan(args) -> int:
     if args.k is None:
         raise UsageError("conjecture scan needs --k (family index)")
     result = conjecture_scan(
@@ -250,14 +243,14 @@ def _cmd_conjecture_scan(args, config: CommandConfig) -> int:
         parse_rational(args.eps),
         args.n_from,
         args.n_to,
-        precision=config.precision,
+        precision=args.precision,
         family=args.family,
         d=args.d,
     )
-    if config.fmt == "csv":
-        _emit(config, result.to_csv())
+    if args.fmt == "csv":
+        _emit(args, result.to_csv())
     else:
-        _emit_json(config, result.to_json())
+        _emit_json(args, result.to_json())
     violations = result.summary.get("violations", 0)
     return EXIT_FAILS if violations else EXIT_HOLDS
 
@@ -265,27 +258,40 @@ def _cmd_conjecture_scan(args, config: CommandConfig) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
-def _add_common_options(sp):
-    sp.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
+def _add_output_options(sp):
     sp.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
     sp.add_argument("--out", help="write output to this file instead of stdout")
 
 
-def _add_io_options(sp, with_explore=False):
-    sp.add_argument("--function", help="lattice function JSON file")
-    sp.add_argument("--sparse", action="store_true", help="omitted table points default to 0")
-    sp.add_argument("--poly", help="polynomial JSON (inline or a file path)")
-    sp.add_argument("--family", choices=["S", "T", "u", "random"], help="named harmonic family")
+def _add_common_options(sp):
+    sp.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
+    _add_output_options(sp)
+
+
+def _add_polynomial_inputs(sp, inputs):
+    """--poly and --family into the exclusive group ``inputs``; --k, --d, --seed."""
+    inputs.add_argument("--poly", help="polynomial JSON (inline or a file path)")
+    inputs.add_argument("--family", choices=["S", "T", "u", "random"], help="named harmonic family")
     sp.add_argument("--k", type=int, help="family index / degree")
     sp.add_argument("--d", type=int, help="dimension for the u/random families")
     sp.add_argument("--seed", type=int, default=0, help="seed for the random family")
+
+
+def _add_io_options(sp):
+    """Exactly one input: a --function table or a polynomial."""
+    inputs = sp.add_mutually_exclusive_group(required=True)
+    inputs.add_argument("--function", help="lattice function JSON file")
+    _add_polynomial_inputs(sp, inputs)
+    sp.add_argument("--sparse", action="store_true", help="omitted table points default to 0")
+
+
+def _add_q_check(csub, kind: str, help: str):
+    """The parser of a check of Q: one input, --precision, --format, --out and --n."""
+    sp = csub.add_parser(kind, help=help)
+    _add_io_options(sp)
     _add_common_options(sp)
-    if with_explore:
-        sp.add_argument(
-            "--explore",
-            action="store_true",
-            help="check outside the guarantee hypotheses (verdict marked accordingly)",
-        )
+    sp.add_argument("--n", type=int, required=True)
+    return sp
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -309,43 +315,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("growth", help="exact growth report of a function")
     _add_io_options(g)
+    _add_output_options(g)
     g.add_argument("--n-max", type=int, required=True)
     g.add_argument("--newton", action="store_true", help="emit the binomial coefficients a_k")
     g.add_argument("--diff-cols", type=int, default=6, help="difference columns in CSV output")
     g.set_defaults(handler=_cmd_growth)
 
     c = sub.add_parser("check", help="certified inequality verdicts")
+    c.set_defaults(handler=_cmd_check)
     csub = c.add_subparsers(dest="check_kind", required=True)
+    explore = "check outside the guarantee hypotheses (verdict marked accordingly)"
 
-    tc = csub.add_parser("three-circles", help="1:2:4 bound with error term")
-    _add_io_options(tc, with_explore=True)
-    tc.add_argument("--n", type=int, required=True)
+    tc = _add_q_check(csub, "three-circles", "1:2:4 bound with error term")
+    tc.add_argument("--explore", action="store_true", help=explore)
     tc.add_argument("--eps", required=True)
-    tc.set_defaults(handler=_cmd_check)
 
-    gp = csub.add_parser("general-p", help="1:P:P^2 bound with error term")
-    _add_io_options(gp, with_explore=True)
-    gp.add_argument("--n", type=int, required=True)
+    gp = _add_q_check(csub, "general-p", "1:P:P^2 bound with error term")
+    gp.add_argument("--explore", action="store_true", help=explore)
     gp.add_argument("--P", required=True)
     gp.add_argument("--eps", required=True)
-    gp.set_defaults(handler=_cmd_check)
 
-    ne = csub.add_parser("no-error", help="error-free bound for degree-bounded inputs")
-    _add_io_options(ne)
-    ne.add_argument("--n", type=int, required=True)
+    ne = _add_q_check(csub, "no-error", "error-free bound for degree-bounded inputs")
     ne.add_argument("--eps", required=True)
     ne.add_argument("--degree", type=int, required=True, help="degree bound M")
-    ne.set_defaults(handler=_cmd_check)
 
-    r125 = csub.add_parser("ratio-125", help="perturbed 1:2:4(1+delta) bound")
-    _add_io_options(r125)
-    r125.add_argument("--n", type=int, required=True)
+    r125 = _add_q_check(csub, "ratio-125", "perturbed 1:2:4(1+delta) bound")
     r125.add_argument("--delta", required=True)
-    r125.set_defaults(handler=_cmd_check)
 
-    asp = csub.add_parser("aspect", help="general aspect-ratio bound")
-    _add_io_options(asp)
-    asp.add_argument("--n", type=int, required=True)
+    asp = _add_q_check(csub, "aspect", "general aspect-ratio bound")
     asp.add_argument("--p", required=True)
     asp.add_argument("--P", required=True)
     asp.add_argument("--eps", required=True)
@@ -356,12 +353,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="solve P^alpha = p^(1-alpha) with certified logarithms",
     )
-    asp.set_defaults(handler=_cmd_check)
 
     cont = csub.add_parser("continuous", help="exact continuous-time bound")
-    _add_io_options(cont)
+    _add_polynomial_inputs(cont, cont.add_mutually_exclusive_group(required=True))
+    _add_output_options(cont)
     cont.add_argument("--t", required=True)
-    cont.set_defaults(handler=_cmd_check)
 
     bino = csub.add_parser("binomial", help="per-degree binomial inequality")
     _add_common_options(bino)
@@ -369,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     bino.add_argument("--k", type=int, required=True)
     bino.add_argument("--P", required=True)
     bino.add_argument("--eps", required=True)
-    bino.set_defaults(handler=_cmd_check)
 
     s = sub.add_parser("search", help="searches")
     ssub = s.add_subparsers(dest="search_kind", required=True)
@@ -403,14 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(args) -> int:
-    config = CommandConfig(
-        precision=getattr(args, "precision", DEFAULT_PRECISION),
-        fmt=getattr(args, "fmt", "json"),
-        out=getattr(args, "out", None),
-    )
-    if config.precision < 1:
+    if getattr(args, "precision", DEFAULT_PRECISION) < 1:
         raise UsageError("--precision must be >= 1")
-    return args.handler(args, config)
+    return args.handler(args)
 
 
 def main(argv=None) -> int:

@@ -13,10 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import balls
 from .errors import HarmError, HarmonicityError, InvalidParameterError, VanishingHypothesisError
 from .growth import _newton_via_laplacian, growth_polynomial
-from .polynomials import MultivariatePolynomial, discrete_laplacian, evaluate_on_ball
+from .polynomials import (
+    MultivariatePolynomial,
+    discrete_laplacian,
+    evaluate_on_ball,
+    is_harmonic_poly,
+)
 
 
 def _directional_difference_poly(P: MultivariatePolynomial, axis: int, sign: int):
@@ -32,7 +36,7 @@ def degree_bound(P: MultivariatePolynomial) -> int:
     degree, with the check of :func:`harmlat.growth.growth_polynomial`
     (walk route against cascade on B_{2 deg}, vanishing tail).
     """
-    if not discrete_laplacian(P).is_zero():
+    if not is_harmonic_poly(P):
         raise HarmonicityError("degree bound is stated for harmonic polynomials")
     if P.is_zero():
         return 0
@@ -87,7 +91,7 @@ def vanishing_ball_test(P: MultivariatePolynomial, M: int | None = None) -> Vani
     Raises :class:`VanishingHypothesisError` with a witness point when
     the polynomial does not vanish on B_M.
     """
-    if not discrete_laplacian(P).is_zero():
+    if not is_harmonic_poly(P):
         raise HarmonicityError("vanishing-ball rigidity is stated for harmonic polynomials")
     deg = P.degree
     if M is None:
@@ -96,13 +100,12 @@ def vanishing_ball_test(P: MultivariatePolynomial, M: int | None = None) -> Vani
         raise InvalidParameterError("M must be non-negative")
     if deg > M:
         raise InvalidParameterError(f"polynomial has degree {deg} > M = {M}")
-    for point in balls.ball_points(P.d, M):
-        v = P.evaluate(point)
+    u = evaluate_on_ball(P, M)
+    for point, v in u.items():
         if v != 0:
             raise VanishingHypothesisError(
                 f"polynomial does not vanish on B_{M}: value {v} at {point}", point, v
             )
-    u = evaluate_on_ball(P, M)
     coeffs = _newton_via_laplacian(u)
     if any(a != 0 for a in coeffs):
         raise HarmError("nonzero growth coefficient despite vanishing on the ball")

@@ -33,7 +33,6 @@ from harmlat import (
     monte_carlo_Q,
     no_error_check,
     polynomial_report,
-    q_table,
     ratio_125_check,
     sk_polynomial,
     sos_laplacian_power,
@@ -277,7 +276,6 @@ def test_c11_conjecture_scan():
     assert len(lines) == 35
     for line in lines[1:]:
         assert len(line.split(",")) == 11
-    report = q_table("S", 6, 200)
     for row in result.rows:
         verdict = convexity_defect_check(row.q_n, row.q_2n, row.q_4n, row.n, 1, F(1, 10))
         assert (verdict.status == "holds") == bool(row.violation), row.n

@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import harmlat
-from harmlat import evaluate_on_ball, monomial_uk, polynomial_report
+from harmlat import cli, evaluate_on_ball, monomial_uk, polynomial_report
 from harmlat.cli import main
+from harmlat.growth import GrowthReport, growth_polynomial
 from harmlat.rationals import parse_rational
 
 
@@ -194,6 +195,21 @@ def test_check_aspect_requires_alpha_choice(capsys):
          "--seed", "1"],
         ["conjecture", "scan", "--family", "random", "--k", "3", "--d", "2", "--C", "1",
          "--eps", "1/10"],
+        # growth computes no enclosure, so it takes no --precision
+        ["growth", "--family", "S", "--k", "3", "--n-max", "4", "--precision", "3"],
+        # the continuous check is exact and reads a polynomial only
+        ["check", "continuous", "--family", "S", "--k", "3", "--t", "1", "--precision", "64"],
+        ["check", "continuous", "--family", "S", "--k", "3", "--t", "1", "--sparse"],
+        ["check", "continuous", "--function", "f.json", "--t", "1"],
+        # one input at a time
+        ["check", "three-circles", "--poly", '{"d":2,"terms":[[[1,0],"1"]]}', "--family", "S",
+         "--k", "3", "--n", "20", "--eps", "1/4"],
+        ["check", "three-circles", "--function", "f.json", "--family", "S", "--k", "3",
+         "--n", "20", "--eps", "1/4"],
+        # --sparse fills the points a --function table omits
+        ["check", "three-circles", "--family", "S", "--k", "3", "--n", "20", "--eps", "1/4",
+         "--sparse"],
+        ["growth", "--family", "S", "--k", "3", "--n-max", "4", "--sparse"],
     ],
 )
 def test_parser_errors_exit_3_not_undecided(capsys, argv):
@@ -327,6 +343,14 @@ def test_malformed_rational_exit_3(capsys):
     assert "rational" in err
 
 
+def test_precision_below_one_exit_3(capsys):
+    code, out, err = run(
+        capsys, "check", "binomial", "--n", "20", "--k", "2", "--P", "2", "--eps", "1/4",
+        "--precision", "0",
+    )
+    assert (code, out, err) == (3, "", "error: --precision must be >= 1\n")
+
+
 def test_missing_input_exit_3(capsys):
     code, _, err = run(capsys, "check", "three-circles", "--n", "20", "--eps", "0")
     assert code == 3
@@ -363,3 +387,60 @@ def test_internal_failure_exit_4(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err == "error: internal failure: MemoryError: no room for the table\n"
+
+
+# deg 35, so 2 deg = 70: the small n of each kind needs Q up to some
+# needed_n < 70 (a partial growth polynomial), the large n beyond it
+_INPUTS = {
+    "family": ["--family", "S", "--k", "35"],
+    "poly": ["--poly", json.dumps(
+        (harmlat.sk_polynomial(35) + harmlat.tk_polynomial(20).scale(Fraction(1, 3))).to_json()
+    )],
+}
+_KINDS = {
+    "three-circles": (["--eps", "1/4", "--explore"], 5, 20),
+    "general-p": (["--P", "3/2", "--eps", "1/4", "--explore"], 5, 40),
+    "no-error": (["--eps", "0", "--degree", "4"], 17, 20),
+    "ratio-125": (["--delta", "1/8"], 3, 20),
+    "aspect": (["--p", "3", "--P", "2", "--eps", "1/4", "--derive-alpha"], 2, 15),
+}
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["partial", "complete"])
+@pytest.mark.parametrize("source", sorted(_INPUTS))
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_check_reads_q_from_growth_polynomial(capsys, monkeypatch, kind, source, side):
+    """A check on a polynomial prints what its checker gives on the full report."""
+    options, *ns = _KINDS[kind]
+    built = []
+
+    def spy(P, n_max):
+        built.append(growth_polynomial(P, n_max))
+        return built[-1]
+
+    def via_report(P, n_max):
+        return growth_polynomial(P, n_max).report(n_max)
+
+    for fmt in ("json", "csv"):
+        argv = ["check", kind, *_INPUTS[source], "--n", str(ns[side]), *options, "--format", fmt]
+        monkeypatch.setattr(cli, "growth_polynomial", spy)
+        got = run(capsys, *argv)
+        monkeypatch.setattr(cli, "growth_polynomial", via_report)
+        assert got == run(capsys, *argv)
+        assert got[0] in (0, 1) and got[2] == ""
+    assert [g.n_max is None for g in built] == [bool(side)] * 2
+
+
+def test_check_large_n_builds_no_report(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a check must not build a growth report")
+
+    monkeypatch.setattr(GrowthReport, "from_values", refuse)
+    code, out, err = run(
+        capsys, "check", "three-circles", "--family", "S", "--k", "6", "--n", "4000",
+        "--eps", "1/4",
+    )
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert obj["status"] == "holds" and obj["hypothesis_met"] is True
+    assert parse_rational(obj["lhs"]) == growth_polynomial(harmlat.sk_polynomial(6)).Q(8000)

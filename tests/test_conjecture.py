@@ -57,7 +57,6 @@ def test_q_table_rejects_bad_family():
 
 
 def test_q_table_resource_cap(monkeypatch):
-    # the cap applies to the enumerated ball B_{min(n_max, 2 deg)}
     monkeypatch.setenv("HARM_MAX_CELLS", "1000")
     with pytest.raises(ResourceLimitError):
         q_table("S", 20, 200)  # B_40 of Z^2: 3281 cells
@@ -75,7 +74,6 @@ def test_scan_k1_no_violation():
 def test_scan_k6_window_runs_and_is_consistent():
     result = conjecture_scan(6, 1, F(1, 10), 17, 30)
     assert len(result.rows) == 14
-    report = q_table("S", 6, 120)
     for row in result.rows:
         assert row.q_n > 0  # positivity at n >= k for this family
         assert row.ratio == row.q_2n**2 / (row.q_n * row.q_4n)
