@@ -1,12 +1,13 @@
 """Command line interface: one binary, verb-noun subcommands, exact I/O.
 
 All numeric parameters are parsed as exact rationals ("3/4", "0.25",
-"7").  `--family random` is fully determined by --seed, which only the
-commands offering the random family accept.  Exit codes: 0
-holds/confirmed, 1 fails/violation-found (the expected success of
-`search`), 2 undecided, 3 usage (parser errors included), hypothesis or
-resource-cap errors, 4 internal failure (any other exception, e.g. out
-of memory).  `--help` and `--version` exit 0.  Exact integers print in
+"7").  `--family random` is fully determined by --seed (default 0);
+--k, --d and --seed are refused where the input does not read them.
+Exit codes: 0 holds/confirmed, 1 fails/violation-found (the expected
+success of `search`), 2 undecided, 3 usage (parser errors included),
+hypothesis or resource-cap errors, 4 internal failure (any other
+exception, e.g. out of memory); a reader that closes stdout early
+changes none of them.  `--help` and `--version` exit 0.  Exact integers print in
 full, however long: a command lifts the interpreter's limit on
 int-to-str digits while it runs.  A command registers only the options
 it reads; --function, --poly and --family exclude one another.  A check
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Optional
 
@@ -40,7 +42,7 @@ from .checks import (
 )
 from .conjecture import conjecture_scan
 from .errors import HarmError, HarmonicityError, UsageError
-from .growth import growth_polynomial, growth_report
+from .growth import _difference_triangle, growth_polynomial, growth_report
 from .lattice import LatticeFunction
 from .polynomials import MultivariatePolynomial, family_polynomial, is_harmonic_poly
 from .rationals import format_rational, parse_rational
@@ -58,10 +60,15 @@ def _emit(args, text: str) -> None:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
-    else:
+        return
+    if not text.endswith("\n"):
+        text += "\n"
+    try:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early; what is left, and the flush at exit, go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _emit_json(args, obj: dict) -> None:
@@ -100,9 +107,18 @@ def _emit_verdict(args, v: Verdict, extra: Optional[dict] = None) -> int:
 # -- input loading ---------------------------------------------------------------
 
 
+def _refuse_family_options(args, options=("k", "d", "seed")) -> None:
+    """A usage error for any of ``options`` given although the input does not read it."""
+    given = [f"--{o}" for o in options if getattr(args, o) is not None]
+    if given:
+        reader = "--family random" if args.family else "--family"
+        raise UsageError(f"{', '.join(given)} not read by this input (only by {reader})")
+
+
 def _load_polynomial(args) -> MultivariatePolynomial:
     """The --poly or --family input; the parser demands exactly one of the inputs."""
     if args.poly:
+        _refuse_family_options(args)
         raw = args.poly
         try:
             if raw.strip().startswith("{"):
@@ -113,12 +129,16 @@ def _load_polynomial(args) -> MultivariatePolynomial:
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read polynomial: {exc}") from exc
         return MultivariatePolynomial.from_json(obj)
+    if args.family != "random":
+        _refuse_family_options(args, ["seed"])
     if args.k is None:
         raise UsageError("--family needs --k")
-    return family_polynomial(args.family, args.k, args.d, args.seed)
+    seed = 0 if args.seed is None else args.seed
+    return family_polynomial(args.family, args.k, args.d, seed)
 
 
 def _load_function(args, needed_radius: int) -> LatticeFunction:
+    _refuse_family_options(args)
     try:
         with open(args.function) as fh:
             obj = json.load(fh)
@@ -154,12 +174,14 @@ def _cmd_growth(args) -> int:
                 lines.append(f"{k},{format_rational(a)}")
         else:
             K = min(args.diff_cols, report.n_max)
+            rows = _difference_triangle(report.values)  # the rows after these are zero
+            rows += [[0] * (report.n_max + 1 - j) for j in range(len(rows), K + 1)]
             header = "n,Q" + "".join(f",d{j}" for j in range(1, K + 1))
             lines = [header]
             for n in range(report.n_max + 1):
                 cells = [str(n), format_rational(report.Q(n))]
                 for j in range(1, K + 1):
-                    row = report.triangle[j]
+                    row = rows[j]
                     cells.append(format_rational(row[n]) if n < len(row) else "")
                 lines.append(",".join(cells))
         _emit(args, "\n".join(lines) + "\n")
@@ -258,14 +280,16 @@ def _cmd_conjecture_scan(args) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
-def _add_output_options(sp):
-    sp.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
+def _add_output_options(sp, csv: bool = True):
+    """--out, and --format json|csv for a command that can print CSV."""
+    if csv:
+        sp.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
     sp.add_argument("--out", help="write output to this file instead of stdout")
 
 
-def _add_common_options(sp):
+def _add_common_options(sp, csv: bool = True):
     sp.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
-    _add_output_options(sp)
+    _add_output_options(sp, csv)
 
 
 def _add_polynomial_inputs(sp, inputs):
@@ -274,7 +298,7 @@ def _add_polynomial_inputs(sp, inputs):
     inputs.add_argument("--family", choices=["S", "T", "u", "random"], help="named harmonic family")
     sp.add_argument("--k", type=int, help="family index / degree")
     sp.add_argument("--d", type=int, help="dimension for the u/random families")
-    sp.add_argument("--seed", type=int, default=0, help="seed for the random family")
+    sp.add_argument("--seed", type=int, help="seed for the random family (default 0)")
 
 
 def _add_io_options(sp):
@@ -369,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("search", help="searches")
     ssub = s.add_subparsers(dest="search_kind", required=True)
     ce = ssub.add_parser("counterexample", help="certified violation near n = k^2/ln k")
-    _add_common_options(ce)
+    _add_common_options(ce, csv=False)
     ce.add_argument("--C", required=True)
     ce.add_argument("--eps", required=True)
     ce.add_argument("--k-max", type=int, required=True)

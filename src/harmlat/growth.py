@@ -5,11 +5,11 @@ the origin, computed exactly as
 
     Q_u(n) = sum_x u(x)^2 W(n, x) / (2d)^n,
 
-where W(n, x) counts n-step walks ending at x.  The module also builds
-the forward-difference triangle of Q and its expansion in the binomial
-basis, whose coefficients a_k independently equal the iterated-Laplacian
-values L^k(u^2)(0), a cross-check performed on every report, and a
-seeded Monte Carlo estimator used as a statistical oracle.
+where W(n, x) counts n-step walks ending at x.  A growth report holds
+Q(0..N) and its binomial coefficients a_k, Q(n) = sum_k a_k C(n, k),
+which independently equal the iterated-Laplacian values L^k(u^2)(0), a
+cross-check performed on every report; its forward differences are taken
+on demand.  A seeded Monte Carlo estimator serves as statistical oracle.
 
 For a polynomial P of degree M, a_k = 0 for k > M.  Its
 :class:`GrowthPolynomial` holds a_0..a_M, read off the report on the
@@ -29,14 +29,12 @@ tables are materialized from the quotient on demand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice, repeat
 from operator import add, mul, sub
 from typing import Optional
-
-import numpy as np
 
 from . import balls
 from .errors import (
@@ -183,11 +181,12 @@ def _newton_via_laplacian(
 
 
 def _difference_triangle(values: list) -> list:
-    """Forward differences of all orders, taken in integers over one denominator.
+    """The rows of forward differences of Q(0..N) before the first all-zero row.
 
-    The differences of an all-zero row are zero, so the rows after the
-    first all-zero row are filled with zeros, not computed; for the values
-    of a polynomial of degree M that is every row past M.
+    Row k holds Delta^k Q(n) for n = 0..N-k, taken in integers over one
+    denominator.  The differences of an all-zero row are zero, so every
+    later row is zero and none is returned; for the values of a
+    polynomial of degree M that is every row past M.
     """
     den = math.lcm(*(v.denominator for v in values))
     row = [v.numerator * (den // v.denominator) for v in values]
@@ -195,23 +194,25 @@ def _difference_triangle(values: list) -> list:
     while any(row):
         rows.append([Fraction(v, den) for v in row])
         row = list(map(sub, row[1:], row))
-    zero = Fraction(0)
-    rows += [[zero] * m for m in range(len(row), 0, -1)]
     return rows
+
+
+def _padded(coeffs, N: int) -> tuple:
+    """a_0..a_N from the leading coefficients, the rest zero."""
+    return (tuple(coeffs) + (Fraction(0),) * (N + 1))[: N + 1]
 
 
 @dataclass(frozen=True)
 class GrowthReport:
-    """Q(0..N), its forward-difference triangle and binomial coefficients.
+    """Q(0..N) and its binomial coefficients a_0..a_N.
 
-    ``triangle[k][n]`` is the k-th forward difference at n (k + n <= N);
-    ``newton[k] = triangle[k][0]``.  For reports built from a lattice
-    function, ``laplace_newton`` holds the independently computed values
+    Q(n) = sum_k a_k C(n, k), and ``newton[k] = a_k`` is the k-th forward
+    difference of Q at 0.  For reports built from a lattice function,
+    ``laplace_newton`` holds the independently computed values
     L^k(u^2)(0), verified equal to ``newton`` at construction.
     """
 
     values: tuple
-    triangle: tuple
     newton: tuple
     d: Optional[int] = None
     laplace_newton: Optional[tuple] = None
@@ -232,13 +233,8 @@ class GrowthReport:
         vals = [Fraction(v) for v in values]
         if not vals:
             raise InvalidParameterError("a growth report needs at least Q(0)")
-        tri = _difference_triangle(vals)
-        return cls(
-            values=tuple(vals),
-            triangle=tuple(tuple(r) for r in tri),
-            newton=tuple(r[0] for r in tri),
-            d=d,
-        )
+        newton = _padded((r[0] for r in _difference_triangle(vals)), len(vals) - 1)
+        return cls(values=tuple(vals), newton=newton, d=d)
 
     def to_json(self, include_newton: bool = False) -> dict:
         obj = {
@@ -255,8 +251,8 @@ class GrowthReport:
 def growth_report(u: LatticeFunction, n_max: Optional[int] = None) -> GrowthReport:
     """Full exact growth report of u up to n_max (default: the ball radius).
 
-    The binomial coefficients are computed twice, from the difference
-    triangle and through iterated Laplacians of u^2 at the origin; the
+    The binomial coefficients are computed twice, as forward differences
+    of Q at 0 and through iterated Laplacians of u^2 at the origin; the
     two routes must agree exactly or the report is refused.  The orbit
     square sums of u, the one pass over every cell of the ball, are
     computed once and feed both routes.  With n_max < R both routes run
@@ -271,21 +267,14 @@ def growth_report(u: LatticeFunction, n_max: Optional[int] = None) -> GrowthRepo
     twod = 2 * u.d
     rows = _orbit_walk_rows(u.d, N)
     values = [Fraction(sum(map(mul, rows[n], sums)), den2 * twod ** n) for n in range(N + 1)]
-    tri = _difference_triangle(values)
-    newton = tuple(r[0] for r in tri)
+    newton = _padded((r[0] for r in _difference_triangle(values)), N)
     laplace = tuple(_newton_via_laplacian(u, sums, N))
     if newton != laplace:
         raise HarmError(
             "internal inconsistency: difference-triangle coefficients disagree "
             "with iterated-Laplacian values"
         )
-    return GrowthReport(
-        values=tuple(values),
-        triangle=tuple(tuple(r) for r in tri),
-        newton=newton,
-        d=u.d,
-        laplace_newton=laplace,
-    )
+    return GrowthReport(tuple(values), newton, u.d, laplace)
 
 
 # -- absolute monotonicity ------------------------------------------------------
@@ -299,8 +288,8 @@ class AbsoluteMonotonicityResult:
 
 
 def check_absolute_monotonicity(report: GrowthReport) -> AbsoluteMonotonicityResult:
-    """All forward differences non-negative on the triangle k + n <= N."""
-    for k, row in enumerate(report.triangle):
+    """All forward differences non-negative on the triangle k + n <= N (zero rows skipped)."""
+    for k, row in enumerate(_difference_triangle(report.values)):
         for n, v in enumerate(row):
             if v < 0:
                 return AbsoluteMonotonicityResult(False, (k, n), v)
@@ -338,6 +327,7 @@ def monte_carlo_Q(
         raise OutOfRangeError(f"need 0 <= n <= {u.R}, got n={n}")
     if workers < 1:
         raise InvalidParameterError("need at least one worker stream")
+    import numpy as np  # the oracle alone needs numpy; no command loads it
     d = u.d
     twod = 2 * d
     span = 2 * n + 1
@@ -454,10 +444,10 @@ class GrowthPolynomial:
         return Fraction(total, den)
 
     def report(self, n_max: int) -> GrowthReport:
-        """The growth report of Q(0..n_max); ``laplace_newton`` is ``newton``, padded."""
-        report = GrowthReport.from_values([self.Q(n) for n in range(n_max + 1)], self.d)
-        newton = (self.newton + (Fraction(0),) * n_max)[: n_max + 1]
-        return replace(report, laplace_newton=newton)
+        """The report of Q(0..n_max) from the a_k held, which were checked on B_R."""
+        values = tuple(self.Q(n) for n in range(n_max + 1))
+        newton = _padded(self.newton, n_max)
+        return GrowthReport(values, newton, self.d, newton)
 
     @cached_property
     def continuous_coeffs(self) -> tuple:

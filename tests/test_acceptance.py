@@ -42,6 +42,7 @@ from harmlat import (
     vanishing_ball_test,
 )
 from harmlat.conjecture import SCAN_CSV_HEADER
+from harmlat.growth import _difference_triangle
 from harmlat.polynomials import is_harmonic_poly
 
 
@@ -102,7 +103,7 @@ def test_c04_absolute_monotonicity(corpus):
         res = check_absolute_monotonicity(m.report)
         if not res.holds:
             violations += 1
-        for k, row in enumerate(m.report.triangle):
+        for k, row in enumerate(_difference_triangle(m.report.values)):
             for n, v in enumerate(row):
                 if k + n <= 60:
                     assert v >= 0, (m.name, k, n)

@@ -11,10 +11,11 @@ from pathlib import Path
 import pytest
 
 import harmlat
-from harmlat import cli, evaluate_on_ball, monomial_uk, polynomial_report
+from harmlat import MultivariatePolynomial, cli, evaluate_on_ball, monomial_uk, polynomial_report
+from harmlat import growth
 from harmlat.cli import main
-from harmlat.growth import GrowthReport, growth_polynomial
-from harmlat.rationals import parse_rational
+from harmlat.growth import GrowthPolynomial, GrowthReport, growth_polynomial, growth_report
+from harmlat.rationals import format_rational, parse_rational
 
 
 def run(capsys, *argv):
@@ -23,15 +24,38 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def test_version_subprocess():
-    # the child imports the same harmlat as this process, installed or not
+def _child_env():
+    """The environment of a child that imports the same harmlat as this process."""
     src = str(Path(harmlat.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_version_subprocess():
     res = subprocess.run(
-        [sys.executable, "-m", "harmlat.cli", "--version"], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "harmlat.cli", "--version"], capture_output=True, text=True,
+        env=_child_env(),
     )
     assert res.returncode == 0
     assert "schema" in res.stdout
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy serves the Monte Carlo oracle only, which no command runs
+    code = "import sys, harmlat.cli; print('numpy' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
+    assert (res.returncode, res.stdout, res.stderr) == (0, "False\n", "")
+
+
+def test_closed_stdout_pipe_is_not_a_crash():
+    argv = ["search", "counterexample", "--C", "1", "--eps", "1/5", "--k-max", "30", "--n0", "100"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "harmlat.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
+    )
+    proc.stdout.close()  # the reader is gone before the search prints its witness
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (1, b"")
 
 
 def test_check_continuous_single_term(capsys):
@@ -98,6 +122,44 @@ def test_growth_csv(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "n,Q,d1,d2"
     assert lines[1].startswith("0,0,1/2,0")
+
+
+def _csv_from_full_triangle(values, diff_cols):
+    """The CSV of ``harm growth``, from every forward difference of the values."""
+    N = len(values) - 1
+    tri = [list(values)]
+    while len(tri) <= N:
+        tri.append([b - a for a, b in zip(tri[-1], tri[-1][1:])])
+    K = min(diff_cols, N)
+    lines = ["n,Q" + "".join(f",d{j}" for j in range(1, K + 1))]
+    for n in range(N + 1):
+        cells = [format_rational(row[n]) if n < len(row) else "" for row in tri[: K + 1]]
+        lines.append(",".join([str(n), *cells]))
+    return "\n".join(lines) + "\n"
+
+
+_NOT_HARMONIC = MultivariatePolynomial(2, {(3, 1): 1, (0, 2): Fraction(-2, 3), (1, 0): 5})
+
+
+@pytest.mark.parametrize("diff_cols", [2, 5, 14])  # below the degree, above it, above n_max
+@pytest.mark.parametrize("source", ["function", "not-harmonic", "family", "poly"])
+def test_growth_csv_equals_full_triangle(capsys, tmp_path, source, diff_cols):
+    N = 10
+    P = _NOT_HARMONIC if source == "not-harmonic" else harmlat.sk_polynomial(3)
+    if source == "family":
+        argv = ["--family", "S", "--k", "3"]
+    elif source == "poly":
+        argv = ["--poly", json.dumps(P.to_json())]
+    else:
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps(evaluate_on_ball(P, N).to_json()))
+        argv = ["--function", str(path)]
+    code, out, err = run(
+        capsys, "growth", *argv, "--n-max", str(N), "--format", "csv",
+        "--diff-cols", str(diff_cols),
+    )
+    assert (code, err) == (0, "")
+    assert out == _csv_from_full_triangle(growth_report(evaluate_on_ball(P, N)).values, diff_cols)
 
 
 def test_check_three_circles_family(capsys):
@@ -172,6 +234,9 @@ def test_check_aspect_requires_alpha_choice(capsys):
     assert "--alpha" in err
 
 
+_X = '{"d":2,"terms":[{"alpha":[1,0],"coeff":"1"}]}'  # the polynomial x
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -210,6 +275,18 @@ def test_check_aspect_requires_alpha_choice(capsys):
         ["check", "three-circles", "--family", "S", "--k", "3", "--n", "20", "--eps", "1/4",
          "--sparse"],
         ["growth", "--family", "S", "--k", "3", "--n-max", "4", "--sparse"],
+        # the search prints JSON only
+        ["search", "counterexample", "--C", "1", "--eps", "1/5", "--k-max", "30",
+         "--format", "csv"],
+        # --k, --d and --seed belong to --family; --seed to --family random
+        ["check", "three-circles", "--poly", _X, "--k", "3", "--n", "20", "--eps", "1/4"],
+        ["check", "three-circles", "--poly", _X, "--d", "7", "--n", "20", "--eps", "1/4"],
+        ["check", "three-circles", "--poly", _X, "--seed", "5", "--n", "20", "--eps", "1/4"],
+        ["growth", "--poly", _X, "--seed", "5", "--n-max", "4"],
+        ["check", "continuous", "--poly", _X, "--k", "3", "--t", "1"],
+        ["check", "three-circles", "--family", "S", "--k", "3", "--seed", "5", "--n", "20",
+         "--eps", "1/4"],
+        ["growth", "--family", "u", "--k", "2", "--d", "2", "--seed", "0", "--n-max", "4"],
     ],
 )
 def test_parser_errors_exit_3_not_undecided(capsys, argv):
@@ -217,6 +294,15 @@ def test_parser_errors_exit_3_not_undecided(capsys, argv):
     assert code == 3
     assert out == ""
     assert "error:" in err
+
+
+@pytest.mark.parametrize("option", [["--k", "3"], ["--d", "2"], ["--seed", "0"]])
+def test_family_options_refused_with_function_table(capsys, tmp_path, option):
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps(evaluate_on_ball(monomial_uk(2, 2), 4).to_json()))
+    code, out, err = run(capsys, "growth", "--function", str(path), "--n-max", "4", *option)
+    assert (code, out) == (3, "")
+    assert f"{option[0]} not read by this input" in err
 
 
 def test_help_still_exits_0(capsys):
@@ -435,7 +521,15 @@ def test_check_large_n_builds_no_report(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a check must not build a growth report")
 
+    growth_triangle = growth._difference_triangle
+
+    def differences_on_b12_only(values):
+        # the walk route of growth_polynomial(S_6) reads B_12, so 13 values
+        return growth_triangle(values) if len(values) <= 13 else refuse()
+
     monkeypatch.setattr(GrowthReport, "from_values", refuse)
+    monkeypatch.setattr(GrowthPolynomial, "report", refuse)
+    monkeypatch.setattr(growth, "_difference_triangle", differences_on_b12_only)
     code, out, err = run(
         capsys, "check", "three-circles", "--family", "S", "--k", "6", "--n", "4000",
         "--eps", "1/4",

@@ -29,6 +29,7 @@ from harmlat import (
     sk_polynomial,
     walk_counts,
 )
+from harmlat import growth
 from harmlat.balls import orbit_table
 from harmlat.growth import _difference_triangle, _orbit_walk_rows
 
@@ -199,9 +200,9 @@ def test_quotient_cascade_matches_plain_laplacian_deep():
 
 def test_report_triangle_recurrence():
     u = evaluate_on_ball(sk_polynomial(3), 7)
-    rep = growth_report(u)
-    for k in range(1, len(rep.triangle)):
-        prev, cur = rep.triangle[k - 1], rep.triangle[k]
+    tri = _difference_triangle(growth_report(u).values)
+    for k in range(1, len(tri)):
+        prev, cur = tri[k - 1], tri[k]
         for n in range(len(cur)):
             assert cur[n] == prev[n + 1] - prev[n]
 
@@ -232,6 +233,7 @@ def test_report_n_max_trimming():
     u = evaluate_on_ball(monomial_uk(2, 1), 9)
     rep = growth_report(u, n_max=5)
     assert rep.n_max == 5
+    assert growth_report(u, n_max=0).newton == (0,)  # u(0) = 0: no difference row at all
 
 
 @pytest.mark.parametrize(
@@ -248,7 +250,6 @@ def test_report_below_radius_equals_truncated_full_report(u):
     for N in range(u.R):
         rep = growth_report(u, N)
         assert rep.values == full.values[: N + 1]
-        assert rep.triangle == tuple(row[: N + 1 - k] for k, row in enumerate(full.triangle[: N + 1]))
         assert rep.newton == full.newton[: N + 1]
         assert rep.laplace_newton == full.laplace_newton[: N + 1]
         assert rep.d == full.d
@@ -274,9 +275,21 @@ def test_polynomial_report_matches_walk_route_beyond_2deg(P):
     fast = polynomial_report(P, N)
     walk = growth_report(evaluate_on_ball(P, N))
     assert fast.values == walk.values
-    assert fast.triangle == walk.triangle
     assert fast.newton == walk.newton
     assert fast.laplace_newton == walk.laplace_newton
+
+
+@pytest.mark.parametrize("N", [0, 3, 8, 15])
+def test_polynomial_report_takes_no_differences(monkeypatch, N):
+    P = random_harmonic(2, 5, 12)
+    walk = growth_report(evaluate_on_ball(P, N))
+    grown = growth_polynomial(P)
+
+    def refuse(values):
+        raise AssertionError("a growth polynomial knows its a_k; it takes no differences")
+
+    monkeypatch.setattr(growth, "_difference_triangle", refuse)
+    assert grown.report(N) == walk
 
 
 @st.composite
@@ -343,7 +356,9 @@ def _full_triangle(values):
     ],
 )
 def test_early_stop_triangle_equals_full_triangle(values):
-    assert _difference_triangle(values) == _full_triangle(values)
+    rows, full = _difference_triangle(values), _full_triangle(values)
+    assert rows == full[: len(rows)]
+    assert not any(map(any, full[len(rows) :]))
 
 
 # -- continuous-time growth ----------------------------------------------------------------
