@@ -32,11 +32,10 @@ The counterexample search decides most candidates without any
 enclosure: its error term is non-negative, so when the main term alone
 reaches the left-hand side (an exact integer comparison of squares) the
 violation is certified false.  Only candidates that pass this square
-test reach the precision ladder of :func:`convexity_defect_check`.  The
-search steps its binomials along n by exact integer recurrences in
-place of fresh binomial evaluations, and for C > 1 it first tries an
-O(1) rational upper bound on the log of the squared ratio, which rules
-most candidates out before any binomial is built.
+test reach the precision ladder of :func:`convexity_defect_check`.  For
+C > 1 the search first settles the square test in fixed-point integers,
+by an O(1) bound on the log of the squared ratio and then by a running
+product of the ratio, so most candidates never build a binomial.
 
 A checker of Q takes ``growth``, any object whose ``Q(n)`` returns the
 exact growth value at n (a GrowthReport or a GrowthPolynomial), and
@@ -55,6 +54,7 @@ from typing import Optional
 
 from .enclosure import (
     RealEnclosure,
+    _ln_fx,
     enclose_pow,
     exp_enclosure,
     ln_enclosure,
@@ -622,9 +622,16 @@ class CounterexampleSearchResult:
 
 
 def k2_over_ln_k_floors(k: int) -> tuple:
-    """Floors of both ends of a 96-bit enclosure of k^2 / ln k, for k >= 2."""
-    target = RealEnclosure.exact(Fraction(k * k)) / ln_enclosure(Fraction(k), 96)
-    return math.floor(target.lo), math.floor(target.hi)
+    """Floors of both ends of the enclosure k^2 / ln_enclosure(k, 96), for k >= 2.
+
+    Read in integers from the fixed-point bounds of ln k: with
+    lo/2^wp <= ln k <= hi/2^wp the ends are k^2 2^wp / hi and k^2 2^wp / lo.
+    """
+    if k < 2:
+        raise InvalidParameterError(f"k^2 / ln k needs k >= 2, got k={k}")
+    lo, hi, wp = _ln_fx(k, 1, 96)
+    scaled = k * k << wp
+    return scaled // hi, scaled // lo
 
 
 def _nstar_candidates(k: int) -> list:
@@ -638,34 +645,49 @@ def _nstar_candidates(k: int) -> list:
     return sorted(c for c in cands if c >= 1)
 
 
-def _step_binomials(k: int, m: int, binomials: tuple, n: int) -> tuple:
-    """(binom(n,k), binom(2n,k), binom(4n,k)) from the same triple at m, for k <= m < n.
+def _log_ratio_bound(n: int, k: int, l_num: int, l_den: int) -> bool:
+    """Whether U <= l_num / l_den (l_den > 0), for n >= k >= 1, in integers.
 
-    Each unit step uses binom(j+1,k) = binom(j,k) (j+1) / (j+1-k), whose
-    division is exact; 2m and 4m take two and four such factors per step.
+    U = n k(k-1) / (2 (n-k+1)(4n-k+1)) bounds the log ratio
+    ln(binom(2n,k)^2 / (binom(n,k) binom(4n,k))) from above: the ratio
+    is the product over j < k of (2n-j)^2 / ((n-j)(4n-j))
+    = 1 + nj / ((n-j)(4n-j)), and ln(1+t) <= t and (n-j)(4n-j) >=
+    (n-k+1)(4n-k+1) give the bound.
     """
-    b_n, b_2n, b_4n = binomials
-    for j in range(m, n):
-        b_n = b_n * (j + 1) // (j + 1 - k)
-        t = 2 * j
-        b_2n = b_2n * ((t + 1) * (t + 2)) // ((t + 1 - k) * (t + 2 - k))
-        t = 4 * j
-        b_4n = (
-            b_4n
-            * ((t + 1) * (t + 2) * (t + 3) * (t + 4))
-            // ((t + 1 - k) * (t + 2 - k) * (t + 3 - k) * (t + 4 - k))
-        )
-    return b_n, b_2n, b_4n
+    return n * k * (k - 1) * l_den <= 2 * (n - k + 1) * (4 * n - k + 1) * l_num
 
 
-def _log_ratio_bound(n: int, k: int) -> Fraction:
-    """U >= ln(binom(2n,k)^2 / (binom(n,k) binom(4n,k))) for n >= k >= 1.
+def _square_ratio_upper(n: int, k: int, p: int) -> int:
+    """hi with S <= hi / 2^p <= S (1 + k / 2^p), for n >= k >= 1.
 
-    The ratio is the product over j < k of (2n-j)^2 / ((n-j)(4n-j))
-    = 1 + nj / ((n-j)(4n-j)); ln(1+t) <= t and (n-j)(4n-j) >=
-    (n-k+1)(4n-k+1) give U = n k(k-1) / (2 (n-k+1)(4n-k+1)).
+    S = binom(2n,k)^2 / (binom(n,k) binom(4n,k)), the product over
+    0 < j < k of f_j = (2n-j)^2 / ((n-j)(4n-j)), is multiplied up in
+    p-bit fixed point, each step rounded up.  A step's rounding adds at
+    most one ulp, and the later factors, each >= 1, scale it by at most
+    S, so hi <= S (2^p + k).
     """
-    return Fraction(n * k * (k - 1), 2 * (n - k + 1) * (4 * n - k + 1))
+    hi = 1 << p
+    n2, n4 = 2 * n, 4 * n
+    for j in range(1, k):
+        t = n2 - j
+        hi = -(hi * t * t // -((n - j) * (n4 - j)))
+    return hi
+
+
+def _square_ratio_rules_out(n: int, k: int, c_num2: int, c_den2: int, precision: int) -> bool:
+    """Whether S <= C^2 = c_num2 / c_den2 is certified at a rung of the ladder.
+
+    That is the exact square test's "no violation", decided without the
+    binomials.  The ladder stops early once hi / (2^p + k) > C^2, which
+    certifies S > C^2.
+    """
+    for p in _ladder(precision):
+        hi = _square_ratio_upper(n, k, p)
+        if c_den2 * hi <= c_num2 << p:
+            return True
+        if c_den2 * hi > c_num2 * ((1 << p) + k):
+            return False
+    return False
 
 
 def counterexample_search(
@@ -683,56 +705,59 @@ def counterexample_search(
     at (k, n) certifies that the coordinate-product harmonic function on
     Z^d (d >= k) violates Q(2n) <= C sqrt(Q(n)Q(4n)) + 2^(-n^(1/2+eps)) Q(4n),
     since its growth values are exact multiples of binom(., k).  Returns
-    an explicit not-found result when the range is exhausted.
+    an explicit not-found result when the range is exhausted; an empty
+    range (k_max < max(k_min, 2)) raises InvalidParameterError.
 
     A candidate with den(C)^2 binom(2n,k)^2 <= num(C)^2 binom(n,k) binom(4n,k)
-    is certified "no violation" by that integer comparison alone, because
-    the error term is non-negative; it counts as checked but never
-    reaches :func:`convexity_defect_check`, which would return ``fails``
-    at its first rung.  Only the candidates that pass this square test
-    run the enclosure ladder.  The test does not depend on eps.  Near
-    n = k^2/ln k, ln(binom(2n,k)^2 / (binom(n,k) binom(4n,k))) is about
-    (ln k)/8 and must exceed ln C^2, so at C = 2 it settles every
+    is certified "no violation" by that square test alone, because the
+    error term is non-negative; it counts as checked but never reaches
+    :func:`convexity_defect_check`, which would return ``fails`` at its
+    first rung.  The test does not depend on eps.  Near n = k^2/ln k,
+    ln S for S = binom(2n,k)^2 / (binom(n,k) binom(4n,k)) is about
+    (ln k)/8 and must exceed ln C^2, so at C = 2 the test settles every
     candidate below k = 65,455, the first k whose candidates pass it
-    (an exact sweep from k = 65,000).  binom(., k) is evaluated once
-    per k and stepped exactly to the later candidates
-    (:func:`_step_binomials`).
+    (an exact sweep from k = 65,000).
 
-    Before any binomial is built, a candidate with C > 1 and n >= k is
-    ruled out when the rational bound U = n k(k-1) / (2 (n-k+1)(4n-k+1))
-    of that log ratio (:func:`_log_ratio_bound`) is at most a certified
-    lower bound of ln C^2: then the square test could not pass.  Such a
-    candidate counts as checked and leaves the stepping state alone.
-    Near n = k^2/ln k, U exceeds the log ratio by about (ln k)^2/(16k),
-    so it stops deciding just below the crossover: at C = 2 it settles
-    every candidate up to k = 65,393, and from k = 65,394 on the
-    candidates take the exact route above.
+    For C > 1 and n >= k two filters settle the test without any
+    binomial, both in integers.  First, the O(1) bound
+    U = n k(k-1) / (2 (n-k+1)(4n-k+1)) >= ln S (:func:`_log_ratio_bound`)
+    is compared with a lower bound of ln C^2 computed once per search.
+    U exceeds ln S by about (ln k)^2/(16k), so it stops deciding just
+    below the crossover: at C = 2 it settles every candidate up to
+    k = 65,393.  Second, S is enclosed by a fixed-point running product
+    over the rungs of the precision ladder
+    (:func:`_square_ratio_rules_out`), which settles the candidates of
+    k = 65,394..65,454.  Every other candidate takes the exact route:
+    three binomials, the square test, then the ladder of
+    :func:`convexity_defect_check`.
     """
     C = Fraction(C)
     eps = Fraction(eps)
     if C <= 0 or eps <= 0:
         raise InvalidParameterError("need C > 0 and eps > 0")
-    if k_min < 2:
-        k_min = 2
+    k_min = max(k_min, 2)
+    if k_max < k_min:
+        raise InvalidParameterError(f"empty k range: k_max={k_max} is below k_min={k_min}")
     c_num2, c_den2 = C.numerator**2, C.denominator**2
     # ln C^2 from below; only C > 1 can absorb the positive bound U
     ln_c2 = ln_enclosure(C * C, precision).lo if C > 1 else None
     checked = 0
     undecided = []
     for k in range(k_min, k_max + 1):
-        m = binomials = None
         for n in _nstar_candidates(k):
             if n <= n0:
                 continue
             checked += 1
-            if ln_c2 is not None and n >= k and _log_ratio_bound(n, k) <= ln_c2:
+            if (
+                ln_c2 is not None
+                and n >= k
+                and (
+                    _log_ratio_bound(n, k, ln_c2.numerator, ln_c2.denominator)
+                    or _square_ratio_rules_out(n, k, c_num2, c_den2, precision)
+                )
+            ):
                 continue  # the square test below would rule it out
-            if m is not None and m >= k:
-                binomials = _step_binomials(k, m, binomials, n)
-            else:
-                binomials = (math.comb(n, k), math.comb(2 * n, k), math.comb(4 * n, k))
-            m = n
-            b_n, b_2n, b_4n = binomials
+            b_n, b_2n, b_4n = (math.comb(m, k) for m in (n, 2 * n, 4 * n))
             # the error term is >= 0, so a candidate failing this would fail the first rung
             square_ok = c_den2 * b_2n * b_2n > c_num2 * b_n * b_4n
             if not square_ok:

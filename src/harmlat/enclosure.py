@@ -27,14 +27,6 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def _fxp_floor(x: Fraction, wp: int) -> int:
-    return (x.numerator << wp) // x.denominator
-
-
-def _fxp_ceil(x: Fraction, wp: int) -> int:
-    return _ceil_div(x.numerator << wp, x.denominator)
-
-
 def _iroot(x: int, r: int) -> int:
     """floor(x ** (1/r)) for non-negative integers, exact."""
     if x < 0:
@@ -255,33 +247,35 @@ def _ln2_fx(wp: int) -> tuple:
     return cached
 
 
+def _ln_fx(num: int, den: int, prec: int) -> tuple:
+    """Fixed-point bounds (lo, hi, wp) of ln(num/den): lo/2^wp <= ln <= hi/2^wp.
+
+    num and den are positive integers.  x = num/den is normalized as
+    m 2^e with m = a/b in [1, 2), read off the bit lengths; the working
+    precision wp = prec + bits(|e|) + 32 pays for the e ln 2 term.
+    """
+    e = num.bit_length() - den.bit_length()
+    a, b = (num, den << e) if e >= 0 else (num << -e, den)
+    if a < b:  # x / 2^e lies in (1/2, 2)
+        a <<= 1
+        e -= 1
+    wp = prec + max(abs(e), 1).bit_length() + 32
+    # ln m = 2 atanh(z) with z = (m - 1)/(m + 1) in [0, 1/3)
+    z = (a - b) << wp
+    a_lo, a_hi = _atanh_fx(z // (a + b), _ceil_div(z, a + b), wp)
+    l2_lo, l2_hi = _ln2_fx(wp)
+    if e >= 0:
+        return 2 * a_lo + e * l2_lo, 2 * a_hi + e * l2_hi, wp
+    return 2 * a_lo + e * l2_hi, 2 * a_hi + e * l2_lo, wp
+
+
 def _ln_fraction(x: Fraction, prec: int) -> RealEnclosure:
     if x <= 0:
         raise InvalidParameterError("log of a non-positive value")
     if x == 1:
         return RealEnclosure.exact(0)
-    # normalize x = m * 2^e with m in [1, 2)
-    e = x.numerator.bit_length() - x.denominator.bit_length()
-    m = x / Fraction(2) ** e
-    while m < 1:
-        m *= 2
-        e -= 1
-    while m >= 2:
-        m /= 2
-        e += 1
-    wp = prec + max(abs(e), 1).bit_length() + 32
+    lo, hi, wp = _ln_fx(x.numerator, x.denominator, prec)
     one = 1 << wp
-    z = (m - 1) / (m + 1)
-    z_lo, z_hi = _fxp_floor(z, wp), _fxp_ceil(z, wp)
-    a_lo, a_hi = _atanh_fx(z_lo, z_hi, wp)
-    lnm_lo, lnm_hi = 2 * a_lo, 2 * a_hi
-    l2_lo, l2_hi = _ln2_fx(wp)
-    if e >= 0:
-        lo = lnm_lo + e * l2_lo
-        hi = lnm_hi + e * l2_hi
-    else:
-        lo = lnm_lo + e * l2_hi
-        hi = lnm_hi + e * l2_lo
     return RealEnclosure(Fraction(lo, one), Fraction(hi, one))
 
 

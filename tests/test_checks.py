@@ -30,11 +30,14 @@ from harmlat import (
 from harmlat import checks
 from harmlat.checks import (
     CounterexampleSearchResult,
+    _ladder,
     _log_ratio_bound,
     _max_status,
     _nstar_candidates,
-    _step_binomials,
+    _square_ratio_rules_out,
+    _square_ratio_upper,
     _verdict,
+    k2_over_ln_k_floors,
 )
 from harmlat.rng import SplitMix64
 
@@ -504,6 +507,12 @@ def test_search_rejects_bad_parameters():
         counterexample_search(0, F(1, 10), k_max=5)
     with pytest.raises(InvalidParameterError):
         counterexample_search(1, 0, k_max=5)
+    # an empty k range checks nothing
+    with pytest.raises(InvalidParameterError):
+        counterexample_search(2, F(1, 10), k_max=10, k_min=50)
+    with pytest.raises(InvalidParameterError):
+        counterexample_search(2, F(1, 10), k_max=1)
+    assert counterexample_search(2, F(1, 10), k_max=2, k_min=-5).k_range == (2, 2)
 
 
 def _reference_search(C, eps, k_max, n0):
@@ -561,14 +570,6 @@ def test_square_test_implies_ladder_fails(k, dn, C, eps):
             assert convexity_defect_check(*b, n, C, eps, precision=cap).status == "fails"
 
 
-@settings(max_examples=150, deadline=None)
-@given(k=st.integers(2, 80), dm=st.integers(0, 300), gap=st.integers(1, 40))
-def test_stepped_binomials_equal_comb(k, dm, gap):
-    m, n = k + dm, k + dm + gap
-    start = tuple(math.comb(j, k) for j in (m, 2 * m, 4 * m))
-    assert _step_binomials(k, m, start, n) == tuple(math.comb(j, k) for j in (n, 2 * n, 4 * n))
-
-
 def test_log_ratio_bound_rules_out_only_square_test_failures():
     # exhaustive: wherever U <= ln C^2 (certified from below) lets the search
     # skip a candidate, the exact square test would have ruled it out too
@@ -577,7 +578,7 @@ def test_log_ratio_bound_rules_out_only_square_test_failures():
         ln_c2 = ln_enclosure(C * C, 256).lo
         for k in range(2, 41):
             for n in range(k, 400):
-                if _log_ratio_bound(n, k) <= ln_c2:
+                if _log_ratio_bound(n, k, ln_c2.numerator, ln_c2.denominator):
                     ruled_out += 1
                     b_n, b_2n, b_4n = (math.comb(m, k) for m in (n, 2 * n, 4 * n))
                     assert C.denominator**2 * b_2n**2 <= C.numerator**2 * b_n * b_4n, (C, k, n)
@@ -622,10 +623,48 @@ def test_log_bound_settles_c2_near_k60000_without_binomials(monkeypatch):
         raise AssertionError("a binomial was built")
 
     monkeypatch.setattr(checks.math, "comb", no_binomials)
-    monkeypatch.setattr(checks, "_step_binomials", no_binomials)
     res = counterexample_search(F(2), F(1, 10), 60050, k_min=60000)
     assert not res.found and res.undecided == ()
     assert res.candidates_checked == sum(len(_nstar_candidates(k)) for k in range(60000, 60051))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(2, 80),
+    dn=st.integers(0, 400),
+    C=st.fractions(min_value=1, max_value=3, max_denominator=50),
+)
+def test_square_ratio_product_encloses_the_ratio(k, dn, C):
+    # every rung brackets S = binom(2n,k)^2 / (binom(n,k) binom(4n,k)), and a
+    # rung that certifies S <= C^2 agrees with the exact square test
+    n = k + dn
+    b_n, b_2n, b_4n = (math.comb(m, k) for m in (n, 2 * n, 4 * n))
+    S = F(b_2n * b_2n, b_n * b_4n)
+    square_rules_out = C.denominator**2 * b_2n**2 <= C.numerator**2 * b_n * b_4n
+    c_num2, c_den2 = C.numerator**2, C.denominator**2
+    for p in _ladder(256):
+        hi = _square_ratio_upper(n, k, p)
+        assert F(hi, (1 << p) + k) <= S <= F(hi, 1 << p), p
+        if c_den2 * hi <= c_num2 << p:
+            assert square_rules_out, p
+    if _square_ratio_rules_out(n, k, c_num2, c_den2, 256):
+        assert square_rules_out
+    # C^2 within 2^-99 below S: the square test passes, so no rung may rule it out
+    root = F(math.isqrt(S.numerator * 4**100 // S.denominator), 2**100)
+    if root * root < S:
+        assert not _square_ratio_rules_out(n, k, root.numerator**2, root.denominator**2, 256)
+
+
+def test_product_settles_c2_crossover_without_binomials(monkeypatch):
+    # k = 65,452..65,454 sit past the reach of U; the running product settles
+    # every candidate, and none passes the square test
+    def no_binomials(*args):
+        raise AssertionError("a binomial was built")
+
+    monkeypatch.setattr(checks.math, "comb", no_binomials)
+    res = counterexample_search(F(2), F(1, 10), 65454, k_min=65452)
+    assert not res.found and res.undecided == ()
+    assert res.candidates_checked == sum(len(_nstar_candidates(k)) for k in range(65452, 65455))
 
 
 def _window_before_sharing(k):
@@ -644,6 +683,20 @@ def _candidates_before_sharing(k):
     else:
         cands = {lo_f - 1, lo_f, lo_f + 1, lo_f + 2}
     return sorted(c for c in cands if c >= 1)
+
+
+def _floors_by_enclosure(k):
+    target = RealEnclosure.exact(F(k * k)) / ln_enclosure(F(k), 96)
+    return math.floor(target.lo), math.floor(target.hi)
+
+
+def test_integer_floors_equal_the_enclosure_route():
+    ks = list(range(2, 3001)) + list(range(60000, 70001, 97))
+    ks += [2**e + d for e in range(1, 21) for d in (-1, 0, 1) if 2**e + d >= 2]
+    assert [k2_over_ln_k_floors(k) for k in ks] == [_floors_by_enclosure(k) for k in ks]
+    for k in (1, 0, -3):
+        with pytest.raises(InvalidParameterError):
+            k2_over_ln_k_floors(k)
 
 
 def test_shared_k2_over_ln_k_keeps_windows_and_candidates():

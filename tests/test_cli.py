@@ -287,6 +287,9 @@ _X = '{"d":2,"terms":[{"alpha":[1,0],"coeff":"1"}]}'  # the polynomial x
         ["check", "three-circles", "--family", "S", "--k", "3", "--seed", "5", "--n", "20",
          "--eps", "1/4"],
         ["growth", "--family", "u", "--k", "2", "--d", "2", "--seed", "0", "--n-max", "4"],
+        # an empty k range checks nothing, so it cannot report "holds"
+        ["search", "counterexample", "--C", "2", "--eps", "1/10", "--k-min", "50",
+         "--k-max", "10"],
     ],
 )
 def test_parser_errors_exit_3_not_undecided(capsys, argv):

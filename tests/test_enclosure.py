@@ -15,6 +15,7 @@ from harmlat import (
     pow_enclosure,
     sqrt_enclosure,
 )
+from harmlat.enclosure import _atanh_fx, _ceil_div, _ln2_fx
 
 mpmath.mp.dps = 120
 
@@ -141,6 +142,49 @@ def test_ln_rejects_nonpositive():
         ln_enclosure(F(0), 64)
     with pytest.raises(InvalidParameterError):
         ln_enclosure(F(-1), 64)
+
+
+def _ln_before_core(x, prec):
+    """enclosure._ln_fraction as written before the integer core: Fraction normalization."""
+    if x == 1:
+        return RealEnclosure.exact(0)
+    e = x.numerator.bit_length() - x.denominator.bit_length()
+    m = x / F(2) ** e
+    while m < 1:
+        m *= 2
+        e -= 1
+    while m >= 2:
+        m /= 2
+        e += 1
+    wp = prec + max(abs(e), 1).bit_length() + 32
+    one = 1 << wp
+    z = (m - 1) / (m + 1)
+    z_lo = (z.numerator << wp) // z.denominator
+    z_hi = _ceil_div(z.numerator << wp, z.denominator)
+    a_lo, a_hi = _atanh_fx(z_lo, z_hi, wp)
+    l2_lo, l2_hi = _ln2_fx(wp)
+    if e >= 0:
+        lo, hi = 2 * a_lo + e * l2_lo, 2 * a_hi + e * l2_hi
+    else:
+        lo, hi = 2 * a_lo + e * l2_hi, 2 * a_hi + e * l2_lo
+    return RealEnclosure(F(lo, one), F(hi, one))
+
+
+def _ln_identity_args():
+    args = [F(k) for k in range(1, 300)] + [F(1, k) for k in range(2, 300)]
+    for e in (1, 2, 7, 31, 32, 63, 64, 65, 200, 1000):
+        for m in (2**e - 1, 2**e, 2**e + 1):
+            args += [F(m), F(1, m), F(m, 2**e)]
+    big = 3**4000 + 7
+    args += [F(big, 5**1000), F(5**1000, big), F(big), F(1, big), F(big + 1, big)]
+    return args
+
+
+@pytest.mark.parametrize("p", [1, 64, 96, 256])
+def test_ln_integer_core_keeps_every_bound(p):
+    for x in _ln_identity_args():
+        new, old = ln_enclosure(x, p), _ln_before_core(x, p)
+        assert (new.lo, new.hi) == (old.lo, old.hi), (x, p)
 
 
 def test_sqrt_rejects_negative():
