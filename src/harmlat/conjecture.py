@@ -37,7 +37,7 @@ def q_table(family: str, k: int, n_max: int, d: Optional[int] = None) -> GrowthR
     Families: "S" and "T" (discretized planar harmonics, fixed d = 2) and
     "u" (coordinate product on Z^d, default d = k); see
     :func:`harmlat.polynomials.family_polynomial`.  The ball the report
-    enumerates, B_{min(n_max, 2 deg)}, is checked against the cell cap.
+    enumerates, B_{min(n_max, deg + 1)}, is checked against the cell cap.
     """
     return polynomial_report(family_polynomial(family, k, d), n_max)
 
@@ -149,9 +149,9 @@ def conjecture_scan(
     """Scan n in [n_from, n_to] for violations of the C-bound on a family member.
 
     An omitted range defaults to the window of radius k centered at
-    k^2 / ln k.  Empty ranges produce an empty row list with a "no data"
-    summary.  Rows are ordered by n.  Q is summed only at the scanned n,
-    2n and 4n, from the member's :class:`harmlat.growth.GrowthPolynomial`.
+    k^2 / ln k.  An empty range checks nothing and is refused.  Rows are
+    ordered by n.  Q is summed only at the scanned n, 2n and 4n, from the
+    member's :class:`harmlat.growth.GrowthPolynomial`.
     """
     C = Fraction(C)
     eps = Fraction(eps)
@@ -163,14 +163,12 @@ def conjecture_scan(
         n_to = hi if n_to is None else n_to
     ns = range(max(1, n_from), n_to + 1)
     if not ns:
-        return ScanResult(
-            k, C, eps, family, (), {"rows": 0, "violations": 0, "note": "no data"}
-        )
+        raise InvalidParameterError(f"empty n range: n_to={n_to} is below n_from={ns.start}")
     growth = growth_polynomial(family_polynomial(family, k, d), 4 * n_to)
     rows = [_scan_row(growth, n, C, eps, precision) for n in ns]
     violations = sum(1 for r in rows if r.violation)
     undecided = sum(1 for r in rows if r.violation is None)
-    max_residual = max((r.residual.hi for r in rows), default=Fraction(0))
+    max_residual = max(r.residual.hi for r in rows)
     summary = {
         "rows": len(rows),
         "violations": violations,

@@ -13,7 +13,7 @@ on demand.  A seeded Monte Carlo estimator serves as statistical oracle.
 
 For a polynomial P of degree M, a_k = 0 for k > M.  Its
 :class:`GrowthPolynomial` holds a_0..a_M, read off the report on the
-ball B_{2M}, and gives Q(n) = sum_k a_k C(n, k) at any n it is asked
+ball B_{M+1}, and gives Q(n) = sum_k a_k C(n, k) at any n it is asked
 for, as well as the growth Qc(t) = sum_k a_k t^k / k! of the
 continuous-time walk.
 
@@ -478,28 +478,28 @@ class GrowthPolynomial:
 
 
 def growth_polynomial(P: MultivariatePolynomial, n_max: Optional[int] = None) -> GrowthPolynomial:
-    """The growth polynomial of P, enumerating only B_R with R = min(n_max, 2M).
+    """The growth polynomial of P, enumerating only B_R with R = min(n_max, M + 1).
 
     Each Laplacian lowers the degree of P^2 by two, so a_k = 0 for k > M
-    = deg P.  a_0..a_{min(R, M)} are read from the growth report of P on
-    B_R (R = 2M when n_max is None), which checks the walk route against
-    the Laplacian cascade; the walk route's tail a_{M+1..R} must vanish
-    as well.  With R < 2M the object covers Q(n) for n <= R only.  The
-    identity needs no harmonicity.
+    = deg P, and a_0..a_M, the forward differences of Q(0..M) at 0, read
+    P on B_M only.  They are read from the growth report of P on B_R
+    (R = M + 1 when n_max is None), which checks the walk route against
+    the Laplacian cascade; the walk route's a_{M+1} must vanish as well.
+    With R <= M the object covers Q(n) for n <= R only.  The identity
+    needs no harmonicity.
     """
     if n_max is not None and n_max < 0:
         raise InvalidParameterError("n_max must be non-negative")
     M = max(P.degree, 0)
-    R = 2 * M if n_max is None else min(n_max, 2 * M)
-    balls.guard_cells(P.d, R)
+    R = M + 1 if n_max is None else min(n_max, M + 1)
     newton = growth_report(evaluate_on_ball(P, R)).newton
     if any(newton[M + 1 :]):
         raise HarmError(
             "internal inconsistency: growth coefficients beyond the degree do not vanish"
         )
-    return GrowthPolynomial(P.d, newton[: M + 1], None if R == 2 * M else R)
+    return GrowthPolynomial(P.d, newton[: M + 1], None if R == M + 1 else R)
 
 
 def polynomial_report(P: MultivariatePolynomial, n_max: int) -> GrowthReport:
-    """Exact growth report of P up to n_max, enumerating only B_{min(n_max, 2 deg P)}."""
+    """Exact growth report of P up to n_max, enumerating only B_{min(n_max, deg P + 1)}."""
     return growth_polynomial(P, n_max).report(n_max)

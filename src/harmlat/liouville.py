@@ -34,7 +34,7 @@ def degree_bound(P: MultivariatePolynomial) -> int:
     polynomial).  Requires P lattice-harmonic.  Cross-checks that the
     iterated Laplacian values of P^2 at the origin vanish above the
     degree, with the check of :func:`harmlat.growth.growth_polynomial`
-    (walk route against cascade on B_{2 deg}, vanishing tail).
+    (walk route against cascade on B_{deg+1}, vanishing a_{deg+1}).
     """
     if not is_harmonic_poly(P):
         raise HarmonicityError("degree bound is stated for harmonic polynomials")

@@ -371,34 +371,36 @@ def correspondence(P: MultivariatePolynomial) -> MultivariatePolynomial:
 def evaluate_on_ball(P: MultivariatePolynomial, R: int) -> LatticeFunction:
     """Exact evaluation of P at every point of B_R, in ball enumeration order.
 
-    The coefficients are brought to integers over their common
-    denominator and :func:`_ball_values` walks the ball line by line
-    along the last coordinate by exact finite differences.  The common
-    factor of the values and the denominator is divided out in place on
-    the evaluator's own list (:func:`harmlat.lattice.reduce_in_place`),
-    so unreduced and reduced values are never held together.
+    The ball is checked against the cell cap.  The coefficients are
+    brought to integers over their common denominator and
+    :func:`_ball_values` walks the ball line by line along the last
+    coordinate by exact finite differences.  The common factor of the
+    values and the denominator is divided out in place on the evaluator's
+    own list (:func:`harmlat.lattice.reduce_in_place`), so unreduced and
+    reduced values are never held together.
     """
     ball = LatticeBall(P.d, R)
+    balls.guard_cells(P.d, R)
     den = math.lcm(*(c.denominator for c in P.terms.values()))
     int_terms = {a: c.numerator * (den // c.denominator) for a, c in P.terms.items()}
-    out = _ball_values(int_terms, P.d, R)
+    out = _ball_values(int_terms, P.d, R, _surjection_counts(max(P.degree, 0)))
     den = reduce_in_place(out, den)
     return LatticeFunction(ball, out, den)
 
 
-def _ball_values(terms: dict, d: int, R: int) -> list:
+def _ball_values(terms: dict, d: int, R: int, surj: list) -> list:
     """Values of an integer polynomial on B_R of Z^d, in lex order (d = 0: one point).
 
     P is split on its last coordinate z, P = sum_j c_j(x') z^j with
     m = deg_z P.  Along the line through x' the forward differences at
     z = 0 are polynomials in x',
 
-        Delta^i P(x', 0) = sum_j i! S2(j, i) c_j(x'),
+        Delta^i P(x', 0) = sum_j i! S2(j, i) c_j(x'),   i! S2(j, i) = surj[j][i],
 
     and for z -> -z the same with c_j multiplied by (-1)^j.  These 2m + 1
     seed polynomials are evaluated once on B_R of Z^(d-1) by this same
-    function; each line z = -b..b, b = R - |x'|_1, is then m chained
-    running sums per side, in exact ints.
+    function and table (any order >= m serves); each line z = -b..b,
+    b = R - |x'|_1, is then m chained running sums per side, in exact ints.
     """
     if d == 0:
         return [terms.get((), 0)]
@@ -406,7 +408,6 @@ def _ball_values(terms: dict, d: int, R: int) -> list:
     for alpha, c in terms.items():
         by_z.setdefault(alpha[-1], {})[alpha[:-1]] = c
     m = max(by_z, default=0)
-    surj = _surjection_counts(m)
     pos, neg = [], []
     for i in range(m + 1):
         up: dict = {}
@@ -418,8 +419,8 @@ def _ball_values(terms: dict, d: int, R: int) -> list:
                 for rest, c in coeffs.items():
                     up[rest] = up.get(rest, 0) + w * c
                     down[rest] = down.get(rest, 0) + sign * c
-        pos.append(_ball_values(up, d - 1, R))
-        neg.append(_ball_values(down, d - 1, R) if i else pos[0])
+        pos.append(_ball_values(up, d - 1, R, surj))
+        neg.append(_ball_values(down, d - 1, R, surj) if i else pos[0])
     out: list = []
     for b, up, down in zip(_remaining(d - 1, R), zip(*pos), zip(*neg)):
         out.extend(reversed(list(islice(_line(down), 1, b + 1))))

@@ -290,6 +290,9 @@ _X = '{"d":2,"terms":[{"alpha":[1,0],"coeff":"1"}]}'  # the polynomial x
         # an empty k range checks nothing, so it cannot report "holds"
         ["search", "counterexample", "--C", "2", "--eps", "1/10", "--k-min", "50",
          "--k-max", "10"],
+        # likewise an empty scan window
+        ["conjecture", "scan", "--family", "S", "--k", "6", "--C", "1", "--eps", "1/10",
+         "--n-from", "50", "--n-to", "10"],
     ],
 )
 def test_parser_errors_exit_3_not_undecided(capsys, argv):
@@ -478,12 +481,12 @@ def test_internal_failure_exit_4(capsys, monkeypatch):
     assert err == "error: internal failure: MemoryError: no room for the table\n"
 
 
-# deg 35, so 2 deg = 70: the small n of each kind needs Q up to some
-# needed_n < 70 (a partial growth polynomial), the large n beyond it
+# deg 70: the small n of each kind needs Q up to some needed_n <= 70 (a
+# partial growth polynomial), the large n beyond it (a complete one)
 _INPUTS = {
-    "family": ["--family", "S", "--k", "35"],
+    "family": ["--family", "S", "--k", "70"],
     "poly": ["--poly", json.dumps(
-        (harmlat.sk_polynomial(35) + harmlat.tk_polynomial(20).scale(Fraction(1, 3))).to_json()
+        (harmlat.sk_polynomial(70) + harmlat.tk_polynomial(20).scale(Fraction(1, 3))).to_json()
     )],
 }
 _KINDS = {
@@ -526,13 +529,13 @@ def test_check_large_n_builds_no_report(capsys, monkeypatch):
 
     growth_triangle = growth._difference_triangle
 
-    def differences_on_b12_only(values):
-        # the walk route of growth_polynomial(S_6) reads B_12, so 13 values
-        return growth_triangle(values) if len(values) <= 13 else refuse()
+    def differences_on_b7_only(values):
+        # the walk route of growth_polynomial(S_6) reads B_7, so 8 values
+        return growth_triangle(values) if len(values) <= 8 else refuse()
 
     monkeypatch.setattr(GrowthReport, "from_values", refuse)
     monkeypatch.setattr(GrowthPolynomial, "report", refuse)
-    monkeypatch.setattr(growth, "_difference_triangle", differences_on_b12_only)
+    monkeypatch.setattr(growth, "_difference_triangle", differences_on_b7_only)
     code, out, err = run(
         capsys, "check", "three-circles", "--family", "S", "--k", "6", "--n", "4000",
         "--eps", "1/4",

@@ -59,8 +59,9 @@ def test_q_table_rejects_bad_family():
 def test_q_table_resource_cap(monkeypatch):
     monkeypatch.setenv("HARM_MAX_CELLS", "1000")
     with pytest.raises(ResourceLimitError):
-        q_table("S", 20, 200)  # B_40 of Z^2: 3281 cells
-    assert q_table("S", 2, 200).n_max == 200  # B_4: 41 cells
+        q_table("S", 30, 200)  # B_31 of Z^2: 1985 cells
+    assert q_table("S", 20, 200).n_max == 200  # B_21: 925 cells
+    assert q_table("S", 2, 200).n_max == 200  # B_3: 25 cells
 
 
 def test_scan_k1_no_violation():
@@ -87,9 +88,11 @@ def test_scan_k6_window_runs_and_is_consistent():
 
 
 def test_scan_empty_range():
-    result = conjecture_scan(2, 1, F(1, 10), 10, 9)
-    assert result.rows == ()
-    assert result.summary["note"] == "no data"
+    # an empty window checks nothing, so it cannot report "no violation"
+    with pytest.raises(InvalidParameterError):
+        conjecture_scan(2, 1, F(1, 10), 10, 9)
+    with pytest.raises(InvalidParameterError):
+        conjecture_scan(2, 1, F(1, 10), -5, 0)  # n starts at 1
 
 
 def test_scan_csv_deterministic_and_schema():
@@ -107,7 +110,7 @@ def test_scan_csv_deterministic_and_schema():
 
 
 def test_scan_k40_default_window_under_default_cap(monkeypatch):
-    # needs Q up to 1896; only B_80 of Z^2 is enumerated
+    # needs Q up to 1896; only B_41 of Z^2 is enumerated
     monkeypatch.delenv("HARM_MAX_CELLS", raising=False)
     result = conjecture_scan(40, 1, F(1, 10))
     assert len(result.rows) == 81

@@ -317,20 +317,38 @@ def test_growth_polynomial_matches_walk_route(case):
     assert [full.Q(n) for n in range(N + 1)] == list(walk.values)
     assert [part.Q(n) for n in range(N + 1)] == list(walk.values)
     assert part.report(N) == walk
+    # growth_polynomial checks a_{M+1} only; the tail a_{M+1..N}, N <= 2M + 5, is checked here
+    assert not any(walk.newton[max(P.degree, 0) + 1 :])
+
+
+@pytest.mark.parametrize("n_max", [None, 0, 3, 5, 6, 7, 30])
+def test_growth_polynomial_enumerates_b_min_n_max_deg_plus_one(monkeypatch, n_max):
+    P = random_harmonic(2, 6, 5)  # M = 6, so M + 1 = 7
+    radii = []
+
+    def spy(P, R):
+        radii.append(R)
+        return evaluate_on_ball(P, R)
+
+    monkeypatch.setattr(growth, "evaluate_on_ball", spy)
+    grown = growth_polynomial(P, n_max)
+    assert radii == [7 if n_max is None else min(n_max, 7)]
+    assert grown.n_max == (None if radii[0] == 7 else n_max)
 
 
 def test_partial_growth_polynomial_refuses_q_beyond_its_range():
-    P = sk_polynomial(4)  # M = 4: a partial object below n_max = 8
-    part = growth_polynomial(P, 5)
-    assert part.n_max == 5 and len(part.newton) == 5
-    assert part.Q(5) == growth_polynomial(P).Q(5)
+    P = sk_polynomial(4)  # M = 4: a partial object for n_max <= 4
+    part = growth_polynomial(P, 3)
+    assert part.n_max == 3 and len(part.newton) == 4
+    assert part.Q(3) == growth_polynomial(P).Q(3)
     with pytest.raises(OutOfRangeError):
-        part.Q(6)
+        part.Q(4)
     with pytest.raises(OutOfRangeError):
-        part.report(6)
+        part.report(4)
     with pytest.raises(OutOfRangeError):
         part.continuous(1)
-    assert growth_polynomial(P, 8).n_max is None
+    assert growth_polynomial(P, 4).n_max == 4
+    assert growth_polynomial(P, 5).n_max is None
     with pytest.raises(OutOfRangeError):
         growth_polynomial(P).Q(-1)
 

@@ -6,6 +6,7 @@ from harmlat import (
     HarmonicityError,
     InvalidParameterError,
     MultivariatePolynomial,
+    ResourceLimitError,
     VanishingHypothesisError,
     degree_bound,
     monomial_uk,
@@ -68,3 +69,10 @@ def test_vanishing_degree_guard():
 def test_vanishing_requires_harmonic():
     with pytest.raises(HarmonicityError):
         vanishing_ball_test(X * X, M=2)
+
+
+def test_vanishing_ball_respects_the_cell_cap(monkeypatch):
+    monkeypatch.setenv("HARM_MAX_CELLS", "100")
+    with pytest.raises(ResourceLimitError):
+        vanishing_ball_test(MultivariatePolynomial.zero(2), 20)  # B_20 of Z^2: 841 cells
+    assert vanishing_ball_test(MultivariatePolynomial.zero(2), 6).confirmed  # 85 cells
