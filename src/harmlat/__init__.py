@@ -36,15 +36,12 @@ from .polynomials import (  # noqa: F401
 )
 from .growth import (  # noqa: F401
     GrowthPolynomial,
-    GrowthReport,
     MonteCarloEstimate,
     WalkCountTable,
     check_absolute_monotonicity,
-    growth_Q,
     growth_polynomial,
     growth_report,
     monte_carlo_Q,
-    polynomial_report,
     walk_counts,
 )
 from .enclosure import (  # noqa: F401
@@ -76,7 +73,7 @@ from .liouville import (  # noqa: F401
     degree_bound,
     vanishing_ball_test,
 )
-from .conjecture import ScanResult, ScanRow, conjecture_scan, q_table  # noqa: F401
+from .conjecture import ScanResult, ScanRow, conjecture_scan  # noqa: F401
 from .errors import (  # noqa: F401
     DomainTooSmallError,
     HarmError,

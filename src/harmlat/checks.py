@@ -38,8 +38,8 @@ by an O(1) bound on the log of the squared ratio and then by a running
 product of the ratio, so most candidates never build a binomial.
 
 A checker of Q takes ``growth``, any object whose ``Q(n)`` returns the
-exact growth value at n (a GrowthReport or a GrowthPolynomial), and
-calls nothing else on it.  Whether those values come from a function
+exact growth value at n (a :class:`harmlat.growth.GrowthPolynomial`),
+and calls nothing else on it.  Whether those values come from a function
 harmonic on the ball the statement needs is the caller's obligation.
 """
 

@@ -10,9 +10,11 @@ exception, e.g. out of memory); a reader that closes stdout early
 changes none of them.  `--help` and `--version` exit 0.  Exact integers print in
 full, however long: a command lifts the interpreter's limit on
 int-to-str digits while it runs.  A command registers only the options
-it reads; --function, --poly and --family exclude one another.  A check
-reads Q(n) from the input's growth object where its statement asks:
-a table's growth report, or a polynomial's growth polynomial.
+it reads; --function, --poly and --family exclude one another.  Every
+command reads one growth object, a GrowthPolynomial: a table's growth
+report on B_N, or a polynomial's growth polynomial.  A check reads Q(n)
+from it where its statement asks; `growth` prints Q(0..N) and the
+zero-padded a_k, and --diff-cols is read by its CSV of Q only.
 """
 
 from __future__ import annotations
@@ -165,28 +167,28 @@ def _growth_for(args, needed_n: int):
 
 
 def _cmd_growth(args) -> int:
+    if args.diff_cols is not None and (args.fmt == "json" or args.newton):
+        raise UsageError("--diff-cols is read only by --format csv without --newton")
+    if args.diff_cols is not None and args.diff_cols < 0:
+        raise UsageError("--diff-cols must be >= 0")
     growth = _growth_for(args, args.n_max)
-    report = growth if args.function else growth.report(args.n_max)
-    if args.fmt == "csv":
-        if args.newton:
-            lines = ["k,a_k"]
-            for k, a in enumerate(report.newton):
-                lines.append(f"{k},{format_rational(a)}")
-        else:
-            K = min(args.diff_cols, report.n_max)
-            rows = _difference_triangle(report.values)  # the rows after these are zero
-            rows += [[0] * (report.n_max + 1 - j) for j in range(len(rows), K + 1)]
-            header = "n,Q" + "".join(f",d{j}" for j in range(1, K + 1))
-            lines = [header]
-            for n in range(report.n_max + 1):
-                cells = [str(n), format_rational(report.Q(n))]
-                for j in range(1, K + 1):
-                    row = rows[j]
-                    cells.append(format_rational(row[n]) if n < len(row) else "")
-                lines.append(",".join(cells))
-        _emit(args, "\n".join(lines) + "\n")
+    report = growth.to_json(args.n_max, include_newton=args.newton)
+    if args.fmt == "json":
+        _emit_json(args, report)
+        return EXIT_HOLDS
+    if args.newton:
+        lines = ["k,a_k"] + [f"{k},{a}" for k, a in enumerate(report["newton"])]
     else:
-        _emit_json(args, report.to_json(include_newton=args.newton))
+        K = min(6 if args.diff_cols is None else args.diff_cols, args.n_max)
+        rows = _difference_triangle([growth.Q(n) for n in range(args.n_max + 1)])
+        rows += [[0] * (args.n_max + 1 - j) for j in range(len(rows), K + 1)]  # zero rows
+        lines = ["n,Q" + "".join(f",d{j}" for j in range(1, K + 1))]
+        for n, q in enumerate(report["values"]):
+            cells = [str(n), q]
+            for row in rows[1 : K + 1]:
+                cells.append(format_rational(row[n]) if n < len(row) else "")
+            lines.append(",".join(cells))
+    _emit(args, "\n".join(lines) + "\n")
     return EXIT_HOLDS
 
 
@@ -342,7 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_options(g)
     g.add_argument("--n-max", type=int, required=True)
     g.add_argument("--newton", action="store_true", help="emit the binomial coefficients a_k")
-    g.add_argument("--diff-cols", type=int, default=6, help="difference columns in CSV output")
+    g.add_argument(
+        "--diff-cols", type=int, help="difference columns in CSV output without --newton (default 6)"
+    )
     g.set_defaults(handler=_cmd_growth)
 
     c = sub.add_parser("check", help="certified inequality verdicts")

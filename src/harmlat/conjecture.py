@@ -1,7 +1,8 @@
 """Evidence pipeline for the sharp-error-term conjecture.
 
-Produces exact growth tables Q(n), Q(2n), Q(4n) for the discretized
-planar harmonics (and related families) on Z^2 and scans the residual
+Reads exact Q(n), Q(2n), Q(4n) from the growth polynomial of the
+discretized planar harmonics (and related families) on Z^2 and scans
+the residual
 
     (Q(2n) - C sqrt(Q(n) Q(4n))) / Q(4n)
 
@@ -21,7 +22,7 @@ from typing import Optional
 from .checks import DEFAULT_PRECISION, FAILS, HOLDS, convexity_defect_check, k2_over_ln_k_floors
 from .enclosure import RealEnclosure, enclose_pow, sqrt_enclosure
 from .errors import InvalidParameterError
-from .growth import GrowthReport, growth_polynomial, polynomial_report
+from .growth import growth_polynomial
 from .polynomials import family_polynomial
 from .rationals import format_rational
 
@@ -29,17 +30,6 @@ SCAN_CSV_HEADER = (
     "n,Q_n,Q_2n,Q_4n,ratio_num,ratio_den,"
     "residual_lo,residual_hi,bound_lo,bound_hi,violation"
 )
-
-
-def q_table(family: str, k: int, n_max: int, d: Optional[int] = None) -> GrowthReport:
-    """Exact growth report of a named harmonic family member up to n_max.
-
-    Families: "S" and "T" (discretized planar harmonics, fixed d = 2) and
-    "u" (coordinate product on Z^d, default d = k); see
-    :func:`harmlat.polynomials.family_polynomial`.  The ball the report
-    enumerates, B_{min(n_max, deg + 1)}, is checked against the cell cap.
-    """
-    return polynomial_report(family_polynomial(family, k, d), n_max)
 
 
 @dataclass(frozen=True)

@@ -5,17 +5,18 @@ the origin, computed exactly as
 
     Q_u(n) = sum_x u(x)^2 W(n, x) / (2d)^n,
 
-where W(n, x) counts n-step walks ending at x.  A growth report holds
-Q(0..N) and its binomial coefficients a_k, Q(n) = sum_k a_k C(n, k),
-which independently equal the iterated-Laplacian values L^k(u^2)(0), a
-cross-check performed on every report; its forward differences are taken
-on demand.  A seeded Monte Carlo estimator serves as statistical oracle.
+where W(n, x) counts n-step walks ending at x.  The growth is held as
+its binomial coefficients a_k, Q(n) = sum_k a_k C(n, k), in one
+:class:`GrowthPolynomial`.  The a_k are the forward differences of
+Q(0..N) at 0 and independently equal the iterated-Laplacian values
+L^k(u^2)(0), a cross-check performed on every report; a report covers
+Q(n) for n <= N.  A seeded Monte Carlo estimator serves as statistical
+oracle.
 
-For a polynomial P of degree M, a_k = 0 for k > M.  Its
-:class:`GrowthPolynomial` holds a_0..a_M, read off the report on the
-ball B_{M+1}, and gives Q(n) = sum_k a_k C(n, k) at any n it is asked
-for, as well as the growth Qc(t) = sum_k a_k t^k / k! of the
-continuous-time walk.
+For a polynomial P of degree M, a_k = 0 for k > M.  Its a_0..a_M, read
+off the report on the ball B_{M+1}, give Q(n) at any n it is asked for,
+as well as the growth Qc(t) = sum_k a_k t^k / k! of the continuous-time
+walk.
 
 Walk counts and all origin-centered kernels are invariant under
 coordinate permutations and sign flips, so the heavy convolutions run
@@ -134,15 +135,6 @@ def _orbit_square_sums(u: LatticeFunction) -> list:
     return sums
 
 
-def growth_Q(u: LatticeFunction, n: int) -> Fraction:
-    """Exact Q_u(n); requires n <= R so the walk stays inside the ball."""
-    if n < 0 or n > u.R:
-        raise OutOfRangeError(f"need 0 <= n <= {u.R}, got n={n}")
-    total = sum(map(mul, _orbit_walk_rows(u.d, n)[n], _orbit_square_sums(u)))
-    _, den = u.scaled_values()
-    return Fraction(total, den * den * (2 * u.d) ** n)
-
-
 def _newton_via_laplacian(
     u: LatticeFunction, sums: Optional[list] = None, N: Optional[int] = None
 ) -> list:
@@ -197,66 +189,92 @@ def _difference_triangle(values: list) -> list:
     return rows
 
 
-def _padded(coeffs, N: int) -> tuple:
-    """a_0..a_N from the leading coefficients, the rest zero."""
-    return (tuple(coeffs) + (Fraction(0),) * (N + 1))[: N + 1]
-
-
 @dataclass(frozen=True)
-class GrowthReport:
-    """Q(0..N) and its binomial coefficients a_0..a_N.
+class GrowthPolynomial:
+    """Q(n) = sum_k a_k C(n, k) from its binomial coefficients a_k = L^k(u^2)(0).
 
-    Q(n) = sum_k a_k C(n, k), and ``newton[k] = a_k`` is the k-th forward
-    difference of Q at 0.  For reports built from a lattice function,
-    ``laplace_newton`` holds the independently computed values
-    L^k(u^2)(0), verified equal to ``newton`` at construction.
+    ``newton`` holds a_0..a_m with a_m != 0 (empty when Q = 0), so Q(n)
+    costs O(m).  ``n_max`` is None when they are all of the nonzero a_k
+    (Q is then known at every n, as for a polynomial input), else the
+    largest n for which Q(n) is known, since Q(n) reads only the a_j with
+    j <= n.  For a polynomial the object also gives the growth
+    Qc(t) = sum_k a_k t^k / k! of the continuous-time walk.
     """
 
-    values: tuple
+    d: int
     newton: tuple
-    d: Optional[int] = None
-    laplace_newton: Optional[tuple] = None
+    n_max: Optional[int] = None
 
-    @property
-    def n_max(self) -> int:
-        return len(self.values) - 1
+    @cached_property
+    def _scaled(self) -> tuple:
+        den = math.lcm(*(a.denominator for a in self.newton))
+        return den, [a.numerator * (den // a.denominator) for a in self.newton]
 
     def Q(self, n: int) -> Fraction:
-        if n < 0 or n >= len(self.values):
+        """Q(n), summed in integers over one denominator with running binomials."""
+        if n < 0 or (self.n_max is not None and n > self.n_max):
+            covers = "every n >= 0" if self.n_max is None else f"0..{self.n_max}"
             raise OutOfRangeError(
-                f"growth value at n={n} not available (report covers 0..{self.n_max})"
+                f"growth value at n={n} not available (the growth polynomial covers {covers})"
             )
-        return self.values[n]
+        den, nums = self._scaled
+        total, binom = 0, 1
+        for j, c in enumerate(nums):
+            total += c * binom
+            binom = binom * (n - j) // (j + 1)  # C(n, j+1); 0 from j = n on
+        return Fraction(total, den)
 
-    @classmethod
-    def from_values(cls, values, d: Optional[int] = None) -> "GrowthReport":
-        vals = [Fraction(v) for v in values]
-        if not vals:
-            raise InvalidParameterError("a growth report needs at least Q(0)")
-        newton = _padded((r[0] for r in _difference_triangle(vals)), len(vals) - 1)
-        return cls(values=tuple(vals), newton=newton, d=d)
-
-    def to_json(self, include_newton: bool = False) -> dict:
+    def to_json(self, n_max: int, include_newton: bool = False) -> dict:
+        """The growth report of Q(0..n_max), with a_0..a_n_max zero-padded on request."""
         obj = {
             "kind": "growth_report",
             "d": self.d,
-            "n_max": self.n_max,
-            "values": [format_rational(v) for v in self.values],
+            "n_max": n_max,
+            "values": [format_rational(self.Q(n)) for n in range(n_max + 1)],
         }
         if include_newton:
-            obj["newton"] = [format_rational(v) for v in self.newton]
+            newton = (self.newton + (0,) * (n_max + 1))[: n_max + 1]
+            obj["newton"] = [format_rational(a) for a in newton]
         return obj
 
+    @cached_property
+    def continuous_coeffs(self) -> tuple:
+        """c_k = a_k / k!, trailing zeros trimmed: Qc(t) = sum_k c_k t^k."""
+        if self.n_max is not None:
+            raise OutOfRangeError(
+                "the continuous-time growth needs every a_k; build the growth polynomial "
+                "without n_max"
+            )
+        coeffs = [a / math.factorial(k) for k, a in enumerate(self.newton)]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        return tuple(coeffs) or (Fraction(0),)
 
-def growth_report(u: LatticeFunction, n_max: Optional[int] = None) -> GrowthReport:
-    """Full exact growth report of u up to n_max (default: the ball radius).
+    def continuous(self, t) -> Fraction:
+        """Exact Qc(t), the growth function of the continuous-time walk."""
+        t = Fraction(t)
+        acc = Fraction(0)
+        for c in reversed(self.continuous_coeffs):
+            acc = acc * t + c
+        return acc
+
+    def continuous_json(self) -> dict:
+        return {
+            "kind": "continuous_growth",
+            "coeffs": [format_rational(c) for c in self.continuous_coeffs],
+        }
+
+
+def growth_report(u: LatticeFunction, n_max: Optional[int] = None) -> GrowthPolynomial:
+    """Exact growth of u on 0..n_max (default: the ball radius), as a partial GrowthPolynomial.
 
     The binomial coefficients are computed twice, as forward differences
-    of Q at 0 and through iterated Laplacians of u^2 at the origin; the
-    two routes must agree exactly or the report is refused.  The orbit
-    square sums of u, the one pass over every cell of the ball, are
+    of Q(0..N) at 0 and through iterated Laplacians of u^2 at the origin;
+    the two routes must agree exactly or the report is refused.  The
+    orbit square sums of u, the one pass over every cell of the ball, are
     computed once and feed both routes.  With n_max < R both routes run
-    on B_{n_max} only.
+    on B_{n_max} only.  The result holds the a_k before the first zero
+    difference row and has ``n_max`` = N.
     """
     N = u.R if n_max is None else n_max
     if N < 0 or N > u.R:
@@ -267,14 +285,13 @@ def growth_report(u: LatticeFunction, n_max: Optional[int] = None) -> GrowthRepo
     twod = 2 * u.d
     rows = _orbit_walk_rows(u.d, N)
     values = [Fraction(sum(map(mul, rows[n], sums)), den2 * twod ** n) for n in range(N + 1)]
-    newton = _padded((r[0] for r in _difference_triangle(values)), N)
-    laplace = tuple(_newton_via_laplacian(u, sums, N))
-    if newton != laplace:
+    newton = tuple(r[0] for r in _difference_triangle(values))
+    if list(newton) + [0] * (N + 1 - len(newton)) != _newton_via_laplacian(u, sums, N):
         raise HarmError(
             "internal inconsistency: difference-triangle coefficients disagree "
             "with iterated-Laplacian values"
         )
-    return GrowthReport(tuple(values), newton, u.d, laplace)
+    return GrowthPolynomial(u.d, newton, N)
 
 
 # -- absolute monotonicity ------------------------------------------------------
@@ -287,9 +304,12 @@ class AbsoluteMonotonicityResult:
     value: Optional[Fraction] = None
 
 
-def check_absolute_monotonicity(report: GrowthReport) -> AbsoluteMonotonicityResult:
-    """All forward differences non-negative on the triangle k + n <= N (zero rows skipped)."""
-    for k, row in enumerate(_difference_triangle(report.values)):
+def check_absolute_monotonicity(growth: GrowthPolynomial) -> AbsoluteMonotonicityResult:
+    """All forward differences of Q(0..n_max) non-negative (zero rows skipped)."""
+    if growth.n_max is None:
+        raise InvalidParameterError("absolute monotonicity is checked on Q(0..n_max), not on every n")
+    values = [growth.Q(n) for n in range(growth.n_max + 1)]
+    for k, row in enumerate(_difference_triangle(values)):
         for n, v in enumerate(row):
             if v < 0:
                 return AbsoluteMonotonicityResult(False, (k, n), v)
@@ -404,77 +424,7 @@ def monte_carlo_Q(
     return MonteCarloEstimate(mean, stderr, samples, seed, workers)
 
 
-
-
 # -- growth polynomials of polynomial inputs ----------------------------------------
-
-
-@dataclass(frozen=True)
-class GrowthPolynomial:
-    """The growth function of a polynomial input, from a_k = L^k(P^2)(0).
-
-    Q(n) = sum_k a_k C(n, k) for the walk and Qc(t) = sum_k a_k t^k / k!
-    for the continuous-time walk.  ``newton`` holds a_0..a_m; ``n_max``
-    is None when they are all of the nonzero a_k (Q is then known at
-    every n), else the largest n for which Q(n) is known, since Q(n)
-    reads only the a_j with j <= n.
-    """
-
-    d: int
-    newton: tuple
-    n_max: Optional[int] = None
-
-    @cached_property
-    def _scaled(self) -> tuple:
-        den = math.lcm(*(a.denominator for a in self.newton))
-        return den, [a.numerator * (den // a.denominator) for a in self.newton]
-
-    def Q(self, n: int) -> Fraction:
-        """Q(n), summed in integers over one denominator with running binomials."""
-        if n < 0 or (self.n_max is not None and n > self.n_max):
-            covers = "every n >= 0" if self.n_max is None else f"0..{self.n_max}"
-            raise OutOfRangeError(
-                f"growth value at n={n} not available (the growth polynomial covers {covers})"
-            )
-        den, nums = self._scaled
-        total, binom = 0, 1
-        for j, c in enumerate(nums):
-            total += c * binom
-            binom = binom * (n - j) // (j + 1)  # C(n, j+1); 0 from j = n on
-        return Fraction(total, den)
-
-    def report(self, n_max: int) -> GrowthReport:
-        """The report of Q(0..n_max) from the a_k held, which were checked on B_R."""
-        values = tuple(self.Q(n) for n in range(n_max + 1))
-        newton = _padded(self.newton, n_max)
-        return GrowthReport(values, newton, self.d, newton)
-
-    @cached_property
-    def continuous_coeffs(self) -> tuple:
-        """c_k = a_k / k!, trailing zeros trimmed: Qc(t) = sum_k c_k t^k."""
-        if self.n_max is not None:
-            raise OutOfRangeError(
-                "the continuous-time growth needs every a_k; build the growth polynomial "
-                "without n_max"
-            )
-        coeffs = [a / math.factorial(k) for k, a in enumerate(self.newton)]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        return tuple(coeffs) or (Fraction(0),)
-
-    def continuous(self, t) -> Fraction:
-        """Exact Qc(t), the growth function of the continuous-time walk."""
-        t = Fraction(t)
-        acc = Fraction(0)
-        for c in reversed(self.continuous_coeffs):
-            acc = acc * t + c
-        return acc
-
-    def continuous_json(self) -> dict:
-        return {
-            "kind": "continuous_growth",
-            "coeffs": [format_rational(c) for c in self.continuous_coeffs],
-        }
 
 
 def growth_polynomial(P: MultivariatePolynomial, n_max: Optional[int] = None) -> GrowthPolynomial:
@@ -484,7 +434,7 @@ def growth_polynomial(P: MultivariatePolynomial, n_max: Optional[int] = None) ->
     = deg P, and a_0..a_M, the forward differences of Q(0..M) at 0, read
     P on B_M only.  They are read from the growth report of P on B_R
     (R = M + 1 when n_max is None), which checks the walk route against
-    the Laplacian cascade; the walk route's a_{M+1} must vanish as well.
+    the Laplacian cascade; the walk route must hold no a_k past a_M.
     With R <= M the object covers Q(n) for n <= R only.  The identity
     needs no harmonicity.
     """
@@ -493,13 +443,8 @@ def growth_polynomial(P: MultivariatePolynomial, n_max: Optional[int] = None) ->
     M = max(P.degree, 0)
     R = M + 1 if n_max is None else min(n_max, M + 1)
     newton = growth_report(evaluate_on_ball(P, R)).newton
-    if any(newton[M + 1 :]):
+    if len(newton) > M + 1:
         raise HarmError(
             "internal inconsistency: growth coefficients beyond the degree do not vanish"
         )
-    return GrowthPolynomial(P.d, newton[: M + 1], None if R == M + 1 else R)
-
-
-def polynomial_report(P: MultivariatePolynomial, n_max: int) -> GrowthReport:
-    """Exact growth report of P up to n_max, enumerating only B_{min(n_max, deg P + 1)}."""
-    return growth_polynomial(P, n_max).report(n_max)
+    return GrowthPolynomial(P.d, newton, None if R == M + 1 else R)

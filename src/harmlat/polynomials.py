@@ -383,7 +383,8 @@ def evaluate_on_ball(P: MultivariatePolynomial, R: int) -> LatticeFunction:
     balls.guard_cells(P.d, R)
     den = math.lcm(*(c.denominator for c in P.terms.values()))
     int_terms = {a: c.numerator * (den // c.denominator) for a, c in P.terms.items()}
-    out = _ball_values(int_terms, P.d, R, _surjection_counts(max(P.degree, 0)))
+    M = max(P.degree, 0)
+    out = _ball_values(int_terms, P.d, R, _surjection_counts(M, min(M, R)))
     den = reduce_in_place(out, den)
     return LatticeFunction(ball, out, den)
 
@@ -391,23 +392,26 @@ def evaluate_on_ball(P: MultivariatePolynomial, R: int) -> LatticeFunction:
 def _ball_values(terms: dict, d: int, R: int, surj: list) -> list:
     """Values of an integer polynomial on B_R of Z^d, in lex order (d = 0: one point).
 
-    P is split on its last coordinate z, P = sum_j c_j(x') z^j with
-    m = deg_z P.  Along the line through x' the forward differences at
-    z = 0 are polynomials in x',
+    P is split on its last coordinate z, P = sum_j c_j(x') z^j.  Along
+    the line through x' the forward differences at z = 0 are polynomials
+    in x',
 
         Delta^i P(x', 0) = sum_j i! S2(j, i) c_j(x'),   i! S2(j, i) = surj[j][i],
 
-    and for z -> -z the same with c_j multiplied by (-1)^j.  These 2m + 1
-    seed polynomials are evaluated once on B_R of Z^(d-1) by this same
-    function and table (any order >= m serves); each line z = -b..b,
-    b = R - |x'|_1, is then m chained running sums per side, in exact ints.
+    and for z -> -z the same with c_j multiplied by (-1)^j.  A value at
+    0 <= z <= b <= R reads only the orders i <= z, so only orders
+    i <= m = min(deg_z P, R) are taken.  These 2m + 1 seed polynomials
+    are evaluated once on B_R of Z^(d-1) by this same function and table
+    (any table with rows to deg P and columns to m serves); each line
+    z = -b..b, b = R - |x'|_1, is then m chained running sums per side,
+    in exact ints.
     """
     if d == 0:
         return [terms.get((), 0)]
     by_z: dict = {}
     for alpha, c in terms.items():
         by_z.setdefault(alpha[-1], {})[alpha[:-1]] = c
-    m = max(by_z, default=0)
+    m = min(max(by_z, default=0), R)
     pos, neg = [], []
     for i in range(m + 1):
         up: dict = {}
@@ -436,12 +440,12 @@ def _line(seeds: tuple):
     return seq
 
 
-def _surjection_counts(m: int) -> list:
-    """surj[j][i] = i! S2(j, i), the surjections of a j-set onto an i-set, j, i <= m."""
-    surj = [[1] + [0] * m]
+def _surjection_counts(m: int, r: int) -> list:
+    """surj[j][i] = i! S2(j, i), the surjections of a j-set onto an i-set, j <= m, i <= r."""
+    surj = [[1] + [0] * r]
     for j in range(1, m + 1):
         prev = surj[-1]
-        surj.append([0] + [i * (prev[i - 1] + prev[i]) for i in range(1, m + 1)])
+        surj.append([0] + [i * (prev[i - 1] + prev[i]) for i in range(1, r + 1)])
     return surj
 
 

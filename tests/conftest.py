@@ -8,11 +8,12 @@ inner radii up to 20 can be checked at outer radius 4n.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
 
 from harmlat import (
-    GrowthReport,
+    GrowthPolynomial,
     MultivariatePolynomial,
     evaluate_on_ball,
     growth_report,
@@ -21,6 +22,7 @@ from harmlat import (
     sk_polynomial,
     tk_polynomial,
 )
+from harmlat.growth import _difference_triangle
 
 CORPUS_RADIUS = 80
 
@@ -30,7 +32,17 @@ class CorpusMember:
     name: str
     poly: MultivariatePolynomial
     degree: int
-    report: GrowthReport
+    report: GrowthPolynomial
+
+
+def growth_of(values) -> GrowthPolynomial:
+    """The growth object of the table Q(0..N) = ``values``, whatever its values.
+
+    Its a_k are the first entries of the table's forward-difference rows,
+    as in :func:`harmlat.growth_report`; it covers n <= N.
+    """
+    rows = _difference_triangle([Fraction(v) for v in values])
+    return GrowthPolynomial(None, tuple(row[0] for row in rows), len(values) - 1)
 
 
 def corpus_polynomials():

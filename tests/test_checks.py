@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from harmlat import (
     GrowthPolynomial,
-    GrowthReport,
     HypothesisNotMetError,
     InvalidParameterError,
     RealEnclosure,
@@ -41,10 +40,13 @@ from harmlat.checks import (
 )
 from harmlat.rng import SplitMix64
 
-ONES = GrowthReport.from_values([1] * 600)
-Q_XY = GrowthReport.from_values([F(1, 2) * math.comb(n, 2) for n in range(600)])
-Q_X1 = GrowthReport.from_values(list(range(600)))  # d = 1 coordinate
-Q_U3 = GrowthReport.from_values([F(6, 27) * math.comb(n, 3) for n in range(600)])
+from conftest import growth_of
+
+# Q(n) = sum_k a_k C(n, k) on n = 0..599, from the known a_k
+ONES = GrowthPolynomial(2, (F(1),), 599)
+Q_XY = GrowthPolynomial(2, (F(0), F(0), F(1, 2)), 599)
+Q_X1 = GrowthPolynomial(1, (F(0), F(1)), 599)  # d = 1 coordinate
+Q_U3 = GrowthPolynomial(3, (F(0), F(0), F(0), F(6, 27)), 599)
 
 
 
@@ -78,7 +80,7 @@ def test_three_circles_eps_range():
 def test_three_circles_out_of_range():
     from harmlat import OutOfRangeError
 
-    short = GrowthReport.from_values([1] * 50)
+    short = GrowthPolynomial(2, (F(1),), 49)
     with pytest.raises(OutOfRangeError):
         three_circles_check(short, 20, 0)  # needs Q(80)
 
@@ -159,7 +161,7 @@ def test_no_error_hypothesis_not_met_is_classified():
 
 
 def test_no_error_u2():
-    q_u2 = GrowthReport.from_values([F(1, 2) * math.comb(n, 2) for n in range(120)])
+    q_u2 = GrowthPolynomial(2, (F(0), F(0), F(1, 2)), 119)
     v = no_error_check(q_u2, 2, 25, 0)
     assert v.holds
 
@@ -170,9 +172,9 @@ def test_no_error_u2():
 def test_ratio_125_examples():
     assert ratio_125_check(ONES, 11, F(1, 8)).holds
     assert ratio_125_check(Q_XY, 30, F(1, 8)).holds
-    from harmlat import polynomial_report, sk_polynomial
+    from harmlat import growth_polynomial, sk_polynomial
 
-    q_s4 = polynomial_report(sk_polynomial(4), 116)  # ceil(4(1+1/5)*24) = 116
+    q_s4 = growth_polynomial(sk_polynomial(4))  # reads Q up to ceil(4(1+1/5)*24) = 116
     assert ratio_125_check(q_s4, 24, F(1, 5)).holds
 
 
@@ -290,7 +292,7 @@ def test_additive_lemma_rejects_negative():
 
 def test_verdicts_scale_invariant():
     c2 = F(9, 49)
-    scaled = GrowthReport.from_values([c2 * v for v in Q_XY.values])
+    scaled = GrowthPolynomial(2, tuple(c2 * a for a in Q_XY.newton), Q_XY.n_max)
     cases = [
         lambda rep: three_circles_check(rep, 20, F(1, 4)),
         lambda rep: general_P_check(rep, 40, F(3, 2), 0),
@@ -311,7 +313,7 @@ def _report_with(values):
     q = [F(1)] * (max(values) + 1)
     for n, v in values.items():
         q[n] = v
-    return GrowthReport.from_values(q)
+    return growth_of(q)
 
 
 def _near_boundary(check):

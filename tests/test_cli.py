@@ -11,10 +11,10 @@ from pathlib import Path
 import pytest
 
 import harmlat
-from harmlat import MultivariatePolynomial, cli, evaluate_on_ball, monomial_uk, polynomial_report
+from harmlat import MultivariatePolynomial, cli, evaluate_on_ball, monomial_uk
 from harmlat import growth
 from harmlat.cli import main
-from harmlat.growth import GrowthPolynomial, GrowthReport, growth_polynomial, growth_report
+from harmlat.growth import GrowthPolynomial, growth_polynomial, growth_report
 from harmlat.rationals import format_rational, parse_rational
 
 
@@ -97,10 +97,10 @@ def test_growth_json_golden(capsys, tmp_path):
     assert code == 0
     obj = json.loads(out)
     assert obj["d"] == 2 and obj["n_max"] == 8
-    expected = polynomial_report(monomial_uk(2, 2), 8)
+    expected = growth_report(evaluate_on_ball(monomial_uk(2, 2), 8))
     assert obj["values"] == [
         str(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-        for v in expected.values
+        for v in map(expected.Q, range(9))
     ]
     assert obj["newton"][2] == "1/2"
 
@@ -109,8 +109,8 @@ def test_growth_round_trip_of_emitted_values(capsys):
     code, out, _ = run(capsys, "growth", "--family", "S", "--k", "2", "--n-max", "6")
     obj = json.loads(out)
     values = [parse_rational(v) for v in obj["values"]]
-    expected = polynomial_report(__import__("harmlat").sk_polynomial(2), 6)
-    assert values == list(expected.values)
+    expected = growth_report(evaluate_on_ball(harmlat.sk_polynomial(2), 6))  # the walk route
+    assert values == [expected.Q(n) for n in range(7)]
 
 
 def test_growth_csv(capsys):
@@ -141,7 +141,8 @@ def _csv_from_full_triangle(values, diff_cols):
 _NOT_HARMONIC = MultivariatePolynomial(2, {(3, 1): 1, (0, 2): Fraction(-2, 3), (1, 0): 5})
 
 
-@pytest.mark.parametrize("diff_cols", [2, 5, 14])  # below the degree, above it, above n_max
+# below the degree, above it, above n_max, none, and the default 6 when omitted
+@pytest.mark.parametrize("diff_cols", [2, 5, 14, 0, None])
 @pytest.mark.parametrize("source", ["function", "not-harmonic", "family", "poly"])
 def test_growth_csv_equals_full_triangle(capsys, tmp_path, source, diff_cols):
     N = 10
@@ -154,12 +155,13 @@ def test_growth_csv_equals_full_triangle(capsys, tmp_path, source, diff_cols):
         path = tmp_path / "u.json"
         path.write_text(json.dumps(evaluate_on_ball(P, N).to_json()))
         argv = ["--function", str(path)]
-    code, out, err = run(
-        capsys, "growth", *argv, "--n-max", str(N), "--format", "csv",
-        "--diff-cols", str(diff_cols),
-    )
+    if diff_cols is not None:
+        argv += ["--diff-cols", str(diff_cols)]
+    code, out, err = run(capsys, "growth", *argv, "--n-max", str(N), "--format", "csv")
     assert (code, err) == (0, "")
-    assert out == _csv_from_full_triangle(growth_report(evaluate_on_ball(P, N)).values, diff_cols)
+    walk = growth_report(evaluate_on_ball(P, N))
+    values = [walk.Q(n) for n in range(N + 1)]
+    assert out == _csv_from_full_triangle(values, 6 if diff_cols is None else diff_cols)
 
 
 def test_check_three_circles_family(capsys):
@@ -293,6 +295,14 @@ _X = '{"d":2,"terms":[{"alpha":[1,0],"coeff":"1"}]}'  # the polynomial x
         # likewise an empty scan window
         ["conjecture", "scan", "--family", "S", "--k", "6", "--C", "1", "--eps", "1/10",
          "--n-from", "50", "--n-to", "10"],
+        # --diff-cols is read by the CSV of Q only, and counts columns
+        ["growth", "--family", "S", "--k", "3", "--n-max", "4", "--diff-cols", "2"],
+        ["growth", "--family", "S", "--k", "3", "--n-max", "4", "--format", "json",
+         "--diff-cols", "2"],
+        ["growth", "--family", "S", "--k", "3", "--n-max", "4", "--format", "csv", "--newton",
+         "--diff-cols", "2"],
+        ["growth", "--family", "S", "--k", "3", "--n-max", "4", "--format", "csv",
+         "--diff-cols", "-2"],
     ],
 )
 def test_parser_errors_exit_3_not_undecided(capsys, argv):
@@ -502,7 +512,7 @@ _KINDS = {
 @pytest.mark.parametrize("source", sorted(_INPUTS))
 @pytest.mark.parametrize("kind", sorted(_KINDS))
 def test_check_reads_q_from_growth_polynomial(capsys, monkeypatch, kind, source, side):
-    """A check on a polynomial prints what its checker gives on the full report."""
+    """A check on a polynomial prints what its checker gives on the walk route's report."""
     options, *ns = _KINDS[kind]
     built = []
 
@@ -511,7 +521,7 @@ def test_check_reads_q_from_growth_polynomial(capsys, monkeypatch, kind, source,
         return built[-1]
 
     def via_report(P, n_max):
-        return growth_polynomial(P, n_max).report(n_max)
+        return growth_report(evaluate_on_ball(P, n_max))  # the walk route on B_n_max
 
     for fmt in ("json", "csv"):
         argv = ["check", kind, *_INPUTS[source], "--n", str(ns[side]), *options, "--format", fmt]
@@ -525,7 +535,7 @@ def test_check_reads_q_from_growth_polynomial(capsys, monkeypatch, kind, source,
 
 def test_check_large_n_builds_no_report(capsys, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("a check must not build a growth report")
+        raise AssertionError("a check must not build a table of Q")
 
     growth_triangle = growth._difference_triangle
 
@@ -533,8 +543,7 @@ def test_check_large_n_builds_no_report(capsys, monkeypatch):
         # the walk route of growth_polynomial(S_6) reads B_7, so 8 values
         return growth_triangle(values) if len(values) <= 8 else refuse()
 
-    monkeypatch.setattr(GrowthReport, "from_values", refuse)
-    monkeypatch.setattr(GrowthPolynomial, "report", refuse)
+    monkeypatch.setattr(GrowthPolynomial, "to_json", refuse)
     monkeypatch.setattr(growth, "_difference_triangle", differences_on_b7_only)
     code, out, err = run(
         capsys, "check", "three-circles", "--family", "S", "--k", "6", "--n", "4000",

@@ -11,7 +11,9 @@ from harmlat import (
     ResourceLimitError,
     conjecture_scan,
     convexity_defect_check,
-    q_table,
+    evaluate_on_ball,
+    family_polynomial,
+    growth_report,
 )
 from harmlat.conjecture import SCAN_CSV_HEADER
 
@@ -26,42 +28,48 @@ def brute_force_Q_s2_n2():
     return total / 16
 
 
+def walk_growth(family, k, n_max, d=None):
+    """The walk-route growth report of a family member on B_n_max."""
+    return growth_report(evaluate_on_ball(family_polynomial(family, k, d), n_max))
+
+
 def test_s1_growth_is_half_n():
-    rep = q_table("S", 1, 20)
+    rep = walk_growth("S", 1, 20)
     for n in range(21):
         assert rep.Q(n) == F(n, 2)
 
 
 def test_t1_growth_matches_s1_by_symmetry():
-    rs = q_table("S", 1, 12)
-    rt = q_table("T", 1, 12)
-    assert rs.values == rt.values
+    rs = walk_growth("S", 1, 12)
+    rt = walk_growth("T", 1, 12)
+    assert [rs.Q(n) for n in range(13)] == [rt.Q(n) for n in range(13)]
 
 
 def test_s2_growth_at_2_matches_walk_enumeration():
-    rep = q_table("S", 2, 4)
+    rep = walk_growth("S", 2, 4)
     assert rep.Q(2) == brute_force_Q_s2_n2()
 
 
 def test_u_family_table():
-    rep = q_table("u", 2, 15, d=3)
+    rep = walk_growth("u", 2, 15, d=3)
     for n in range(16):
         assert rep.Q(n) == F(2, 9) * math.comb(n, 2)
 
 
-def test_q_table_rejects_bad_family():
+def test_scan_rejects_bad_family():
     with pytest.raises(InvalidParameterError):
-        q_table("X", 1, 5)
+        conjecture_scan(1, 1, F(1, 10), 2, 5, family="X")
     with pytest.raises(InvalidParameterError):
-        q_table("S", 1, 5, d=3)
+        conjecture_scan(1, 1, F(1, 10), 2, 5, family="S", d=3)
 
 
-def test_q_table_resource_cap(monkeypatch):
+def test_scan_resource_cap(monkeypatch):
+    # the scan reads Q(4n) = Q(200) from B_{deg + 1}, never from B_200
     monkeypatch.setenv("HARM_MAX_CELLS", "1000")
     with pytest.raises(ResourceLimitError):
-        q_table("S", 30, 200)  # B_31 of Z^2: 1985 cells
-    assert q_table("S", 20, 200).n_max == 200  # B_21: 925 cells
-    assert q_table("S", 2, 200).n_max == 200  # B_3: 25 cells
+        conjecture_scan(30, 1, F(1, 10), 50, 50)  # B_31 of Z^2: 1985 cells
+    assert conjecture_scan(20, 1, F(1, 10), 50, 50).rows[0].n == 50  # B_21: 925 cells
+    assert conjecture_scan(2, 1, F(1, 10), 50, 50).rows[0].n == 50  # B_3: 25 cells
 
 
 def test_scan_k1_no_violation():

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from harmlat import (
     GrowthPolynomial,
-    GrowthReport,
+    HarmError,
+    InvalidParameterError,
     LatticeBall,
     LatticeFunction,
     MultivariatePolynomial,
@@ -18,20 +19,20 @@ from harmlat import (
     ResourceLimitError,
     check_absolute_monotonicity,
     evaluate_on_ball,
-    growth_Q,
     growth_polynomial,
     growth_report,
     laplacian_power,
     monomial_uk,
     monte_carlo_Q,
-    polynomial_report,
     random_harmonic,
     sk_polynomial,
     walk_counts,
 )
 from harmlat import growth
 from harmlat.balls import orbit_table
-from harmlat.growth import _difference_triangle, _orbit_walk_rows
+from harmlat.growth import _difference_triangle, _newton_via_laplacian, _orbit_walk_rows
+
+from conftest import growth_of
 
 
 def brute_force_walk_counts(d, n):
@@ -54,6 +55,11 @@ def brute_force_Q(u, n):
     for x, w in counts.items():
         total += u.value(x) ** 2 * w
     return total / (2 * u.d) ** n
+
+
+def padded(newton, N):
+    """a_0..a_N from the a_k a growth object holds, the rest zero."""
+    return list(newton) + [0] * (N + 1 - len(newton))
 
 
 # -- walk count tables -----------------------------------------------------------
@@ -115,31 +121,66 @@ def test_walk_counts_resource_guard(monkeypatch):
 def test_growth_constant_function():
     u = LatticeFunction.constant(LatticeBall(2, 6), 1)
     for n in range(0, 7):
-        assert growth_Q(u, n) == 1
+        assert growth_report(u, n).Q(n) == 1
 
 
 def test_growth_xy_n2():
     u = evaluate_on_ball(monomial_uk(2, 2), 3)
-    assert growth_Q(u, 2) == F(1, 2)
-    assert growth_Q(u, 2) == brute_force_Q(u, 2)
+    assert growth_report(u, 2).Q(2) == F(1, 2)
+    assert growth_report(u, 2).Q(2) == brute_force_Q(u, 2)
 
 
 def test_growth_linear_d1():
     u = evaluate_on_ball(MultivariatePolynomial.variable(1, 0), 5)
-    assert growth_Q(u, 5) == 5  # E X_n^2 = n for the one-dimensional walk
+    assert growth_report(u, 5).Q(5) == 5  # E X_n^2 = n for the one-dimensional walk
 
 
 def test_growth_matches_brute_force_oracle():
     p = sk_polynomial(3)
     u = evaluate_on_ball(p, 5)
     for n in range(0, 6):
-        assert growth_Q(u, n) == brute_force_Q(u, n)
+        assert growth_report(u, n).Q(n) == brute_force_Q(u, n)
 
 
 def test_growth_out_of_range():
     u = LatticeFunction.constant(LatticeBall(2, 3), 1)
     with pytest.raises(OutOfRangeError):
-        growth_Q(u, 4)
+        growth_report(u, 4)
+    with pytest.raises(OutOfRangeError):
+        growth_report(u, 2).Q(3)
+
+
+@st.composite
+def lattice_tables(draw):
+    """(u, N): any rational table on B_R of Z^d, d <= 2, R <= 4; N <= R."""
+    d = draw(st.integers(1, 2))
+    R = draw(st.integers(0, 4 if d == 1 else 3))
+    ball = LatticeBall(d, R)
+    values = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+    u = LatticeFunction.from_values(ball, draw(st.lists(values, min_size=ball.point_count,
+                                                        max_size=ball.point_count)))
+    return u, draw(st.integers(0, R))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_tables())
+def test_report_q_is_the_walk_mean_of_u_squared(case):
+    u, N = case
+    rep = growth_report(u, N)
+    assert rep.n_max == N
+    for n in range(N + 1):
+        W = walk_counts(u.d, n)
+        mean = sum(u.value(x) ** 2 * w for x, w in W.counts.items()) / (2 * u.d) ** n
+        assert rep.Q(n) == mean
+    assert not rep.newton or rep.newton[-1] != 0  # the a_k end before the first zero row
+
+
+def test_report_refuses_disagreeing_routes(monkeypatch):
+    u = evaluate_on_ball(sk_polynomial(3), 5)
+    growth_report(u)
+    monkeypatch.setattr(growth, "_newton_via_laplacian", lambda u, sums, N: [F(0)] * (N + 1))
+    with pytest.raises(HarmError, match="disagree"):
+        growth_report(u)
 
 
 # -- growth reports ------------------------------------------------------------------
@@ -148,15 +189,13 @@ def test_growth_out_of_range():
 def test_report_constant():
     u = LatticeFunction.constant(LatticeBall(2, 5), F(3, 2))
     rep = growth_report(u)
-    assert rep.newton[0] == F(9, 4)
-    assert all(a == 0 for a in rep.newton[1:])
+    assert rep.newton == (F(9, 4),) and rep.n_max == 5
 
 
 def test_report_linear_d1():
     u = evaluate_on_ball(MultivariatePolynomial.variable(1, 0), 8)
     rep = growth_report(u)
-    assert rep.newton[0] == 0 and rep.newton[1] == 1
-    assert all(a == 0 for a in rep.newton[2:])
+    assert rep.newton == (0, 1)
     for n in range(9):
         assert rep.Q(n) == n
 
@@ -164,8 +203,7 @@ def test_report_linear_d1():
 def test_report_xy():
     u = evaluate_on_ball(monomial_uk(2, 2), 8)
     rep = growth_report(u)
-    assert rep.newton[2] == F(1, 2)
-    assert all(a == 0 for k, a in enumerate(rep.newton) if k != 2)
+    assert rep.newton == (0, 0, F(1, 2))
 
 
 def test_report_newton_agreement_and_dual_route():
@@ -178,18 +216,16 @@ def test_report_newton_agreement_and_dual_route():
                 a * math.comb(n, k) for k, a in enumerate(rep.newton)
             )
         # triangle coefficients equal iterated-Laplacian values
-        assert rep.laplace_newton == rep.newton
+        newton = padded(rep.newton, R)
+        assert _newton_via_laplacian(u) == newton
         origin = tuple([0] * poly.d)
         for k in range(0, 5):
-            assert rep.newton[k] == laplacian_power(u.square(), k).value(origin)
+            assert newton[k] == laplacian_power(u.square(), k).value(origin)
 
 
 def test_quotient_cascade_matches_plain_laplacian_deep():
     # the symmetrized-orbit cascade must agree with plain table Laplacians
     # at every depth, including on an asymmetric d=3 input
-    from harmlat import random_harmonic
-    from harmlat.growth import _newton_via_laplacian
-
     poly = random_harmonic(3, 4, 77)
     u = evaluate_on_ball(poly, 10)
     cascade = _newton_via_laplacian(u)
@@ -200,7 +236,7 @@ def test_quotient_cascade_matches_plain_laplacian_deep():
 
 def test_report_triangle_recurrence():
     u = evaluate_on_ball(sk_polynomial(3), 7)
-    tri = _difference_triangle(growth_report(u).values)
+    tri = _difference_triangle([growth_report(u).Q(n) for n in range(8)])
     for k in range(1, len(tri)):
         prev, cur = tri[k - 1], tri[k]
         for n in range(len(cur)):
@@ -216,24 +252,31 @@ def test_report_scaling():
 
 
 def test_absolute_monotonicity_examples():
-    binom3 = GrowthReport.from_values([math.comb(n, 3) for n in range(11)])
+    binom3 = GrowthPolynomial(1, (F(0), F(0), F(0), F(1)), 10)  # Q(n) = C(n, 3)
     assert check_absolute_monotonicity(binom3).holds
 
     u = evaluate_on_ball(sk_polynomial(5), 12)
     assert check_absolute_monotonicity(growth_report(u)).holds
 
-    bad = GrowthReport.from_values([1, 0, 1])
+    bad = growth_of([1, 0, 1])
     res = check_absolute_monotonicity(bad)
     assert not res.holds
     assert res.first_violation == (1, 0)
     assert res.value == -1
 
 
+def test_absolute_monotonicity_refuses_a_complete_polynomial():
+    # Q(0..n_max) is what the check reads; a complete object has no n_max
+    with pytest.raises(InvalidParameterError):
+        check_absolute_monotonicity(growth_polynomial(sk_polynomial(3)))
+    assert check_absolute_monotonicity(growth_polynomial(sk_polynomial(3), 2)).holds
+
+
 def test_report_n_max_trimming():
     u = evaluate_on_ball(monomial_uk(2, 1), 9)
     rep = growth_report(u, n_max=5)
     assert rep.n_max == 5
-    assert growth_report(u, n_max=0).newton == (0,)  # u(0) = 0: no difference row at all
+    assert growth_report(u, n_max=0).newton == ()  # u(0) = 0: no difference row at all
 
 
 @pytest.mark.parametrize(
@@ -249,10 +292,10 @@ def test_report_below_radius_equals_truncated_full_report(u):
     full = growth_report(u)
     for N in range(u.R):
         rep = growth_report(u, N)
-        assert rep.values == full.values[: N + 1]
-        assert rep.newton == full.newton[: N + 1]
-        assert rep.laplace_newton == full.laplace_newton[: N + 1]
-        assert rep.d == full.d
+        assert [rep.Q(n) for n in range(N + 1)] == [full.Q(n) for n in range(N + 1)]
+        assert padded(rep.newton, N) == padded(full.newton, u.R)[: N + 1]
+        assert _newton_via_laplacian(u, N=N) == _newton_via_laplacian(u)[: N + 1]
+        assert (rep.d, rep.n_max) == (full.d, N)
 
 
 # -- growth polynomial of polynomial inputs -------------------------------------------------
@@ -272,11 +315,13 @@ def test_report_below_radius_equals_truncated_full_report(u):
 )
 def test_polynomial_report_matches_walk_route_beyond_2deg(P):
     N = 2 * P.degree + 7
-    fast = polynomial_report(P, N)
-    walk = growth_report(evaluate_on_ball(P, N))
-    assert fast.values == walk.values
+    fast = growth_polynomial(P, N)
+    u = evaluate_on_ball(P, N)
+    walk = growth_report(u)
+    assert [fast.Q(n) for n in range(N + 1)] == [walk.Q(n) for n in range(N + 1)]
     assert fast.newton == walk.newton
-    assert fast.laplace_newton == walk.laplace_newton
+    assert fast.to_json(N, include_newton=True) == walk.to_json(N, include_newton=True)
+    assert padded(fast.newton, N) == _newton_via_laplacian(u)
 
 
 @pytest.mark.parametrize("N", [0, 3, 8, 15])
@@ -289,7 +334,7 @@ def test_polynomial_report_takes_no_differences(monkeypatch, N):
         raise AssertionError("a growth polynomial knows its a_k; it takes no differences")
 
     monkeypatch.setattr(growth, "_difference_triangle", refuse)
-    assert grown.report(N) == walk
+    assert grown.to_json(N, include_newton=True) == walk.to_json(N, include_newton=True)
 
 
 @st.composite
@@ -314,11 +359,12 @@ def test_growth_polynomial_matches_walk_route(case):
     P, N = case
     walk = growth_report(evaluate_on_ball(P, N))
     full, part = growth_polynomial(P), growth_polynomial(P, N)
-    assert [full.Q(n) for n in range(N + 1)] == list(walk.values)
-    assert [part.Q(n) for n in range(N + 1)] == list(walk.values)
-    assert part.report(N) == walk
-    # growth_polynomial checks a_{M+1} only; the tail a_{M+1..N}, N <= 2M + 5, is checked here
-    assert not any(walk.newton[max(P.degree, 0) + 1 :])
+    values = [walk.Q(n) for n in range(N + 1)]
+    assert [full.Q(n) for n in range(N + 1)] == values
+    assert [part.Q(n) for n in range(N + 1)] == values
+    assert part.to_json(N, include_newton=True) == walk.to_json(N, include_newton=True)
+    # growth_polynomial reads B_{M+1} only; the tail a_{M+1..N}, N <= 2M + 5, is checked here
+    assert len(walk.newton) <= max(P.degree, 0) + 1
 
 
 @pytest.mark.parametrize("n_max", [None, 0, 3, 5, 6, 7, 30])
@@ -344,7 +390,7 @@ def test_partial_growth_polynomial_refuses_q_beyond_its_range():
     with pytest.raises(OutOfRangeError):
         part.Q(4)
     with pytest.raises(OutOfRangeError):
-        part.report(4)
+        part.to_json(4)
     with pytest.raises(OutOfRangeError):
         part.continuous(1)
     assert growth_polynomial(P, 4).n_max == 4
@@ -432,5 +478,5 @@ def test_monte_carlo_deterministic():
 def test_monte_carlo_agrees_with_exact_value():
     u = evaluate_on_ball(monomial_uk(2, 2), 12)
     est = monte_carlo_Q(u, 10, 200_000, seed=42)
-    exact = growth_Q(u, 10)
+    exact = growth_report(u, 10).Q(10)
     assert abs(float(est.mean - exact)) <= 5 * est.stderr

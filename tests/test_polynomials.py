@@ -268,6 +268,17 @@ def test_evaluate_on_ball_matches_pointwise_evaluate(case):
     assert [F(n, den) for n in nums] == [P.evaluate(p) for p in ball_points(P.d, R)]
 
 
+def test_evaluate_on_ball_of_a_high_degree_reads_orders_up_to_r_only():
+    # a value at |z| <= R reads the forward differences of order <= R, so
+    # degree 5000 on B_3 takes 4 orders, not 5001
+    P = MultivariatePolynomial(1, {(5000,): F(1, 3), (4999,): -2, (7,): 5, (0,): 1})
+    u = evaluate_on_ball(P, 3)
+    assert [u.value(p) for p in ball_points(1, 3)] == [P.evaluate(p) for p in ball_points(1, 3)]
+    Q = MultivariatePolynomial(2, {(30, 12): 1, (41, 0): F(-7, 2), (0, 3): 2, (1, 1): 1})
+    v = evaluate_on_ball(Q, 3)
+    assert [v.value(p) for p in ball_points(2, 3)] == [Q.evaluate(p) for p in ball_points(2, 3)]
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("R", [0, 1, 5])
 def test_evaluate_on_ball_zero_and_constants(d, R):
