@@ -25,8 +25,9 @@ The Q-independent constants of the right-hand sides (e^(n^-2eps), the
 error units base^(-n^r) and 2^(-2n delta), and the balancing exponent
 alpha) are the same for every function checked at the same parameters,
 so each is memoized in a small bounded cache; enclosures are frozen, so
-sharing them is safe.  The violation form of the search and the scans
-meets each of its constants once, so it calls the enclosures directly.
+sharing them is safe.  The violation form meets each of its constants
+once, so it calls the enclosures directly; a conjecture scan row applies
+its status rule once, at the cap, to the bound the row prints.
 
 The counterexample search decides most candidates without any
 enclosure: its error term is non-negative, so when the main term alone
@@ -236,10 +237,10 @@ def _error_form_rung(n: int, eps: Fraction, base, q_inner: Fraction, q_outer: Fr
     return rung
 
 
-def _check_eps(eps, lo=Fraction(0), hi=Fraction(1, 2), hi_strict=False):
+def _check_eps(eps, hi_strict=False):
     eps = Fraction(eps)
-    if eps < lo or eps > hi or (hi_strict and eps == hi):
-        bound = f"[{lo}, {hi})" if hi_strict else f"[{lo}, {hi}]"
+    if not 0 <= eps <= Fraction(1, 2) or (hi_strict and eps == Fraction(1, 2)):
+        bound = "[0, 1/2)" if hi_strict else "[0, 1/2]"
         raise InvalidParameterError(f"eps must lie in {bound}, got {eps}")
     return eps
 
@@ -567,8 +568,9 @@ def convexity_defect_check(
 
     ``holds`` means the violation inequality is certified true (the log
     convexity bound with constant C is genuinely beaten at n), ``fails``
-    means it is certified false.  Used by the counterexample search and
-    the conjecture scans; exponent here is 1/2 + eps.
+    means it is certified false.  Used by the counterexample search, whose
+    witness reads its ratio estimate off ``error_term``; exponent here is
+    1/2 + eps.
     """
     q_n, q_2n, q_4n = Fraction(q_n), Fraction(q_2n), Fraction(q_4n)
     C = Fraction(C)
@@ -764,18 +766,17 @@ def counterexample_search(
                 continue
             verdict = convexity_defect_check(b_n, b_2n, b_4n, n, C, eps, precision)
             if verdict.status == HOLDS:
-                # certified intermediate estimates at the witness:
-                #   binom(2n,k)/binom(4n,k) > 2^(-n^(1/2+eps))
+                # the witness's estimates, both read off certified bounds:
+                #   binom(2n,k)/binom(4n,k) > 2^(-n^(1/2+eps)), as the verdict's
+                #     error term encloses 2^(-n^(1/2+eps)) binom(4n,k) from above
                 #   binom(2n,k)^2 > C^2 binom(n,k) binom(4n,k)  (the square test)
-                err_unit = enclose_pow(2, n, Fraction(1, 2) + eps, precision)
-                ratio_ok = Fraction(b_2n, b_4n) > err_unit.hi if b_4n else False
                 return CounterexampleSearchResult(
                     True,
                     k,
                     n,
                     verdict,
                     (b_n, b_2n, b_4n),
-                    ratio_ok,
+                    b_2n > verdict.error_term.hi,
                     square_ok,
                     (k_min, k_max),
                     checked,

@@ -6,8 +6,9 @@ the residual
 
     (Q(2n) - C sqrt(Q(n) Q(4n))) / Q(4n)
 
-against the conjectured error bound 2^(-n^(1/2+eps)).  Violations are
-certified through the same verdict engine as the counterexample search.
+against the conjectured error bound 2^(-n^(1/2+eps)).  A row encloses
+that bound once, at the precision cap, and decides the violation on it
+by the status rule the search's verdicts apply at their cap rung.
 Absence of violations in a finite window says nothing against the
 conjecture, which only asserts the existence of some n beyond every n0
 for large enough k; the scan summary states this explicitly.
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .checks import DEFAULT_PRECISION, FAILS, HOLDS, convexity_defect_check, k2_over_ln_k_floors
+from .checks import DEFAULT_PRECISION, FAILS, UNDECIDED, _sum_status, k2_over_ln_k_floors
 from .enclosure import RealEnclosure, enclose_pow, sqrt_enclosure
 from .errors import InvalidParameterError
 from .growth import growth_polynomial
@@ -108,10 +109,9 @@ def _scan_row(growth, n, C, eps, precision) -> ScanRow:
     else:
         root = sqrt_enclosure(q_n * q_4n, precision)
         residual = (RealEnclosure.exact(q_2n) - C * root) / RealEnclosure.exact(q_4n)
-        verdict = convexity_defect_check(q_n, q_2n, q_4n, n, C, eps, precision)
-        violation = (
-            True if verdict.status == HOLDS else False if verdict.status == FAILS else None
-        )
+        # the violation is the negated sum form, decided as at the check's cap rung
+        status = _sum_status(q_2n, RealEnclosure.exact(C * C * q_n * q_4n), bound * q_4n)
+        violation = None if status == UNDECIDED else status == FAILS
     return ScanRow(n, q_n, q_2n, q_4n, ratio, residual, bound, violation, zero)
 
 

@@ -84,21 +84,6 @@ class RealEnclosure:
     def contains(self, q: Rat) -> bool:
         return self.lo <= q <= self.hi
 
-    def encloses(self, other: "RealEnclosure") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
-    def surely_le(self, other) -> bool:
-        other = _coerce(other)
-        return self.hi <= other.lo
-
-    def surely_lt(self, other) -> bool:
-        other = _coerce(other)
-        return self.hi < other.lo
-
-    def surely_gt(self, other) -> bool:
-        other = _coerce(other)
-        return self.lo > other.hi
-
     # -- exact interval arithmetic -----------------------------------------
 
     def __add__(self, other):
@@ -135,17 +120,6 @@ class RealEnclosure:
 
     def __truediv__(self, other):
         return self * _coerce(other).reciprocal()
-
-    def powi(self, k: int) -> "RealEnclosure":
-        if k < 0:
-            return self.powi(-k).reciprocal()
-        if k == 0:
-            return RealEnclosure.exact(1)
-        if k % 2 == 0 and self.lo < 0:
-            m = max(abs(self.lo), abs(self.hi))
-            lo = Fraction(0) if self.hi >= 0 else min(abs(self.lo), abs(self.hi))
-            return RealEnclosure(lo ** k, m ** k)
-        return RealEnclosure(self.lo ** k, self.hi ** k)
 
     def to_json(self) -> dict:
         from .rationals import format_rational

@@ -383,13 +383,13 @@ def evaluate_on_ball(P: MultivariatePolynomial, R: int) -> LatticeFunction:
     balls.guard_cells(P.d, R)
     den = math.lcm(*(c.denominator for c in P.terms.values()))
     int_terms = {a: c.numerator * (den // c.denominator) for a, c in P.terms.items()}
-    M = max(P.degree, 0)
-    out = _ball_values(int_terms, P.d, R, _surjection_counts(M, min(M, R)))
+    exponents = {e for alpha in P.terms for e in alpha}
+    out = _ball_values(int_terms, P.d, R, _surjection_counts(exponents, min(max(P.degree, 0), R)))
     den = reduce_in_place(out, den)
     return LatticeFunction(ball, out, den)
 
 
-def _ball_values(terms: dict, d: int, R: int, surj: list) -> list:
+def _ball_values(terms: dict, d: int, R: int, surj: dict) -> list:
     """Values of an integer polynomial on B_R of Z^d, in lex order (d = 0: one point).
 
     P is split on its last coordinate z, P = sum_j c_j(x') z^j.  Along
@@ -402,9 +402,9 @@ def _ball_values(terms: dict, d: int, R: int, surj: list) -> list:
     0 <= z <= b <= R reads only the orders i <= z, so only orders
     i <= m = min(deg_z P, R) are taken.  These 2m + 1 seed polynomials
     are evaluated once on B_R of Z^(d-1) by this same function and table
-    (any table with rows to deg P and columns to m serves); each line
-    z = -b..b, b = R - |x'|_1, is then m chained running sums per side,
-    in exact ints.
+    (any table with a row for each exponent of P and columns to m
+    serves); each line z = -b..b, b = R - |x'|_1, is then m chained
+    running sums per side, in exact ints.
     """
     if d == 0:
         return [terms.get((), 0)]
@@ -440,12 +440,18 @@ def _line(seeds: tuple):
     return seq
 
 
-def _surjection_counts(m: int, r: int) -> list:
-    """surj[j][i] = i! S2(j, i), the surjections of a j-set onto an i-set, j <= m, i <= r."""
-    surj = [[1] + [0] * r]
-    for j in range(1, m + 1):
-        prev = surj[-1]
-        surj.append([0] + [i * (prev[i - 1] + prev[i]) for i in range(1, r + 1)])
+def _surjection_counts(exponents, r: int) -> dict:
+    """surj[j][i] = i! S2(j, i), the surjections of a j-set onto an i-set, i <= r.
+
+    Rows are kept for j = 0 and the given exponents only; the recurrence
+    runs through every j up to the largest, holding one row at a time.
+    """
+    row = [1] + [0] * r
+    surj = {0: row}
+    for j in range(1, max(exponents, default=0) + 1):
+        row = [0] + [i * (row[i - 1] + row[i]) for i in range(1, r + 1)]
+        if j in exponents:
+            surj[j] = row
     return surj
 
 

@@ -459,6 +459,30 @@ def test_convexity_defect_negative_case():
     assert v.status == "fails"
 
 
+def test_witness_reads_its_estimates_off_its_verdict(monkeypatch):
+    # every 2^(-n^(1/2+eps)) enclosure of the search is a rung of a verdict's ladder
+    inside, outside = [], []
+    real_pow, real_check = checks.enclose_pow, checks.convexity_defect_check
+
+    def counted_pow(*args):
+        outside.append(args)
+        return real_pow(*args)
+
+    def ladder(*args, **kwargs):
+        before = len(outside)
+        verdict = real_check(*args, **kwargs)
+        inside.extend(outside[before:])
+        del outside[before:]
+        return verdict
+
+    monkeypatch.setattr(checks, "enclose_pow", counted_pow)
+    monkeypatch.setattr(checks, "convexity_defect_check", ladder)
+    res = counterexample_search(1, F(1, 5), 30, n0=100)
+    assert (res.k, res.n) == (17, 101) and res.verdict.holds
+    assert res.ratio_estimate_certified and res.square_estimate_certified
+    assert inside and outside == []
+
+
 def test_search_finds_c1_witness_beyond_100():
     res = counterexample_search(F(1), F(1, 5), k_max=60, n0=100)
     assert res.found

@@ -1,21 +1,30 @@
 """Growth tables of the planar families and the conjecture residual scan."""
 
+import contextlib
 import itertools
 import math
 from fractions import Fraction as F
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmlat import (
     InvalidParameterError,
     ResourceLimitError,
+    checks,
+    conjecture,
     conjecture_scan,
     convexity_defect_check,
+    enclose_pow,
     evaluate_on_ball,
     family_polynomial,
     growth_report,
+    sqrt_enclosure,
 )
-from harmlat.conjecture import SCAN_CSV_HEADER
+from harmlat.conjecture import SCAN_CSV_HEADER, _scan_row
 
 
 def brute_force_Q_s2_n2():
@@ -155,3 +164,54 @@ def test_uk_scan_flags_agree_with_search_verdicts():
             row.n, 1, F(1, 5),
         )
         assert (direct.status == "holds") == bool(row.violation)
+
+
+def _counting_enclose_pow(calls):
+    """Patch ``enclose_pow`` where the scan and the checkers look it up, recording each call."""
+    stack = contextlib.ExitStack()
+    for module in (conjecture, checks):
+        real = module.enclose_pow
+        stack.enter_context(mock.patch.object(
+            module, "enclose_pow", lambda *args, real=real: calls.append(args) or real(*args)))
+    return stack
+
+
+def test_scan_encloses_the_bound_once_per_row():
+    calls = []
+    with _counting_enclose_pow(calls):
+        result = conjecture_scan(12, 1, F(1, 10))
+    assert len(result.rows) == 25
+    assert len(calls) == 25
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 200),
+    C=st.sampled_from([F(1), F(5, 4), F(2)]),
+    eps=st.sampled_from([F(1, 10), F(1, 5), F(1, 3)]),
+    q_n=st.integers(1, 10**6),
+    q_4n=st.integers(1, 10**12),
+    shift=st.integers(-300, 300),
+)
+def test_scan_row_flag_is_the_violation_verdict(n, C, eps, q_n, q_4n, shift):
+    """Q(2n) within 2^-|shift| (relative) of the violation boundary, above it
+    for shift > 0, below for shift < 0: at every cap the row decides on the
+    one bound it prints, and its flag is the status of convexity_defect_check
+    (None where that is undecided), so a decided flag never flips as the cap
+    grows."""
+    rhs = C * sqrt_enclosure(F(q_n * q_4n), 1024) + enclose_pow(2, n, F(1, 2) + eps, 1024) * q_4n
+    mid = (rhs.lo + rhs.hi) / 2
+    q_2n = mid if shift == 0 else mid + (1 if shift > 0 else -1) * mid / 2 ** abs(shift)
+    growth = SimpleNamespace(Q={n: F(q_n), 2 * n: q_2n, 4 * n: F(q_4n)}.__getitem__)
+    flags = []
+    for cap in (1, 8, 64, 128, 256):
+        calls = []
+        with _counting_enclose_pow(calls):
+            row = _scan_row(growth, n, C, eps, cap)
+        assert len(calls) == 1
+        status = convexity_defect_check(q_n, q_2n, q_4n, n, C, eps, cap).status
+        assert row.violation == {"holds": True, "fails": False, "undecided": None}[status]
+        flags.append(row.violation)
+    for i, flag in enumerate(flags):
+        if flag is not None:
+            assert flags[i:] == [flag] * (len(flags) - i), flags

@@ -120,7 +120,6 @@ def test_interval_arithmetic():
     assert (S.lo, S.hi) == (-3, 8)
     D = A - B
     assert (D.lo, D.hi) == (-7, 4)
-    assert A.powi(2).lo == 0 and A.powi(2).hi == 9
     C = RealEnclosure(F(2), F(4))
     assert (C.reciprocal().lo, C.reciprocal().hi) == (F(1, 4), F(1, 2))
     with pytest.raises(InvalidParameterError):
@@ -131,9 +130,6 @@ def test_interval_arithmetic():
 
 def test_comparison_helpers():
     A = RealEnclosure(F(1), F(2))
-    B = RealEnclosure(F(3), F(4))
-    assert A.surely_lt(B) and not B.surely_le(A)
-    assert B.surely_gt(A)
     assert A.contains(F(3, 2)) and not A.contains(F(5, 2))
 
 

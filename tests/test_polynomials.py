@@ -1,6 +1,7 @@
 """Polynomial algebra, the F_k basis, discretization and the planar families."""
 
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -277,6 +278,20 @@ def test_evaluate_on_ball_of_a_high_degree_reads_orders_up_to_r_only():
     Q = MultivariatePolynomial(2, {(30, 12): 1, (41, 0): F(-7, 2), (0, 3): 2, (1, 1): 1})
     v = evaluate_on_ball(Q, 3)
     assert [v.value(p) for p in ball_points(2, 3)] == [Q.evaluate(p) for p in ball_points(2, 3)]
+
+
+def test_evaluate_on_ball_of_a_high_degree_keeps_only_its_exponents_rows():
+    # the surjection table holds rows for the exponents of P, not for every
+    # j <= deg P (about 500 MB of rows for x^50000)
+    P = MultivariatePolynomial(1, {(50000,): F(1)})
+    tracemalloc.start()
+    try:
+        u = evaluate_on_ball(P, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
+    assert [u.value(p) for p in ball_points(1, 3)] == [P.evaluate(p) for p in ball_points(1, 3)]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
