@@ -20,7 +20,6 @@ from .lattice import (  # noqa: F401
     sos_laplacian_power,
 )
 from .polynomials import (  # noqa: F401
-    DiscreteBasisElement,
     MultivariatePolynomial,
     continuous_laplacian,
     correspondence,
@@ -36,12 +35,10 @@ from .polynomials import (  # noqa: F401
 )
 from .growth import (  # noqa: F401
     GrowthPolynomial,
-    MonteCarloEstimate,
     WalkCountTable,
     check_absolute_monotonicity,
     growth_polynomial,
     growth_report,
-    monte_carlo_Q,
     walk_counts,
 )
 from .enclosure import (  # noqa: F401

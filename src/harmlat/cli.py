@@ -60,7 +60,11 @@ _STATUS_EXIT = {HOLDS: EXIT_HOLDS, FAILS: EXIT_FAILS, UNDECIDED: EXIT_UNDECIDED}
 
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w") as fh:
+        try:
+            fh = open(args.out, "w")
+        except OSError as exc:
+            raise UsageError(f"cannot write output: {exc}") from exc
+        with fh:
             fh.write(text)
         return
     if not text.endswith("\n"):

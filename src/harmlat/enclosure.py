@@ -72,12 +72,6 @@ class RealEnclosure:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def rel_width(self) -> Fraction:
-        lo = min(abs(self.lo), abs(self.hi))
-        if lo == 0:
-            return self.width if self.width == 0 else Fraction(10) ** 30
-        return self.width / lo
-
     def is_point(self) -> bool:
         return self.lo == self.hi
 
@@ -97,9 +91,6 @@ class RealEnclosure:
 
     def __sub__(self, other):
         return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
 
     def __mul__(self, other):
         other = _coerce(other)

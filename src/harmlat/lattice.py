@@ -28,7 +28,7 @@ from .errors import (
     InvalidParameterError,
     UsageError,
 )
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_int, parse_rational
 
 _REDUCE_CHUNK = 4096
 
@@ -52,10 +52,6 @@ class LatticeBall:
     @property
     def points(self) -> tuple:
         return balls.ball_points(self.d, self.R)
-
-    @property
-    def generators(self) -> tuple:
-        return balls.unit_steps(self.d)
 
     def contains(self, point) -> bool:
         return len(point) == self.d and sum(abs(c) for c in point) <= self.R
@@ -165,17 +161,6 @@ class LatticeFunction:
     def square(self) -> "LatticeFunction":
         return LatticeFunction(self.ball, [v * v for v in self._nums], self._den * self._den)
 
-    def restrict(self, R: int) -> "LatticeFunction":
-        """Restriction to the concentric ball of radius R <= self.R."""
-        if R > self.R:
-            raise DomainTooSmallError(f"cannot restrict B_{self.R} to larger B_{R}")
-        if R == self.R:
-            return self
-        sub = LatticeBall(self.d, R)
-        pos = balls.ball_position(self.d, self.R)
-        nums = [self._nums[pos[p]] for p in sub.points]
-        return LatticeFunction(sub, nums, self._den)
-
     # -- JSON wire format ------------------------------------------------
 
     def to_json(self) -> dict:
@@ -188,17 +173,19 @@ class LatticeFunction:
     def from_json(cls, obj: dict, sparse: bool = False) -> "LatticeFunction":
         """Parse the wire format; the ball is checked against the cell cap first."""
         try:
-            d, R = int(obj["d"]), int(obj["R"])
+            d, R = parse_int(obj["d"]), parse_int(obj["R"])
             raw = obj["entries"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise UsageError(f"malformed lattice function JSON: {exc}") from exc
+        if not isinstance(raw, list):
+            raise UsageError(f"entries {raw!r} are not a list")
         ball = LatticeBall(d, R)
         balls.guard_cells(d, R)
         table = {}
         for entry in raw:
-            if len(entry) != d + 1:
-                raise UsageError(f"entry {entry!r} does not have {d} coordinates and a value")
-            point = tuple(int(c) for c in entry[:d])
+            if not isinstance(entry, list) or len(entry) != d + 1:
+                raise UsageError(f"entry {entry!r} is not a list of {d} coordinates and a value")
+            point = tuple(map(parse_int, entry[:d]))
             if not ball.contains(point):
                 raise UsageError(f"point {point} lies outside B_{R}")
             if point in table:

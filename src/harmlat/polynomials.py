@@ -27,7 +27,6 @@ place (:func:`harmlat.lattice.reduce_in_place`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
 from typing import Optional, Sequence
@@ -35,7 +34,7 @@ from typing import Optional, Sequence
 from . import balls
 from .errors import HarmonicityError, InvalidParameterError, UsageError
 from .lattice import LatticeBall, LatticeFunction, reduce_in_place
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_int, parse_rational
 from .rng import SplitMix64
 
 
@@ -195,25 +194,20 @@ class MultivariatePolynomial:
     @classmethod
     def from_json(cls, obj: dict) -> "MultivariatePolynomial":
         try:
-            d = int(obj["d"])
+            d = parse_int(obj["d"])
             raw = obj["terms"]
             terms = {}
             for t in raw:
-                alpha = tuple(int(a) for a in t["alpha"])
+                exponents = t["alpha"]
+                if not isinstance(exponents, list):
+                    raise UsageError(f"exponents {exponents!r} are not a list")
+                alpha = tuple(map(parse_int, exponents))
                 if alpha in terms:
                     raise UsageError(f"duplicate term {alpha}")
                 terms[alpha] = parse_rational(t["coeff"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise UsageError(f"malformed polynomial JSON: {exc}") from exc
         return cls(d, terms)
-
-
-@dataclass(frozen=True)
-class DiscreteBasisElement:
-    """Univariate basis element F_k: degree exactly k, leading coefficient 1/k!."""
-
-    k: int
-    polynomial: MultivariatePolynomial
 
 
 # -- Laplacians acting formally on polynomials ------------------------------
@@ -244,13 +238,12 @@ def is_harmonic_poly(P: MultivariatePolynomial) -> bool:
 # -- the shifted binomial basis ----------------------------------------------
 
 
-def fk_polynomial(k: int) -> DiscreteBasisElement:
-    """F_k as an exact univariate polynomial."""
+def fk_polynomial(k: int) -> MultivariatePolynomial:
+    """F_k as an exact univariate polynomial: degree exactly k, leading coefficient 1/k!."""
     if k < 0:
         raise InvalidParameterError("k must be non-negative")
     nums, den = _fk_coefficients(k)
-    poly = MultivariatePolynomial(1, {(a,): Fraction(c, den) for a, c in enumerate(nums)})
-    return DiscreteBasisElement(k, poly)
+    return MultivariatePolynomial(1, {(a,): Fraction(c, den) for a, c in enumerate(nums)})
 
 
 def _fk_coefficients(k: int) -> tuple:

@@ -32,6 +32,14 @@ def parse_rational(text: str) -> Fraction:
         raise UsageError(f"not a rational number: {text!r}") from exc
 
 
+def parse_int(value) -> int:
+    """Parse an exact integer (7, "7", "4/2"); 1.9, "x" and true are usage errors."""
+    q = None if isinstance(value, bool) else parse_rational(value)
+    if q is None or q.denominator != 1:
+        raise UsageError(f"not an integer: {value!r}")
+    return q.numerator
+
+
 def format_rational(q: Fraction) -> str:
     """Render a Fraction as "num" or "num/den" in lowest terms."""
     q = Fraction(q)

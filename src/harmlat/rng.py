@@ -4,8 +4,9 @@ The generator is the SplitMix64 state transition of Steele, Lea and
 Flood: the state advances by the golden-ratio increment and each output
 is a finalizing xor-shift/multiply mix of the state.  It is fast, has a
 single 64-bit word of state, and is trivially reproducible across
-platforms, which is all the corpus generation and the Monte Carlo
-oracle need.
+platforms, which is all the random corpus draws need.  The tests'
+Monte Carlo oracle (``tests/montecarlo.py``) runs the same streams,
+vectorized, from :func:`stream_state` and these constants.
 
 Independent streams are derived from ``(seed, worker)`` by hashing
 ``seed + worker * GOLDEN`` through the output mix.  Starting states are

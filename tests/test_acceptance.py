@@ -30,7 +30,6 @@ from harmlat import (
     is_harmonic,
     laplacian_power,
     monomial_uk,
-    monte_carlo_Q,
     no_error_check,
     ratio_125_check,
     sk_polynomial,
@@ -43,6 +42,8 @@ from harmlat import (
 from harmlat.conjecture import SCAN_CSV_HEADER
 from harmlat.growth import _difference_triangle, _newton_via_laplacian
 from harmlat.polynomials import is_harmonic_poly
+
+from montecarlo import monte_carlo_Q
 
 
 def _gate(criterion: str, ok: bool, detail: str = ""):
@@ -220,12 +221,10 @@ def test_c08_optimality_witness():
 def test_c09_correspondence_harmonicity(corpus):
     # basis recursions as exact polynomial identities
     for k in range(2, 13):
-        assert discrete_laplacian(fk_polynomial(k).polynomial) == fk_polynomial(
-            k - 2
-        ).polynomial.scale(F(1, 2))
+        assert discrete_laplacian(fk_polynomial(k)) == fk_polynomial(k - 2).scale(F(1, 2))
     for k in range(1, 13):
-        fk = fk_polynomial(k).polynomial
-        assert fk.shift(0, 1) - fk == fk_polynomial(k - 1).polynomial.shift(0, F(1, 2))
+        fk = fk_polynomial(k)
+        assert fk.shift(0, 1) - fk == fk_polynomial(k - 1).shift(0, F(1, 2))
     # every corpus member is lattice-harmonic, formally and on a ball
     for m in corpus:
         assert is_harmonic_poly(m.poly), m.name

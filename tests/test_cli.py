@@ -1,5 +1,6 @@
 """CLI surface: parsing, wire formats, exit codes."""
 
+import ast
 import json
 import math
 import os
@@ -40,10 +41,24 @@ def test_version_subprocess():
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # numpy serves the Monte Carlo oracle only, which no command runs
+    # no command needs numpy; the tests' Monte Carlo oracle is its only user
     code = "import sys, harmlat.cli; print('numpy' in sys.modules)"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
     assert (res.returncode, res.stdout, res.stderr) == (0, "False\n", "")
+
+
+def test_library_source_imports_no_numpy():
+    found = []
+    for path in sorted(Path(harmlat.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for m in modules if m.split(".")[0] == "numpy"]
+    assert found == []
 
 
 def test_closed_stdout_pipe_is_not_a_crash():
@@ -423,6 +438,51 @@ def test_sparse_function_loading(capsys, tmp_path):
     assert code == 0
     obj = json.loads(out)
     assert obj["values"][0] == "1"
+
+
+@pytest.mark.parametrize(
+    "flag, obj",
+    [
+        ("--poly", {"d": 1, "terms": [{"alpha": [1.9], "coeff": "1"}]}),
+        ("--poly", {"d": 1.5, "terms": [{"alpha": [1], "coeff": "1"}]}),
+        ("--poly", {"d": 1, "terms": [{"alpha": [True], "coeff": "1"}]}),
+        ("--poly", {"d": 2, "terms": [{"alpha": "11", "coeff": "1"}]}),
+        ("--function", {"d": 1, "R": 2.7, "entries": [[0, "1"]]}),
+        ("--function", {"d": 1, "R": 2, "entries": [[1.9, "1"]]}),
+        ("--function", {"d": 1, "R": 2, "entries": [[True, "1"]]}),
+        ("--function", {"d": 1, "R": 2, "entries": [["x", "1"]]}),
+        ("--function", {"d": 1, "R": 2, "entries": [5]}),
+        ("--function", {"d": 1, "R": 2, "entries": 5}),
+    ],
+)
+def test_json_integer_fields_refuse_other_values(capsys, tmp_path, flag, obj):
+    # integer fields take exact integers only: nothing is truncated, nothing crashes
+    if flag == "--poly":
+        argv = ["--poly", json.dumps(obj)]
+    else:
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(obj))
+        argv = ["--function", str(path), "--sparse"]
+    code, out, err = run(capsys, "growth", *argv, "--n-max", "2")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "internal failure" not in err
+
+
+def test_json_integer_fields_read_integral_strings(capsys):
+    plain = run(capsys, "growth", "--poly", '{"d":1,"terms":[{"alpha":[1],"coeff":"1"}]}',
+                "--n-max", "3")
+    quoted = run(capsys, "growth", "--poly", '{"d":"1","terms":[{"alpha":["1"],"coeff":"1"}]}',
+                 "--n-max", "3")
+    assert plain[0] == 0 and quoted == plain
+
+
+def test_unwritable_out_path_exit_3(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(
+        capsys, "growth", "--family", "S", "--k", "3", "--n-max", "3", "--out", str(target)
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("error: cannot write output: ")
 
 
 def test_verdict_json_round_trips(capsys):

@@ -35,7 +35,7 @@ def test_exp_contains_truth_and_meets_width(x, p):
     enc = enclose_exp(x, p)
     truth = mp_fraction(mpmath.exp(x))
     assert enc.lo <= truth <= enc.hi
-    assert enc.rel_width() <= F(1, 2**p)
+    assert enc.width <= enc.lo / 2**p
 
 
 @pytest.mark.parametrize("x", LN_ARGS)
@@ -89,7 +89,7 @@ def test_pow_general_contains_truth_and_meets_width(base, n, r, p):
     enc = enclose_pow(base, n, r, p)
     truth = mp_fraction(mpmath.power(base, -mpmath.power(n, r)))
     assert enc.lo <= truth <= enc.hi
-    assert enc.rel_width() <= F(1, 2**p)
+    assert enc.width <= enc.lo / 2**p
 
 
 def test_width_shrinks_with_precision():

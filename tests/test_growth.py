@@ -23,7 +23,6 @@ from harmlat import (
     growth_report,
     laplacian_power,
     monomial_uk,
-    monte_carlo_Q,
     random_harmonic,
     sk_polynomial,
     walk_counts,
@@ -33,6 +32,7 @@ from harmlat.balls import orbit_table
 from harmlat.growth import _difference_triangle, _newton_via_laplacian, _orbit_walk_rows
 
 from conftest import growth_of
+from montecarlo import monte_carlo_Q
 
 
 def brute_force_walk_counts(d, n):

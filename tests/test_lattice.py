@@ -250,16 +250,6 @@ def test_values_stored_exactly_and_equality_pointwise():
     assert u != w
 
 
-def test_restrict():
-    u = table(2, 4, lambda p: F(p[0] - 2 * p[1]))
-    r = u.restrict(2)
-    assert r.R == 2
-    for p in ball_points(2, 2):
-        assert r.value(p) == u.value(p)
-    with pytest.raises(DomainTooSmallError):
-        u.restrict(5)
-
-
 def test_json_round_trip():
     u = table(2, 2, lambda p: F(3 * p[0] - p[1], 7))
     obj = u.to_json()

@@ -67,12 +67,12 @@ def test_discrete_laplacian_consistent_with_lattice_operator():
 
 def test_fk_small_cases():
     f1 = fk_polynomial(1)
-    assert f1.polynomial == MultivariatePolynomial.variable(1, 0)
-    f2 = fk_polynomial(2).polynomial
+    assert f1 == MultivariatePolynomial.variable(1, 0)
+    f2 = fk_polynomial(2)
     x = MultivariatePolynomial.variable(1, 0)
     assert f2 == (x * x - F(1, 4)) * F(1, 2)
     assert f2.evaluate([1]) == F(3, 8)
-    f3 = fk_polynomial(3).polynomial
+    f3 = fk_polynomial(3)
     assert f3 == (x + 1) * x * (x - 1) * F(1, 6)
 
 
@@ -101,7 +101,7 @@ def fk_product_by_multiplication(alpha):
 
 def test_fk_integer_recurrence_matches_linear_factor_products():
     for k in range(41):
-        assert fk_polynomial(k).polynomial == fk_by_linear_factors(k), k
+        assert fk_polynomial(k) == fk_by_linear_factors(k), k
 
 
 def test_families_match_linear_factor_products():
@@ -127,7 +127,7 @@ def test_families_match_linear_factor_products():
 
 def test_fk_degree_and_leading_coefficient():
     for k in range(0, 13):
-        p = fk_polynomial(k).polynomial
+        p = fk_polynomial(k)
         assert p.degree == k
         assert p.terms[(k,)] == F(1, math.factorial(k))
 
@@ -135,18 +135,18 @@ def test_fk_degree_and_leading_coefficient():
 def test_fk_laplacian_recursion():
     # lattice Laplacian in one variable halves the index by two
     for k in range(2, 13):
-        lhs = discrete_laplacian(fk_polynomial(k).polynomial)
-        rhs = fk_polynomial(k - 2).polynomial.scale(F(1, 2))
+        lhs = discrete_laplacian(fk_polynomial(k))
+        rhs = fk_polynomial(k - 2).scale(F(1, 2))
         assert lhs == rhs
-    assert discrete_laplacian(fk_polynomial(0).polynomial).is_zero()
-    assert discrete_laplacian(fk_polynomial(1).polynomial).is_zero()
+    assert discrete_laplacian(fk_polynomial(0)).is_zero()
+    assert discrete_laplacian(fk_polynomial(1)).is_zero()
 
 
 def test_fk_forward_difference_identity():
     for k in range(1, 13):
-        fk = fk_polynomial(k).polynomial
+        fk = fk_polynomial(k)
         forward = fk.shift(0, 1) - fk
-        shifted = fk_polynomial(k - 1).polynomial.shift(0, F(1, 2))
+        shifted = fk_polynomial(k - 1).shift(0, F(1, 2))
         assert forward == shifted
 
 
@@ -230,7 +230,7 @@ def test_evaluate_on_ball_examples():
     assert z.is_zero()
     xy = evaluate_on_ball(monomial_uk(2, 2), 1)
     assert xy.values() == [F(0)] * 5
-    f2 = evaluate_on_ball(fk_polynomial(2).polynomial, 2)
+    f2 = evaluate_on_ball(fk_polynomial(2), 2)
     assert f2.values() == [F(15, 8), F(3, 8), F(-1, 8), F(3, 8), F(15, 8)]
 
 
