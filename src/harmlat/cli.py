@@ -121,8 +121,8 @@ def _refuse_family_options(args, options=("k", "d", "seed")) -> None:
         raise UsageError(f"{', '.join(given)} not read by this input (only by {reader})")
 
 
-def _load_polynomial(args) -> MultivariatePolynomial:
-    """The --poly or --family input; the parser demands exactly one of the inputs."""
+def _load_polynomial(args, n_max: Optional[int] = None) -> MultivariatePolynomial:
+    """The --poly or --family input, read up to n_max; the parser demands exactly one input."""
     if args.poly:
         _refuse_family_options(args)
         raw = args.poly
@@ -140,7 +140,7 @@ def _load_polynomial(args) -> MultivariatePolynomial:
     if args.k is None:
         raise UsageError("--family needs --k")
     seed = 0 if args.seed is None else args.seed
-    return family_polynomial(args.family, args.k, args.d, seed)
+    return family_polynomial(args.family, args.k, args.d, seed, n_max)
 
 
 def _load_function(args, needed_radius: int) -> LatticeFunction:
@@ -164,7 +164,7 @@ def _growth_for(args, needed_n: int):
         return growth_report(_load_function(args, needed_n), needed_n)
     if args.sparse:
         raise UsageError("--sparse applies to --function tables only")
-    return growth_polynomial(_load_polynomial(args), needed_n)
+    return growth_polynomial(_load_polynomial(args, needed_n), needed_n)
 
 
 # -- subcommand handlers -----------------------------------------------------------

@@ -154,7 +154,7 @@ def conjecture_scan(
     ns = range(max(1, n_from), n_to + 1)
     if not ns:
         raise InvalidParameterError(f"empty n range: n_to={n_to} is below n_from={ns.start}")
-    growth = growth_polynomial(family_polynomial(family, k, d), 4 * n_to)
+    growth = growth_polynomial(family_polynomial(family, k, d, n_max=4 * n_to), 4 * n_to)
     rows = [_scan_row(growth, n, C, eps, precision) for n in ns]
     violations = sum(1 for r in rows if r.violation)
     undecided = sum(1 for r in rows if r.violation is None)

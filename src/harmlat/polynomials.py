@@ -9,8 +9,10 @@ the discretization map sending a harmonic polynomial P = sum a_alpha
 x^alpha / alpha! on R^d to sum a_alpha F_alpha on Z^d (term-by-term
 products of the univariate F's), the planar families S_k / T_k obtained
 by discretizing Re (x+iy)^k / k! and Im (x+iy)^k / k!, the coordinate
-products u_k = x_1 ... x_k, and reproducible random harmonic polynomials
-drawn from the exact kernel of the continuous Laplacian.  The F's are
+products u_k = x_1 ... x_k, and reproducible random harmonic polynomials.
+A harmonic P = sum_j x_d^j p_j(x') is fixed by p_0 and p_1, through
+p_{j+2} = -Delta' p_j / ((j+1)(j+2)); the kernel basis of the continuous
+Laplacian and the random draws are built by that recursion.  The F's are
 built in integers: 2^k k! F_k is the product of the linear factors
 2x + k - 1 - 2j, and sums of products F_alpha are taken over one common
 denominator.
@@ -315,27 +317,37 @@ def monomial_uk(d: int, k: int) -> MultivariatePolynomial:
 
 
 def family_polynomial(
-    family: str, k: int, d: Optional[int] = None, seed: Optional[int] = None
+    family: str, k: int, d: Optional[int] = None, seed: Optional[int] = None,
+    n_max: Optional[int] = None,
 ) -> MultivariatePolynomial:
-    """Member k of a named harmonic family.
+    """Member k of a named harmonic family, for a growth polynomial read up to n_max.
 
     "S" and "T" are S_k and T_k on Z^2, "u" is u_k on Z^d (d defaults to
     k), and "random" is :func:`random_harmonic` of degree <= k on Z^d,
-    which needs d and a seed.
+    which needs d and a seed.  S_k, T_k and u_k have degree exactly k, so
+    their ball B_min(n_max, k+1) (n_max None: B_{k+1}) is checked against
+    the cell cap before they are built; a random member is checked on its
+    actual ball when it is evaluated.
     """
-    if family in ("S", "T") and d not in (None, 2):
-        raise InvalidParameterError(f"family {family} lives on Z^2")
-    if family == "S":
-        return sk_polynomial(k)
-    if family == "T":
-        return tk_polynomial(k)
-    if family == "u":
-        return monomial_uk(k if d is None else d, k)
     if family == "random":
         if d is None or seed is None:
             raise InvalidParameterError("family random needs a dimension d and a seed")
         return random_harmonic(d, k, seed)
-    raise InvalidParameterError(f"unknown family {family!r}")
+    if family in ("S", "T"):
+        if d not in (None, 2):
+            raise InvalidParameterError(f"family {family} lives on Z^2")
+        d = 2
+    elif family == "u":
+        d = k if d is None else d
+        balls.check_dimension(d)
+    else:
+        raise InvalidParameterError(f"unknown family {family!r}")
+    balls.guard_cells(d, k + 1 if n_max is None else min(n_max, k + 1))
+    if family == "S":
+        return sk_polynomial(k)
+    if family == "T":
+        return tk_polynomial(k)
+    return monomial_uk(d, k)
 
 
 # -- discretization of continuous harmonic polynomials ------------------------
@@ -464,104 +476,62 @@ def _remaining(d: int, R: int) -> list:
 def harmonic_kernel_basis(d: int, M: int) -> list:
     """Exact basis of continuous harmonic polynomials of degree <= M.
 
-    Computed by Gaussian elimination over Q on the monomial basis: the
-    kernel of the continuous Laplacian restricted to degree <= M.
-    Deterministic ordering (graded lex on monomials).
+    One element per monomial of degree <= M whose x_d-exponent is at
+    most 1, in graded lex order: the harmonic polynomial whose terms of
+    x_d-degree <= 1 are that monomial alone (:func:`_harmonic_extension`).
     """
     balls.check_dimension(d)
     if M < 0:
         raise InvalidParameterError("degree bound must be non-negative")
-    monos = _graded_monomials(d, M)
-    col_of = {a: i for i, a in enumerate(monos)}
-    images = _graded_monomials(d, max(M - 2, -1)) if M >= 2 else []
-    row_of = {a: i for i, a in enumerate(images)}
-    # matrix rows: image monomials; columns: source monomials
-    rows = [[Fraction(0)] * len(monos) for _ in images]
-    for j, alpha in enumerate(monos):
-        for axis in range(d):
-            a = alpha[axis]
-            if a >= 2:
-                key = list(alpha)
-                key[axis] = a - 2
-                rows[row_of[tuple(key)]][j] += a * (a - 1)
-    free_cols = _nullspace_free_columns(rows, len(monos))
-    basis = []
-    for vec in free_cols:
-        terms = {monos[i]: v for i, v in enumerate(vec) if v != 0}
-        basis.append(MultivariatePolynomial(d, terms))
-    return basis
+    return [_harmonic_extension(d, {alpha: 1}) for alpha in _low_monomials(d, M)]
 
 
-def _graded_monomials(d: int, M: int) -> list:
-    out = []
-    if M < 0:
-        return out
-    for total in range(M + 1):
-        out.extend(sorted(_compositions(d, total)))
-    return out
+def _low_monomials(d: int, M: int) -> list:
+    """Monomials of degree <= M with x_d-exponent <= 1, graded, then lex."""
+    heads = [()]
+    for _ in range(d - 1):
+        heads = [h + (a,) for h in heads for a in range(M + 1 - sum(h))]
+    low = (h + (e,) for h in heads for e in (0, 1) if sum(h) + e <= M)
+    return sorted(low, key=lambda alpha: (sum(alpha), alpha))
 
 
-def _compositions(d: int, total: int):
-    if d == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(d - 1, total - first):
-            yield (first,) + rest
+def _harmonic_extension(d: int, terms: dict) -> MultivariatePolynomial:
+    """The harmonic polynomial on R^d whose terms of x_d-degree <= 1 are ``terms``.
 
-
-def _nullspace_free_columns(rows: list, ncols: int) -> list:
-    """Kernel basis of the row system via exact reduced row echelon form."""
-    mat = [row[:] for row in rows]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(r, len(mat)):
-            if mat[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -mat[i][free]
-        basis.append(vec)
-    return basis
+    Writing P = sum_j x_d^j p_j(x'), the Laplacian of P vanishes exactly
+    when p_{j+2} = -Delta' p_j / ((j+1)(j+2)) for every j, so p_0 and p_1
+    fix P.  The layers are built two at a time from the two below, until
+    Delta' (which lowers the degree by two) leaves nothing.
+    """
+    out = dict(terms)
+    layer = terms
+    while layer:
+        below, layer = layer, {}
+        for alpha, c in below.items():
+            j = alpha[-1]
+            for axis, a in enumerate(alpha[:-1]):
+                if a >= 2:
+                    key = alpha[:axis] + (a - 2,) + alpha[axis + 1 : -1] + (j + 2,)
+                    layer[key] = layer.get(key, 0) - Fraction(c * a * (a - 1), (j + 1) * (j + 2))
+        layer = {key: c for key, c in layer.items() if c}
+        out.update(layer)
+    return MultivariatePolynomial(d, out)
 
 
 def random_harmonic(d: int, M: int, seed: int) -> MultivariatePolynomial:
     """Reproducible lattice-harmonic polynomial of degree <= M.
 
-    Draws integer coefficients uniformly from {-9, ..., 9} (SplitMix64
-    stream keyed by ``seed``) against the exact harmonic kernel basis of
-    degree <= M on R^d, then discretizes through :func:`correspondence`.
-    Identical (d, M, seed) always produce the identical polynomial.
+    Draws one integer uniformly from {-9, ..., 9} (SplitMix64 stream
+    keyed by ``seed``) per monomial of degree <= M with x_d-exponent <= 1,
+    in the order of :func:`harmonic_kernel_basis`, so the result is that
+    basis' combination with the drawn coefficients.  The drawn terms are
+    extended once to the harmonic polynomial they fix on R^d and
+    discretized through :func:`correspondence`.  Identical (d, M, seed)
+    always produce the identical polynomial.
     """
+    balls.check_dimension(d)
     if M < 0:
         raise InvalidParameterError("degree bound must be non-negative")
-    basis = harmonic_kernel_basis(d, M)
     rng = SplitMix64(seed)
-    P = MultivariatePolynomial.zero(d)
-    for b in basis:
-        c = rng.next_int(-9, 9)
-        if c:
-            P = P + b.scale(c)
-    return correspondence(P)
+    terms = {alpha: rng.next_int(-9, 9) for alpha in _low_monomials(d, M)}
+    return correspondence(_harmonic_extension(d, terms))

@@ -538,6 +538,39 @@ def test_function_table_above_cap_refused_exit_3(capsys, tmp_path, monkeypatch):
     assert "HARM_MAX_CELLS" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["conjecture", "scan", "--family", "S", "--k", "400", "--C", "1", "--eps", "1/10"],
+        ["growth", "--family", "T", "--k", "400", "--n-max", "2000"],
+    ],
+)
+def test_named_family_above_cap_refused_before_it_is_built(capsys, monkeypatch, argv):
+    from harmlat import polynomials
+
+    def unbuilt(k):
+        raise AssertionError(f"member {k} was built before its ball was checked")
+
+    monkeypatch.setenv("HARM_MAX_CELLS", "1000")
+    monkeypatch.setattr(polynomials, "sk_polynomial", unbuilt)
+    monkeypatch.setattr(polynomials, "tk_polynomial", unbuilt)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: ball B_401 of Z^2 has 322405 points, above the cap 1000 "
+        "(raise HARM_MAX_CELLS to override)\n"
+    )
+
+
+def test_named_family_cap_reads_the_commands_ball(capsys, monkeypatch):
+    # three-circles at n = 1 reads Q(4), so S_6 is read on B_4 (41 cells), not B_7
+    monkeypatch.setenv("HARM_MAX_CELLS", "41")
+    argv = ["check", "three-circles", "--family", "S", "--k", "6", "--n", "1", "--eps", "0"]
+    assert run(capsys, *argv, "--explore")[0] == 0
+    monkeypatch.setenv("HARM_MAX_CELLS", "40")
+    assert run(capsys, *argv, "--explore")[0] == 3
+
+
 def test_internal_failure_exit_4(capsys, monkeypatch):
     from harmlat import cli
 

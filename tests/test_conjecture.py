@@ -81,6 +81,19 @@ def test_scan_resource_cap(monkeypatch):
     assert conjecture_scan(2, 1, F(1, 10), 50, 50).rows[0].n == 50  # B_3: 25 cells
 
 
+def test_scan_refuses_its_ball_before_building_the_member(monkeypatch):
+    # S_400 takes seconds to build; B_401 of Z^2 (322,405 cells) is refused first
+    from harmlat import polynomials
+
+    def unbuilt(k):
+        raise AssertionError(f"S_{k} was built before its ball was checked")
+
+    monkeypatch.setenv("HARM_MAX_CELLS", "1000")
+    monkeypatch.setattr(polynomials, "sk_polynomial", unbuilt)
+    with pytest.raises(ResourceLimitError, match="B_401 of Z\\^2"):
+        conjecture_scan(400, 1, F(1, 10))
+
+
 def test_scan_k1_no_violation():
     # Q(n) = n/2 is exactly log-convex at ratio 1:2:4, so the residual is <= 0
     result = conjecture_scan(1, 1, F(1, 10), 2, 12)

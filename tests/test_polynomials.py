@@ -1,5 +1,8 @@
 """Polynomial algebra, the F_k basis, discretization and the planar families."""
 
+import hashlib
+import itertools
+import json
 import math
 import tracemalloc
 from fractions import Fraction as F
@@ -327,6 +330,53 @@ def test_random_harmonic_deterministic():
 def test_random_harmonic_m0_is_constant():
     p = random_harmonic(2, 0, 3)
     assert p.degree <= 0
+
+
+# sha256 of json.dumps(random_harmonic(d, 6, seed).to_json()) for the corpus seeds of
+# benchmark seeds 0 and 1, recorded from the elimination-based basis this recursion replaced
+RANDOM_DIGESTS = {
+    (2, 101): "b1e5047c28acaa478fae266f05ea342623650d9caf46c58cd6cabff6afaecbb5",
+    (2, 102): "ec3c8f0d924ca7d7a430ccefd069266e9f32232375395691c057b6d160edd94a",
+    (2, 103): "ced9dac4f5628c770b6aca2a496681bf19fc33e1ae74d0cbce10281fafffc65d",
+    (2, 104): "495f73254d401c43b2f8b522fd43498f16f67dea40df315fde722f65ab87add5",
+    (2, 105): "c20137d3675b1d86fc1c12c94e4d8ced22c273224ce69633eea323b6ad12aed9",
+    (2, 1101): "5e03cb18cd2b8dc5965f9f393b48509b0f6952ed4581fcc9bcd1f1cfd56a58a6",
+    (2, 1102): "61113d32e224bc4445bcae38433a6730c20ec58b4636b1d029f2b23bce0f02c4",
+    (2, 1103): "cbb71ef2ae67377936ae3855f172a53e17d8fc0f4d9ed42557caef8287e5a3ff",
+    (2, 1104): "06e1e9727d86103534c495aeb99fc80c91cf5861ce6a4e7441cebc42ca5a8a53",
+    (2, 1105): "18243c41dcc27213b84ab56cc310b8af857429a99c7b165201aa1812d36b6bad",
+    (3, 201): "242d19d6d7b1fc60464c79e4a92034fb764fe2f60c4c19cf408e73d8137af5a2",
+    (3, 202): "988dfabe6a7896eda5b4c87c2d95f663d1100d2813b37783d92e2974b831ec4c",
+    (3, 203): "6245e0a73c9673715b5aeb89f3f570d145e2be2766a91b3b8efa91f827193a0c",
+    (3, 204): "fc1968616bd77c56a6f11a0f93804d3661ad64526d7f8d9ef2024c27b94aed97",
+    (3, 205): "fc35b6d7cf991ea8d16d9a29f8697d482aaf63a98c3a5096635a314e27ddd132",
+    (3, 1201): "2601e30be9b69620d0bfe6c05e24b691bcf1a0fcc40c2c930b9dab14c399527a",
+    (3, 1202): "10aa8eadce5843a098e73bbfe551e13bd931d76b36cf89c0992bfa243c331055",
+    (3, 1203): "30978c5c78878f0874f2292eabcd50751bdc4139a815fbcc829d12a76412c7f3",
+    (3, 1204): "d75d0ce1066a290fc27f97aa4120b7b1720f4098af0670039c60bb14cf5183d5",
+    (3, 1205): "f748fef04f305ee86380276240c6400385a54b9244020444dfc0e440ed684e11",
+}
+
+
+@pytest.mark.parametrize("d, seed", sorted(RANDOM_DIGESTS))
+def test_random_harmonic_pinned(d, seed):
+    text = json.dumps(random_harmonic(d, 6, seed).to_json())
+    assert hashlib.sha256(text.encode()).hexdigest() == RANDOM_DIGESTS[d, seed]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 6))
+def test_harmonic_kernel_basis_is_fixed_by_low_x_d_terms(d, M):
+    basis = harmonic_kernel_basis(d, M)
+    # the monomials of degree <= M with x_d-exponent <= 1, graded, then lex
+    free = sorted(
+        (a for a in itertools.product(range(M + 1), repeat=d) if sum(a) <= M and a[-1] <= 1),
+        key=lambda a: (sum(a), a),
+    )
+    assert len(basis) == len(free)
+    for alpha, b in zip(free, basis):
+        assert continuous_laplacian(b).is_zero()
+        assert {a: c for a, c in b.terms.items() if a[-1] <= 1} == {alpha: 1}
 
 
 def test_harmonic_kernel_dimensions():
