@@ -14,7 +14,8 @@ it reads; --function, --poly and --family exclude one another.  Every
 command reads one growth object, a GrowthPolynomial: a table's growth
 report on B_N, or a polynomial's growth polynomial.  A check reads Q(n)
 from it where its statement asks; `growth` prints Q(0..N) and the
-zero-padded a_k, and --diff-cols is read by its CSV of Q only.
+zero-padded a_k, and --diff-cols is read by its CSV of Q only, whose
+difference columns are read off the a_k.  --out gets the bytes stdout would.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .checks import (
 )
 from .conjecture import conjecture_scan
 from .errors import HarmError, HarmonicityError, UsageError
-from .growth import _difference_triangle, growth_polynomial, growth_report
+from .growth import GrowthPolynomial, growth_polynomial, growth_report
 from .lattice import LatticeFunction
 from .polynomials import MultivariatePolynomial, family_polynomial, is_harmonic_poly
 from .rationals import format_rational, parse_rational
@@ -59,6 +60,9 @@ _STATUS_EXIT = {HOLDS: EXIT_HOLDS, FAILS: EXIT_FAILS, UNDECIDED: EXIT_UNDECIDED}
 
 
 def _emit(args, text: str) -> None:
+    """Write ``text``, ending in one newline, to --out or stdout (the same bytes)."""
+    if not text.endswith("\n"):
+        text += "\n"
     if args.out:
         try:
             fh = open(args.out, "w")
@@ -67,8 +71,6 @@ def _emit(args, text: str) -> None:
         with fh:
             fh.write(text)
         return
-    if not text.endswith("\n"):
-        text += "\n"
     try:
         sys.stdout.write(text)
         sys.stdout.flush()
@@ -82,21 +84,14 @@ def _emit_json(args, obj: dict) -> None:
     _emit(args, json.dumps(obj, indent=2))
 
 
-def _verdict_csv(v: Verdict) -> str:
-    head = "status,lhs,main_lo,main_hi,error_lo,error_hi,margin,hypothesis_met"
-    row = ",".join(
-        [
-            v.status,
-            format_rational(v.lhs),
-            format_rational(v.main.lo),
-            format_rational(v.main.hi),
-            format_rational(v.error_term.lo),
-            format_rational(v.error_term.hi),
-            format_rational(v.margin),
-            "" if v.hypothesis_met is None else str(int(v.hypothesis_met)),
-        ]
-    )
-    return head + "\n" + row + "\n"
+def _verdict_csv(*verdicts: Verdict) -> str:
+    """One header line, then one row per verdict, in the order given."""
+    lines = ["status,lhs,main_lo,main_hi,error_lo,error_hi,margin,hypothesis_met"]
+    for v in verdicts:
+        cells = [v.lhs, v.main.lo, v.main.hi, v.error_term.lo, v.error_term.hi, v.margin]
+        met = "" if v.hypothesis_met is None else str(int(v.hypothesis_met))
+        lines.append(",".join([v.status, *map(format_rational, cells), met]))
+    return "\n".join(lines) + "\n"
 
 
 def _emit_verdict(args, v: Verdict, extra: Optional[dict] = None) -> int:
@@ -183,15 +178,14 @@ def _cmd_growth(args) -> int:
     if args.newton:
         lines = ["k,a_k"] + [f"{k},{a}" for k, a in enumerate(report["newton"])]
     else:
-        K = min(6 if args.diff_cols is None else args.diff_cols, args.n_max)
-        rows = _difference_triangle([growth.Q(n) for n in range(args.n_max + 1)])
-        rows += [[0] * (args.n_max + 1 - j) for j in range(len(rows), K + 1)]  # zero rows
+        N = args.n_max
+        K = min(6 if args.diff_cols is None else args.diff_cols, N)
+        # Delta^j Q(n) = sum_i a_(j+i) C(n, i), for n <= N - j
+        diffs = [GrowthPolynomial(growth.d, growth.newton[j:]) for j in range(1, K + 1)]
         lines = ["n,Q" + "".join(f",d{j}" for j in range(1, K + 1))]
         for n, q in enumerate(report["values"]):
-            cells = [str(n), q]
-            for row in rows[1 : K + 1]:
-                cells.append(format_rational(row[n]) if n < len(row) else "")
-            lines.append(",".join(cells))
+            cells = [format_rational(d.Q(n)) if n <= N - j else "" for j, d in enumerate(diffs, 1)]
+            lines.append(",".join([str(n), q, *cells]))
     _emit(args, "\n".join(lines) + "\n")
     return EXIT_HOLDS
 
@@ -235,7 +229,7 @@ def _cmd_check(args) -> int:
         P = parse_rational(args.P)
         result = binomial_inequality_check(args.n, args.k, P, eps, args.precision)
         if args.fmt == "csv":
-            _emit(args, _verdict_csv(result.plain) + _verdict_csv(result.max_form))
+            _emit(args, _verdict_csv(result.plain, result.max_form))
         else:
             _emit_json(
                 args,

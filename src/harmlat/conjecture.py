@@ -41,11 +41,10 @@ class ScanRow:
     q_n: Fraction
     q_2n: Fraction
     q_4n: Fraction
-    ratio: Optional[Fraction]  # Q(2n)^2 / (Q(n) Q(4n)); None when flagged
+    ratio: Optional[Fraction]  # Q(2n)^2 / (Q(n) Q(4n)); None when Q(n) or Q(4n) is 0
     residual: RealEnclosure    # (Q(2n) - C sqrt(Q(n)Q(4n))) / Q(4n)
     bound: RealEnclosure       # 2^(-n^(1/2+eps))
     violation: Optional[bool]  # None = undecided at the precision cap
-    zero_flagged: bool
 
     def csv_fields(self) -> list:
         ratio_num = str(self.ratio.numerator) if self.ratio is not None else ""
@@ -100,8 +99,7 @@ class ScanResult:
 
 def _scan_row(growth, n, C, eps, precision) -> ScanRow:
     q_n, q_2n, q_4n = growth.Q(n), growth.Q(2 * n), growth.Q(4 * n)
-    zero = q_n == 0 or q_4n == 0
-    ratio = None if zero else q_2n * q_2n / (q_n * q_4n)
+    ratio = None if q_n == 0 or q_4n == 0 else q_2n * q_2n / (q_n * q_4n)
     bound = enclose_pow(2, n, Fraction(1, 2) + eps, precision)
     if q_4n == 0:
         residual = RealEnclosure.exact(0)
@@ -112,7 +110,7 @@ def _scan_row(growth, n, C, eps, precision) -> ScanRow:
         # the violation is the negated sum form, decided as at the check's cap rung
         status = _sum_status(q_2n, RealEnclosure.exact(C * C * q_n * q_4n), bound * q_4n)
         violation = None if status == UNDECIDED else status == FAILS
-    return ScanRow(n, q_n, q_2n, q_4n, ratio, residual, bound, violation, zero)
+    return ScanRow(n, q_n, q_2n, q_4n, ratio, residual, bound, violation)
 
 
 def default_window(k: int) -> tuple:

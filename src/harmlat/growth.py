@@ -10,7 +10,10 @@ its binomial coefficients a_k, Q(n) = sum_k a_k C(n, k), in one
 :class:`GrowthPolynomial`.  The a_k are the forward differences of
 Q(0..N) at 0 and independently equal the iterated-Laplacian values
 L^k(u^2)(0), a cross-check performed on every report; a report covers
-Q(n) for n <= N.
+Q(n) for n <= N.  Every other difference is read off the a_k,
+Delta^c Q(n) = sum_j a_(c+j) C(n, j), so Q is absolutely monotone on
+0..N exactly when a_0..a_N >= 0; only the walk route of a report takes
+differences of a table of Q.
 
 For a polynomial P of degree M, a_k = 0 for k > M.  Its a_0..a_M, read
 off the report on the ball B_{M+1}, give Q(n) at any n it is asked for,
@@ -166,20 +169,22 @@ def _newton_via_laplacian(
 
 
 def _difference_triangle(values: list) -> list:
-    """The rows of forward differences of Q(0..N) before the first all-zero row.
+    """The a_k = Delta^k Q(0) of Q(0..N) = ``values``, up to the last nonzero one.
 
-    Row k holds Delta^k Q(n) for n = 0..N-k, taken in integers over one
-    denominator.  The differences of an all-zero row are zero, so every
-    later row is zero and none is returned; for the values of a
-    polynomial of degree M that is every row past M.
+    The rows of forward differences are taken in integers over one
+    denominator, and each row gives only its first entry, as a Fraction.
+    The differences of an all-zero row are zero, so the rows stop at the
+    first all-zero one; the row before it is a nonzero constant (or a
+    single entry), so the last a_k returned is nonzero.  For the values
+    of a polynomial of degree M no a_k past a_M is returned.
     """
     den = math.lcm(*(v.denominator for v in values))
     row = [v.numerator * (den // v.denominator) for v in values]
-    rows = []
+    newton = []
     while any(row):
-        rows.append([Fraction(v, den) for v in row])
+        newton.append(Fraction(row[0], den))
         row = list(map(sub, row[1:], row))
-    return rows
+    return newton
 
 
 @dataclass(frozen=True)
@@ -232,16 +237,13 @@ class GrowthPolynomial:
 
     @cached_property
     def continuous_coeffs(self) -> tuple:
-        """c_k = a_k / k!, trailing zeros trimmed: Qc(t) = sum_k c_k t^k."""
+        """c_k = a_k / k! up to the last nonzero a_k: Qc(t) = sum_k c_k t^k."""
         if self.n_max is not None:
             raise OutOfRangeError(
                 "the continuous-time growth needs every a_k; build the growth polynomial "
                 "without n_max"
             )
-        coeffs = [a / math.factorial(k) for k, a in enumerate(self.newton)]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        return tuple(coeffs) or (Fraction(0),)
+        return tuple(a / math.factorial(k) for k, a in enumerate(self.newton)) or (Fraction(0),)
 
     def continuous(self, t) -> Fraction:
         """Exact Qc(t), the growth function of the continuous-time walk."""
@@ -278,7 +280,7 @@ def growth_report(u: LatticeFunction, n_max: Optional[int] = None) -> GrowthPoly
     twod = 2 * u.d
     rows = _orbit_walk_rows(u.d, N)
     values = [Fraction(sum(map(mul, rows[n], sums)), den2 * twod ** n) for n in range(N + 1)]
-    newton = tuple(r[0] for r in _difference_triangle(values))
+    newton = tuple(_difference_triangle(values))
     if list(newton) + [0] * (N + 1 - len(newton)) != _newton_via_laplacian(u, sums, N):
         raise HarmError(
             "internal inconsistency: difference-triangle coefficients disagree "
@@ -298,14 +300,19 @@ class AbsoluteMonotonicityResult:
 
 
 def check_absolute_monotonicity(growth: GrowthPolynomial) -> AbsoluteMonotonicityResult:
-    """All forward differences of Q(0..n_max) non-negative (zero rows skipped)."""
-    if growth.n_max is None:
-        raise InvalidParameterError("absolute monotonicity is checked on Q(0..n_max), not on every n")
-    values = [growth.Q(n) for n in range(growth.n_max + 1)]
-    for k, row in enumerate(_difference_triangle(values)):
-        for n, v in enumerate(row):
-            if v < 0:
-                return AbsoluteMonotonicityResult(False, (k, n), v)
+    """Every forward difference of Q non-negative, read off the signs of the a_k.
+
+    Delta^c Q(n) = sum_j a_(c+j) C(n, j) and Delta^c Q(0) = a_c, so Q is
+    absolutely monotone on 0..n_max exactly when a_0..a_n_max >= 0, and
+    on every n >= 0 for a complete growth polynomial (n_max None).  A
+    violation is (k, 0) with value a_k for the first negative a_k, not the
+    row-major first negative difference: for Q = (0, 0, -1) it is (2, 0),
+    not (0, 2).
+    """
+    known = growth.newton if growth.n_max is None else growth.newton[: growth.n_max + 1]
+    for k, a in enumerate(known):
+        if a < 0:
+            return AbsoluteMonotonicityResult(False, (k, 0), a)
     return AbsoluteMonotonicityResult(True)
 
 

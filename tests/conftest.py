@@ -39,10 +39,23 @@ def growth_of(values) -> GrowthPolynomial:
     """The growth object of the table Q(0..N) = ``values``, whatever its values.
 
     Its a_k are the first entries of the table's forward-difference rows,
-    as in :func:`harmlat.growth_report`; it covers n <= N.
+    taken as in :func:`harmlat.growth_report`; it covers n <= N.
     """
-    rows = _difference_triangle([Fraction(v) for v in values])
-    return GrowthPolynomial(None, tuple(row[0] for row in rows), len(values) - 1)
+    newton = _difference_triangle([Fraction(v) for v in values])
+    return GrowthPolynomial(None, tuple(newton), len(values) - 1)
+
+
+def _full_triangle(values):
+    """Every forward-difference row of ``values``: row k holds Delta^k Q(n) for n <= N - k.
+
+    The reference the library's a_k are checked against; it takes every
+    difference directly and stops at no zero row.
+    """
+    rows, row = [], list(values)
+    while row:
+        rows.append(row)
+        row = [b - a for a, b in zip(row, row[1:])]
+    return rows
 
 
 def corpus_polynomials():

@@ -18,6 +18,8 @@ from harmlat.cli import main
 from harmlat.growth import GrowthPolynomial, growth_polynomial, growth_report
 from harmlat.rationals import format_rational, parse_rational
 
+from conftest import _full_triangle
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -142,9 +144,7 @@ def test_growth_csv(capsys):
 def _csv_from_full_triangle(values, diff_cols):
     """The CSV of ``harm growth``, from every forward difference of the values."""
     N = len(values) - 1
-    tri = [list(values)]
-    while len(tri) <= N:
-        tri.append([b - a for a, b in zip(tri[-1], tri[-1][1:])])
+    tri = _full_triangle(values)
     K = min(diff_cols, N)
     lines = ["n,Q" + "".join(f",d{j}" for j in range(1, K + 1))]
     for n in range(N + 1):
@@ -177,6 +177,85 @@ def test_growth_csv_equals_full_triangle(capsys, tmp_path, source, diff_cols):
     walk = growth_report(evaluate_on_ball(P, N))
     values = [walk.Q(n) for n in range(N + 1)]
     assert out == _csv_from_full_triangle(values, 6 if diff_cols is None else diff_cols)
+
+
+def test_growth_csv_takes_differences_once(capsys, tmp_path, monkeypatch):
+    # the walk route of growth_report finds the a_k; every other difference is read off them
+    calls = []
+    triangle = growth._difference_triangle
+
+    def counted(values):
+        calls.append(len(values))
+        return triangle(values)
+
+    monkeypatch.setattr(growth, "_difference_triangle", counted)
+    u = evaluate_on_ball(_NOT_HARMONIC, 6)
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(u.to_json()))
+    code, _, err = run(
+        capsys, "growth", "--function", str(path), "--n-max", "6", "--format", "csv",
+        "--diff-cols", "6",
+    )
+    assert (code, err, calls) == (0, "", [7])
+    report = growth_report(u)
+    calls.clear()
+    assert harmlat.check_absolute_monotonicity(report).holds  # every a_k >= 0 here
+    assert calls == []
+
+
+def test_growth_newton_csv(capsys):
+    code, out, err = run(
+        capsys, "growth", "--family", "S", "--k", "3", "--n-max", "6", "--format", "csv",
+        "--newton",
+    )
+    assert (code, err) == (0, "")
+    newton = growth_polynomial(harmlat.sk_polynomial(3)).newton
+    a = list(newton) + [0] * (7 - len(newton))
+    assert out == "k,a_k\n" + "".join(f"{k},{format_rational(a[k])}\n" for k in range(7))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["growth", "--family", "S", "--k", "3", "--n-max", "4"],
+        ["conjecture", "scan", "--k", "2", "--C", "1", "--eps", "1/10", "--n-from", "17",
+         "--n-to", "18", "--format", "csv"],
+    ],
+)
+def test_out_file_holds_the_bytes_of_stdout(capsys, tmp_path, argv):
+    code, out, _ = run(capsys, *argv)
+    target = tmp_path / "out.txt"
+    assert run(capsys, *argv, "--out", str(target)) == (code, "", "")
+    assert out.endswith("\n") and target.read_bytes() == out.encode()
+
+
+def test_poly_file_path_reads_as_inline_json(capsys, tmp_path):
+    inline = json.dumps(harmlat.sk_polynomial(3).to_json())
+    path = tmp_path / "p.json"
+    path.write_text(inline)
+    by_path = run(capsys, "growth", "--poly", str(path), "--n-max", "5")
+    assert by_path[0] == 0 and by_path == run(capsys, "growth", "--poly", inline, "--n-max", "5")
+
+
+@pytest.mark.parametrize(
+    "flag, what", [("--poly", "polynomial"), ("--function", "lattice function")]
+)
+def test_unreadable_input_path_exit_3(capsys, tmp_path, flag, what):
+    code, out, err = run(capsys, "growth", flag, str(tmp_path / "missing.json"), "--n-max", "2")
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: cannot read {what}: ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["growth", "--family", "S", "--n-max", "4"], "--family needs --k"),
+        (["conjecture", "scan", "--C", "1", "--eps", "1/10"],
+         "conjecture scan needs --k (family index)"),
+    ],
+)
+def test_family_without_k_exit_3(capsys, argv, message):
+    assert run(capsys, *argv) == (3, "", f"error: {message}\n")
 
 
 def test_check_three_circles_family(capsys):
@@ -217,6 +296,19 @@ def test_check_binomial(capsys):
     obj = json.loads(out)
     assert obj["plain"]["status"] == "holds"
     assert obj["max_form"]["status"] == "holds"
+
+
+def test_check_binomial_csv_prints_one_header(capsys):
+    argv = ["check", "binomial", "--n", "100", "--k", "5", "--P", "2", "--eps", "1/4"]
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert (code, err) == (0, "")
+    obj = json.loads(run(capsys, *argv)[1])
+    header, plain, max_form = out.splitlines()
+    assert out.count("status,") == 1 and header.startswith("status,lhs,")
+    for line, form in ((plain, obj["plain"]), (max_form, obj["max_form"])):
+        assert line.split(",")[:2] == [form["status"], form["lhs"]]
+        assert line.split(",")[6] == form["margin"]
+    assert plain != max_form
 
 
 def test_check_aspect_with_derived_alpha(capsys):
@@ -425,6 +517,21 @@ def test_conjecture_scan_csv(capsys, tmp_path):
     lines = text.strip().split("\n")
     assert lines[0].startswith("n,Q_n,Q_2n,Q_4n")
     assert len(lines) == 5
+
+
+def test_conjecture_scan_row_with_q_4n_zero(capsys):
+    # u_5 on Z^5 vanishes on B_4: Q(1) = Q(2) = Q(4) = 0, so row 1 has no ratio and no residual
+    code, out, err = run(
+        capsys, "conjecture", "scan", "--family", "u", "--k", "5", "--C", "1", "--eps", "1/10",
+        "--n-from", "1", "--n-to", "2", "--format", "csv",
+    )
+    assert (code, err) == (0, "")
+    header, row1, row2 = out.splitlines()
+    cells = dict(zip(header.split(","), row1.split(",")))
+    assert [cells[c] for c in ("n", "Q_n", "Q_2n", "Q_4n")] == ["1", "0", "0", "0"]
+    assert [cells[c] for c in ("ratio_num", "ratio_den")] == ["", ""]
+    assert [cells[c] for c in ("residual_lo", "residual_hi", "violation")] == ["0", "0", "0"]
+    assert row2.split(",")[3] != "0"  # Q(8) > 0: row 2 is decided on its residual
 
 
 def test_sparse_function_loading(capsys, tmp_path):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from harmlat import (
     GrowthPolynomial,
     HarmError,
-    InvalidParameterError,
     LatticeBall,
     LatticeFunction,
     MultivariatePolynomial,
@@ -31,7 +30,7 @@ from harmlat import growth
 from harmlat.balls import orbit_table
 from harmlat.growth import _difference_triangle, _newton_via_laplacian, _orbit_walk_rows
 
-from conftest import growth_of
+from conftest import _full_triangle, growth_of
 from montecarlo import monte_carlo_Q
 
 
@@ -235,12 +234,10 @@ def test_quotient_cascade_matches_plain_laplacian_deep():
 
 
 def test_report_triangle_recurrence():
-    u = evaluate_on_ball(sk_polynomial(3), 7)
-    tri = _difference_triangle([growth_report(u).Q(n) for n in range(8)])
-    for k in range(1, len(tri)):
-        prev, cur = tri[k - 1], tri[k]
-        for n in range(len(cur)):
-            assert cur[n] == prev[n + 1] - prev[n]
+    # every difference is read off the a_k: Delta^c Q(n) = sum_j a_(c+j) C(n, j)
+    rep = growth_report(evaluate_on_ball(sk_polynomial(3), 7))
+    for c, row in enumerate(_full_triangle([rep.Q(n) for n in range(8)])):
+        assert row == [GrowthPolynomial(rep.d, rep.newton[c:]).Q(n) for n in range(len(row))]
 
 
 def test_report_scaling():
@@ -265,11 +262,42 @@ def test_absolute_monotonicity_examples():
     assert res.value == -1
 
 
-def test_absolute_monotonicity_refuses_a_complete_polynomial():
-    # Q(0..n_max) is what the check reads; a complete object has no n_max
-    with pytest.raises(InvalidParameterError):
-        check_absolute_monotonicity(growth_polynomial(sk_polynomial(3)))
+def test_absolute_monotonicity_decides_a_complete_polynomial():
+    # a complete object knows every a_k, so it is decided on every n >= 0
+    assert check_absolute_monotonicity(growth_polynomial(sk_polynomial(3))).holds
     assert check_absolute_monotonicity(growth_polynomial(sk_polynomial(3), 2)).holds
+    res = check_absolute_monotonicity(GrowthPolynomial(1, (F(1), F(2), F(-1, 3), F(-5))))
+    assert (res.holds, res.first_violation, res.value) == (False, (2, 0), F(-1, 3))
+
+
+def test_absolute_monotonicity_reads_only_the_a_k_of_its_range():
+    # Q(0..1) reads a_0 and a_1 only; a_2 < 0 lies outside the range
+    assert check_absolute_monotonicity(GrowthPolynomial(1, (F(1), F(2), F(-1)), 1)).holds
+    res = check_absolute_monotonicity(growth_of([0, 0, -1]))  # a = (0, 0, -1)
+    assert (res.holds, res.first_violation, res.value) == (False, (2, 0), -1)
+
+
+@st.composite
+def q_tables(draw):
+    """Q(0..N), N <= 12: any rational table, or one with every a_k >= 0."""
+    N = draw(st.integers(0, 12))
+    floor = draw(st.sampled_from([0, -4]))
+    fractions = st.fractions(min_value=floor, max_value=9, max_denominator=5)
+    if floor < 0:
+        return draw(st.lists(fractions, min_size=N + 1, max_size=N + 1))
+    newton = draw(st.lists(fractions, min_size=N + 1, max_size=N + 1))
+    return [sum(a * math.comb(n, k) for k, a in enumerate(newton)) for n in range(N + 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(q_tables())
+def test_absolute_monotonicity_matches_the_full_triangle(values):
+    full = _full_triangle([F(v) for v in values])
+    res = check_absolute_monotonicity(growth_of(values))
+    assert res.holds == all(v >= 0 for row in full for v in row)
+    if not res.holds:
+        k = next(k for k, row in enumerate(full) if row[0] < 0)
+        assert (res.first_violation, res.value) == ((k, 0), full[k][0])
 
 
 def test_report_n_max_trimming():
@@ -399,14 +427,6 @@ def test_partial_growth_polynomial_refuses_q_beyond_its_range():
         growth_polynomial(P).Q(-1)
 
 
-def _full_triangle(values):
-    rows, row = [], list(values)
-    while row:
-        rows.append(row)
-        row = [b - a for a, b in zip(row, row[1:])]
-    return rows
-
-
 @pytest.mark.parametrize(
     "values",
     [
@@ -420,9 +440,10 @@ def _full_triangle(values):
     ],
 )
 def test_early_stop_triangle_equals_full_triangle(values):
-    rows, full = _difference_triangle(values), _full_triangle(values)
-    assert rows == full[: len(rows)]
-    assert not any(map(any, full[len(rows) :]))
+    newton, full = _difference_triangle(values), _full_triangle(values)
+    assert newton == [row[0] for row in full[: len(newton)]]
+    assert newton[-1:] != [0]  # the last a_k returned is nonzero
+    assert not any(map(any, full[len(newton) :]))
 
 
 # -- continuous-time growth ----------------------------------------------------------------
