@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import os
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add
 
 from .errors import InvalidParameterError, ResourceLimitError
@@ -238,6 +238,32 @@ def orbit_table(d: int, R: int) -> OrbitTable:
 
 @lru_cache(maxsize=BALL_CACHE_SIZE)
 def point_orbit_indices(d: int, R: int) -> tuple:
-    """Orbit index of every point of B_R, aligned with ball_points(d, R)."""
-    index = orbit_table(d, R).index
-    return tuple(map(index.__getitem__, _canonical_reps(ball_points(d, R))))
+    """Orbit index of every point of B_R, aligned with ball_points(d, R).
+
+    In lex order B_R of Z^d is the blocks {v} x B_{R-|v|} of Z^(d-1),
+    v = -R..R, and the orbit of (v, y) is that of y with |v| merged into
+    its representative.  So each block maps its tails' indices in Z^(d-1)
+    through ``merge[|v|]``; the tails' indices, for every radius up to R,
+    come from the same recursion, down to Z^1, where (v,) has index |v|.
+    No point tuple is built.
+    """
+    check_dimension(d)
+    if R < 0:
+        raise InvalidParameterError("radius must be non-negative")
+    radii = range(R + 1) if d > 1 else (R,)
+    below = {r: list(map(abs, range(-r, r + 1))) for r in radii}
+    for k in range(2, d + 1):
+        index = orbit_table(k, R).index
+        tails = orbit_table(k - 1, R)
+        merge = [
+            [index[tuple(sorted(rep + (a,)))] for rep in tails.reps[: tails.count_up_to(R - a)]]
+            for a in range(R + 1)
+        ]
+        radii = range(R + 1) if k < d else (R,)
+        below = {
+            r: list(chain.from_iterable(
+                map(merge[abs(v)].__getitem__, below[r - abs(v)]) for v in range(-r, r + 1)
+            ))
+            for r in radii
+        }
+    return tuple(below[R])

@@ -111,7 +111,7 @@ def walk_counts(d: int, n: int) -> WalkCountTable:
     po = balls.point_orbit_indices(d, n)
     counts = {}
     for p, oi in zip(balls.ball_points(d, n), po):
-        w = row[oi] if oi < len(row) else 0
+        w = row[oi]
         if w:
             counts[p] = w
     return WalkCountTable(d, n, counts)

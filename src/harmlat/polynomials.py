@@ -22,8 +22,10 @@ forward differences of P at z = 0, on both sides, are polynomials in the
 other coordinates; they are evaluated once on the (d-1)-ball by the same
 scheme, recursively, and every line is then produced by chained running
 sums in exact integers over the coefficients' common denominator.  The
-common factor of the values and that denominator is divided out in
-place (:func:`harmlat.lattice.reduce_in_place`).
+common factor of the top-level differences and that denominator is
+divided out of those differences, before the lines are run out; every
+value is an integer combination of them, so this is exact, and
+:class:`harmlat.lattice.LatticeFunction` divides out any factor left.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Optional, Sequence
 
 from . import balls
 from .errors import HarmonicityError, InvalidParameterError, UsageError
-from .lattice import LatticeBall, LatticeFunction, reduce_in_place
+from .lattice import LatticeBall, LatticeFunction
 from .rationals import format_rational, parse_int, parse_rational
 from .rng import SplitMix64
 
@@ -377,25 +379,38 @@ def evaluate_on_ball(P: MultivariatePolynomial, R: int) -> LatticeFunction:
     """Exact evaluation of P at every point of B_R, in ball enumeration order.
 
     The ball is checked against the cell cap.  The coefficients are
-    brought to integers over their common denominator and
-    :func:`_ball_values` walks the ball line by line along the last
-    coordinate by exact finite differences.  The common factor of the
-    values and the denominator is divided out in place on the evaluator's
-    own list (:func:`harmlat.lattice.reduce_in_place`), so unreduced and
-    reduced values are never held together.
+    brought to integers over their common denominator; :func:`_seeds`
+    gives the differences of P along the last coordinate on B_R of
+    Z^(d-1), and :func:`_lines` runs them out into the values.  The
+    common factor of the seeds and the denominator is divided out of the
+    seeds: every value is an integer combination of the seeds, so the
+    values stay exact integers.  Any factor the seeds miss (when R < deg P
+    they need not be values on the ball) is divided out by
+    :class:`LatticeFunction`.
     """
     ball = LatticeBall(P.d, R)
     balls.guard_cells(P.d, R)
     den = math.lcm(*(c.denominator for c in P.terms.values()))
     int_terms = {a: c.numerator * (den // c.denominator) for a, c in P.terms.items()}
     exponents = {e for alpha in P.terms for e in alpha}
-    out = _ball_values(int_terms, P.d, R, _surjection_counts(exponents, min(max(P.degree, 0), R)))
-    den = reduce_in_place(out, den)
-    return LatticeFunction(ball, out, den)
+    surj = _surjection_counts(exponents, min(max(P.degree, 0), R))
+    pos, neg = _seeds(int_terms, P.d, R, surj)
+    g = math.gcd(den, *chain.from_iterable(pos + neg))
+    if g > 1:
+        pos, neg = ([list(map(g.__rfloordiv__, s)) for s in side] for side in (pos, neg))
+        den //= g
+    return LatticeFunction(ball, _lines(pos, neg, P.d, R), den)
 
 
 def _ball_values(terms: dict, d: int, R: int, surj: dict) -> list:
-    """Values of an integer polynomial on B_R of Z^d, in lex order (d = 0: one point).
+    """Values of an integer polynomial on B_R of Z^d, in lex order (d = 0: one point)."""
+    if d == 0:
+        return [terms.get((), 0)]
+    return _lines(*_seeds(terms, d, R, surj), d, R)
+
+
+def _seeds(terms: dict, d: int, R: int, surj: dict) -> tuple:
+    """Forward differences at z = 0 of an integer polynomial on Z^d, d >= 1, on B_R of Z^(d-1).
 
     P is split on its last coordinate z, P = sum_j c_j(x') z^j.  Along
     the line through x' the forward differences at z = 0 are polynomials
@@ -406,13 +421,11 @@ def _ball_values(terms: dict, d: int, R: int, surj: dict) -> list:
     and for z -> -z the same with c_j multiplied by (-1)^j.  A value at
     0 <= z <= b <= R reads only the orders i <= z, so only orders
     i <= m = min(deg_z P, R) are taken.  These 2m + 1 seed polynomials
-    are evaluated once on B_R of Z^(d-1) by this same function and table
-    (any table with a row for each exponent of P and columns to m
-    serves); each line z = -b..b, b = R - |x'|_1, is then m chained
-    running sums per side, in exact ints.
+    are evaluated on B_R of Z^(d-1) by :func:`_ball_values` with this
+    same table (any table with a row for each exponent of P and columns
+    to m serves).  Returns the m + 1 lists of each side, z >= 0 and
+    z <= 0; both start with the same order-0 list.
     """
-    if d == 0:
-        return [terms.get((), 0)]
     by_z: dict = {}
     for alpha, c in terms.items():
         by_z.setdefault(alpha[-1], {})[alpha[:-1]] = c
@@ -430,6 +443,15 @@ def _ball_values(terms: dict, d: int, R: int, surj: dict) -> list:
                     down[rest] = down.get(rest, 0) + sign * c
         pos.append(_ball_values(up, d - 1, R, surj))
         neg.append(_ball_values(down, d - 1, R, surj) if i else pos[0])
+    return pos, neg
+
+
+def _lines(pos: list, neg: list, d: int, R: int) -> list:
+    """Values on B_R of Z^d from the :func:`_seeds` of each side.
+
+    Each line z = -b..b, b = R - |x'|_1, is m chained running sums per
+    side, in exact ints.
+    """
     out: list = []
     for b, up, down in zip(_remaining(d - 1, R), zip(*pos), zip(*neg)):
         out.extend(reversed(list(islice(_line(down), 1, b + 1))))

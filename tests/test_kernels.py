@@ -20,12 +20,13 @@ from harmlat import (
     aspect_ratio_check,
     evaluate_on_ball,
     general_P_check,
+    growth_report,
     random_harmonic,
     ratio_125_check,
     sos_laplacian_power,
     three_circles_check,
 )
-from harmlat import checks
+from harmlat import balls, checks
 from harmlat.balls import OrbitTable, orbit_table, unit_steps
 from harmlat.growth import _newton_via_laplacian, _orbit_walk_rows
 
@@ -88,6 +89,30 @@ def test_neighbour_columns_survive_growth(d, radii):
             for rep in tab.reps
         ]
         assert tab.cols[s] == want
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_point_orbit_indices_equal_canonical_reps(d):
+    # the block recursion against each point's sorted absolute values
+    for R in range(8):
+        index = orbit_table(d, R).index
+        want = tuple(index[tuple(sorted(map(abs, p)))] for p in balls.ball_points(d, R))
+        assert balls.point_orbit_indices(d, R) == want, (d, R)
+
+
+def test_table_route_builds_no_point_tuples(monkeypatch):
+    # evaluation and both growth routes read the ball only through orbit
+    # indices: no cell's point tuple and no point -> position map is built
+    P = random_harmonic(3, 5, 17)
+    want = growth_report(evaluate_on_ball(P, 12))
+    balls.point_orbit_indices.cache_clear()
+
+    def refuse(*args):
+        raise AssertionError("point tuples built")
+
+    monkeypatch.setattr(balls, "ball_points", refuse)
+    monkeypatch.setattr(balls, "ball_position", refuse)
+    assert growth_report(evaluate_on_ball(P, 12)) == want
 
 
 # -- cascade against the sum-of-squares identity ---------------------------------

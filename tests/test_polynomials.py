@@ -15,6 +15,7 @@ from harmlat import (
     HarmonicityError,
     InvalidParameterError,
     LatticeBall,
+    LatticeFunction,
     MultivariatePolynomial,
     continuous_laplacian,
     correspondence,
@@ -29,7 +30,7 @@ from harmlat import (
     tk_polynomial,
 )
 from harmlat.balls import ball_points
-from harmlat.polynomials import is_harmonic_poly
+from harmlat.polynomials import _seeds, _surjection_counts, is_harmonic_poly
 
 X2 = MultivariatePolynomial.variable(2, 0)
 Y2 = MultivariatePolynomial.variable(2, 1)
@@ -270,6 +271,41 @@ def test_evaluate_on_ball_matches_pointwise_evaluate(case):
     nums, den = u.scaled_values()
     assert math.gcd(den, *nums) == 1
     assert [F(n, den) for n in nums] == [P.evaluate(p) for p in ball_points(P.d, R)]
+
+
+@st.composite
+def shared_factor_polynomials(draw):
+    """(P, R): integer coefficients times one common Fraction, d <= 3, R below and above deg P."""
+    d = draw(st.integers(1, 3))
+    deg = draw(st.integers(0, 5))
+    R = draw(st.integers(0, deg + 2))
+    exponents = st.lists(st.integers(0, deg), min_size=d, max_size=d).filter(
+        lambda a: sum(a) <= deg
+    )
+    terms = draw(st.dictionaries(exponents.map(tuple), st.integers(-9, 9), max_size=6))
+    factor = F(draw(st.sampled_from([1, 2, 3, 6, 15, 60])), draw(st.integers(1, 12)))
+    return MultivariatePolynomial(d, {a: c * factor for a, c in terms.items()}), R
+
+
+@settings(max_examples=120, deadline=None)
+@given(shared_factor_polynomials())
+def test_evaluate_on_ball_equals_reduced_pointwise_values(case):
+    # the factor divided out of the seeds and the reduction LatticeFunction
+    # finishes give the fully reduced (nums, den) of the pointwise values
+    P, R = case
+    ball = LatticeBall(P.d, R)
+    assert evaluate_on_ball(P, R) == LatticeFunction.from_values(
+        ball, [P.evaluate(p) for p in ball.points]
+    )
+
+
+def test_evaluate_on_ball_reduction_beyond_the_seeds():
+    # -xy/2 vanishes on B_1 of Z^2, but its seeds there (the values of -x
+    # on B_1 of Z^1) are coprime to the denominator 2
+    P = MultivariatePolynomial(2, {(1, 1): F(-1, 2)})
+    pos, neg = _seeds({(1, 1): -1}, 2, 1, _surjection_counts({1}, 1))
+    assert math.gcd(2, *itertools.chain.from_iterable(pos + neg)) == 1
+    assert evaluate_on_ball(P, 1).scaled_values() == ((0,) * 5, 1)
 
 
 def test_evaluate_on_ball_of_a_high_degree_reads_orders_up_to_r_only():
