@@ -10,11 +10,13 @@ sorted absolute-value tuples, enumerated by (radius, lex) so that the
 quotient of a smaller ball is always a prefix of a larger one.  The
 quotient's neighbour structure is stored column-wise: one list per unit
 step, aligned with the representatives, so the walk-count and Laplacian
-kernels run as C-level passes over whole columns.
+kernels run as C-level passes over whole columns.  :func:`laplacian_plan`
+lays out the neighbours of a whole ball's points in the same columns.
 
 The per-(d, R) tables are memoized in bounded caches of
 ``BALL_CACHE_SIZE`` entries each, more than the radii any benchmark
-workload reuses (at most 14 per cache, in ``scan``'s correctness gate).
+workload reuses (at most 13 per cache, B_0..B_12 in ``scan``'s
+correctness gate).
 """
 
 from __future__ import annotations
@@ -112,21 +114,27 @@ def unit_steps(d: int) -> tuple:
 def laplacian_plan(d: int, R: int):
     """Index plan for one Laplacian step from B_R down to B_{R-1}.
 
-    Returns (centers, neighbors): for the i-th point of B_{R-1},
-    ``centers[i]`` is its index in B_R and ``neighbors[2d*i:2d*(i+1)]``
-    are the indices of its 2d neighbors in B_R.
+    Returns (inner, cols) in the column layout of :class:`OrbitTable`:
+    ``inner[i]`` is the index in B_R of the i-th point of B_{R-1}, and
+    ``cols[s][i]`` is the index in B_R of that point plus the s-th unit
+    step (in :func:`unit_steps` order).
     """
     if R < 1:
         raise InvalidParameterError("laplacian plan needs R >= 1")
-    pos = ball_position(d, R)
-    steps = unit_steps(d)
-    centers = []
-    neighbors = []
-    for p in ball_points(d, R - 1):
-        centers.append(pos[p])
-        for s in steps:
-            neighbors.append(pos[tuple(a + b for a, b in zip(p, s))])
-    return centers, neighbors
+    index = ball_position(d, R).__getitem__
+    points = ball_points(d, R - 1)
+    inner = list(map(index, points))
+    cols = [list(map(index, moved)) for moved in _moved_points(points, d)]
+    return inner, cols
+
+
+def _moved_points(points, d: int):
+    """For each unit step in :func:`unit_steps` order, the points moved by it, lazily."""
+    coords = list(zip(*points))
+    for axis, sign in _step_axes(d):
+        moved = list(coords)
+        moved[axis] = map(add, coords[axis], repeat(sign))
+        yield zip(*moved)
 
 
 def _canonical_reps(points):
@@ -194,12 +202,9 @@ class OrbitTable:
     def _extend_neighbors(self, start: int) -> None:
         """Recompute the neighbour columns of reps[start:] against the current ball."""
         get = self.index.get
-        coords = list(zip(*self.reps[start:]))
-        for col, (axis, sign) in zip(self.cols, _step_axes(self.d)):
-            moved = list(coords)
-            moved[axis] = map(add, coords[axis], repeat(sign))
+        for col, moved in zip(self.cols, _moved_points(self.reps[start:], self.d)):
             del col[start:]
-            col.extend(map(get, _canonical_reps(zip(*moved)), repeat(-1)))
+            col.extend(map(get, _canonical_reps(moved), repeat(-1)))
 
     def count_up_to(self, r: int) -> int:
         return self.prefix[r]
@@ -214,8 +219,6 @@ def _sorted_tuples_with_sum(d: int, total: int):
             if left >= lo:
                 out.append(prefix + (left,))
             return
-        # last coordinate must be >= ceil(left/remaining) is not required;
-        # only nondecreasing order is.
         for v in range(lo, left + 1):
             rec(prefix + (v,), v, remaining - 1, left - v)
 

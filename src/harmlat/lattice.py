@@ -10,6 +10,12 @@ n-step walk distribution satisfies p(n+1, x) - p(n, x) = (L p)(n, x).
 A :class:`LatticeFunction` is a dense table of exact rationals over a
 ball, stored as integer numerators over one reduced common denominator.
 All operations are pure; values are immutable after construction.
+
+The Laplacian and the directional differences read one column plan,
+:func:`harmlat.balls.laplacian_plan`, in a few C-level passes over whole
+columns.  :func:`sos_laplacian_power` is the reference for L^k(u^2)(0):
+it expands the sum-of-squares identity on the table itself, apart from
+the plan and from the orbit quotient that :mod:`harmlat.growth` runs on.
 """
 
 from __future__ import annotations
@@ -17,8 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from typing import Iterable, Mapping
+from itertools import combinations_with_replacement, product, repeat
+from operator import add, mul, sub
+from typing import Iterable
 
 from . import balls
 from .errors import (
@@ -81,16 +88,9 @@ class LatticeFunction:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def from_values(cls, ball: LatticeBall, values: Mapping | Iterable) -> "LatticeFunction":
-        """Build from a point->value mapping or a value sequence in lex order."""
-        if isinstance(values, Mapping):
-            pts = ball.points
-            missing = [p for p in pts if p not in values]
-            if missing:
-                raise InvalidParameterError(f"missing value at {missing[0]}")
-            seq = [Fraction(values[p]) for p in pts]
-        else:
-            seq = [Fraction(v) for v in values]
+    def from_values(cls, ball: LatticeBall, values: Iterable) -> "LatticeFunction":
+        """Build from a value sequence aligned with ``ball.points`` (lex order)."""
+        seq = [Fraction(v) for v in values]
         den = math.lcm(*(v.denominator for v in seq)) if seq else 1
         nums = [v.numerator * (den // v.denominator) for v in seq]
         return cls(ball, nums, den)
@@ -191,15 +191,12 @@ class LatticeFunction:
             if point in table:
                 raise UsageError(f"duplicate entry for point {point}")
             table[point] = parse_rational(entry[d])
-        if len(table) < ball.point_count:
-            if not sparse:
-                missing = next(p for p in ball.points if p not in table)
-                raise UsageError(
-                    f"missing value at {missing}; pass --sparse to default omitted points to 0"
-                )
-            for p in ball.points:
-                table.setdefault(p, Fraction(0))
-        return cls.from_values(ball, table)
+        if len(table) < ball.point_count and not sparse:
+            missing = next(p for p in ball.points if p not in table)
+            raise UsageError(
+                f"missing value at {missing}; pass --sparse to default omitted points to 0"
+            )
+        return cls.from_values(ball, [table.get(p, 0) for p in ball.points])
 
 
 def reduce_in_place(nums: list, den: int) -> int:
@@ -225,19 +222,14 @@ def laplacian(u: LatticeFunction) -> LatticeFunction:
     """Probabilistic Laplacian; result lives on the ball one radius smaller."""
     if u.R < 1:
         raise DomainTooSmallError("laplacian needs radius >= 1")
-    d = u.d
-    centers, neighbors = balls.laplacian_plan(d, u.R)
+    twod = 2 * u.d
+    inner, cols = balls.laplacian_plan(u.d, u.R)
     nums, den = u.scaled_values()
-    twod = 2 * d
-    out = []
-    pos = 0
-    for c in centers:
-        acc = -twod * nums[c]
-        for _ in range(twod):
-            acc += nums[neighbors[pos]]
-            pos += 1
-        out.append(acc)
-    return LatticeFunction(LatticeBall(d, u.R - 1), out, den * twod)
+    get = nums.__getitem__
+    acc = map(mul, map(get, inner), repeat(-twod))
+    for col in cols:
+        acc = map(add, acc, map(get, col))
+    return LatticeFunction(LatticeBall(u.d, u.R - 1), acc, den * twod)
 
 
 def laplacian_power(u: LatticeFunction, k: int) -> LatticeFunction:
@@ -256,15 +248,14 @@ def directional_difference(u: LatticeFunction, step) -> LatticeFunction:
     if u.R < 1:
         raise DomainTooSmallError("directional difference needs radius >= 1")
     step = tuple(step)
-    if step not in balls.unit_steps(u.d):
+    steps = balls.unit_steps(u.d)
+    if step not in steps:
         raise InvalidGeneratorError(f"{step} is not a unit generator of Z^{u.d}")
-    pos = balls.ball_position(u.d, u.R)
+    inner, cols = balls.laplacian_plan(u.d, u.R)
     nums, den = u.scaled_values()
-    out = []
-    for p in balls.ball_points(u.d, u.R - 1):
-        q = tuple(a + b for a, b in zip(p, step))
-        out.append(nums[pos[q]] - nums[pos[p]])
-    return LatticeFunction(LatticeBall(u.d, u.R - 1), out, den)
+    get = nums.__getitem__
+    diff = map(sub, map(get, cols[steps.index(step)]), map(get, inner))
+    return LatticeFunction(LatticeBall(u.d, u.R - 1), diff, den)
 
 
 def is_harmonic(u: LatticeFunction) -> bool:
@@ -284,8 +275,10 @@ def sos_laplacian_power(u: LatticeFunction, k: int) -> Fraction:
 
     where u_s(x) = u(x+s) - u(x).  Iterated differences commute, so the
     sum is taken over generator multisets weighted by multinomial counts,
-    and each difference at the origin expands by inclusion-exclusion over
-    sub-multisets.
+    and each difference at the origin expands by inclusion-exclusion,
+    prod_s (shift_s - 1)^{m_s}, over the sub-multisets j_s <= m_s: the
+    shift by j reaches the point with coordinates j_{2a} - j_{2a+1}.
+    Only the harmonicity precondition reads the Laplacian.
     """
     if k < 0:
         raise InvalidParameterError("k must be non-negative")
@@ -293,40 +286,19 @@ def sos_laplacian_power(u: LatticeFunction, k: int) -> Fraction:
         raise DomainTooSmallError(f"need k <= R, got k={k} on B_{u.R}")
     if u.R >= 1 and not is_harmonic(u):
         raise HarmonicityError("sum-of-squares identity requires a harmonic function")
-    d = u.d
-    steps = balls.unit_steps(d)
-    pos = balls.ball_position(d, u.R)
+    twod = 2 * u.d
+    pos = balls.ball_position(u.d, u.R)
     nums, den = u.scaled_values()
 
     total = 0
-    for multiset in combinations_with_replacement(range(2 * d), k):
-        counts = [0] * (2 * d)
-        for s in multiset:
-            counts[s] += 1
-        weight = math.factorial(k)
-        for c in counts:
-            weight //= math.factorial(c)
-        # inclusion-exclusion over sub-multisets: prod_s (shift_s - 1)^{m_s} at 0
+    for multiset in combinations_with_replacement(range(twod), k):
+        counts = [multiset.count(s) for s in range(twod)]
+        weight = math.factorial(k) // math.prod(map(math.factorial, counts))
         value = 0
-        for coeff, point in _submultisets(counts, steps, d):
-            value += coeff * nums[pos[point]]
+        for js in product(*(range(m + 1) for m in counts)):
+            coeff = math.prod(map(math.comb, counts, js))
+            point = tuple(map(sub, js[::2], js[1::2]))
+            value += (-1) ** (k - sum(js)) * coeff * nums[pos[point]]
         total += weight * value * value
-    return Fraction(total, den * den * (2 * d) ** k)
+    return Fraction(total, den * den * twod ** k)
 
-
-def _submultisets(counts, steps, d):
-    """Yield (signed binomial coefficient, shift point) over sub-multisets."""
-    twod = len(counts)
-
-    def rec(axis, coeff, point):
-        if axis == twod:
-            yield coeff, tuple(point)
-            return
-        m = counts[axis]
-        s = steps[axis]
-        for j in range(m + 1):
-            c = coeff * math.comb(m, j) * ((-1) ** (m - j))
-            moved = [a + j * b for a, b in zip(point, s)]
-            yield from rec(axis + 1, c, moved)
-
-    yield from rec(0, 1, [0] * d)

@@ -20,7 +20,9 @@ _SPLIT_LEAF_BITS = 1 << 10
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "3/4", "7", "-0.25" (finite decimals) into an exact Fraction."""
+    """Parse "3/4", "7", "-0.25" (finite decimals) into an exact Fraction; a bool is refused."""
+    if isinstance(text, bool):
+        raise UsageError(f"not a rational number: {text!r}")
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):
@@ -34,8 +36,8 @@ def parse_rational(text: str) -> Fraction:
 
 def parse_int(value) -> int:
     """Parse an exact integer (7, "7", "4/2"); 1.9, "x" and true are usage errors."""
-    q = None if isinstance(value, bool) else parse_rational(value)
-    if q is None or q.denominator != 1:
+    q = parse_rational(value)
+    if q.denominator != 1:
         raise UsageError(f"not an integer: {value!r}")
     return q.numerator
 

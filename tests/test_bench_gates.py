@@ -12,6 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from harmlat import evaluate_on_ball, sk_polynomial, sos_laplacian_power
+from harmlat.growth import growth_polynomial
+
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
 
@@ -29,3 +32,25 @@ def test_scan_workload_passes_its_gate(workloads):
 
 def test_search_workload_passes_its_gate(workloads):
     workloads.search_gate(workloads.search_run(workloads.search_build(0)))
+
+
+def test_scan_gate_route_reads_no_orbit_kernel(workloads, monkeypatch):
+    # the gate's iterated table Laplacians, and the sum-of-squares identity,
+    # must stay independent of the orbit quotient the timed job runs on
+    k = 12
+    newton = growth_polynomial(sk_polynomial(k)).newton
+    expected = list(newton) + [0] * (k + 1 - len(newton))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the table route reached the orbit route")
+
+    for name in (
+        "harmlat.balls.orbit_table",
+        "harmlat.balls.point_orbit_indices",
+        "harmlat.growth._orbit_walk_rows",
+        "harmlat.growth._newton_via_laplacian",
+    ):
+        monkeypatch.setattr(name, forbidden)
+    assert workloads.scan_coefficients(k) == expected
+    u = evaluate_on_ball(sk_polynomial(k), k)
+    assert [sos_laplacian_power(u, j) for j in range(k + 1)] == expected

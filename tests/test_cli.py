@@ -575,6 +575,22 @@ def test_json_integer_fields_refuse_other_values(capsys, tmp_path, flag, obj):
     assert err.startswith("error: ") and "internal failure" not in err
 
 
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("flag", ["--poly", "--function"])
+def test_json_bool_values_are_refused(capsys, tmp_path, flag, value):
+    # a JSON true or false is not the rational 1 or 0
+    if flag == "--poly":
+        argv = ["--poly", json.dumps({"d": 1, "terms": [{"alpha": [1], "coeff": value}]})]
+    else:
+        path = tmp_path / "f.json"
+        entries = [[x, value if x == 0 else "1"] for x in range(-2, 3)]
+        path.write_text(json.dumps({"d": 1, "R": 2, "entries": entries}))
+        argv = ["--function", str(path)]
+    code, out, err = run(capsys, "growth", *argv, "--n-max", "2")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "internal failure" not in err
+
+
 def test_json_integer_fields_read_integral_strings(capsys):
     plain = run(capsys, "growth", "--poly", '{"d":1,"terms":[{"alpha":[1],"coeff":"1"}]}',
                 "--n-max", "3")

@@ -29,7 +29,7 @@ from harmlat.balls import ball_point_count, ball_points, unit_steps
 
 def table(d, R, fn):
     ball = LatticeBall(d, R)
-    return LatticeFunction.from_values(ball, {p: fn(p) for p in ball.points})
+    return LatticeFunction.from_values(ball, [fn(p) for p in ball.points])
 
 
 def naive_laplacian_value(u, x):
@@ -95,6 +95,27 @@ def test_laplacian_matches_naive_oracle_on_arbitrary_table():
     L = laplacian(u)
     for x in ball_points(2, 2):
         assert L.value(x) == naive_laplacian_value(u, x)
+
+
+@st.composite
+def tables(draw):
+    """A random exact table on B_R of Z^d, d <= 3, 1 <= R <= 4."""
+    ball = LatticeBall(draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+    values = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    return LatticeFunction.from_values(
+        ball, draw(st.lists(values, min_size=ball.point_count, max_size=ball.point_count))
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables())
+def test_table_operators_match_pointwise_oracles(u):
+    L = laplacian(u)
+    diffs = {s: directional_difference(u, s) for s in unit_steps(u.d)}
+    for x in ball_points(u.d, u.R - 1):
+        assert L.value(x) == naive_laplacian_value(u, x)
+        for s, diff in diffs.items():
+            assert diff.value(x) == u.value(tuple(a + b for a, b in zip(x, s))) - u.value(x)
 
 
 def test_laplacian_domain_guard():
