@@ -15,19 +15,28 @@ the verdict is ``undecided``.  Only the status rule differs by form:
 - strict below, lhs < main, the degree hypothesis M^2 < n^(1-2eps) of
   the error-free form.
 
+A status rule compares integers: each bound a/b enters as its numerator
+and denominator, and both sides are cross-multiplied, so deciding builds
+no Fraction and reduces nothing by gcd.  A verdict's printed bounds are
+built only when read: ``main`` (for the sum and max forms the square
+root of the ladder's squared main term) and ``margin`` are computed on
+first access and kept, so a caller that reads only ``status`` never
+takes a square root.
+
 The violation form of :func:`convexity_defect_check` is the sum rule
-with ``holds`` and ``fails`` swapped and the margin negated.  A verdict
-of ``holds`` or ``fails`` is only issued when the enclosures separate
-the two sides.  All comparisons are homogeneous in Q, so verdicts are
-invariant under rescaling Q by a positive square.
+with ``holds`` and ``fails`` swapped and the margin negated when read.
+A verdict of ``holds`` or ``fails`` is only issued when the enclosures
+separate the two sides.  All comparisons are homogeneous in Q, so
+verdicts are invariant under rescaling Q by a positive square.
 
 The Q-independent constants of the right-hand sides (e^(n^-2eps), the
-error units base^(-n^r) and 2^(-2n delta), and the balancing exponent
-alpha) are the same for every function checked at the same parameters,
-so each is memoized in a small bounded cache; enclosures are frozen, so
-sharing them is safe.  The violation form meets each of its constants
-once, so it calls the enclosures directly; a conjecture scan row applies
-its status rule once, at the cap, to the bound the row prints.
+error units base^(-n^r) and 2^(-2n delta), the balancing exponent alpha,
+and the aspect form's alpha, 1 - alpha and e^(c n^-2eps)) are the same
+for every function checked at the same parameters, so each is memoized
+in a small bounded cache; enclosures are frozen, so sharing them is
+safe.  The violation form meets each of its constants once, so it calls
+the enclosures directly; a conjecture scan row applies its status rule
+once, at the cap, to the bound the row prints.
 
 The counterexample search decides most candidates without any
 enclosure: its error term is non-negative, so when the main term alone
@@ -40,18 +49,20 @@ product of the ratio, so most candidates never build a binomial.
 
 A checker of Q takes ``growth``, any object whose ``Q(n)`` returns the
 exact growth value at n (a :class:`harmlat.growth.GrowthPolynomial`),
-and calls nothing else on it.  Whether those values come from a function
-harmonic on the ball the statement needs is the caller's obligation.
+and calls nothing else on it.  It checks its parameters and hypothesis
+guard before its first ``Q`` call, so a refused check reads no growth
+value.  Whether those values come from a function harmonic on the ball
+the statement needs is the caller's obligation.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
-from typing import Optional
+from functools import cached_property, lru_cache
+from typing import Callable, Optional
 
 from .enclosure import (
     RealEnclosure,
@@ -111,16 +122,29 @@ class Verdict:
 
     ``margin`` is a certified bound on (rhs - lhs): non-negative when the
     statement holds, non-positive when it fails, zero when undecided.
+    ``main`` and ``margin`` are built together by ``_bounds()`` when
+    first read, and then kept: deciding the status needs neither.
     """
 
     status: str
     lhs: Fraction
-    main: RealEnclosure
     error_term: RealEnclosure
-    margin: Fraction
+    _bounds: Callable[[], tuple] = field(repr=False, compare=False)
     hypothesis_met: Optional[bool] = None
     note: str = ""
     precision_bits: int = 0
+
+    @cached_property
+    def _built(self) -> tuple:
+        return self._bounds()
+
+    @property
+    def main(self) -> RealEnclosure:
+        return self._built[0]
+
+    @property
+    def margin(self) -> Fraction:
+        return self._built[1]
 
     @property
     def holds(self) -> bool:
@@ -144,40 +168,62 @@ _NEGATED = {HOLDS: FAILS, FAILS: HOLDS, UNDECIDED: UNDECIDED}
 
 
 def _sum_status(lhs: Fraction, msq: RealEnclosure, err: RealEnclosure) -> str:
-    """Decide lhs <= sqrt(msq) + err by squared comparisons of bounds."""
-    diff_hi = lhs - err.lo
-    if diff_hi <= 0 or diff_hi * diff_hi <= msq.lo:
+    """Decide lhs <= sqrt(msq) + err by squared comparisons of bounds.
+
+    With lhs = a/b and an error bound c/e, lhs - c/e = (ae - cb)/(be),
+    and its square is compared with msq's bound f/g as (ae - cb)^2 g
+    against f (be)^2.
+    """
+    a, b = lhs.as_integer_ratio()
+    c, e = err.lo.as_integer_ratio()
+    top, den = a * e - c * b, b * e
+    f, g = msq.lo.as_integer_ratio()
+    if top <= 0 or top * top * g <= f * den * den:
         return HOLDS
-    diff_lo = lhs - err.hi
-    if diff_lo > 0 and diff_lo * diff_lo > msq.hi:
+    c, e = err.hi.as_integer_ratio()
+    top, den = a * e - c * b, b * e
+    f, g = msq.hi.as_integer_ratio()
+    if top > 0 and top * top * g > f * den * den:
         return FAILS
     return UNDECIDED
 
 
 def _max_status(lhs: Fraction, msq: RealEnclosure, err: RealEnclosure) -> str:
     """Decide lhs <= max(sqrt(msq), err)."""
-    square = lhs * lhs
-    if square <= msq.lo or lhs <= err.lo:
+    a, b = lhs.as_integer_ratio()
+    f, g = msq.lo.as_integer_ratio()
+    c, e = err.lo.as_integer_ratio()
+    if a * a * g <= f * b * b or a * e <= c * b:
         return HOLDS
-    if square > msq.hi and lhs > err.hi:
+    f, g = msq.hi.as_integer_ratio()
+    c, e = err.hi.as_integer_ratio()
+    if a * a * g > f * b * b and a * e > c * b:
         return FAILS
     return UNDECIDED
 
 
 def _linear_status(lhs: Fraction, main: RealEnclosure, err: RealEnclosure) -> str:
-    """Decide lhs <= main + err."""
-    if lhs <= main.lo + err.lo:
+    """Decide lhs <= main + err: a/b against f/g + c/e as a g e against (f e + c g) b."""
+    a, b = lhs.as_integer_ratio()
+    f, g = main.lo.as_integer_ratio()
+    c, e = err.lo.as_integer_ratio()
+    if a * g * e <= (f * e + c * g) * b:
         return HOLDS
-    if lhs > main.hi + err.hi:
+    f, g = main.hi.as_integer_ratio()
+    c, e = err.hi.as_integer_ratio()
+    if a * g * e > (f * e + c * g) * b:
         return FAILS
     return UNDECIDED
 
 
 def _below_status(lhs: Fraction, main: RealEnclosure, err: RealEnclosure) -> str:
     """Decide lhs < main strictly; err takes no part."""
-    if lhs < main.lo:
+    a, b = lhs.as_integer_ratio()
+    f, g = main.lo.as_integer_ratio()
+    if a * g < f * b:
         return HOLDS
-    if main.hi <= lhs:
+    f, g = main.hi.as_integer_ratio()
+    if f * b <= a * g:
         return FAILS
     return UNDECIDED
 
@@ -208,21 +254,24 @@ def _verdict(
     combine=operator.add,
     squared: bool = True,
 ) -> Verdict:
-    """Run :func:`_decide` and certify the margin combine(main, err) - lhs.
+    """Run :func:`_decide`; the margin combine(main, err) - lhs is certified when read.
 
     With ``squared`` the ladder's main term is the square of the
     verdict's main term (the sum and max forms).
     """
     status, main, err, prec = _decide(lhs, rung, precision, status_of)
-    if squared:
-        main = sqrt_enclosure(main, prec)
-    if status == HOLDS:
-        margin = max(Fraction(0), combine(main.lo, err.lo) - lhs)
-    elif status == FAILS:
-        margin = min(Fraction(0), combine(main.hi, err.hi) - lhs)
-    else:
-        margin = Fraction(0)
-    return Verdict(status, lhs, main, err, margin, hypothesis_met, note, prec)
+
+    def bounds():
+        root = sqrt_enclosure(main, prec) if squared else main
+        if status == HOLDS:
+            margin = max(Fraction(0), combine(root.lo, err.lo) - lhs)
+        elif status == FAILS:
+            margin = min(Fraction(0), combine(root.hi, err.hi) - lhs)
+        else:
+            margin = Fraction(0)
+        return root, margin
+
+    return Verdict(status, lhs, err, bounds, hypothesis_met, note, prec)
 
 
 def _error_form_rung(n: int, eps: Fraction, base, q_inner: Fraction, q_outer: Fraction):
@@ -259,17 +308,19 @@ def three_circles_check(
 
     The statement is guaranteed for harmonic u and 16 < n; smaller n
     require ``explore=True`` and are marked as outside the hypotheses.
+    This is :func:`general_P_check` at P = 2 except at n = 16, which
+    that guard, n >= 4P^2, admits and this one does not.
     """
     eps = _check_eps(eps)
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
-    q_n, q_2n, q_4n = growth.Q(n), growth.Q(2 * n), growth.Q(4 * n)
     hypothesis_met = n > 16
     if not hypothesis_met and not explore:
         raise HypothesisNotMetError(
             f"the guarantee needs n > 16 (got n={n}); pass explore=True to check anyway"
         )
     note = "" if hypothesis_met else "outside guarantee hypotheses (n <= 16): empirical check"
+    q_n, q_2n, q_4n = growth.Q(n), growth.Q(2 * n), growth.Q(4 * n)
 
     rung = _error_form_rung(n, eps, 2, q_n, q_4n)
     return _verdict(q_2n, rung, precision, _sum_status, hypothesis_met, note)
@@ -285,8 +336,10 @@ def general_P_check(
 ) -> Verdict:
     """Check Q(floor(Pn)) <= sqrt(e^(n^-2eps) Q(n) Q(ceil(P^2 n))) + P^(-n^(1/2-eps)) Q(ceil(P^2 n)).
 
-    Guaranteed for harmonic u when n >= 4 P^2; at P = 2 this is exactly
-    :func:`three_circles_check` (with its n > 16 guard).
+    Guaranteed for harmonic u when n >= 4 P^2.  At P = 2 this is
+    :func:`three_circles_check` except at n = 16: this guard admits
+    n = 16 = 4P^2 with ``hypothesis_met`` True, while that one needs
+    n > 16.
     """
     P = Fraction(P)
     if P <= 1:
@@ -296,7 +349,6 @@ def general_P_check(
         raise InvalidParameterError("n must be >= 1")
     mid = math.floor(P * n)
     outer = math.ceil(P * P * n)
-    q_n, q_mid, q_outer = growth.Q(n), growth.Q(mid), growth.Q(outer)
     hypothesis_met = Fraction(n) >= 4 * P * P
     if not hypothesis_met and not explore:
         raise HypothesisNotMetError(
@@ -304,6 +356,7 @@ def general_P_check(
             "pass explore=True to check anyway"
         )
     note = "" if hypothesis_met else "outside guarantee hypotheses (n < 4P^2): empirical check"
+    q_n, q_mid, q_outer = growth.Q(n), growth.Q(mid), growth.Q(outer)
 
     rung = _error_form_rung(n, eps, P, q_n, q_outer)
     return _verdict(q_mid, rung, precision, _sum_status, hypothesis_met, note)
@@ -394,9 +447,11 @@ def no_error_check(
         return _exp_factor(n, eps, p) * (q_n * q_4n), _ZERO
 
     if met == UNDECIDED:
-        main = sqrt_enclosure(rung(met_p)[0], met_p)
+        msq = rung(met_p)[0]
         note = f"no-error form: degree hypothesis n^(1-2eps) > M^2 open at {met_p} bits"
-        return Verdict(UNDECIDED, q_2n, main, _ZERO, Fraction(0), None, note, met_p)
+        return Verdict(
+            UNDECIDED, q_2n, _ZERO, lambda: (sqrt_enclosure(msq, met_p), Fraction(0)), None, note, met_p
+        )
     return _verdict(q_2n, rung, precision, _sum_status, True, "no-error form")
 
 
@@ -440,6 +495,16 @@ def derive_alpha(p, P, precision: int = DEFAULT_PRECISION) -> RealEnclosure:
     return lp / (lp + lP)
 
 
+@lru_cache(maxsize=CONSTANT_CACHE_SIZE)
+def _aspect_constants(p: Fraction, P: Fraction, alpha: Optional[Fraction], n: int, eps, prec: int):
+    """alpha, 1 - alpha and e^(c n^-2eps) of the aspect-ratio form; alpha None is derived."""
+    a = derive_alpha(p, P, prec) if alpha is None else RealEnclosure.exact(alpha)
+    one_minus_a = RealEnclosure.exact(1) - a
+    c = (a * P + one_minus_a * Fraction(1, p) - 1) * 2
+    exponent = c if eps == 0 else c * rational_npow(n, -2 * eps, prec)
+    return a, one_minus_a, exp_enclosure(exponent, prec)
+
+
 def aspect_ratio_check(
     growth,
     n: int,
@@ -481,11 +546,7 @@ def aspect_ratio_check(
     q_n, q_mid, q_outer = growth.Q(n), growth.Q(mid), growth.Q(outer)
 
     def rung(prec):
-        a = derive_alpha(p_r, P_r, prec) if alpha is None else RealEnclosure.exact(alpha)
-        one_minus_a = RealEnclosure.exact(1) - a
-        c = (a * P_r + one_minus_a * Fraction(1, p_r) - 1) * 2
-        exponent = c if eps == 0 else c * rational_npow(n, -2 * eps, prec)
-        const = exp_enclosure(exponent, prec)
+        a, one_minus_a, const = _aspect_constants(p_r, P_r, alpha, n, eps, prec)
         main = const * _qpow(q_n, a, prec) * _qpow(q_outer, one_minus_a, prec)
         return main, _error_unit(p_r, n, Fraction(1, 2) - eps, prec) * q_outer
 
@@ -518,14 +579,12 @@ def continuous_three_circles_check(growth, t) -> Verdict:
     lhs = growth.continuous(2 * t)
     a = growth.continuous(t)
     b = growth.continuous(4 * t)
-    holds = lhs * lhs <= a * b
     margin = a * b - lhs * lhs
     return Verdict(
-        HOLDS if holds else FAILS,
+        HOLDS if margin >= 0 else FAILS,
         lhs,
-        sqrt_enclosure(a * b, 64),
         RealEnclosure.exact(0),
-        margin,
+        lambda: (sqrt_enclosure(a * b, 64), margin),
         True,
         "exact squared comparison; margin is on the squared scale",
         0,
@@ -587,7 +646,12 @@ def convexity_defect_check(
     # the violation is the negation of the sum form Q(2n) <= sqrt(msq) + err
     note = "violation form: holds means the convexity bound is beaten"
     v = _verdict(q_2n, rung, precision, _sum_status, True, note)
-    return replace(v, status=_NEGATED[v.status], margin=-v.margin)
+
+    def bounds():
+        main, margin = v._built
+        return main, -margin
+
+    return replace(v, status=_NEGATED[v.status], _bounds=bounds)
 
 
 @dataclass(frozen=True)

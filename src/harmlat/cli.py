@@ -13,9 +13,11 @@ int-to-str digits while it runs.  A command registers only the options
 it reads; --function, --poly and --family exclude one another.  Every
 command reads one growth object, a GrowthPolynomial: a table's growth
 report on B_N, or a polynomial's growth polynomial.  A check reads Q(n)
-from it where its statement asks; `growth` prints Q(0..N) and the
-zero-padded a_k, and --diff-cols is read by its CSV of Q only, whose
-difference columns are read off the a_k.  --out gets the bytes stdout would.
+from it where its statement asks, and builds it only at that first read,
+after the checker has refused any bad parameter; `growth` prints Q(0..N)
+and the zero-padded a_k, and --diff-cols is read by its CSV of Q only,
+whose difference columns are read off the a_k.  --out gets the bytes
+stdout would.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import json
 import math
 import os
 import sys
+from functools import cached_property
 from typing import Optional
 
 from . import SCHEMA_VERSION, __version__
@@ -162,6 +165,24 @@ def _growth_for(args, needed_n: int):
     return growth_polynomial(_load_polynomial(args, needed_n), needed_n)
 
 
+class _GrowthOnRead:
+    """``_growth_for(args, needed_n)``, built when a checker first reads ``Q``.
+
+    Every checker of Q refuses its parameters and an unmet hypothesis
+    before it reads Q, so a refused check never builds its input.
+    """
+
+    def __init__(self, args, needed_n: int):
+        self._args, self._needed_n = args, needed_n
+
+    @cached_property
+    def _growth(self):
+        return _growth_for(self._args, self._needed_n)
+
+    def Q(self, n: int):
+        return self._growth.Q(n)
+
+
 # -- subcommand handlers -----------------------------------------------------------
 
 
@@ -194,27 +215,27 @@ def _cmd_check(args) -> int:
     kind = args.check_kind
     eps = parse_rational(args.eps) if getattr(args, "eps", None) is not None else None
     if kind == "three-circles":
-        growth = _growth_for(args, 4 * args.n)
+        growth = _GrowthOnRead(args, 4 * args.n)
         v = three_circles_check(growth, args.n, eps, args.precision, explore=args.explore)
         return _emit_verdict(args, v)
     if kind == "general-p":
         P = parse_rational(args.P)
-        growth = _growth_for(args, math.ceil(P * P * args.n))
+        growth = _GrowthOnRead(args, math.ceil(P * P * args.n))
         v = general_P_check(growth, args.n, P, eps, args.precision, explore=args.explore)
         return _emit_verdict(args, v)
     if kind == "no-error":
-        growth = _growth_for(args, 4 * args.n)
+        growth = _GrowthOnRead(args, 4 * args.n)
         v = no_error_check(growth, args.degree, args.n, eps, args.precision)
         return _emit_verdict(args, v)
     if kind == "ratio-125":
         delta = parse_rational(args.delta)
-        growth = _growth_for(args, math.ceil(4 * (1 + delta) * args.n))
+        growth = _GrowthOnRead(args, math.ceil(4 * (1 + delta) * args.n))
         v = ratio_125_check(growth, args.n, delta, args.precision)
         return _emit_verdict(args, v)
     if kind == "aspect":
         p = parse_rational(args.p)
         P = parse_rational(args.P)
-        growth = _growth_for(args, math.ceil(p * P * args.n))
+        growth = _GrowthOnRead(args, math.ceil(p * P * args.n))
         alpha = parse_rational(args.alpha) if args.alpha is not None else None
         v = aspect_ratio_check(growth, args.n, p, P, eps, alpha=alpha, precision=args.precision)
         return _emit_verdict(args, v)

@@ -93,6 +93,12 @@ class RealEnclosure:
         return self + (-_coerce(other))
 
     def __mul__(self, other):
+        # a non-negative factor keeps the order of the bounds: two products
+        if isinstance(other, RealEnclosure):
+            if self.lo >= 0 and other.lo >= 0:
+                return RealEnclosure(self.lo * other.lo, self.hi * other.hi)
+        elif other >= 0:
+            return RealEnclosure(self.lo * other, self.hi * other)
         other = _coerce(other)
         cands = (
             self.lo * other.lo,

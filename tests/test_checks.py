@@ -21,9 +21,11 @@ from harmlat import (
     enclose_pow,
     exp_enclosure,
     general_P_check,
+    growth_polynomial,
     ln_enclosure,
     no_error_check,
     ratio_125_check,
+    sk_polynomial,
     three_circles_check,
 )
 from harmlat import checks
@@ -115,6 +117,18 @@ def test_general_P_guard():
         general_P_check(Q_U3, 8, 3, 0)
     v = general_P_check(Q_U3, 8, 3, 0, explore=True)
     assert v.hypothesis_met is False
+
+
+def test_general_p_at_two_admits_n16_where_three_circles_does_not():
+    g = growth_polynomial(sk_polynomial(6))
+    v = general_P_check(g, 16, 2, 0)
+    assert v.holds and v.hypothesis_met and v.note == ""
+    with pytest.raises(HypothesisNotMetError, match="n > 16"):
+        three_circles_check(g, 16, 0)
+    # explored, three circles decides n = 16 alike but marks it outside its guarantee
+    w = three_circles_check(g, 16, 0, explore=True)
+    assert (w.status, w.main, w.error_term, w.margin) == (v.status, v.main, v.error_term, v.margin)
+    assert w.hypothesis_met is False
 
 
 # -- binomial inequality ---------------------------------------------------------------------

@@ -694,6 +694,31 @@ def test_named_family_cap_reads_the_commands_ball(capsys, monkeypatch):
     assert run(capsys, *argv, "--explore")[0] == 3
 
 
+@pytest.mark.parametrize(
+    "kind,options,message",
+    [
+        ("ratio-125", ["--delta", "100"], "delta must lie in (0, 1/4), got 100"),
+        ("three-circles", ["--eps", "1"], "eps must lie in [0, 1/2], got 1"),
+        ("general-p", ["--P", "1", "--eps", "1/4"], "P must be > 1"),
+        ("aspect", ["--p", "3", "--P", "2", "--eps", "1/4", "--alpha", "2"],
+         "alpha must lie in (0, 1), got 2"),
+        ("no-error", ["--degree", "3", "--eps", "1/2"], "eps must lie in [0, 1/2), got 1/2"),
+        ("three-circles", ["--n", "10", "--eps", "1/4"],
+         "the guarantee needs n > 16 (got n=10); pass explore=True to check anyway"),
+    ],
+)
+def test_check_refuses_parameters_before_building_the_member(capsys, monkeypatch, kind, options, message):
+    from harmlat import cli
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the family member was built before its parameters were checked")
+
+    monkeypatch.setattr(cli, "family_polynomial", unbuilt)
+    n = [] if "--n" in options else ["--n", "20"]
+    code, out, err = run(capsys, "check", kind, "--family", "S", "--k", "200", *n, *options)
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
 def test_internal_failure_exit_4(capsys, monkeypatch):
     from harmlat import cli
 
