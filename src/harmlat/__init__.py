@@ -35,11 +35,9 @@ from .polynomials import (  # noqa: F401
 )
 from .growth import (  # noqa: F401
     GrowthPolynomial,
-    WalkCountTable,
     check_absolute_monotonicity,
     growth_polynomial,
     growth_report,
-    walk_counts,
 )
 from .enclosure import (  # noqa: F401
     RealEnclosure,
@@ -54,7 +52,6 @@ from .checks import (  # noqa: F401
     BinomialCheckResult,
     CounterexampleSearchResult,
     Verdict,
-    additive_lemma_property,
     aspect_ratio_check,
     binomial_inequality_check,
     continuous_three_circles_check,

@@ -3,7 +3,7 @@
 Points of the closed ball ``|x|_1 <= R`` are enumerated in lexicographic
 order of their coordinate tuples; every dense table in the package is
 aligned with that enumeration.  The hyperoctahedral group (coordinate
-permutations and sign flips) acts on each ball; walk-count tables and
+permutations and sign flips) acts on each ball; walk-count rows and
 origin-centered Laplacian kernels are invariant under it, so the heavy
 convolutions run on the orbit quotient.  Orbit representatives are the
 sorted absolute-value tuples, enumerated by (radius, lex) so that the

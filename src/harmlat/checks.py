@@ -47,6 +47,11 @@ C > 1 the search first settles the square test in fixed-point integers,
 by an O(1) bound on the log of the squared ratio and then by a running
 product of the ratio, so most candidates never build a binomial.
 
+The three-circles statement (1:2:4) is the 1:P:P^2 statement at P = 2,
+and both checkers run one body with the hypothesis guard passed as data.
+The guard is their only difference: three-circles needs n > 16 and
+general-P n >= 4P^2, so at P = 2 only general-P admits n = 16.
+
 A checker of Q takes ``growth``, any object whose ``Q(n)`` returns the
 exact growth value at n (a :class:`harmlat.growth.GrowthPolynomial`),
 and calls nothing else on it.  It checks its parameters and hypothesis
@@ -294,72 +299,60 @@ def _check_eps(eps, hi_strict=False):
     return eps
 
 
-# -- the 1:2:4 inequality with error term -----------------------------------------
+# -- the 1:P:P^2 inequality with error term ------------------------------------------
 
 
-def three_circles_check(
-    growth,
-    n: int,
-    eps,
-    precision: int = DEFAULT_PRECISION,
-    explore: bool = False,
-) -> Verdict:
-    """Check Q(2n) <= sqrt(e^(n^-2eps) Q(n) Q(4n)) + 2^(-n^(1/2-eps)) Q(4n).
+def _one_p_p2_check(growth, n: int, P, eps, precision: int, explore: bool, guard) -> Verdict:
+    """Check Q(floor(Pn)) <= sqrt(e^(n^-2eps) Q(n) Q(ceil(P^2 n))) + P^(-n^(1/2-eps)) Q(ceil(P^2 n)).
 
-    The statement is guaranteed for harmonic u and 16 < n; smaller n
-    require ``explore=True`` and are marked as outside the hypotheses.
-    This is :func:`general_P_check` at P = 2 except at n = 16, which
-    that guard, n >= 4P^2, admits and this one does not.
+    ``guard`` = (met, needs, outside) is the hypothesis guard as data:
+    whether n meets it, the requirement a refusal names and the
+    condition an explored verdict's note names.
     """
+    met, needs, outside = guard
     eps = _check_eps(eps)
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
-    hypothesis_met = n > 16
-    if not hypothesis_met and not explore:
+    if not met and not explore:
         raise HypothesisNotMetError(
-            f"the guarantee needs n > 16 (got n={n}); pass explore=True to check anyway"
+            f"the guarantee needs {needs} (got n={n}); pass explore=True to check anyway"
         )
-    note = "" if hypothesis_met else "outside guarantee hypotheses (n <= 16): empirical check"
-    q_n, q_2n, q_4n = growth.Q(n), growth.Q(2 * n), growth.Q(4 * n)
+    note = "" if met else f"outside guarantee hypotheses ({outside}): empirical check"
+    q_n, q_mid, q_outer = growth.Q(n), growth.Q(math.floor(P * n)), growth.Q(math.ceil(P * P * n))
 
-    rung = _error_form_rung(n, eps, 2, q_n, q_4n)
-    return _verdict(q_2n, rung, precision, _sum_status, hypothesis_met, note)
+    rung = _error_form_rung(n, eps, P, q_n, q_outer)
+    return _verdict(q_mid, rung, precision, _sum_status, met, note)
+
+
+def three_circles_check(
+    growth, n: int, eps, precision: int = DEFAULT_PRECISION, explore: bool = False
+) -> Verdict:
+    """Check Q(2n) <= sqrt(e^(n^-2eps) Q(n) Q(4n)) + 2^(-n^(1/2-eps)) Q(4n).
+
+    Guaranteed for harmonic u when n > 16; smaller n need ``explore=True``
+    and are marked as outside the hypotheses.  The body is
+    :func:`general_P_check`'s at P = 2 and only the guard differs: that
+    one admits n = 16 = 4P^2, this one does not.
+    """
+    return _one_p_p2_check(growth, n, 2, eps, precision, explore, (n > 16, "n > 16", "n <= 16"))
 
 
 def general_P_check(
-    growth,
-    n: int,
-    P,
-    eps,
-    precision: int = DEFAULT_PRECISION,
-    explore: bool = False,
+    growth, n: int, P, eps, precision: int = DEFAULT_PRECISION, explore: bool = False
 ) -> Verdict:
     """Check Q(floor(Pn)) <= sqrt(e^(n^-2eps) Q(n) Q(ceil(P^2 n))) + P^(-n^(1/2-eps)) Q(ceil(P^2 n)).
 
-    Guaranteed for harmonic u when n >= 4 P^2.  At P = 2 this is
-    :func:`three_circles_check` except at n = 16: this guard admits
-    n = 16 = 4P^2 with ``hypothesis_met`` True, while that one needs
-    n > 16.
+    Guaranteed for harmonic u when n >= 4P^2.  The body is
+    :func:`three_circles_check`'s at P = 2 and only the guard differs:
+    this one admits n = 16 = 4P^2 with ``hypothesis_met`` True, that one
+    needs n > 16.
     """
     P = Fraction(P)
     if P <= 1:
         raise InvalidParameterError("P must be > 1")
-    eps = _check_eps(eps)
-    if n < 1:
-        raise InvalidParameterError("n must be >= 1")
-    mid = math.floor(P * n)
-    outer = math.ceil(P * P * n)
-    hypothesis_met = Fraction(n) >= 4 * P * P
-    if not hypothesis_met and not explore:
-        raise HypothesisNotMetError(
-            f"the guarantee needs n >= 4P^2 = {4 * P * P} (got n={n}); "
-            "pass explore=True to check anyway"
-        )
-    note = "" if hypothesis_met else "outside guarantee hypotheses (n < 4P^2): empirical check"
-    q_n, q_mid, q_outer = growth.Q(n), growth.Q(mid), growth.Q(outer)
-
-    rung = _error_form_rung(n, eps, P, q_n, q_outer)
-    return _verdict(q_mid, rung, precision, _sum_status, hypothesis_met, note)
+    bound = 4 * P * P
+    guard = (n >= bound, f"n >= 4P^2 = {bound}", "n < 4P^2")
+    return _one_p_p2_check(growth, n, P, eps, precision, explore, guard)
 
 
 # -- the underlying binomial inequality ----------------------------------------------
@@ -589,26 +582,6 @@ def continuous_three_circles_check(growth, t) -> Verdict:
         "exact squared comparison; margin is on the squared scale",
         0,
     )
-
-
-# -- the additive (Cauchy-Schwarz) lemma ----------------------------------------------------
-
-
-def additive_lemma_property(a, b, c, d) -> bool:
-    """Exact check of sqrt(ab) + sqrt(cd) <= sqrt((a+c)(b+d)) for a,b,c,d >= 0.
-
-    Decided by squaring twice: the inequality is equivalent to
-    4abcd <= (ad + cb)^2, i.e. to 0 <= (ad - cb)^2, hence always true;
-    the function evaluates the squared form exactly.
-    """
-    a, b, c, d = (Fraction(v) for v in (a, b, c, d))
-    if min(a, b, c, d) < 0:
-        raise InvalidParameterError("all four values must be non-negative")
-    # sqrt(ab)+sqrt(cd) <= sqrt((a+c)(b+d))
-    #   <=> ab + cd + 2 sqrt(abcd) <= (a+c)(b+d) = ab + ad + cb + cd
-    #   <=> 2 sqrt(abcd) <= ad + cb
-    #   <=> 4 abcd <= (ad + cb)^2
-    return 4 * a * b * c * d <= (a * d + c * b) ** 2
 
 
 # -- violation certification and counterexample search ---------------------------------------

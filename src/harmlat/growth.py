@@ -25,8 +25,7 @@ coordinate permutations and sign flips, so the heavy convolutions run
 on the orbit quotient of the ball (see :mod:`harmlat.balls`).  Both
 kernels, walk-count rows and the Laplacian cascade, are C-level map
 passes over the quotient's neighbour columns, in exact Python ints.
-Walk rows are cached per dimension and extended incrementally; public
-tables are materialized from the quotient on demand.
+Walk rows are cached per dimension and extended incrementally.
 """
 
 from __future__ import annotations
@@ -84,37 +83,6 @@ def _orbit_walk_rows(d: int, n: int) -> list:
         padded = prev + [0] * (reach - len(prev))
         rows.append(list(_neighbour_sums(tab.cols, padded, tab.count_up_to(m))))
     return rows
-
-
-@dataclass(frozen=True)
-class WalkCountTable:
-    """Exact n-step walk counts W(n, x); nonzero entries only."""
-
-    d: int
-    n: int
-    counts: dict
-
-    def count(self, point) -> int:
-        return self.counts.get(tuple(point), 0)
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
-def walk_counts(d: int, n: int) -> WalkCountTable:
-    """Materialize the full walk-count table for n steps in Z^d."""
-    balls.check_dimension(d)
-    if n < 0:
-        raise InvalidParameterError("step count must be non-negative")
-    balls.guard_cells(d, n)
-    row = _orbit_walk_rows(d, n)[n]
-    po = balls.point_orbit_indices(d, n)
-    counts = {}
-    for p, oi in zip(balls.ball_points(d, n), po):
-        w = row[oi]
-        if w:
-            counts[p] = w
-    return WalkCountTable(d, n, counts)
 
 
 # -- exact growth values -------------------------------------------------------

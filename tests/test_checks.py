@@ -12,7 +12,6 @@ from harmlat import (
     HypothesisNotMetError,
     InvalidParameterError,
     RealEnclosure,
-    additive_lemma_property,
     aspect_ratio_check,
     binomial_inequality_check,
     continuous_three_circles_check,
@@ -40,7 +39,6 @@ from harmlat.checks import (
     _verdict,
     k2_over_ln_k_floors,
 )
-from harmlat.rng import SplitMix64
 
 from conftest import growth_of
 
@@ -49,6 +47,8 @@ ONES = GrowthPolynomial(2, (F(1),), 599)
 Q_XY = GrowthPolynomial(2, (F(0), F(0), F(1, 2)), 599)
 Q_X1 = GrowthPolynomial(1, (F(0), F(1)), 599)  # d = 1 coordinate
 Q_U3 = GrowthPolynomial(3, (F(0), F(0), F(0), F(6, 27)), 599)
+Q_NEG = GrowthPolynomial(2, (F(1), F(-1, 2), F(1, 3)), 599)  # a_1 < 0, Q(n) = (n^2 - 4n + 6)/6
+S6 = growth_polynomial(sk_polynomial(6))
 
 
 
@@ -96,11 +96,19 @@ def test_three_circles_never_undecided_at_256():
 # -- general inner:outer ratio P ---------------------------------------------------------
 
 
-def test_general_P_reduces_to_three_circles_at_2():
-    v1 = three_circles_check(Q_XY, 20, F(1, 4))
-    v2 = general_P_check(Q_XY, 20, 2, F(1, 4))
-    assert v1.status == v2.status == "holds"
-    assert v1.lhs == v2.lhs and v1.margin == v2.margin
+@pytest.mark.parametrize("eps", [F(0), F(1, 4), F(1, 2)])
+@pytest.mark.parametrize("growth", [ONES, Q_XY, Q_U3, S6, Q_NEG], ids=["1", "xy", "u3", "S6", "neg"])
+def test_general_P_reduces_to_three_circles_at_2(growth, eps):
+    # one body: explored verdicts differ only in what the two guards say
+    for n in range(1, 41):
+        tc = three_circles_check(growth, n, eps, explore=True).to_json()
+        gp = general_P_check(growth, n, 2, eps, explore=True).to_json()
+        if n <= 16:
+            assert tc.pop("note") == "outside guarantee hypotheses (n <= 16): empirical check"
+            outside = "outside guarantee hypotheses (n < 4P^2): empirical check"
+            assert gp.pop("note") == ("" if n == 16 else outside)
+            assert (tc.pop("hypothesis_met"), gp.pop("hypothesis_met")) == (False, n == 16)
+        assert tc == gp
 
 
 def test_general_P_constant():
@@ -268,37 +276,6 @@ def test_continuous_detects_failure():
     qc = GrowthPolynomial(1, (F(4), F(-4), F(2)))  # a_k = k! c_k
     v = continuous_three_circles_check(qc, F(1, 2))
     assert v.status == "fails" and v.margin < 0
-
-
-# -- additive lemma ---------------------------------------------------------------------------------
-
-
-def test_additive_lemma_examples():
-    assert additive_lemma_property(0, 0, 3, 5)
-    assert additive_lemma_property(1, 4, 4, 1)  # 2 + 2 <= 5
-
-
-def test_additive_lemma_randomized_10k():
-    rng = SplitMix64(2024)
-    for _ in range(10_000):
-        vals = [F(rng.next_below(1000), rng.next_below(99) + 1) for _ in range(4)]
-        assert additive_lemma_property(*vals)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.fractions(min_value=0, max_value=1000),
-    st.fractions(min_value=0, max_value=1000),
-    st.fractions(min_value=0, max_value=1000),
-    st.fractions(min_value=0, max_value=1000),
-)
-def test_additive_lemma_property_based(a, b, c, d):
-    assert additive_lemma_property(a, b, c, d)
-
-
-def test_additive_lemma_rejects_negative():
-    with pytest.raises(InvalidParameterError):
-        additive_lemma_property(-1, 0, 0, 0)
 
 
 # -- scale invariance and enclosure soundness --------------------------------------------------------

@@ -15,7 +15,6 @@ from harmlat import (
     LatticeFunction,
     MultivariatePolynomial,
     OutOfRangeError,
-    ResourceLimitError,
     check_absolute_monotonicity,
     evaluate_on_ball,
     growth_polynomial,
@@ -24,10 +23,9 @@ from harmlat import (
     monomial_uk,
     random_harmonic,
     sk_polynomial,
-    walk_counts,
 )
 from harmlat import growth
-from harmlat.balls import orbit_table
+from harmlat.balls import ball_points, orbit_table, point_orbit_indices
 from harmlat.growth import _difference_triangle, _newton_via_laplacian, _orbit_walk_rows
 
 from conftest import _full_triangle, growth_of
@@ -61,27 +59,30 @@ def padded(newton, N):
     return list(newton) + [0] * (N + 1 - len(newton))
 
 
-# -- walk count tables -----------------------------------------------------------
+def walk_count_table(d, n):
+    """Row n of _orbit_walk_rows(d, n) spread over B_n: {point: W(n, point)}, nonzero only."""
+    row = _orbit_walk_rows(d, n)[n]
+    counts = zip(ball_points(d, n), map(row.__getitem__, point_orbit_indices(d, n)))
+    return {p: w for p, w in counts if w}
+
+
+# -- walk-count rows -------------------------------------------------------------
 
 
 def test_walk_counts_examples():
-    w0 = walk_counts(2, 0)
-    assert w0.count((0, 0)) == 1 and w0.total() == 1
-
-    w = walk_counts(1, 2)
-    assert (w.count((-2,)), w.count((0,)), w.count((2,))) == (1, 2, 1)
-    assert w.count((1,)) == 0
-
-    w2 = walk_counts(2, 2)
-    assert w2.count((1, 1)) == 2 and w2.count((2, 0)) == 1 and w2.count((0, 0)) == 4
-    assert w2.total() == 16
+    for d, n, table in [
+        (2, 0, {(0, 0): 1}),
+        (1, 2, {(-2,): 1, (0,): 2, (2,): 1}),
+        (2, 2, {(0, 0): 4, (1, 1): 2, (1, -1): 2, (-1, 1): 2, (-1, -1): 2,
+                (2, 0): 1, (-2, 0): 1, (0, 2): 1, (0, -2): 1}),
+    ]:
+        assert walk_count_table(d, n) == brute_force_walk_counts(d, n) == table
+        assert sum(table.values()) == (2 * d) ** n
 
 
 @pytest.mark.parametrize("d,n", [(1, 6), (2, 5), (3, 4)])
 def test_walk_counts_match_enumeration(d, n):
-    oracle = brute_force_walk_counts(d, n)
-    table = walk_counts(d, n)
-    assert table.counts == oracle
+    assert walk_count_table(d, n) == brute_force_walk_counts(d, n)
 
 
 def test_walk_count_invariants_up_to_60():
@@ -100,18 +101,13 @@ def test_walk_count_invariants_up_to_60():
 
 
 def test_walk_counts_symmetry_on_full_table():
-    w = walk_counts(3, 7)
-    for x, c in w.counts.items():
+    w = walk_count_table(3, 7)
+    assert w == brute_force_walk_counts(3, 7)
+    for x, c in w.items():
         flipped = tuple(-v for v in x)
         permuted = (x[2], x[0], x[1])
-        assert w.count(flipped) == c
-        assert w.count(permuted) == c
-
-
-def test_walk_counts_resource_guard(monkeypatch):
-    monkeypatch.setenv("HARM_MAX_CELLS", "100")
-    with pytest.raises(ResourceLimitError):
-        walk_counts(3, 50)
+        assert w[flipped] == c
+        assert w[permuted] == c
 
 
 # -- growth values ------------------------------------------------------------------
@@ -168,9 +164,7 @@ def test_report_q_is_the_walk_mean_of_u_squared(case):
     rep = growth_report(u, N)
     assert rep.n_max == N
     for n in range(N + 1):
-        W = walk_counts(u.d, n)
-        mean = sum(u.value(x) ** 2 * w for x, w in W.counts.items()) / (2 * u.d) ** n
-        assert rep.Q(n) == mean
+        assert rep.Q(n) == brute_force_Q(u, n)
     assert not rep.newton or rep.newton[-1] != 0  # the a_k end before the first zero row
 
 
