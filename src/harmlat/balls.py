@@ -12,6 +12,9 @@ quotient's neighbour structure is stored column-wise: one list per unit
 step, aligned with the representatives, so the walk-count and Laplacian
 kernels run as C-level passes over whole columns.  :func:`laplacian_plan`
 lays out the neighbours of a whole ball's points in the same columns.
+:func:`point_orbit_indices` gives the orbit of every point of a ball, and
+:func:`orthant_plan` that of every point x >= 0, for functions whose
+square is the same at every sign flip of a point.
 
 The per-(d, R) tables are memoized in bounded caches of
 ``BALL_CACHE_SIZE`` entries each, more than the radii any benchmark
@@ -250,11 +253,43 @@ def point_orbit_indices(d: int, R: int) -> tuple:
     come from the same recursion, down to Z^1, where (v,) has index |v|.
     No point tuple is built.
     """
+    return tuple(_block_orbit_indices(d, R, False))
+
+
+@lru_cache(maxsize=BALL_CACHE_SIZE)
+def orthant_plan(d: int, R: int) -> tuple:
+    """The points x >= 0 of B_R: (mask, orbit indices).
+
+    ``mask`` is a bytes object aligned with ball_points(d, R), 1 at the
+    points x >= 0 and 0 elsewhere, for :func:`itertools.compress`; the
+    orbit indices are those of the points x >= 0, in lex order.  Both are
+    built block by block, as in :func:`point_orbit_indices`, with no point
+    tuple: the blocks v < 0 come first and hold no such point.
+    """
+    orbits = tuple(_block_orbit_indices(d, R, True))
+    radii = range(R + 1) if d > 1 else (R,)
+    masks = {r: bytes(r) + b"\1" * (r + 1) for r in radii}
+    for k in range(2, d + 1):
+        radii = range(R + 1) if k < d else (R,)
+        masks = {
+            r: bytes((ball_point_count(k, r) - ball_point_count(k - 1, r)) // 2)
+            + b"".join(masks[r - v] for v in range(r + 1))
+            for r in radii
+        }
+    return masks[R], orbits
+
+
+def _block_orbit_indices(d: int, R: int, orthant: bool) -> list:
+    """Orbit indices of the points of B_R in lex order (x >= 0 only with ``orthant``)."""
     check_dimension(d)
     if R < 0:
         raise InvalidParameterError("radius must be non-negative")
+
+    def firsts(r):
+        return range(0 if orthant else -r, r + 1)
+
     radii = range(R + 1) if d > 1 else (R,)
-    below = {r: list(map(abs, range(-r, r + 1))) for r in radii}
+    below = {r: list(map(abs, firsts(r))) for r in radii}
     for k in range(2, d + 1):
         index = orbit_table(k, R).index
         tails = orbit_table(k - 1, R)
@@ -265,8 +300,8 @@ def point_orbit_indices(d: int, R: int) -> tuple:
         radii = range(R + 1) if k < d else (R,)
         below = {
             r: list(chain.from_iterable(
-                map(merge[abs(v)].__getitem__, below[r - abs(v)]) for v in range(-r, r + 1)
+                map(merge[abs(v)].__getitem__, below[r - abs(v)]) for v in firsts(r)
             ))
             for r in radii
         }
-    return tuple(below[R])
+    return below[R]

@@ -24,20 +24,30 @@ scheme, recursively, and every line is then produced by chained running
 sums in exact integers over the coefficients' common denominator.  The
 common factor of the top-level differences and that denominator is
 divided out of those differences, before the lines are run out; every
-value is an integer combination of them, so this is exact, and
-:class:`harmlat.lattice.LatticeFunction` divides out any factor left.
+value is an integer combination of them, so this is exact.  From radius
+deg P on the values are then in lowest terms (the proof is in
+:func:`evaluate_on_ball`); below it the factor left is divided out of
+the values.
+
+A coordinate whose exponents in P are all even or all odd gives P a
+sign under its flip, and the differences inherit the signs of the other
+coordinates.  Where z has one, the z <= 0 side of every line is the
+mirror of the z >= 0 side times that sign.  With a sign in every
+coordinate, as for S_k, T_k and u_k, only the orthant x >= 0 is
+evaluated and the other orthants are copied from it, block by block.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
 from typing import Optional, Sequence
 
 from . import balls
 from .errors import HarmonicityError, InvalidParameterError, UsageError
-from .lattice import LatticeBall, LatticeFunction
+from .lattice import LatticeBall, LatticeFunction, reduce_in_place
 from .rationals import format_rational, parse_int, parse_rational
 from .rng import SplitMix64
 
@@ -340,6 +350,8 @@ def family_polynomial(
             raise InvalidParameterError(f"family {family} lives on Z^2")
         d = 2
     elif family == "u":
+        if k < 1:
+            raise InvalidParameterError(f"need k >= 1 for the coordinate product; got k={k}")
         d = k if d is None else d
         balls.check_dimension(d)
     else:
@@ -384,9 +396,26 @@ def evaluate_on_ball(P: MultivariatePolynomial, R: int) -> LatticeFunction:
     Z^(d-1), and :func:`_lines` runs them out into the values.  The
     common factor of the seeds and the denominator is divided out of the
     seeds: every value is an integer combination of the seeds, so the
-    values stay exact integers.  Any factor the seeds miss (when R < deg P
-    they need not be values on the ball) is divided out by
-    :class:`LatticeFunction`.
+    values stay exact integers.
+
+    Each coordinate's parity is read off P's exponents (:func:`_signs`).
+    Where the last coordinate has one, the z <= 0 side is the sign times
+    the z >= 0 side and is not evaluated; with a parity in every
+    coordinate only the orthant x >= 0 is evaluated, the other orthants
+    are copied from it (:func:`_unfold`), and the table records the signs
+    for :func:`harmlat.growth.growth_report`.
+
+    When R >= M = deg P the values are then in lowest terms, so the table
+    is handed over without a gcd pass.  Let V = den' P be the values after
+    the seed factor g is divided out, den' = den / g, and h the gcd of den'
+    and V on B_R.  By Newton interpolation V(x) = sum_{|b| <= M}
+    Delta^b V(0) prod_j C(x_j, b_j), where Delta^b V(0) is an integer
+    combination of the values of V on the simplex {x >= 0, |x|_1 <= M},
+    which lies in B_R, and C(x_j, b_j) is an integer for every integer
+    x_j.  So h divides V at every point of Z^d, hence every seed (a
+    difference of V along z), hence gcd(den', seeds) = 1.  For R < M the
+    seeds need not be values on the ball, and the factor left is divided
+    out of the values.
     """
     ball = LatticeBall(P.d, R)
     balls.guard_cells(P.d, R)
@@ -394,22 +423,50 @@ def evaluate_on_ball(P: MultivariatePolynomial, R: int) -> LatticeFunction:
     int_terms = {a: c.numerator * (den // c.denominator) for a, c in P.terms.items()}
     exponents = {e for alpha in P.terms for e in alpha}
     surj = _surjection_counts(exponents, min(max(P.degree, 0), R))
-    pos, neg = _seeds(int_terms, P.d, R, surj)
+    signs = _signs(P)
+    orthant = None not in signs
+    pos, neg = _seeds(int_terms, P.d, R, surj, signs, orthant)
     g = math.gcd(den, *chain.from_iterable(pos + neg))
     if g > 1:
         pos, neg = ([list(map(g.__rfloordiv__, s)) for s in side] for side in (pos, neg))
         den //= g
-    return LatticeFunction(ball, _lines(pos, neg, P.d, R), den)
+    nums = _lines(pos, neg, P.d, R, signs[-1], orthant)
+    if orthant:
+        nums = _unfold(nums, signs, R)[0]
+    if R < P.degree:
+        den = reduce_in_place(nums, den)
+    return LatticeFunction._reduced(ball, nums, den, signs if orthant else None)
 
 
-def _ball_values(terms: dict, d: int, R: int, surj: dict) -> list:
-    """Values of an integer polynomial on B_R of Z^d, in lex order (d = 0: one point)."""
+def _signs(P: MultivariatePolynomial) -> tuple:
+    """Per coordinate, the sign flipping it multiplies P by: 1 or -1, or None.
+
+    It is 1 when every exponent of that coordinate is even, -1 when every
+    one is odd, and None when they are mixed (the zero polynomial is even).
+    """
+    out = []
+    for exps in zip(*P.terms) if P.terms else [(0,)] * P.d:
+        odd = {e % 2 for e in exps}
+        out.append(None if len(odd) > 1 else -1 if odd == {1} else 1)
+    return tuple(out)
+
+
+def _ball_values(terms: dict, d: int, R: int, surj: dict, signs: tuple, orthant=False) -> list:
+    """Values of an integer polynomial on B_R of Z^d, in lex order (d = 0: one point).
+
+    ``signs`` are the polynomial's :func:`_signs`.  With ``orthant`` (which
+    needs a sign in every coordinate) only the points x >= 0 are given.
+    """
     if d == 0:
         return [terms.get((), 0)]
-    return _lines(*_seeds(terms, d, R, surj), d, R)
+    if not orthant and None not in signs:
+        return _unfold(_ball_values(terms, d, R, surj, signs, True), signs, R)[0]
+    return _lines(*_seeds(terms, d, R, surj, signs, orthant), d, R, signs[-1], orthant)
 
 
-def _seeds(terms: dict, d: int, R: int, surj: dict) -> tuple:
+def _seeds(
+    terms: dict, d: int, R: int, surj: dict, signs: Optional[tuple] = None, orthant=False
+) -> tuple:
     """Forward differences at z = 0 of an integer polynomial on Z^d, d >= 1, on B_R of Z^(d-1).
 
     P is split on its last coordinate z, P = sum_j c_j(x') z^j.  Along
@@ -420,12 +477,17 @@ def _seeds(terms: dict, d: int, R: int, surj: dict) -> tuple:
 
     and for z -> -z the same with c_j multiplied by (-1)^j.  A value at
     0 <= z <= b <= R reads only the orders i <= z, so only orders
-    i <= m = min(deg_z P, R) are taken.  These 2m + 1 seed polynomials
-    are evaluated on B_R of Z^(d-1) by :func:`_ball_values` with this
-    same table (any table with a row for each exponent of P and columns
-    to m serves).  Returns the m + 1 lists of each side, z >= 0 and
-    z <= 0; both start with the same order-0 list.
+    i <= m = min(deg_z P, R) are taken.  These seed polynomials are
+    evaluated on B_R of Z^(d-1) (on its orthant x' >= 0 with ``orthant``)
+    by :func:`_ball_values` with this same table (any table with a row for
+    each exponent of P and columns to m serves); each inherits P's signs
+    (default: none) in x'.  Returns the m + 1 lists of each side, z >= 0
+    and z <= 0; both start with the same order-0 list.  When z has a sign
+    s, the z <= 0 lists are s times the z >= 0 ones and are returned empty.
     """
+    signs = (None,) * d if signs is None else signs
+    below = signs[:-1]
+    both = signs[-1] is None
     by_z: dict = {}
     for alpha, c in terms.items():
         by_z.setdefault(alpha[-1], {})[alpha[:-1]] = c
@@ -436,27 +498,78 @@ def _seeds(terms: dict, d: int, R: int, surj: dict) -> tuple:
         down: dict = {}
         for j, coeffs in by_z.items():
             w = surj[j][i]
-            if w:
+            if w and both:
                 sign = -w if j % 2 else w
                 for rest, c in coeffs.items():
                     up[rest] = up.get(rest, 0) + w * c
                     down[rest] = down.get(rest, 0) + sign * c
-        pos.append(_ball_values(up, d - 1, R, surj))
-        neg.append(_ball_values(down, d - 1, R, surj) if i else pos[0])
+            elif w:
+                for rest, c in coeffs.items():
+                    up[rest] = up.get(rest, 0) + w * c
+        pos.append(_ball_values(up, d - 1, R, surj, below, orthant))
+        if both:
+            neg.append(_ball_values(down, d - 1, R, surj, below) if i else pos[0])
     return pos, neg
 
 
-def _lines(pos: list, neg: list, d: int, R: int) -> list:
+def _lines(pos: list, neg: list, d: int, R: int, s: Optional[int] = None, orthant=False) -> list:
     """Values on B_R of Z^d from the :func:`_seeds` of each side.
 
     Each line z = -b..b, b = R - |x'|_1, is m chained running sums per
-    side, in exact ints.
+    side, in exact ints.  When z has a sign s (``neg`` is then empty), one
+    chain runs z = 0..b and z = -b..-1 is its mirror times s.  With
+    ``orthant`` only the lines of x' >= 0 are run, and only for z >= 0.
     """
     out: list = []
-    for b, up, down in zip(_remaining(d - 1, R), zip(*pos), zip(*neg)):
-        out.extend(reversed(list(islice(_line(down), 1, b + 1))))
-        out.extend(islice(_line(up), b + 1))
+    ups = zip(_remaining(d - 1, R, orthant), zip(*pos))
+    if orthant:
+        for b, up in ups:
+            out.extend(islice(_line(up), b + 1))
+    elif s is not None:
+        for b, up in ups:
+            half = list(islice(_line(up), b + 1))
+            out.extend(half[:0:-1] if s > 0 else map(operator.neg, half[:0:-1]))
+            out.extend(half)
+    else:
+        for (b, up), down in zip(ups, zip(*neg)):
+            out.extend(reversed(list(islice(_line(down), 1, b + 1))))
+            out.extend(islice(_line(up), b + 1))
     return out
+
+
+def _unfold(orth: list, signs: tuple, R: int, negated=False) -> tuple:
+    """Values on B_R of Z^d from those on its orthant x >= 0, both in lex order.
+
+    Flipping coordinate l multiplies the function by signs[l].  B_R is
+    the blocks {v} x B_{R-|v|} of Z^(d-1), v = -R..R (points, for d = 1):
+    the blocks v >= 0 are unfolded from their orthant parts, and block -v
+    is block v times signs[0], copied whole.  Returns the values and, with
+    ``negated``, minus the values (else None).  The blocks are unfolded
+    with their negations where a sign is -1, so no value is negated twice.
+    """
+    s, rest = signs[0], signs[1:]
+    need = negated or s < 0
+    if rest:
+        sizes = [math.comb(R - v + len(rest), len(rest)) for v in range(R + 1)]
+        parts = [
+            _unfold(orth[end - size : end], rest, R - v, need)
+            for v, (size, end) in enumerate(zip(sizes, accumulate(sizes)))
+        ]
+        plus, minus = [p for p, _ in parts], [m for _, m in parts]
+    else:
+        plus, minus = orth, list(map(operator.neg, orth)) if need else None
+    values = _join(plus, plus if s > 0 else minus, rest)
+    return values, _join(minus, minus if s > 0 else plus, rest) if negated else None
+
+
+def _join(blocks: list, back: list, nested) -> list:
+    """Blocks -v for v = R..1 (from ``back``), then v = 0..R, as one list.
+
+    The blocks are lists when ``nested``, else single values.
+    """
+    if nested:
+        return list(chain.from_iterable(chain(back[:0:-1], blocks)))
+    return back[:0:-1] + blocks
 
 
 def _line(seeds: tuple):
@@ -482,13 +595,13 @@ def _surjection_counts(exponents, r: int) -> dict:
     return surj
 
 
-def _remaining(d: int, R: int) -> list:
-    """R - |x|_1 for every x of B_R of Z^d, in lex order (d = 0: [R])."""
+def _remaining(d: int, R: int, orthant=False) -> list:
+    """R - |x|_1 for every x of B_R of Z^d (x >= 0 with ``orthant``), in lex order (d = 0: [R])."""
     if d == 0:
         return [R]
     out: list = []
-    for v in range(-R, R + 1):
-        out += _remaining(d - 1, R - abs(v))
+    for v in range(0 if orthant else -R, R + 1):
+        out += _remaining(d - 1, R - abs(v), orthant)
     return out
 
 

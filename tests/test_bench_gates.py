@@ -1,10 +1,12 @@
-"""The benchmark's cheap workloads pass their own correctness gates.
+"""The benchmark's workloads pass their own correctness gates.
 
 ``bench/workloads.py`` gates each timed job through a route the job does
-not use (mpmath slacks, Newton sums, exact binomials).  Running the
-``scan`` and ``search`` gates here makes a library change that breaks
-them, such as an undecided scan row or a wrong witness, fail the suite
-rather than only the benchmark.
+not use (mpmath slacks, Newton sums, exact binomials, closed forms).
+Running the ``scan``, ``search`` and ``corpus`` gates here makes a
+library change that breaks them, such as an undecided scan row, a wrong
+witness or a wrong u_k growth, fail the suite rather than only the
+benchmark.  The ``corpus`` gate reads the corpus fixture the other tests
+share, so it adds only the verdict sweep.
 """
 
 import importlib.util
@@ -14,6 +16,8 @@ import pytest
 
 from harmlat import evaluate_on_ball, sk_polynomial, sos_laplacian_power
 from harmlat.growth import growth_polynomial
+
+from conftest import CORPUS_RADIUS
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
@@ -32,6 +36,16 @@ def test_scan_workload_passes_its_gate(workloads):
 
 def test_search_workload_passes_its_gate(workloads):
     workloads.search_gate(workloads.search_run(workloads.search_build(0)))
+
+
+def test_corpus_workload_passes_its_gate(workloads, corpus):
+    # the shared corpus fixture is the workload's seed-0 input on the same ball, so
+    # its reports and their sweep go straight into the gate: the u_k closed
+    # form Q(n) = (k!/d^k) C(n, k) and every one of the 3,744 verdicts
+    assert workloads.CORPUS_RADIUS == CORPUS_RADIUS
+    reports = [(m.name, m.poly, m.report) for m in corpus]
+    verdicts = [(name, check) for name, _, rep in reports for check in workloads._sweep(rep)]
+    workloads.check_corpus(reports, verdicts)
 
 
 def test_scan_gate_route_reads_no_orbit_kernel(workloads, monkeypatch):

@@ -106,6 +106,16 @@ def test_planar_family_off_z2_exit_3(capsys, family, command):
     assert "lives on Z^2" in err
 
 
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_coordinate_product_k_below_1_names_k(capsys, k):
+    # k is checked before it stands in for the dimension d
+    code, out, err = run(capsys, "growth", "--family", "u", "--k", k, "--n-max", "3")
+    assert code == 3
+    assert out == ""
+    assert f"need k >= 1 for the coordinate product; got k={k}" in err
+    assert "dimension" not in err
+
+
 def test_growth_json_golden(capsys, tmp_path):
     u = evaluate_on_ball(monomial_uk(2, 2), 8)
     path = tmp_path / "f.json"

@@ -3,8 +3,10 @@
 The walk-count rows and the Laplacian cascade run as column passes over
 the orbit quotient (``OrbitTable.cols``); here they are compared with
 closed forms and with the sum-of-squares route, which share no code with
-them.  Verdicts must not depend on the state of the constant caches, and
-every cache in the package must be bounded.
+them.  The orthant route, for polynomials with a parity in every
+coordinate, is compared with the route that reads no parity.  Verdicts
+must not depend on the state of the constant caches, and every cache in
+the package must be bounded.
 """
 
 import importlib
@@ -14,21 +16,27 @@ from fractions import Fraction as F
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import harmlat
 from harmlat import (
+    LatticeFunction,
+    MultivariatePolynomial,
     aspect_ratio_check,
+    correspondence,
     evaluate_on_ball,
     general_P_check,
     growth_report,
+    monomial_uk,
     random_harmonic,
     ratio_125_check,
     sos_laplacian_power,
     three_circles_check,
 )
-from harmlat import balls, checks
+from harmlat import balls, checks, polynomials
 from harmlat.balls import OrbitTable, orbit_table, unit_steps
-from harmlat.growth import _newton_via_laplacian, _orbit_walk_rows
+from harmlat.growth import _newton_via_laplacian, _orbit_square_sums, _orbit_walk_rows
 
 
 def _harmlat_modules():
@@ -100,19 +108,82 @@ def test_point_orbit_indices_equal_canonical_reps(d):
         assert balls.point_orbit_indices(d, R) == want, (d, R)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_orthant_plan_equals_canonical_reps(d):
+    # the block recursion against the points x >= 0 and their sorted values
+    for R in range(8):
+        index = orbit_table(d, R).index
+        points = balls.ball_points(d, R)
+        mask, orbits = balls.orthant_plan(d, R)
+        assert list(mask) == [int(min(p) >= 0) for p in points], (d, R)
+        assert orbits == tuple(index[tuple(sorted(p))] for p in points if min(p) >= 0), (d, R)
+
+
+@st.composite
+def parity_polynomials(draw):
+    """(P, R): a rational polynomial in d <= 4 variables, degree <= 6, R <= 6.
+
+    Each exponent of a coordinate with an imposed parity is moved up to it:
+    in every coordinate, in the last one only, or in some.
+    """
+    d = draw(st.integers(1, 4))
+    imposed = draw(st.sampled_from(["every", "last", "some"]))
+    if imposed == "last":
+        parity = [None] * (d - 1) + [draw(st.sampled_from([0, 1]))]
+    else:
+        choices = [0, 1] if imposed == "every" else [0, 1, None]
+        parity = [draw(st.sampled_from(choices)) for _ in range(d)]
+    exponent = st.lists(st.integers(0, 5), min_size=d, max_size=d).map(
+        lambda a: tuple(e if p is None else e + (e - p) % 2 for e, p in zip(a, parity))
+    )
+    coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+    terms = draw(st.dictionaries(exponent.filter(lambda a: sum(a) <= 6), coeffs, max_size=6))
+    return MultivariatePolynomial(d, terms), draw(st.integers(0, 6))
+
+
+@settings(max_examples=120, deadline=None)
+@given(parity_polynomials())
+def test_orthant_route_equals_full_ball_route(case):
+    # the one-side and orthant routes against the route with no parity
+    # read: the two-sided lines over the whole ball, the orbit square sums
+    # of every cell, and the growth report built on them
+    P, R = case
+    u = evaluate_on_ball(P, R)
+    assert (u._signs is not None) == (None not in polynomials._signs(P))
+    den = math.lcm(*(c.denominator for c in P.terms.values()))
+    terms = {a: c.numerator * (den // c.denominator) for a, c in P.terms.items()}
+    exponents = {e for a in P.terms for e in a}
+    surj = polynomials._surjection_counts(exponents, min(max(P.degree, 0), R))
+    full = polynomials._lines(*polynomials._seeds(terms, P.d, R, surj), P.d, R)
+    plain = LatticeFunction(u.ball, full, den)
+    assert plain._signs is None
+    assert u.scaled_values() == plain.scaled_values()
+    assert _orbit_square_sums(u) == _orbit_square_sums(plain)
+    assert growth_report(u).newton == growth_report(plain).newton
+
+
 def test_table_route_builds_no_point_tuples(monkeypatch):
     # evaluation and both growth routes read the ball only through orbit
-    # indices: no cell's point tuple and no point -> position map is built
-    P = random_harmonic(3, 5, 17)
-    want = growth_report(evaluate_on_ball(P, 12))
+    # indices: no cell's point tuple and no point -> position map is built,
+    # on the full-ball route (a random member) and on the orthant route
+    # (u_2, and a member odd in x and z and even in y) alike
+    members = [
+        random_harmonic(3, 5, 17),
+        monomial_uk(3, 2),
+        correspondence(MultivariatePolynomial(3, {(3, 0, 1): 1, (1, 2, 1): -3})),
+    ]
+    tables = [evaluate_on_ball(P, 12) for P in members]
+    assert [u._signs is not None for u in tables] == [False, True, True]
+    wants = [growth_report(u) for u in tables]
     balls.point_orbit_indices.cache_clear()
+    balls.orthant_plan.cache_clear()
 
     def refuse(*args):
         raise AssertionError("point tuples built")
 
     monkeypatch.setattr(balls, "ball_points", refuse)
     monkeypatch.setattr(balls, "ball_position", refuse)
-    assert growth_report(evaluate_on_ball(P, 12)) == want
+    assert [growth_report(evaluate_on_ball(P, 12)) for P in members] == wants
 
 
 # -- cascade against the sum-of-squares identity ---------------------------------

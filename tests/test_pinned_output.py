@@ -1,8 +1,9 @@
-"""Printed verdicts, scans and witnesses, pinned byte for byte by sha256.
+"""Printed verdicts, scans, witnesses and growth values, pinned byte for byte by sha256.
 
 Each case runs ``harm`` in-process and hashes its stdout.  A change to
 how a verdict decides its status, or to when it builds the bounds it
-prints, must leave every byte as it is.
+prints, or to how a polynomial is evaluated and its growth summed, must
+leave every byte as it is.
 """
 
 import contextlib
@@ -52,6 +53,12 @@ CASES = [f"check {c} --format {fmt}" for c in CHECKS for fmt in ("json", "csv")]
     "conjecture scan --family S --k 12 --C 1 --eps 1/10 --format json",
     "conjecture scan --family S --k 12 --C 1 --eps 1/10 --format csv",
     "search counterexample --C 1 --eps 1/5 --k-max 30 --n0 100",
+    # growth values of members with a parity in every coordinate (S, T, u)
+    # and of one without (random)
+    "growth --family S --k 40 --n-max 160 --newton",
+    "growth --family T --k 41 --n-max 100 --format csv",
+    "growth --family u --k 3 --d 3 --n-max 40",
+    "growth --family random --k 6 --d 3 --seed 7 --n-max 30",
 ]
 
 # (exit code, sha256 of stdout) per case, in the order of CASES
@@ -134,6 +141,14 @@ DIGESTS = {
         (0, 'b3f6bfb8354e775c07062435774667d8d3844bf9ca46bb70aca64727f5cb64eb'),
     'search counterexample --C 1 --eps 1/5 --k-max 30 --n0 100':
         (1, '186446123a47233f081b0cc14ae5d8732841e4fdd41eec0450bdf9d0ceb31cbf'),
+    'growth --family S --k 40 --n-max 160 --newton':
+        (0, '683f0a636bc899c2ab19694a5240844f111f4a2fd034aba47dff32d4152cec26'),
+    'growth --family T --k 41 --n-max 100 --format csv':
+        (0, '55454259a232199af5729b85e7c8c0f34065a3c1b9628fc0ff961ddd4e49d373'),
+    'growth --family u --k 3 --d 3 --n-max 40':
+        (0, '58f2d2b564fcadaedc0b9fd5a11fc72cdb70e668942945b8d54a50cf5b674dd0'),
+    'growth --family random --k 6 --d 3 --seed 7 --n-max 30':
+        (0, '5e763c2e23b177a84108c501bbb93fbf06ab50cecfb4387da42f637fd58f0955'),
 }
 
 
