@@ -70,7 +70,7 @@ class LatticeBall:
 class LatticeFunction:
     """Dense exact-rational function on a ball; equality is pointwise."""
 
-    __slots__ = ("ball", "_nums", "_den", "_signs")
+    __slots__ = ("ball", "_nums", "_den", "_flip_invariant")
 
     def __init__(self, ball: LatticeBall, nums: Iterable[int], den: int = 1):
         if den <= 0:
@@ -84,19 +84,21 @@ class LatticeFunction:
         self.ball = ball
         self._nums = tuple(nums)
         self._den = den
-        self._signs = None
+        self._flip_invariant = False
 
     @classmethod
-    def _reduced(cls, ball: LatticeBall, nums: list, den: int, signs=None) -> "LatticeFunction":
+    def _reduced(
+        cls, ball: LatticeBall, nums: list, den: int, flip_invariant=False
+    ) -> "LatticeFunction":
         """Take over ``nums``, already one value per point and in lowest terms with ``den``.
 
-        No copy to a list and no gcd pass.  ``signs``, when given, records
-        that flipping the sign of coordinate l multiplies the function by
-        signs[l], so its square is the same on every orthant; equality and
-        hashing ignore it.
+        No copy to a list and no gcd pass.  ``flip_invariant`` records that
+        the square of the function is the same at every sign flip of a
+        point's coordinates; equality and hashing ignore it.
         """
         self = cls.__new__(cls)
-        self.ball, self._nums, self._den, self._signs = ball, tuple(nums), den, signs
+        self.ball, self._nums, self._den = ball, tuple(nums), den
+        self._flip_invariant = flip_invariant
         return self
 
     # -- construction -------------------------------------------------

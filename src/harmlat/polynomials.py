@@ -30,11 +30,11 @@ deg P on the values are then in lowest terms (the proof is in
 the values.
 
 A coordinate whose exponents in P are all even or all odd gives P a
-sign under its flip, and the differences inherit the signs of the other
-coordinates.  Where z has one, the z <= 0 side of every line is the
-mirror of the z >= 0 side times that sign.  With a sign in every
-coordinate, as for S_k, T_k and u_k, only the orthant x >= 0 is
-evaluated and the other orthants are copied from it, block by block.
+sign under its flip.  With a sign in every coordinate, as for S_k, T_k
+and u_k, the differences inherit the signs of the other coordinates,
+only the orthant x >= 0 is evaluated, and the other orthants are copied
+from it, block by block.  Any other polynomial is evaluated on the
+whole ball.
 """
 
 from __future__ import annotations
@@ -399,11 +399,11 @@ def evaluate_on_ball(P: MultivariatePolynomial, R: int) -> LatticeFunction:
     values stay exact integers.
 
     Each coordinate's parity is read off P's exponents (:func:`_signs`).
-    Where the last coordinate has one, the z <= 0 side is the sign times
-    the z >= 0 side and is not evaluated; with a parity in every
-    coordinate only the orthant x >= 0 is evaluated, the other orthants
-    are copied from it (:func:`_unfold`), and the table records the signs
-    for :func:`harmlat.growth.growth_report`.
+    With a parity in every coordinate only the orthant x >= 0 is
+    evaluated, the other orthants are copied from it (:func:`_unfold`),
+    and the table is marked flip-invariant for
+    :func:`harmlat.growth.growth_report`.  Otherwise the whole ball is
+    evaluated.
 
     When R >= M = deg P the values are then in lowest terms, so the table
     is handed over without a gcd pass.  Let V = den' P be the values after
@@ -425,17 +425,17 @@ def evaluate_on_ball(P: MultivariatePolynomial, R: int) -> LatticeFunction:
     surj = _surjection_counts(exponents, min(max(P.degree, 0), R))
     signs = _signs(P)
     orthant = None not in signs
-    pos, neg = _seeds(int_terms, P.d, R, surj, signs, orthant)
+    pos, neg = _seeds(int_terms, P.d, R, surj, orthant)
     g = math.gcd(den, *chain.from_iterable(pos + neg))
     if g > 1:
         pos, neg = ([list(map(g.__rfloordiv__, s)) for s in side] for side in (pos, neg))
         den //= g
-    nums = _lines(pos, neg, P.d, R, signs[-1], orthant)
+    nums = _lines(pos, neg, P.d, R, orthant)
     if orthant:
         nums = _unfold(nums, signs, R)[0]
     if R < P.degree:
         den = reduce_in_place(nums, den)
-    return LatticeFunction._reduced(ball, nums, den, signs if orthant else None)
+    return LatticeFunction._reduced(ball, nums, den, orthant)
 
 
 def _signs(P: MultivariatePolynomial) -> tuple:
@@ -451,22 +451,18 @@ def _signs(P: MultivariatePolynomial) -> tuple:
     return tuple(out)
 
 
-def _ball_values(terms: dict, d: int, R: int, surj: dict, signs: tuple, orthant=False) -> list:
+def _ball_values(terms: dict, d: int, R: int, surj: dict, orthant=False) -> list:
     """Values of an integer polynomial on B_R of Z^d, in lex order (d = 0: one point).
 
-    ``signs`` are the polynomial's :func:`_signs`.  With ``orthant`` (which
-    needs a sign in every coordinate) only the points x >= 0 are given.
+    With ``orthant`` (for a polynomial with a parity in every coordinate)
+    only the points x >= 0 are given.
     """
     if d == 0:
         return [terms.get((), 0)]
-    if not orthant and None not in signs:
-        return _unfold(_ball_values(terms, d, R, surj, signs, True), signs, R)[0]
-    return _lines(*_seeds(terms, d, R, surj, signs, orthant), d, R, signs[-1], orthant)
+    return _lines(*_seeds(terms, d, R, surj, orthant), d, R, orthant)
 
 
-def _seeds(
-    terms: dict, d: int, R: int, surj: dict, signs: Optional[tuple] = None, orthant=False
-) -> tuple:
+def _seeds(terms: dict, d: int, R: int, surj: dict, orthant=False) -> tuple:
     """Forward differences at z = 0 of an integer polynomial on Z^d, d >= 1, on B_R of Z^(d-1).
 
     P is split on its last coordinate z, P = sum_j c_j(x') z^j.  Along
@@ -477,17 +473,15 @@ def _seeds(
 
     and for z -> -z the same with c_j multiplied by (-1)^j.  A value at
     0 <= z <= b <= R reads only the orders i <= z, so only orders
-    i <= m = min(deg_z P, R) are taken.  These seed polynomials are
-    evaluated on B_R of Z^(d-1) (on its orthant x' >= 0 with ``orthant``)
-    by :func:`_ball_values` with this same table (any table with a row for
-    each exponent of P and columns to m serves); each inherits P's signs
-    (default: none) in x'.  Returns the m + 1 lists of each side, z >= 0
-    and z <= 0; both start with the same order-0 list.  When z has a sign
-    s, the z <= 0 lists are s times the z >= 0 ones and are returned empty.
+    i <= m = min(deg_z P, R) are taken.  These 2m + 1 seed polynomials
+    are evaluated on B_R of Z^(d-1) by :func:`_ball_values` with this
+    same table (any table with a row for each exponent of P and columns
+    to m serves).  Returns the m + 1 lists of each side, z >= 0 and
+    z <= 0; both start with the same order-0 list.  With ``orthant`` (a
+    parity in every coordinate, which each seed polynomial inherits in
+    x') the seeds are evaluated on the orthant x' >= 0 and the z <= 0
+    side is returned empty.
     """
-    signs = (None,) * d if signs is None else signs
-    below = signs[:-1]
-    both = signs[-1] is None
     by_z: dict = {}
     for alpha, c in terms.items():
         by_z.setdefault(alpha[-1], {})[alpha[:-1]] = c
@@ -498,42 +492,35 @@ def _seeds(
         down: dict = {}
         for j, coeffs in by_z.items():
             w = surj[j][i]
-            if w and both:
+            if w and orthant:
+                for rest, c in coeffs.items():
+                    up[rest] = up.get(rest, 0) + w * c
+            elif w:
                 sign = -w if j % 2 else w
                 for rest, c in coeffs.items():
                     up[rest] = up.get(rest, 0) + w * c
                     down[rest] = down.get(rest, 0) + sign * c
-            elif w:
-                for rest, c in coeffs.items():
-                    up[rest] = up.get(rest, 0) + w * c
-        pos.append(_ball_values(up, d - 1, R, surj, below, orthant))
-        if both:
-            neg.append(_ball_values(down, d - 1, R, surj, below) if i else pos[0])
+        pos.append(_ball_values(up, d - 1, R, surj, orthant))
+        if not orthant:
+            neg.append(_ball_values(down, d - 1, R, surj) if i else pos[0])
     return pos, neg
 
 
-def _lines(pos: list, neg: list, d: int, R: int, s: Optional[int] = None, orthant=False) -> list:
+def _lines(pos: list, neg: list, d: int, R: int, orthant=False) -> list:
     """Values on B_R of Z^d from the :func:`_seeds` of each side.
 
     Each line z = -b..b, b = R - |x'|_1, is m chained running sums per
-    side, in exact ints.  When z has a sign s (``neg`` is then empty), one
-    chain runs z = 0..b and z = -b..-1 is its mirror times s.  With
-    ``orthant`` only the lines of x' >= 0 are run, and only for z >= 0.
+    side, in exact ints.  With ``orthant`` only the lines of x' >= 0 are
+    run, and only for z >= 0.
     """
     out: list = []
-    ups = zip(_remaining(d - 1, R, orthant), zip(*pos))
     if orthant:
-        for b, up in ups:
+        for b, up in zip(_remaining(d - 1, R, True), zip(*pos)):
             out.extend(islice(_line(up), b + 1))
-    elif s is not None:
-        for b, up in ups:
-            half = list(islice(_line(up), b + 1))
-            out.extend(half[:0:-1] if s > 0 else map(operator.neg, half[:0:-1]))
-            out.extend(half)
-    else:
-        for (b, up), down in zip(ups, zip(*neg)):
-            out.extend(reversed(list(islice(_line(down), 1, b + 1))))
-            out.extend(islice(_line(up), b + 1))
+        return out
+    for b, up, down in zip(_remaining(d - 1, R), zip(*pos), zip(*neg)):
+        out.extend(reversed(list(islice(_line(down), 1, b + 1))))
+        out.extend(islice(_line(up), b + 1))
     return out
 
 

@@ -144,19 +144,20 @@ def parity_polynomials(draw):
 @settings(max_examples=120, deadline=None)
 @given(parity_polynomials())
 def test_orthant_route_equals_full_ball_route(case):
-    # the one-side and orthant routes against the route with no parity
-    # read: the two-sided lines over the whole ball, the orbit square sums
-    # of every cell, and the growth report built on them
+    # the orthant route (a parity in every coordinate) against the route
+    # with no parity read: the two-sided lines over the whole ball, the
+    # orbit square sums of every cell, and the growth report built on them.
+    # A parity in z only, or in some coordinates, takes the latter route
     P, R = case
     u = evaluate_on_ball(P, R)
-    assert (u._signs is not None) == (None not in polynomials._signs(P))
+    assert u._flip_invariant == (None not in polynomials._signs(P))
     den = math.lcm(*(c.denominator for c in P.terms.values()))
     terms = {a: c.numerator * (den // c.denominator) for a, c in P.terms.items()}
     exponents = {e for a in P.terms for e in a}
     surj = polynomials._surjection_counts(exponents, min(max(P.degree, 0), R))
     full = polynomials._lines(*polynomials._seeds(terms, P.d, R, surj), P.d, R)
     plain = LatticeFunction(u.ball, full, den)
-    assert plain._signs is None
+    assert not plain._flip_invariant
     assert u.scaled_values() == plain.scaled_values()
     assert _orbit_square_sums(u) == _orbit_square_sums(plain)
     assert growth_report(u).newton == growth_report(plain).newton
@@ -173,7 +174,7 @@ def test_table_route_builds_no_point_tuples(monkeypatch):
         correspondence(MultivariatePolynomial(3, {(3, 0, 1): 1, (1, 2, 1): -3})),
     ]
     tables = [evaluate_on_ball(P, 12) for P in members]
-    assert [u._signs is not None for u in tables] == [False, True, True]
+    assert [u._flip_invariant for u in tables] == [False, True, True]
     wants = [growth_report(u) for u in tables]
     balls.point_orbit_indices.cache_clear()
     balls.orthant_plan.cache_clear()

@@ -290,61 +290,14 @@ def shared_factor_polynomials(draw):
 @settings(max_examples=120, deadline=None)
 @given(shared_factor_polynomials())
 def test_evaluate_on_ball_equals_reduced_pointwise_values(case):
-    # the factor divided out of the seeds and the reduction LatticeFunction
-    # finishes give the fully reduced (nums, den) of the pointwise values
+    # the seed factor is divided out, and below deg P evaluate_on_ball
+    # reduces the values itself: the fully reduced (nums, den) of the
+    # pointwise values either way
     P, R = case
     ball = LatticeBall(P.d, R)
     assert evaluate_on_ball(P, R) == LatticeFunction.from_values(
         ball, [P.evaluate(p) for p in ball.points]
     )
-
-
-@st.composite
-def rational_polynomials_near_degree(draw):
-    """(P, R): any rational polynomial in d <= 3 variables, degree <= 5, and R = 0..deg + 2."""
-    d = draw(st.integers(1, 3))
-    exponents = st.lists(st.integers(0, 5), min_size=d, max_size=d).filter(lambda a: sum(a) <= 5)
-    coeffs = st.fractions(min_value=-30, max_value=30, max_denominator=40)
-    P = MultivariatePolynomial(d, draw(st.dictionaries(exponents.map(tuple), coeffs, max_size=7)))
-    return P, draw(st.integers(0, max(P.degree, 0) + 2))
-
-
-@settings(max_examples=100, deadline=None)
-@given(rational_polynomials_near_degree())
-def test_evaluate_on_ball_equals_lattice_function_of_pointwise_values(case):
-    # below the degree the table is reduced by a gcd pass; from the degree
-    # on it is handed over in the lowest terms the seeds leave
-    P, R = case
-    ball = LatticeBall(P.d, R)
-    u = evaluate_on_ball(P, R)
-    want = LatticeFunction.from_values(ball, [P.evaluate(p) for p in ball.points])
-    assert u == want
-    assert u.scaled_values() == want.scaled_values()
-
-
-Z2 = MultivariatePolynomial.variable(2, 1)
-X3, Y3, Z3 = (MultivariatePolynomial.variable(3, axis) for axis in range(3))
-
-
-@pytest.mark.parametrize(
-    "P",
-    [
-        X2 * Z2 * Z2 * Z2 + X2 * X2 * Z2 - F(2, 3) * Z2,  # odd in z, mixed in x
-        X2 * Z2 * Z2 + X2 * X2 + F(1, 3),  # even in z, mixed in x
-        X3 * Y3 * Z3 + Y3 * Y3 * Z3 * Z3 * Z3 - X3 * Z3,  # odd in z only
-        X3 * X3 * X3 * Y3 * Z3 * Z3 + X3 * Z3 * Z3 + 5 * X3 * Y3 * Y3,  # even in z, odd in x
-        X3 * Y3 * Z3 + X3 * Y3 - F(1, 2) * X3 * X3 * X3 * Y3,  # odd in x and y, mixed in z
-    ],
-)
-def test_evaluate_on_ball_one_side_routes(P):
-    # a sign in z but not in every coordinate: each line is run on one side
-    # and mirrored with the sign.  The seeds of the last example have a
-    # sign in x and y, so they are evaluated on their orthant and unfolded
-    for R in range(6):
-        ball = LatticeBall(P.d, R)
-        u = evaluate_on_ball(P, R)
-        assert u._signs is None
-        assert u == LatticeFunction.from_values(ball, [P.evaluate(p) for p in ball.points])
 
 
 def test_evaluate_on_ball_reduction_beyond_the_seeds():
