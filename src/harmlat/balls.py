@@ -12,9 +12,10 @@ quotient's neighbour structure is stored column-wise: one list per unit
 step, aligned with the representatives, so the walk-count and Laplacian
 kernels run as C-level passes over whole columns.  :func:`laplacian_plan`
 lays out the neighbours of a whole ball's points in the same columns.
-:func:`point_orbit_indices` gives the orbit of every point of a ball, and
-:func:`orthant_plan` that of every point x >= 0, for functions whose
-square is the same at every sign flip of a point.
+:func:`point_orbit_indices` gives the orbit of every point of a ball, or
+of its points x >= 0 only: a table that carries its values there (see
+:func:`harmlat.polynomials.evaluate_on_ball`) has its orbit square sums
+read off those cells alone.
 
 The per-(d, R) tables are memoized in bounded caches of
 ``BALL_CACHE_SIZE`` entries each, more than the radii any benchmark
@@ -243,9 +244,10 @@ def orbit_table(d: int, R: int) -> OrbitTable:
 
 
 @lru_cache(maxsize=BALL_CACHE_SIZE)
-def point_orbit_indices(d: int, R: int) -> tuple:
+def point_orbit_indices(d: int, R: int, orthant: bool = False) -> tuple:
     """Orbit index of every point of B_R, aligned with ball_points(d, R).
 
+    With ``orthant`` only the points x >= 0 are given, in the same order.
     In lex order B_R of Z^d is the blocks {v} x B_{R-|v|} of Z^(d-1),
     v = -R..R, and the orbit of (v, y) is that of y with |v| merged into
     its representative.  So each block maps its tails' indices in Z^(d-1)
@@ -253,34 +255,6 @@ def point_orbit_indices(d: int, R: int) -> tuple:
     come from the same recursion, down to Z^1, where (v,) has index |v|.
     No point tuple is built.
     """
-    return tuple(_block_orbit_indices(d, R, False))
-
-
-@lru_cache(maxsize=BALL_CACHE_SIZE)
-def orthant_plan(d: int, R: int) -> tuple:
-    """The points x >= 0 of B_R: (mask, orbit indices).
-
-    ``mask`` is a bytes object aligned with ball_points(d, R), 1 at the
-    points x >= 0 and 0 elsewhere, for :func:`itertools.compress`; the
-    orbit indices are those of the points x >= 0, in lex order.  Both are
-    built block by block, as in :func:`point_orbit_indices`, with no point
-    tuple: the blocks v < 0 come first and hold no such point.
-    """
-    orbits = tuple(_block_orbit_indices(d, R, True))
-    radii = range(R + 1) if d > 1 else (R,)
-    masks = {r: bytes(r) + b"\1" * (r + 1) for r in radii}
-    for k in range(2, d + 1):
-        radii = range(R + 1) if k < d else (R,)
-        masks = {
-            r: bytes((ball_point_count(k, r) - ball_point_count(k - 1, r)) // 2)
-            + b"".join(masks[r - v] for v in range(r + 1))
-            for r in radii
-        }
-    return masks[R], orbits
-
-
-def _block_orbit_indices(d: int, R: int, orthant: bool) -> list:
-    """Orbit indices of the points of B_R in lex order (x >= 0 only with ``orthant``)."""
     check_dimension(d)
     if R < 0:
         raise InvalidParameterError("radius must be non-negative")
@@ -304,4 +278,4 @@ def _block_orbit_indices(d: int, R: int, orthant: bool) -> list:
             ))
             for r in radii
         }
-    return below[R]
+    return tuple(below[R])

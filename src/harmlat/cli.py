@@ -119,20 +119,27 @@ def _refuse_family_options(args, options=("k", "d", "seed")) -> None:
         raise UsageError(f"{', '.join(given)} not read by this input (only by {reader})")
 
 
+def _read_json(source: str, what: str, inline: bool = False):
+    """The JSON document in the file ``source``, or ``source`` itself when ``inline``.
+
+    A file that cannot be opened, is not UTF-8, is not JSON or nests past
+    the recursion limit is a usage error naming ``what``.
+    """
+    try:
+        if inline:
+            return json.loads(source)
+        with open(source, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise UsageError(f"cannot read {what}: {exc}") from exc
+
+
 def _load_polynomial(args, n_max: Optional[int] = None) -> MultivariatePolynomial:
     """The --poly or --family input, read up to n_max; the parser demands exactly one input."""
     if args.poly:
         _refuse_family_options(args)
-        raw = args.poly
-        try:
-            if raw.strip().startswith("{"):
-                obj = json.loads(raw)
-            else:
-                with open(raw) as fh:
-                    obj = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read polynomial: {exc}") from exc
-        return MultivariatePolynomial.from_json(obj)
+        inline = args.poly.strip().startswith("{")
+        return MultivariatePolynomial.from_json(_read_json(args.poly, "polynomial", inline))
     if args.family != "random":
         _refuse_family_options(args, ["seed"])
     if args.k is None:
@@ -143,11 +150,7 @@ def _load_polynomial(args, n_max: Optional[int] = None) -> MultivariatePolynomia
 
 def _load_function(args, needed_radius: int) -> LatticeFunction:
     _refuse_family_options(args)
-    try:
-        with open(args.function) as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read lattice function: {exc}") from exc
+    obj = _read_json(args.function, "lattice function")
     u = LatticeFunction.from_json(obj, sparse=args.sparse)
     if u.R < needed_radius:
         raise UsageError(

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, islice, repeat
+from itertools import islice, repeat
 from operator import add, lshift, mul, sub
 from typing import Optional
 
@@ -91,24 +91,23 @@ def _orbit_walk_rows(d: int, n: int) -> list:
 def _orbit_square_sums(u: LatticeFunction) -> list:
     """Sum of squared scaled numerators of u over each orbit of its ball.
 
-    When u is marked flip-invariant (:func:`evaluate_on_ball` marks a
-    polynomial with a parity in every coordinate), u^2 is the same at
-    every sign flip of a point, and each point of an orbit has exactly
-    one flip in the orthant x >= 0.  Then only the orthant's cells are
-    squared, read through :func:`harmlat.balls.orthant_plan`, and each
-    orbit's sum is taken 2^(number of nonzero coordinates) times.
+    A table that carries its orthant, as
+    :func:`harmlat.polynomials.evaluate_on_ball` hands over for a
+    polynomial with a parity in every coordinate, has u^2 the same at
+    every sign flip of a point, and each point of an orbit has exactly one
+    flip in the orthant x >= 0.  Then only the orthant's numerators
+    ``u._orthant`` are squared, and each orbit's sum is taken
+    2^(number of nonzero coordinates) times.  Otherwise every cell is.
     """
     tab = balls.orbit_table(u.d, u.R)
     sums = [0] * tab.count_up_to(u.R)
-    nums, _ = u.scaled_values()
-    if u._flip_invariant:
-        mask, po = balls.orthant_plan(u.d, u.R)
-        nums = list(compress(nums, mask))
-    else:
-        po = balls.point_orbit_indices(u.d, u.R)
-    for oi, sq in zip(po, map(mul, nums, nums)):
+    nums = u._orthant
+    orthant = nums is not None
+    if not orthant:
+        nums, _ = u.scaled_values()
+    for oi, sq in zip(balls.point_orbit_indices(u.d, u.R, orthant), map(mul, nums, nums)):
         sums[oi] += sq
-    if u._flip_invariant:
+    if orthant:
         zeros = map(tuple.count, tab.reps, repeat(0))
         sums = list(map(lshift, sums, map(sub, repeat(u.d), zeros)))
     return sums

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product, repeat
 from operator import add, mul, sub
-from typing import Iterable
+from typing import Iterable, Optional
 
 from . import balls
 from .errors import (
@@ -70,7 +70,7 @@ class LatticeBall:
 class LatticeFunction:
     """Dense exact-rational function on a ball; equality is pointwise."""
 
-    __slots__ = ("ball", "_nums", "_den", "_flip_invariant")
+    __slots__ = ("ball", "_nums", "_den", "_orthant")
 
     def __init__(self, ball: LatticeBall, nums: Iterable[int], den: int = 1):
         if den <= 0:
@@ -84,21 +84,24 @@ class LatticeFunction:
         self.ball = ball
         self._nums = tuple(nums)
         self._den = den
-        self._flip_invariant = False
+        self._orthant = None
 
     @classmethod
     def _reduced(
-        cls, ball: LatticeBall, nums: list, den: int, flip_invariant=False
+        cls, ball: LatticeBall, nums: list, den: int, orthant: Optional[list] = None
     ) -> "LatticeFunction":
         """Take over ``nums``, already one value per point and in lowest terms with ``den``.
 
-        No copy to a list and no gcd pass.  ``flip_invariant`` records that
-        the square of the function is the same at every sign flip of a
-        point's coordinates; equality and hashing ignore it.
+        No copy to a list and no gcd pass.  ``orthant``, when given, holds
+        the numerators over ``den`` at the points x >= 0, in lex order, of a
+        function whose square is the same at every sign flip of a point's
+        coordinates; :func:`harmlat.growth.growth_report` squares only
+        those.  Every other table has ``_orthant`` None, and equality and
+        hashing ignore it.
         """
         self = cls.__new__(cls)
         self.ball, self._nums, self._den = ball, tuple(nums), den
-        self._flip_invariant = flip_invariant
+        self._orthant = None if orthant is None else tuple(orthant)
         return self
 
     # -- construction -------------------------------------------------

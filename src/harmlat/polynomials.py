@@ -33,8 +33,9 @@ A coordinate whose exponents in P are all even or all odd gives P a
 sign under its flip.  With a sign in every coordinate, as for S_k, T_k
 and u_k, the differences inherit the signs of the other coordinates,
 only the orthant x >= 0 is evaluated, and the other orthants are copied
-from it, block by block.  Any other polynomial is evaluated on the
-whole ball.
+from it, block by block; the table keeps the orthant's values, which are
+all that the growth report squares.  Any other polynomial is evaluated on
+the whole ball.
 """
 
 from __future__ import annotations
@@ -400,10 +401,10 @@ def evaluate_on_ball(P: MultivariatePolynomial, R: int) -> LatticeFunction:
 
     Each coordinate's parity is read off P's exponents (:func:`_signs`).
     With a parity in every coordinate only the orthant x >= 0 is
-    evaluated, the other orthants are copied from it (:func:`_unfold`),
-    and the table is marked flip-invariant for
-    :func:`harmlat.growth.growth_report`.  Otherwise the whole ball is
-    evaluated.
+    evaluated and reduced, the other orthants are copied from it
+    (:func:`_unfold`), and the table carries the orthant's values, over
+    the table's denominator, for :func:`harmlat.growth.growth_report` to
+    square.  Otherwise the whole ball is evaluated.
 
     When R >= M = deg P the values are then in lowest terms, so the table
     is handed over without a gcd pass.  Let V = den' P be the values after
@@ -415,7 +416,8 @@ def evaluate_on_ball(P: MultivariatePolynomial, R: int) -> LatticeFunction:
     x_j.  So h divides V at every point of Z^d, hence every seed (a
     difference of V along z), hence gcd(den', seeds) = 1.  For R < M the
     seeds need not be values on the ball, and the factor left is divided
-    out of the values.
+    out of the values (of the orthant's only, when those are all that is
+    evaluated: every other value is one of them or its negative).
     """
     ball = LatticeBall(P.d, R)
     balls.guard_cells(P.d, R)
@@ -431,11 +433,11 @@ def evaluate_on_ball(P: MultivariatePolynomial, R: int) -> LatticeFunction:
         pos, neg = ([list(map(g.__rfloordiv__, s)) for s in side] for side in (pos, neg))
         den //= g
     nums = _lines(pos, neg, P.d, R, orthant)
-    if orthant:
-        nums = _unfold(nums, signs, R)[0]
     if R < P.degree:
         den = reduce_in_place(nums, den)
-    return LatticeFunction._reduced(ball, nums, den, orthant)
+    if not orthant:
+        return LatticeFunction._reduced(ball, nums, den)
+    return LatticeFunction._reduced(ball, _unfold(nums, signs, R)[0], den, nums)
 
 
 def _signs(P: MultivariatePolynomial) -> tuple:

@@ -256,6 +256,18 @@ def test_unreadable_input_path_exit_3(capsys, tmp_path, flag, what):
     assert err.startswith(f"error: cannot read {what}: ")
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000])
+@pytest.mark.parametrize(
+    "flag, what", [("--poly", "polynomial"), ("--function", "lattice function")]
+)
+def test_malformed_input_file_exit_3(capsys, tmp_path, flag, what, content):
+    # a file that is not UTF-8, or whose JSON nests past the recursion limit
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "growth", flag, str(path), "--n-max", "1")
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: cannot read {what}: ")
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -114,8 +114,7 @@ def test_orthant_plan_equals_canonical_reps(d):
     for R in range(8):
         index = orbit_table(d, R).index
         points = balls.ball_points(d, R)
-        mask, orbits = balls.orthant_plan(d, R)
-        assert list(mask) == [int(min(p) >= 0) for p in points], (d, R)
+        orbits = balls.point_orbit_indices(d, R, True)
         assert orbits == tuple(index[tuple(sorted(p))] for p in points if min(p) >= 0), (d, R)
 
 
@@ -150,14 +149,18 @@ def test_orthant_route_equals_full_ball_route(case):
     # A parity in z only, or in some coordinates, takes the latter route
     P, R = case
     u = evaluate_on_ball(P, R)
-    assert u._flip_invariant == (None not in polynomials._signs(P))
+    assert (u._orthant is not None) == (None not in polynomials._signs(P))
+    if u._orthant is not None:
+        nums, _ = u.scaled_values()
+        points = balls.ball_points(P.d, R)
+        assert u._orthant == tuple(n for n, p in zip(nums, points) if min(p) >= 0)
     den = math.lcm(*(c.denominator for c in P.terms.values()))
     terms = {a: c.numerator * (den // c.denominator) for a, c in P.terms.items()}
     exponents = {e for a in P.terms for e in a}
     surj = polynomials._surjection_counts(exponents, min(max(P.degree, 0), R))
     full = polynomials._lines(*polynomials._seeds(terms, P.d, R, surj), P.d, R)
     plain = LatticeFunction(u.ball, full, den)
-    assert not plain._flip_invariant
+    assert plain._orthant is None
     assert u.scaled_values() == plain.scaled_values()
     assert _orbit_square_sums(u) == _orbit_square_sums(plain)
     assert growth_report(u).newton == growth_report(plain).newton
@@ -174,10 +177,9 @@ def test_table_route_builds_no_point_tuples(monkeypatch):
         correspondence(MultivariatePolynomial(3, {(3, 0, 1): 1, (1, 2, 1): -3})),
     ]
     tables = [evaluate_on_ball(P, 12) for P in members]
-    assert [u._flip_invariant for u in tables] == [False, True, True]
+    assert [u._orthant is not None for u in tables] == [False, True, True]
     wants = [growth_report(u) for u in tables]
     balls.point_orbit_indices.cache_clear()
-    balls.orthant_plan.cache_clear()
 
     def refuse(*args):
         raise AssertionError("point tuples built")
