@@ -268,6 +268,7 @@ def test_malformed_input_file_exit_3(capsys, tmp_path, flag, what, content):
     assert (code, out) == (3, "")
     assert err.startswith(f"error: cannot read {what}: ")
 
+
 @pytest.mark.parametrize(
     "argv, message",
     [
