@@ -9,6 +9,13 @@ Internals run in fixed point at a working precision of ``wp`` bits
 bound.  exp uses argument halving plus a Taylor tail bound, log uses
 the atanh series after normalizing into [1, 2), sqrt uses exact integer
 square roots, and general powers reduce to exp(y * log(base)).
+
+Two rules keep each kernel to the work its result reads:
+
+- every rounding by 2**wp is a shift, ``a >> wp`` or ``-((-a) >> wp)``;
+  a division by k * 2**wp is that shift, then a small-int division;
+- an enclosed argument [a, b] gets one bound per endpoint: exp and sqrt
+  compute only the lower bound at a and only the upper bound at b.
 """
 
 from __future__ import annotations
@@ -133,51 +140,49 @@ def _coerce(v) -> RealEnclosure:
 # -- exp ------------------------------------------------------------------
 
 
-def _exp_series_fx(t_lo: int, t_hi: int, wp: int) -> tuple:
-    """Fixed-point bounds of exp(t) for 0 <= t <= 1/2 (t given in fx)."""
-    one = 1 << wp
-    sum_lo, sum_hi = one, one
-    term_lo, term_hi = one, one
-    k = 0
-    while True:
-        k += 1
-        term_lo = (term_lo * t_lo) // (one * k)
-        term_hi = _ceil_div(term_hi * t_hi, one * k)
-        sum_lo += term_lo
-        sum_hi += term_hi
-        if term_hi <= 1:
-            # tail <= term * t/(k+1) * 1/(1-t) <= term * 2 * t; term < 2 ulp here
-            sum_hi += _ceil_div(2 * term_hi * t_hi, one) + 1
-            return sum_lo, sum_hi
+def _exp_bound(x: Fraction, prec: int, upper: bool) -> Fraction:
+    """A lower bound of exp(x), or an upper bound if ``upper``, as an exact rational.
 
-
-def _exp_fraction(x: Fraction, prec: int) -> RealEnclosure:
+    exp(-a) = 1/exp(a), so a negative argument takes the opposite bound of
+    exp(-x) and its reciprocal.  Otherwise x is halved m times to
+    t = x/2^m <= 1/2, the Taylor series of exp(t) is summed at wp bits and
+    squared m times.  Every rounding is a floor: a shift by wp, then a
+    small-int division (floor(floor(a/b)/c) = floor(a/(bc))).  The upper
+    bound keeps its fixed-point values negated (sgn = -1), so the same
+    floors round it up: ceil(a) = -floor(-a).
+    """
     if x == 0:
-        return RealEnclosure.exact(1)
+        return Fraction(1)
     neg = x < 0
-    ax = -x if neg else x
-    # halve until <= 1/2
-    m = max(0, (2 * ax.numerator // ax.denominator).bit_length())
-    wp = prec + 2 * m + 32
-    one = 1 << wp
-    den = ax.denominator << m
-    t_lo = (ax.numerator << wp) // den
-    t_hi = _ceil_div(ax.numerator << wp, den)
-    lo, hi = _exp_series_fx(t_lo, t_hi, wp)
-    for _ in range(m):
-        lo = (lo * lo) >> wp
-        hi = _ceil_div(hi * hi, one)
-    enc = RealEnclosure(Fraction(lo, one), Fraction(hi, one))
     if neg:
-        enc = enc.reciprocal()
-    return enc
+        x, upper = -x, not upper
+    num, den = x.numerator, x.denominator
+    m = (2 * num // den).bit_length()
+    wp = prec + 2 * m + 32
+    sgn = -1 if upper else 1
+    t = (sgn * (num << (wp - m)) // den) * sgn  # t at wp bits, rounded toward the bound
+    s = term = sgn << wp
+    k = 0
+    # stop at the first term of at most 1 ulp: every lower term after it
+    # floors to 0, and the upper bound adds the tail below
+    while term * sgn > 1:
+        k += 1
+        term = (term * t >> wp) // k
+        s += term
+    if upper:
+        # tail <= term * t/(k+1) * 1/(1-t) <= 2 term t; term <= 1 ulp here
+        s += (2 * term * t >> wp) - 1
+    for _ in range(m):
+        s = s * s * sgn >> wp
+    s *= sgn
+    return Fraction(1 << wp, s) if neg else Fraction(s, 1 << wp)
 
 
 def exp_enclosure(x, prec: int) -> RealEnclosure:
     """Certified enclosure of exp(x) for a rational or enclosed argument."""
-    if isinstance(x, RealEnclosure):
-        return RealEnclosure(_exp_fraction(x.lo, prec).lo, _exp_fraction(x.hi, prec).hi)
-    return _exp_fraction(Fraction(x), prec)
+    if not isinstance(x, RealEnclosure):
+        x = RealEnclosure.exact(x)
+    return RealEnclosure(_exp_bound(x.lo, prec, False), _exp_bound(x.hi, prec, True))
 
 
 # -- log ------------------------------------------------------------------
@@ -187,21 +192,21 @@ _ln2_cache: dict = {}
 
 def _atanh_fx(z_lo: int, z_hi: int, wp: int) -> tuple:
     """Fixed-point bounds of atanh(z) for 0 <= z <= 1/3 (z in fx)."""
-    one = 1 << wp
-    zz_lo = (z_lo * z_lo) >> wp
-    zz_hi = _ceil_div(z_hi * z_hi, one)
+    zz_lo = z_lo * z_lo >> wp
+    zz_hi = -(-z_hi * z_hi >> wp)
     pow_lo, pow_hi = z_lo, z_hi
     sum_lo, sum_hi = 0, 0
     j = 0
     while True:
         sum_lo += pow_lo // (2 * j + 1)
         sum_hi += _ceil_div(pow_hi, 2 * j + 1)
-        nxt_hi = _ceil_div(pow_hi * zz_hi, one)
+        nxt = pow_hi * zz_hi
+        nxt_hi = -(-nxt >> wp)
         if nxt_hi <= 1:
             # tail < pow * z^2 / (1 - z^2) <= pow * z^2 * 9/8; one extra ulp for safety
-            sum_hi += _ceil_div(9 * pow_hi * zz_hi, 8 * one) + 1
+            sum_hi += -(-9 * nxt >> (wp + 3)) + 1
             return sum_lo, sum_hi
-        pow_lo = (pow_lo * zz_lo) >> wp
+        pow_lo = pow_lo * zz_lo >> wp
         pow_hi = nxt_hi
         j += 1
 
@@ -262,38 +267,32 @@ def ln_enclosure(x, prec: int) -> RealEnclosure:
 
 def sqrt_enclosure(x, prec: int) -> RealEnclosure:
     """Certified enclosure of sqrt(x) via exact integer square roots."""
-    if isinstance(x, RealEnclosure):
-        if x.lo < 0:
-            raise InvalidParameterError("sqrt of an enclosure reaching below 0")
-        return RealEnclosure(
-            _sqrt_fraction(x.lo, prec).lo, _sqrt_fraction(x.hi, prec).hi
-        )
-    return _sqrt_fraction(Fraction(x), prec)
+    if not isinstance(x, RealEnclosure):
+        x = RealEnclosure.exact(x)
+    elif x.lo < 0:
+        raise InvalidParameterError("sqrt of an enclosure reaching below 0")
+    return RealEnclosure(_sqrt_bound(x.lo, prec, False), _sqrt_bound(x.hi, prec, True))
 
 
-def _sqrt_fraction(x: Fraction, prec: int) -> RealEnclosure:
+def _sqrt_bound(x: Fraction, prec: int, upper: bool) -> Fraction:
+    """A lower bound of sqrt(x), or an upper bound if ``upper``: one isqrt."""
     if x < 0:
         raise InvalidParameterError("sqrt of a negative value")
     if x == 0:
-        return RealEnclosure.exact(0)
+        return Fraction(0)
     wp = prec + 8
     # scale so the shifted integer has about 2*wp significant bits
-    L = x.numerator.bit_length() - x.denominator.bit_length()
-    s = wp - L // 2
+    num, den = x.numerator, x.denominator
+    s = wp - (num.bit_length() - den.bit_length()) // 2
     if s >= 0:
-        t_num = x.numerator << (2 * s)
-        t_lo = t_num // x.denominator
-        t_hi = _ceil_div(t_num, x.denominator)
+        num <<= 2 * s
     else:
-        t_den = x.denominator << (-2 * s)
-        t_lo = x.numerator // t_den
-        t_hi = _ceil_div(x.numerator, t_den)
-    r_lo = math.isqrt(t_lo)
-    r = math.isqrt(t_hi)
-    r_hi = r if r * r == t_hi else r + 1
-    if s >= 0:
-        return RealEnclosure(Fraction(r_lo, 1 << s), Fraction(r_hi, 1 << s))
-    return RealEnclosure(Fraction(r_lo << -s), Fraction(r_hi << -s))
+        den <<= -2 * s
+    if upper:
+        r = math.isqrt(_ceil_div(num, den) - 1) + 1  # ceil(sqrt(t)) for an integer t >= 1
+    else:
+        r = math.isqrt(num // den)
+    return Fraction(r, 1 << s) if s >= 0 else Fraction(r << -s)
 
 
 # -- powers ------------------------------------------------------------------

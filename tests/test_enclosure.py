@@ -1,9 +1,12 @@
-"""Certified enclosures: containment, width contracts, exact fast paths."""
+"""Certified enclosures: containment, width contracts, exact fast paths, pinned endpoints."""
 
+import hashlib
 from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmlat import (
     InvalidParameterError,
@@ -15,7 +18,7 @@ from harmlat import (
     pow_enclosure,
     sqrt_enclosure,
 )
-from harmlat.enclosure import _atanh_fx, _ceil_div, _ln2_fx
+from harmlat.enclosure import _atanh_fx, _ceil_div, _ln2_fx, rational_npow
 
 mpmath.mp.dps = 120
 
@@ -24,9 +27,16 @@ def mp_fraction(x):
     return F(mpmath.nstr(x, 110, strip_zeros=False))
 
 
-EXP_ARGS = [F(0), F(1), F(-1), F(7, 3), F(-100), F(100), F(1, 10**6), F(-355, 113)]
+EXP_ARGS = [F(0), F(1), F(-1), F(1, 2), F(-1, 2), F(7, 3), F(-355, 113), F(100), F(-100),
+            F(1, 10**6), F(-1, 10**6), F(3, 2**40), F(10**6, 7)]
 LN_ARGS = [F(2), F(3), F(1, 3), F(10) ** 20, F(1, 10**20), F(999, 1000), F(1)]
-SQRT_ARGS = [F(0), F(2), F(49), F(1, 7), F(10**40 + 1), F(1, 10**40)]
+SQRT_ARGS = [F(0), F(2), F(49), F(1, 7), F(3, 4), F(10**40 + 1), F(1, 10**40), F(1, 2**81)]
+# enclosed arguments [a, b]: across 0, ending at 0, single points
+EXP_SPANS = [(F(-1), F(2)), (F(-7, 3), F(1, 3)), (F(0), F(1)), (F(-1), F(0)),
+             (F(5, 2), F(5, 2)), (F(0), F(0)), (F(-100), F(100)), (F(1, 3), F(1, 2))]
+SQRT_SPANS = [(F(0), F(2)), (F(1, 7), F(49)), (F(2), F(2)), (F(0), F(0)),
+              (F(1, 10**40), F(10**40 + 1))]
+LN_SPANS = [(F(1, 3), F(3)), (F(1), F(1)), (F(2), F(10) ** 20)]
 
 
 @pytest.mark.parametrize("x", EXP_ARGS)
@@ -36,6 +46,17 @@ def test_exp_contains_truth_and_meets_width(x, p):
     truth = mp_fraction(mpmath.exp(x))
     assert enc.lo <= truth <= enc.hi
     assert enc.width <= enc.lo / 2**p
+
+
+@pytest.mark.parametrize("a,b", EXP_SPANS)
+@pytest.mark.parametrize("p", [64, 128, 256])
+def test_exp_of_enclosure_contains_truth_and_meets_width(a, b, p):
+    enc = exp_enclosure(RealEnclosure(a, b), p)
+    at_a, at_b = mp_fraction(mpmath.exp(a)), mp_fraction(mpmath.exp(b))
+    assert enc.lo <= at_a and at_b <= enc.hi
+    # each endpoint is as tight as the point enclosure at it
+    assert at_a - enc.lo <= enc.lo / 2**p
+    assert enc.hi - at_b <= at_b / 2**p
 
 
 @pytest.mark.parametrize("x", LN_ARGS)
@@ -52,6 +73,17 @@ def test_sqrt_contains_truth(x):
     truth = mp_fraction(mpmath.sqrt(x))
     assert enc.lo <= truth <= enc.hi
     assert enc.lo * enc.lo <= x <= enc.hi * enc.hi
+
+
+@pytest.mark.parametrize("a,b", SQRT_SPANS)
+@pytest.mark.parametrize("p", [64, 128, 256])
+def test_sqrt_of_enclosure_contains_truth_and_meets_width(a, b, p):
+    enc = sqrt_enclosure(RealEnclosure(a, b), p)
+    at_a, at_b = mp_fraction(mpmath.sqrt(a)), mp_fraction(mpmath.sqrt(b))
+    assert enc.lo <= at_a and at_b <= enc.hi
+    assert enc.lo * enc.lo <= a and b <= enc.hi * enc.hi
+    assert at_a - enc.lo <= at_a / 2**p
+    assert enc.hi - at_b <= at_b / 2**p
 
 
 def test_sqrt_exact_on_perfect_squares():
@@ -186,3 +218,76 @@ def test_ln_integer_core_keeps_every_bound(p):
 def test_sqrt_rejects_negative():
     with pytest.raises(InvalidParameterError):
         sqrt_enclosure(F(-1), 64)
+    with pytest.raises(InvalidParameterError):
+        sqrt_enclosure(RealEnclosure(F(-1), F(2)), 64)
+
+
+small_rationals = st.builds(F, st.integers(-10**4, 10**4), st.integers(1, 300))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_rationals, small_rationals, st.sampled_from([1, 64, 96, 256]))
+def test_enclosed_argument_takes_one_bound_per_endpoint(x, y, p):
+    a, b = min(x, y), max(x, y)
+    enc = exp_enclosure(RealEnclosure(a, b), p)
+    assert (enc.lo, enc.hi) == (exp_enclosure(a, p).lo, exp_enclosure(b, p).hi)
+    a, b = sorted((abs(x), abs(y)))
+    enc = sqrt_enclosure(RealEnclosure(a, b), p)
+    assert (enc.lo, enc.hi) == (sqrt_enclosure(a, p).lo, sqrt_enclosure(b, p).hi)
+
+
+# -- raw endpoints, pinned by sha256 -------------------------------------------
+
+KERNEL_PRECISIONS = (1, 64, 96, 256, 512)
+POW_CASES = [(F(2), F(-3, 5)), (F(3), F(1, 3)), (F(8), F(2, 3)), (F(17, 5), F(-7, 3)),
+             (F(2), RealEnclosure(F(-1, 3), F(1, 2))), (F(2), RealEnclosure(F(5, 7), F(5, 7))),
+             (F(1), RealEnclosure(F(-1), F(1))), (F(3, 2), RealEnclosure(F(-40), F(-39)))]
+NPOW_CASES = [(n, e) for n in (1, 2, 45, 276, 65455) for e in (F(-1, 5), F(3, 5), F(-2, 5), F(1, 2))]
+ENCLOSE_POW_CASES = [(n, r) for n in (1, 2, 45, 69, 276, 1000, 65455)
+                     for r in (F(3, 5), F(2, 5), F(1, 2), F(9, 20), F(1, 4))]
+
+
+def _kernel_cases():
+    """(label, thunk) for every kernel call whose endpoints are pinned."""
+    for p in KERNEL_PRECISIONS:
+        for x in EXP_ARGS:
+            yield f"exp {x} {p}", lambda x=x, p=p: exp_enclosure(x, p)
+        for a, b in EXP_SPANS:
+            yield f"exp [{a}, {b}] {p}", lambda a=a, b=b, p=p: exp_enclosure(RealEnclosure(a, b), p)
+        for x in SQRT_ARGS + [F(-1)]:
+            yield f"sqrt {x} {p}", lambda x=x, p=p: sqrt_enclosure(x, p)
+        for a, b in SQRT_SPANS + [(F(-1), F(2))]:
+            yield f"sqrt [{a}, {b}] {p}", lambda a=a, b=b, p=p: sqrt_enclosure(RealEnclosure(a, b), p)
+        for x in LN_ARGS + [F(0)]:
+            yield f"ln {x} {p}", lambda x=x, p=p: ln_enclosure(x, p)
+        for a, b in LN_SPANS:
+            yield f"ln [{a}, {b}] {p}", lambda a=a, b=b, p=p: ln_enclosure(RealEnclosure(a, b), p)
+        for base, e in POW_CASES:
+            yield f"pow {base} {e} {p}", lambda base=base, e=e, p=p: pow_enclosure(base, e, p)
+        for n, e in NPOW_CASES:
+            yield f"npow {n} {e} {p}", lambda n=n, e=e, p=p: rational_npow(n, e, p)
+        for n, r in ENCLOSE_POW_CASES:
+            yield f"enclose_pow 2 {n} {r} {p}", lambda n=n, r=r, p=p: enclose_pow(2, n, r, p)
+
+
+def _hex(q):
+    return f"{q.numerator:x}/{q.denominator:x}"
+
+
+def _kernel_lines():
+    for label, call in _kernel_cases():
+        try:
+            enc = call()
+        except InvalidParameterError:
+            yield f"{label}: invalid"
+        else:
+            yield f"{label}: {_hex(enc.lo)} {_hex(enc.hi)}"
+
+
+# sha256 of the lines of _kernel_lines(), each ending in a newline
+KERNEL_DIGEST = "369482ff64352b76e35a828aa2c51b2a39bbdba0dc27e9f42184be6853bf043a"
+
+
+def test_kernel_endpoints_are_pinned():
+    text = "".join(line + "\n" for line in _kernel_lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == KERNEL_DIGEST
