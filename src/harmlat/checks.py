@@ -17,11 +17,14 @@ the verdict is ``undecided``.  Only the status rule differs by form:
 
 A status rule compares integers: each bound a/b enters as its numerator
 and denominator, and both sides are cross-multiplied, so deciding builds
-no Fraction and reduces nothing by gcd.  A verdict's printed bounds are
-built only when read: ``main`` (for the sum and max forms the square
-root of the ladder's squared main term) and ``margin`` are computed on
-first access and kept, so a caller that reads only ``status`` never
-takes a square root.
+no Fraction and reduces nothing by gcd.  A rung hands its products (a
+cached enclosure times Q values) to the rule as unreduced integer pairs
+((lo_num, lo_den), (hi_num, hi_den)), dens > 0, and a rule takes a
+RealEnclosure alike.  A verdict's printed bounds are built only when
+read: ``error_term`` is reduced on first access, and ``main`` (for the
+sum and max forms the square root of the ladder's squared main term)
+and ``margin`` are computed on first access and kept, so a caller that
+reads only ``status`` never takes a square root.
 
 The violation form of :func:`convexity_defect_check` is the sum rule
 with ``holds`` and ``fails`` swapped and the margin negated when read.
@@ -71,7 +74,10 @@ from typing import Callable, Optional
 
 from .enclosure import (
     RealEnclosure,
+    _ends,
+    _from_pairs,
     _ln_fx,
+    _mul_pairs,
     enclose_pow,
     exp_enclosure,
     ln_enclosure,
@@ -127,21 +133,27 @@ class Verdict:
 
     ``margin`` is a certified bound on (rhs - lhs): non-negative when the
     statement holds, non-positive when it fails, zero when undecided.
-    ``main`` and ``margin`` are built together by ``_bounds()`` when
-    first read, and then kept: deciding the status needs neither.
+    ``error_term`` is built from ``_err`` (an enclosure or its pairs) when
+    first read; ``main`` and ``margin`` are built together by
+    ``_bounds(error_term)`` when first read.  Both are then kept:
+    deciding the status needs none of them.
     """
 
     status: str
     lhs: Fraction
-    error_term: RealEnclosure
-    _bounds: Callable[[], tuple] = field(repr=False, compare=False)
+    _err: object = field(repr=False, compare=False)
+    _bounds: Callable[[RealEnclosure], tuple] = field(repr=False, compare=False)
     hypothesis_met: Optional[bool] = None
     note: str = ""
     precision_bits: int = 0
 
     @cached_property
+    def error_term(self) -> RealEnclosure:
+        return _enclosure(self._err)
+
+    @cached_property
     def _built(self) -> tuple:
-        return self._bounds()
+        return self._bounds(self.error_term)
 
     @property
     def main(self) -> RealEnclosure:
@@ -168,11 +180,30 @@ class Verdict:
         }
 
 
-_ZERO = RealEnclosure.exact(0)
+_ZERO = ((0, 1), (0, 1))
 _NEGATED = {HOLDS: FAILS, FAILS: HOLDS, UNDECIDED: UNDECIDED}
 
 
-def _sum_status(lhs: Fraction, msq: RealEnclosure, err: RealEnclosure) -> str:
+def _pair(*factors) -> tuple:
+    """The product of rationals as an unreduced (num, den) pair, den > 0."""
+    num = den = 1
+    for q in factors:
+        a, b = q.as_integer_ratio()
+        num, den = num * a, den * b
+    return num, den
+
+
+def _times(enc: RealEnclosure, q: tuple) -> tuple:
+    """The bounds of enc * q as unreduced pairs, for a (num, den) pair q."""
+    return _mul_pairs(*_ends(enc), q, q)
+
+
+def _enclosure(x) -> RealEnclosure:
+    """x as a RealEnclosure: x is one already or its pairs."""
+    return x if isinstance(x, RealEnclosure) else _from_pairs(*x)
+
+
+def _sum_status(lhs: Fraction, msq, err) -> str:
     """Decide lhs <= sqrt(msq) + err by squared comparisons of bounds.
 
     With lhs = a/b and an error bound c/e, lhs - c/e = (ae - cb)/(be),
@@ -180,55 +211,48 @@ def _sum_status(lhs: Fraction, msq: RealEnclosure, err: RealEnclosure) -> str:
     against f (be)^2.
     """
     a, b = lhs.as_integer_ratio()
-    c, e = err.lo.as_integer_ratio()
+    (f, g), (f_hi, g_hi) = _ends(msq)
+    (c, e), (c_hi, e_hi) = _ends(err)
     top, den = a * e - c * b, b * e
-    f, g = msq.lo.as_integer_ratio()
     if top <= 0 or top * top * g <= f * den * den:
         return HOLDS
-    c, e = err.hi.as_integer_ratio()
-    top, den = a * e - c * b, b * e
-    f, g = msq.hi.as_integer_ratio()
-    if top > 0 and top * top * g > f * den * den:
+    top, den = a * e_hi - c_hi * b, b * e_hi
+    if top > 0 and top * top * g_hi > f_hi * den * den:
         return FAILS
     return UNDECIDED
 
 
-def _max_status(lhs: Fraction, msq: RealEnclosure, err: RealEnclosure) -> str:
+def _max_status(lhs: Fraction, msq, err) -> str:
     """Decide lhs <= max(sqrt(msq), err)."""
     a, b = lhs.as_integer_ratio()
-    f, g = msq.lo.as_integer_ratio()
-    c, e = err.lo.as_integer_ratio()
+    (f, g), (f_hi, g_hi) = _ends(msq)
+    (c, e), (c_hi, e_hi) = _ends(err)
     if a * a * g <= f * b * b or a * e <= c * b:
         return HOLDS
-    f, g = msq.hi.as_integer_ratio()
-    c, e = err.hi.as_integer_ratio()
-    if a * a * g > f * b * b and a * e > c * b:
+    if a * a * g_hi > f_hi * b * b and a * e_hi > c_hi * b:
         return FAILS
     return UNDECIDED
 
 
-def _linear_status(lhs: Fraction, main: RealEnclosure, err: RealEnclosure) -> str:
+def _linear_status(lhs: Fraction, main, err) -> str:
     """Decide lhs <= main + err: a/b against f/g + c/e as a g e against (f e + c g) b."""
     a, b = lhs.as_integer_ratio()
-    f, g = main.lo.as_integer_ratio()
-    c, e = err.lo.as_integer_ratio()
+    (f, g), (f_hi, g_hi) = _ends(main)
+    (c, e), (c_hi, e_hi) = _ends(err)
     if a * g * e <= (f * e + c * g) * b:
         return HOLDS
-    f, g = main.hi.as_integer_ratio()
-    c, e = err.hi.as_integer_ratio()
-    if a * g * e > (f * e + c * g) * b:
+    if a * g_hi * e_hi > (f_hi * e_hi + c_hi * g_hi) * b:
         return FAILS
     return UNDECIDED
 
 
-def _below_status(lhs: Fraction, main: RealEnclosure, err: RealEnclosure) -> str:
+def _below_status(lhs: Fraction, main, err) -> str:
     """Decide lhs < main strictly; err takes no part."""
     a, b = lhs.as_integer_ratio()
-    f, g = main.lo.as_integer_ratio()
+    (f, g), (f_hi, g_hi) = _ends(main)
     if a * g < f * b:
         return HOLDS
-    f, g = main.hi.as_integer_ratio()
-    if f * b <= a * g:
+    if f_hi * b <= a * g_hi:
         return FAILS
     return UNDECIDED
 
@@ -237,9 +261,10 @@ def _decide(lhs: Fraction, rung, precision: int, status_of) -> tuple:
     """The precision ladder shared by every checker.
 
     ``rung(p)`` returns the enclosures (main, err) of the right-hand side
-    at precision p; ``status_of(lhs, main, err)`` is the form's status
-    rule.  Returns (status, main, err, p) at the first rung that
-    decides, or at the cap's rung with status ``undecided``.
+    at precision p, each a RealEnclosure or its pairs;
+    ``status_of(lhs, main, err)`` is the form's status rule.  Returns
+    (status, main, err, p) at the first rung that decides, or at the
+    cap's rung with status ``undecided``.
     """
     for p in _ladder(precision):
         main, err = rung(p)
@@ -266,8 +291,10 @@ def _verdict(
     """
     status, main, err, prec = _decide(lhs, rung, precision, status_of)
 
-    def bounds():
-        root = sqrt_enclosure(main, prec) if squared else main
+    def bounds(err):
+        root = _enclosure(main)
+        if squared:
+            root = sqrt_enclosure(root, prec)
         if status == HOLDS:
             margin = max(Fraction(0), combine(root.lo, err.lo) - lhs)
         elif status == FAILS:
@@ -282,11 +309,11 @@ def _verdict(
 def _error_form_rung(n: int, eps: Fraction, base, q_inner: Fraction, q_outer: Fraction):
     """rung(p) of the forms with error term: the squared main term
     e^(n^-2eps) q_inner q_outer and the error term base^(-n^(1/2-eps)) q_outer."""
-    product = q_inner * q_outer
+    product, outer = _pair(q_inner, q_outer), _pair(q_outer)
     r = Fraction(1, 2) - eps
 
     def rung(p):
-        return _exp_factor(n, eps, p) * product, _error_unit(base, n, r, p) * q_outer
+        return _times(_exp_factor(n, eps, p), product), _times(_error_unit(base, n, r, p), outer)
 
     return rung
 
@@ -435,15 +462,16 @@ def no_error_check(
             {"reason": "degree hypothesis", "n_power": enc.to_json(), "M_squared": str(target)},
         )
     q_n, q_2n, q_4n = growth.Q(n), growth.Q(2 * n), growth.Q(4 * n)
+    product = _pair(q_n, q_4n)
 
     def rung(p):
-        return _exp_factor(n, eps, p) * (q_n * q_4n), _ZERO
+        return _times(_exp_factor(n, eps, p), product), _ZERO
 
     if met == UNDECIDED:
-        msq = rung(met_p)[0]
+        msq = _enclosure(rung(met_p)[0])
         note = f"no-error form: degree hypothesis n^(1-2eps) > M^2 open at {met_p} bits"
         return Verdict(
-            UNDECIDED, q_2n, _ZERO, lambda: (sqrt_enclosure(msq, met_p), Fraction(0)), None, note, met_p
+            UNDECIDED, q_2n, _ZERO, lambda err: (sqrt_enclosure(msq, met_p), Fraction(0)), None, note, met_p
         )
     return _verdict(q_2n, rung, precision, _sum_status, True, "no-error form")
 
@@ -465,10 +493,11 @@ def ratio_125_check(
         raise InvalidParameterError("n must be non-negative")
     outer = math.ceil(4 * (1 + delta) * n)
     q_n, q_2n, q_outer = growth.Q(n), growth.Q(2 * n), growth.Q(outer)
-    msq = RealEnclosure.exact(q_n * q_outer)
+    product = _pair(q_n, q_outer)
+    msq, outer = (product, product), _pair(q_outer)
 
     def rung(p):
-        return msq, _halving_unit(n, delta, p) * q_outer
+        return msq, _times(_halving_unit(n, delta, p), outer)
 
     return _verdict(q_2n, rung, precision, _sum_status, True, "")
 
@@ -537,11 +566,12 @@ def aspect_ratio_check(
     mid = math.floor(P_r * n)
     outer = math.ceil(p_r * P_r * n)
     q_n, q_mid, q_outer = growth.Q(n), growth.Q(mid), growth.Q(outer)
+    outer_pair = _pair(q_outer)
 
     def rung(prec):
         a, one_minus_a, const = _aspect_constants(p_r, P_r, alpha, n, eps, prec)
         main = const * _qpow(q_n, a, prec) * _qpow(q_outer, one_minus_a, prec)
-        return main, _error_unit(p_r, n, Fraction(1, 2) - eps, prec) * q_outer
+        return main, _times(_error_unit(p_r, n, Fraction(1, 2) - eps, prec), outer_pair)
 
     note = "guarantee threshold n0(p, P) not pinned by the statement"
     return _verdict(q_mid, rung, precision, _linear_status, None, note, squared=False)
@@ -576,8 +606,8 @@ def continuous_three_circles_check(growth, t) -> Verdict:
     return Verdict(
         HOLDS if margin >= 0 else FAILS,
         lhs,
-        RealEnclosure.exact(0),
-        lambda: (sqrt_enclosure(a * b, 64), margin),
+        _ZERO,
+        lambda err: (sqrt_enclosure(a * b, 64), margin),
         True,
         "exact squared comparison; margin is on the squared scale",
         0,
@@ -611,17 +641,18 @@ def convexity_defect_check(
         raise InvalidParameterError("need C > 0 and eps > 0")
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
-    msq = RealEnclosure.exact(C * C * q_n * q_4n)
+    product = _pair(C, C, q_n, q_4n)
+    msq, outer = (product, product), _pair(q_4n)
 
     def rung(p):
-        return msq, enclose_pow(2, n, Fraction(1, 2) + eps, p) * q_4n
+        return msq, _times(enclose_pow(2, n, Fraction(1, 2) + eps, p), outer)
 
     # the violation is the negation of the sum form Q(2n) <= sqrt(msq) + err
     note = "violation form: holds means the convexity bound is beaten"
     v = _verdict(q_2n, rung, precision, _sum_status, True, note)
 
-    def bounds():
-        main, margin = v._built
+    def bounds(err):
+        main, margin = v._bounds(err)
         return main, -margin
 
     return replace(v, status=_NEGATED[v.status], _bounds=bounds)

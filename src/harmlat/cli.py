@@ -4,10 +4,11 @@ All numeric parameters are parsed as exact rationals ("3/4", "0.25",
 "7").  `--family random` is fully determined by --seed (default 0);
 --k, --d and --seed are refused where the input does not read them.
 Exit codes: 0 holds/confirmed, 1 fails/violation-found (the expected
-success of `search`), 2 undecided, 3 usage (parser errors included),
-hypothesis or resource-cap errors, 4 internal failure (any other
-exception, e.g. out of memory); a reader that closes stdout early
-changes none of them.  `--help` and `--version` exit 0.  Exact integers print in
+success of `search`), 2 undecided (for `search` and `conjecture scan`:
+no violation certified, but a candidate or row left undecided), 3 usage
+(parser errors included), hypothesis or resource-cap errors, 4 internal
+failure (any other exception, e.g. out of memory); a reader that closes
+stdout early changes none of them.  `--help` and `--version` exit 0.  Exact integers print in
 full, however long: a command lifts the interpreter's limit on
 int-to-str digits while it runs.  A command registers only the options
 it reads; --function, --poly and --family exclude one another.  Every
@@ -277,7 +278,7 @@ def _cmd_search(args) -> int:
         precision=args.precision,
     )
     _emit_json(args, {"kind": "counterexample_search", **result.to_json()})
-    return EXIT_FAILS if result.found else EXIT_HOLDS
+    return _found_exit(result.found, result.undecided)
 
 
 def _cmd_conjecture_scan(args) -> int:
@@ -297,8 +298,14 @@ def _cmd_conjecture_scan(args) -> int:
         _emit(args, result.to_csv())
     else:
         _emit_json(args, result.to_json())
-    violations = result.summary.get("violations", 0)
-    return EXIT_FAILS if violations else EXIT_HOLDS
+    return _found_exit(result.summary["violations"], result.summary["undecided"])
+
+
+def _found_exit(found, undecided) -> int:
+    """1 when a violation is certified, else 2 when a candidate was left undecided, else 0."""
+    if found:
+        return EXIT_FAILS
+    return EXIT_UNDECIDED if undecided else EXIT_HOLDS
 
 
 # -- parser ------------------------------------------------------------------------

@@ -8,7 +8,8 @@ the residual
 
 against the conjectured error bound 2^(-n^(1/2+eps)).  A row encloses
 that bound once, at the precision cap, and decides the violation on it
-by the status rule the search's verdicts apply at their cap rung.
+by the status rule the search's verdicts apply at their cap rung, handed
+the products bound Q(4n) and C^2 Q(n) Q(4n) as unreduced integer pairs.
 Absence of violations in a finite window says nothing against the
 conjecture, which only asserts the existence of some n beyond every n0
 for large enough k; the scan summary states this explicitly.
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .checks import DEFAULT_PRECISION, FAILS, UNDECIDED, _sum_status, k2_over_ln_k_floors
+from .checks import DEFAULT_PRECISION, FAILS, UNDECIDED, _pair, _sum_status, _times, k2_over_ln_k_floors
 from .enclosure import RealEnclosure, enclose_pow, sqrt_enclosure
 from .errors import InvalidParameterError
 from .growth import growth_polynomial
@@ -106,9 +107,11 @@ def _scan_row(growth, n, C, eps, precision) -> ScanRow:
         violation: Optional[bool] = False
     else:
         root = sqrt_enclosure(q_n * q_4n, precision)
-        residual = (RealEnclosure.exact(q_2n) - C * root) / RealEnclosure.exact(q_4n)
+        # C > 0 and Q(4n) > 0, so each end of the residual takes the other end of the root
+        residual = RealEnclosure((q_2n - C * root.hi) / q_4n, (q_2n - C * root.lo) / q_4n)
         # the violation is the negated sum form, decided as at the check's cap rung
-        status = _sum_status(q_2n, RealEnclosure.exact(C * C * q_n * q_4n), bound * q_4n)
+        msq = _pair(C, C, q_n, q_4n)
+        status = _sum_status(q_2n, (msq, msq), _times(bound, _pair(q_4n)))
         violation = None if status == UNDECIDED else status == FAILS
     return ScanRow(n, q_n, q_2n, q_4n, ratio, residual, bound, violation)
 

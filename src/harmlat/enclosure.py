@@ -16,6 +16,15 @@ Two rules keep each kernel to the work its result reads:
   a division by k * 2**wp is that shift, then a small-int division;
 - an enclosed argument [a, b] gets one bound per endpoint: exp and sqrt
   compute only the lower bound at a and only the upper bound at b.
+
+Between the kernels a bound travels as an unreduced integer pair
+(num, den) with den > 0: ln, the product with the exponent and exp form
+one chain (:func:`_pow_pairs`) that builds no Fraction, and a
+:class:`RealEnclosure` is built once, at the public return.  Every
+kernel step reads only the value of its argument (floor(2x),
+floor(x 2^(wp-m)), the normalized mantissa of ln), so a pair yields the
+same integers as its reduced Fraction.  sqrt is the exception: its
+scale reads bit lengths, so it takes reduced Fractions.
 """
 
 from __future__ import annotations
@@ -100,20 +109,7 @@ class RealEnclosure:
         return self + (-_coerce(other))
 
     def __mul__(self, other):
-        # a non-negative factor keeps the order of the bounds: two products
-        if isinstance(other, RealEnclosure):
-            if self.lo >= 0 and other.lo >= 0:
-                return RealEnclosure(self.lo * other.lo, self.hi * other.hi)
-        elif other >= 0:
-            return RealEnclosure(self.lo * other, self.hi * other)
-        other = _coerce(other)
-        cands = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return RealEnclosure(min(cands), max(cands))
+        return _from_pairs(*_mul_pairs(*_ends(self), *_ends(other)))
 
     __rmul__ = __mul__
 
@@ -137,11 +133,48 @@ def _coerce(v) -> RealEnclosure:
     return RealEnclosure.exact(Fraction(v))
 
 
+def _ends(x) -> tuple:
+    """The bounds of x as (num, den) pairs: x is an enclosure, a rational point or its pairs."""
+    if isinstance(x, RealEnclosure):
+        return x.lo.as_integer_ratio(), x.hi.as_integer_ratio()
+    if isinstance(x, tuple):
+        return x
+    q = Fraction(x).as_integer_ratio()
+    return q, q
+
+
+def _from_pairs(lo: tuple, hi: tuple) -> RealEnclosure:
+    """The enclosure [lo, hi] of two (num, den) pairs, den > 0, reduced here."""
+    return RealEnclosure(Fraction(*lo), Fraction(*hi))
+
+
+def _mul_pairs(x_lo: tuple, x_hi: tuple, y_lo: tuple, y_hi: tuple) -> tuple:
+    """[x_lo, x_hi] * [y_lo, y_hi] on (num, den) pairs, each endpoint picked by sign.
+
+    The bounds are the min and max of the four products, unreduced.
+    """
+    if y_lo[0] >= 0:
+        lo = x_lo, y_lo if x_lo[0] >= 0 else y_hi
+        hi = x_hi, y_hi if x_hi[0] >= 0 else y_lo
+    elif y_hi[0] <= 0:
+        lo = x_hi, y_lo if x_hi[0] >= 0 else y_hi
+        hi = x_lo, y_hi if x_lo[0] >= 0 else y_lo
+    else:  # y_lo < 0 < y_hi: lo is x_lo y_hi or x_hi y_lo, hi is x_lo y_lo or x_hi y_hi
+        (a, b), (c, d), (e, f), (g, h) = x_lo, x_hi, y_lo, y_hi
+        lo = (x_lo, y_hi) if a * g * d * f <= c * e * b * h else (x_hi, y_lo)
+        hi = (x_lo, y_lo) if a * e * d * h >= c * g * b * f else (x_hi, y_hi)
+    (a, b), (c, d) = lo
+    (e, f), (g, h) = hi
+    return (a * c, b * d), (e * g, f * h)
+
+
 # -- exp ------------------------------------------------------------------
 
 
-def _exp_bound(x: Fraction, prec: int, upper: bool) -> Fraction:
-    """A lower bound of exp(x), or an upper bound if ``upper``, as an exact rational.
+def _exp_bound(num: int, den: int, prec: int, upper: bool) -> tuple:
+    """A lower bound of exp(num/den), or an upper bound if ``upper``, as a pair.
+
+    den > 0, and the bound is returned as an unreduced (num, den) pair.
 
     exp(-a) = 1/exp(a), so a negative argument takes the opposite bound of
     exp(-x) and its reciprocal.  Otherwise x is halved m times to
@@ -151,12 +184,11 @@ def _exp_bound(x: Fraction, prec: int, upper: bool) -> Fraction:
     bound keeps its fixed-point values negated (sgn = -1), so the same
     floors round it up: ceil(a) = -floor(-a).
     """
-    if x == 0:
-        return Fraction(1)
-    neg = x < 0
+    if num == 0:
+        return 1, 1
+    neg = num < 0
     if neg:
-        x, upper = -x, not upper
-    num, den = x.numerator, x.denominator
+        num, upper = -num, not upper
     m = (2 * num // den).bit_length()
     wp = prec + 2 * m + 32
     sgn = -1 if upper else 1
@@ -175,14 +207,13 @@ def _exp_bound(x: Fraction, prec: int, upper: bool) -> Fraction:
     for _ in range(m):
         s = s * s * sgn >> wp
     s *= sgn
-    return Fraction(1 << wp, s) if neg else Fraction(s, 1 << wp)
+    return (1 << wp, s) if neg else (s, 1 << wp)
 
 
 def exp_enclosure(x, prec: int) -> RealEnclosure:
     """Certified enclosure of exp(x) for a rational or enclosed argument."""
-    if not isinstance(x, RealEnclosure):
-        x = RealEnclosure.exact(x)
-    return RealEnclosure(_exp_bound(x.lo, prec, False), _exp_bound(x.hi, prec, True))
+    lo, hi = _ends(x)
+    return _from_pairs(_exp_bound(*lo, prec, False), _exp_bound(*hi, prec, True))
 
 
 # -- log ------------------------------------------------------------------
@@ -199,7 +230,7 @@ def _atanh_fx(z_lo: int, z_hi: int, wp: int) -> tuple:
     j = 0
     while True:
         sum_lo += pow_lo // (2 * j + 1)
-        sum_hi += _ceil_div(pow_hi, 2 * j + 1)
+        sum_hi -= -pow_hi // (2 * j + 1)
         nxt = pow_hi * zz_hi
         nxt_hi = -(-nxt >> wp)
         if nxt_hi <= 1:
@@ -268,10 +299,12 @@ def ln_enclosure(x, prec: int) -> RealEnclosure:
 def sqrt_enclosure(x, prec: int) -> RealEnclosure:
     """Certified enclosure of sqrt(x) via exact integer square roots."""
     if not isinstance(x, RealEnclosure):
-        x = RealEnclosure.exact(x)
+        lo = hi = Fraction(x)
     elif x.lo < 0:
         raise InvalidParameterError("sqrt of an enclosure reaching below 0")
-    return RealEnclosure(_sqrt_bound(x.lo, prec, False), _sqrt_bound(x.hi, prec, True))
+    else:
+        lo, hi = x.lo, x.hi
+    return RealEnclosure(_sqrt_bound(lo, prec, False), _sqrt_bound(hi, prec, True))
 
 
 def _sqrt_bound(x: Fraction, prec: int, upper: bool) -> Fraction:
@@ -317,6 +350,33 @@ def _exact_rational_power(base: Fraction, expo: Fraction) -> Optional[Fraction]:
     return 1 / out if neg else out
 
 
+def _pow_pairs(num: int, den: int, e_lo: tuple, e_hi: tuple, prec: int) -> tuple:
+    """Bounds of (num/den)**[e_lo, e_hi] as pairs, for positive num != den.
+
+    ln(num/den) at prec + 24 bits, its product with the exponent, then
+    exp at prec + 8 bits, all on (num, den) pairs.
+    """
+    l_lo, l_hi, wp = _ln_fx(num, den, prec + 24)
+    one = 1 << wp
+    lo, hi = _mul_pairs(e_lo, e_hi, (l_lo, one), (l_hi, one))
+    return _exp_bound(*lo, prec + 8, False), _exp_bound(*hi, prec + 8, True)
+
+
+def _power(base: Fraction, expo, prec: int) -> RealEnclosure:
+    """base**expo for base > 0: the body of pow_enclosure and rational_npow."""
+    if isinstance(expo, RealEnclosure) and expo.is_point():
+        expo = expo.lo
+    if not isinstance(expo, RealEnclosure):
+        expo = Fraction(expo)
+        exact = _exact_rational_power(base, expo)
+        if exact is not None:
+            return RealEnclosure.exact(exact)
+    lo, hi = _ends(expo)
+    if base == 1:
+        return RealEnclosure.exact(1)
+    return _from_pairs(*_pow_pairs(base.numerator, base.denominator, lo, hi, prec))
+
+
 def pow_enclosure(base, expo, prec: int) -> RealEnclosure:
     """Certified enclosure of base**expo for base > 0.
 
@@ -327,26 +387,14 @@ def pow_enclosure(base, expo, prec: int) -> RealEnclosure:
     base = Fraction(base)
     if base <= 0:
         raise InvalidParameterError("power base must be positive")
-    if isinstance(expo, RealEnclosure) and expo.is_point():
-        expo = expo.lo
-    if not isinstance(expo, RealEnclosure):
-        expo = Fraction(expo)
-        exact = _exact_rational_power(base, expo)
-        if exact is not None:
-            return RealEnclosure.exact(exact)
-        expo = RealEnclosure.exact(expo)
-    if base == 1:
-        return RealEnclosure.exact(1)
-    inner = prec + 24
-    ln_b = ln_enclosure(base, inner)
-    return exp_enclosure(expo * ln_b, prec + 8)
+    return _power(base, expo, prec)
 
 
 def rational_npow(n: int, e, prec: int) -> RealEnclosure:
     """Certified enclosure of n**e for a positive integer n."""
     if n < 1:
         raise InvalidParameterError("n must be a positive integer")
-    return pow_enclosure(Fraction(n), e, prec)
+    return _power(Fraction(n), e, prec)
 
 
 # -- the two public constant builders ------------------------------------------
@@ -364,7 +412,9 @@ def enclose_pow(base, n: int, r, precision: int) -> RealEnclosure:
 
     This is the error-term constant of the discrete log-convexity
     inequalities (base 2 or the inner/outer ratio P), with exponent
-    n**r for r like 0.5 - eps.
+    n**r for r like 0.5 - eps.  Otherwise n**r is enclosed at
+    precision + 24 bits and negated, and base to that power is taken,
+    all on pairs: one RealEnclosure is built, at the return.
     """
     if precision < 1:
         raise InvalidParameterError("precision must be >= 1")
@@ -376,7 +426,8 @@ def enclose_pow(base, n: int, r, precision: int) -> RealEnclosure:
     r = Fraction(r)
     y = _exact_rational_power(Fraction(n), r)
     if y is not None:
-        expo: Union[Fraction, RealEnclosure] = -y
-    else:
-        expo = -rational_npow(n, r, precision + 24)
-    return pow_enclosure(base, expo, precision)
+        return _power(base, -y, precision)
+    # n**r is irrational, so its bounds differ: the exponent is no point
+    r = r.as_integer_ratio()
+    (a, b), (c, d) = _pow_pairs(n, 1, r, r, precision + 24)
+    return _from_pairs(*_pow_pairs(base.numerator, base.denominator, (-c, d), (-a, b), precision))

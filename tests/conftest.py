@@ -15,6 +15,7 @@ import pytest
 from harmlat import (
     GrowthPolynomial,
     MultivariatePolynomial,
+    RealEnclosure,
     evaluate_on_ball,
     growth_report,
     monomial_uk,
@@ -94,3 +95,17 @@ def corpus():
 @pytest.fixture(scope="session")
 def corpus_build_seconds(corpus):
     return BUILD_SECONDS["corpus"]
+
+
+@pytest.fixture
+def enclosures_built(monkeypatch):
+    """The RealEnclosures built while the test runs, in order, seen by their order check."""
+    built = []
+    check = RealEnclosure.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(RealEnclosure, "__post_init__", counted)
+    return built

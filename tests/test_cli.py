@@ -529,6 +529,52 @@ def test_search_counterexample_exhausted_exit_0(capsys):
     assert json.loads(out)["found"] is False
 
 
+def _undecided_rule(monkeypatch):
+    """Make the sum rule, which decides every search verdict and scan row, leave all open."""
+    rule = lambda lhs, msq, err: "undecided"  # noqa: E731
+    monkeypatch.setattr(harmlat.checks, "_sum_status", rule)
+    monkeypatch.setattr(harmlat.conjecture, "_sum_status", rule)
+
+
+def test_search_left_undecided_exit_2(capsys, monkeypatch):
+    _undecided_rule(monkeypatch)
+    code, out, err = run(
+        capsys, "search", "counterexample", "--C", "1", "--eps", "1/5", "--k-max", "30",
+        "--n0", "100",
+    )
+    assert (code, err) == (2, "")
+    obj = json.loads(out)
+    assert obj["found"] is False and obj["undecided"]
+
+
+def test_conjecture_scan_left_undecided_exit_2(capsys, monkeypatch):
+    _undecided_rule(monkeypatch)
+    argv = ["conjecture", "scan", "--family", "S", "--k", "4", "--C", "1", "--eps", "1/10"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (2, "")
+    summary = json.loads(out)["summary"]
+    assert summary["violations"] == 0 and summary["undecided"] == summary["rows"] > 0
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 2 and all(line.endswith(",?") for line in out.splitlines()[1:])
+
+
+def test_conjecture_scan_violation_outranks_undecided_exit_1(capsys, monkeypatch):
+    # S_4's default window at C = 1/2 certifies one violation; leave every other row open
+    real = harmlat.conjecture._sum_status
+
+    def rule(lhs, msq, err):
+        status = real(lhs, msq, err)
+        return status if status == "fails" else "undecided"
+
+    monkeypatch.setattr(harmlat.conjecture, "_sum_status", rule)
+    code, out, _ = run(
+        capsys, "conjecture", "scan", "--family", "S", "--k", "4", "--C", "1/2", "--eps", "1/10",
+    )
+    summary = json.loads(out)["summary"]
+    assert (summary["violations"], summary["undecided"], summary["rows"]) == (1, 8, 9)
+    assert code == 1
+
+
 def test_conjecture_scan_csv(capsys, tmp_path):
     out_path = tmp_path / "scan.csv"
     code, _, _ = run(

@@ -25,6 +25,7 @@ from harmlat import (
     sqrt_enclosure,
 )
 from harmlat.conjecture import SCAN_CSV_HEADER, _scan_row
+from harmlat.growth import growth_polynomial
 
 
 def brute_force_Q_s2_n2():
@@ -228,3 +229,13 @@ def test_scan_row_flag_is_the_violation_verdict(n, C, eps, q_n, q_4n, shift):
     for i, flag in enumerate(flags):
         if flag is not None:
             assert flags[i:] == [flag] * (len(flags) - i), flags
+
+
+
+def test_scan_row_builds_three_enclosures(enclosures_built):
+    """A row builds one RealEnclosure each for its bound, the root of Q(n) Q(4n) and its residual."""
+    growth = growth_polynomial(family_polynomial("S", 12, n_max=276), 276)
+    enclosures_built.clear()
+    row = _scan_row(growth, 57, F(1), F(1, 10), 256)
+    assert len(enclosures_built) == 3
+    assert enclosures_built[0] is row.bound and enclosures_built[2] is row.residual

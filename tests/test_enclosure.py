@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from harmlat import (
@@ -291,3 +291,75 @@ KERNEL_DIGEST = "369482ff64352b76e35a828aa2c51b2a39bbdba0dc27e9f42184be6853bf043
 def test_kernel_endpoints_are_pinned():
     text = "".join(line + "\n" for line in _kernel_lines())
     assert hashlib.sha256(text.encode()).hexdigest() == KERNEL_DIGEST
+
+
+# -- the power chain on pairs is the composition of public calls ---------------
+
+
+def _composition(base, expo, p):
+    """exp_enclosure(expo * ln_enclosure(base, p + 24), p + 8), as pow_enclosure documents."""
+    expo = expo if isinstance(expo, RealEnclosure) else RealEnclosure.exact(expo)
+    return exp_enclosure(expo * ln_enclosure(base, p + 24), p + 8)
+
+
+def _is_composition(enc, base, expo, p):
+    """enc is the composition, or an exact rational power (a point) inside it."""
+    want = _composition(base, expo, p)
+    if enc.is_point():
+        return want.contains(enc.lo)
+    return (enc.lo, enc.hi) == (want.lo, want.hi)
+
+
+near_one = st.builds(lambda k, s: 1 + s * F(1, 2**k), st.integers(1, 700), st.sampled_from([-1, 1]))
+pow_bases = st.one_of(st.builds(F, st.integers(1, 10**6), st.integers(1, 10**6)), near_one)
+small = st.builds(F, st.integers(-60, 60), st.integers(1, 60))
+straddling = st.builds(lambda a, b: RealEnclosure(-abs(a), abs(b)), small, small)
+spans = st.builds(lambda a, w: RealEnclosure(a, a + abs(w)), small, small)
+pow_exponents = st.one_of(small, straddling, spans)
+precisions = st.integers(1, 600)
+
+
+@settings(max_examples=200, deadline=None)
+@given(straddling, st.one_of(straddling, spans))
+def test_product_picks_the_four_product_hull_by_sign(x, y):
+    cands = [a * b for a in (x.lo, x.hi) for b in (y.lo, y.hi)]
+    for prod in (x * y, y * x):
+        assert (prod.lo, prod.hi) == (min(cands), max(cands))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pow_bases, pow_exponents, precisions)
+# ln(base) straddles 0 at these precisions, as does the exponent: both products matter
+@example(1 - F(1, 2**400), RealEnclosure(F(-2), F(1)), 64)
+@example(1 + F(1, 2**400), RealEnclosure(F(-1), F(3)), 64)
+def test_pow_enclosure_is_the_composition_of_public_calls(base, expo, p):
+    assert _is_composition(pow_enclosure(base, expo, p), base, expo, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10**6), st.one_of(small, straddling), precisions)
+def test_rational_npow_is_the_composition_of_public_calls(n, e, p):
+    assert _is_composition(rational_npow(n, e, p), F(n), e, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.builds(F, st.integers(2, 10**4), st.integers(1, 50)).filter(lambda b: b > 1),
+    st.integers(1, 5000),
+    st.builds(F, st.integers(-39, 39), st.integers(1, 40)).filter(lambda r: abs(r) < 1),
+    precisions,
+)
+def test_enclose_pow_is_the_composition_of_public_calls(base, n, r, p):
+    y = rational_npow(n, r, p + 24)
+    assert _is_composition(y, F(n), r, p + 24)
+    expo = -y.lo if y.is_point() else -y
+    assert _is_composition(enclose_pow(base, n, r, p), base, expo, p)
+
+
+# -- one RealEnclosure per enclose_pow call -------------------------------------
+
+
+@pytest.mark.parametrize("n,r", [(45, F(3, 5)), (69, F(3, 5)), (65455, F(3, 5)), (16, F(1, 2)), (7, F(0))])
+def test_enclose_pow_builds_one_enclosure(enclosures_built, n, r):
+    enc = enclose_pow(2, n, r, 256)
+    assert enclosures_built == [enc]
