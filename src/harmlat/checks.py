@@ -74,8 +74,8 @@ from typing import Callable, Optional
 
 from .enclosure import (
     RealEnclosure,
+    _enclosure,
     _ends,
-    _from_pairs,
     _ln_fx,
     _mul_pairs,
     enclose_pow,
@@ -196,11 +196,6 @@ def _pair(*factors) -> tuple:
 def _times(enc: RealEnclosure, q: tuple) -> tuple:
     """The bounds of enc * q as unreduced pairs, for a (num, den) pair q."""
     return _mul_pairs(*_ends(enc), q, q)
-
-
-def _enclosure(x) -> RealEnclosure:
-    """x as a RealEnclosure: x is one already or its pairs."""
-    return x if isinstance(x, RealEnclosure) else _from_pairs(*x)
 
 
 def _sum_status(lhs: Fraction, msq, err) -> str:

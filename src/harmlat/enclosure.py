@@ -109,7 +109,7 @@ class RealEnclosure:
         return self + (-_coerce(other))
 
     def __mul__(self, other):
-        return _from_pairs(*_mul_pairs(*_ends(self), *_ends(other)))
+        return _enclosure(_mul_pairs(*_ends(self), *_ends(other)))
 
     __rmul__ = __mul__
 
@@ -143,8 +143,11 @@ def _ends(x) -> tuple:
     return q, q
 
 
-def _from_pairs(lo: tuple, hi: tuple) -> RealEnclosure:
-    """The enclosure [lo, hi] of two (num, den) pairs, den > 0, reduced here."""
+def _enclosure(x) -> RealEnclosure:
+    """x as a RealEnclosure: x is one, or its bounds as (num, den) pairs, reduced here."""
+    if isinstance(x, RealEnclosure):
+        return x
+    lo, hi = x
     return RealEnclosure(Fraction(*lo), Fraction(*hi))
 
 
@@ -213,7 +216,7 @@ def _exp_bound(num: int, den: int, prec: int, upper: bool) -> tuple:
 def exp_enclosure(x, prec: int) -> RealEnclosure:
     """Certified enclosure of exp(x) for a rational or enclosed argument."""
     lo, hi = _ends(x)
-    return _from_pairs(_exp_bound(*lo, prec, False), _exp_bound(*hi, prec, True))
+    return _enclosure((_exp_bound(*lo, prec, False), _exp_bound(*hi, prec, True)))
 
 
 # -- log ------------------------------------------------------------------
@@ -374,7 +377,7 @@ def _power(base: Fraction, expo, prec: int) -> RealEnclosure:
     lo, hi = _ends(expo)
     if base == 1:
         return RealEnclosure.exact(1)
-    return _from_pairs(*_pow_pairs(base.numerator, base.denominator, lo, hi, prec))
+    return _enclosure(_pow_pairs(base.numerator, base.denominator, lo, hi, prec))
 
 
 def pow_enclosure(base, expo, prec: int) -> RealEnclosure:
@@ -430,4 +433,4 @@ def enclose_pow(base, n: int, r, precision: int) -> RealEnclosure:
     # n**r is irrational, so its bounds differ: the exponent is no point
     r = r.as_integer_ratio()
     (a, b), (c, d) = _pow_pairs(n, 1, r, r, precision + 24)
-    return _from_pairs(*_pow_pairs(base.numerator, base.denominator, (-c, d), (-a, b), precision))
+    return _enclosure(_pow_pairs(base.numerator, base.denominator, (-c, d), (-a, b), precision))
