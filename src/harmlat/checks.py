@@ -686,22 +686,78 @@ class CounterexampleSearchResult:
         return obj
 
 
+def _atanh_recip_fx(q: int, wp: int) -> tuple:
+    """Fixed-point bounds (lo, hi) of atanh(1/q) at wp bits, for an integer q >= 3.
+
+    Term j, t_j = 2^wp / ((2j+1) q^(2j+1)), adds its floor to lo and its
+    floor + 1 to hi, up to the first term t_J that floors to 0.  The terms
+    after t_J shrink by more than q^2 each, so they sum to less than
+    t_J / (q^2 - 1) < 1 and hi takes one more ulp.  The reciprocal is not
+    rounded, and each term costs one division, half of ``_atanh_fx``'s work.
+    """
+    one = 1 << wp
+    qq, qpow, j = q * q, q, 1
+    lo, ulps = 0, 2  # ulps: one per term summed, one for t_J and one for the tail
+    while t := one // (j * qpow):
+        lo += t
+        ulps += 1
+        qpow *= qq
+        j += 2
+    return lo, lo + ulps
+
+
+def _k2_over_ln_k_run(k_min: int, k_max: int):
+    """Yield (k, lo_f, hi_f, (lo, hi, wp)) for k = k_min..k_max, k_min >= 2.
+
+    lo/2^wp <= ln k <= hi/2^wp, and lo_f, hi_f are the floors of
+    k^2 2^wp / hi and k^2 2^wp / lo.  ln k_min is seeded by ``_ln_fx`` at
+    96 bits and shifted to wp bits; each later k steps it by
+    ln k = ln(k-1) + 2 atanh(1/(2k-1)) (:func:`_atanh_recip_fx`).  A step
+    widens the bounds by at most a few dozen ulps, and wp's
+    bits(k_max - k_min + 1) + 4 extra bits keep their sum under a tenth
+    of the seed's width.  Shifting the seed and k^2 by one power of 2
+    keeps both floors, so the first item is :func:`k2_over_ln_k_floors`'
+    own; wherever the floors differ the run reseeds at that k, which
+    makes them that k's own too.
+    """
+    wp = 128 + k_max.bit_length().bit_length() + (k_max - k_min + 1).bit_length() + 4
+
+    def seed(k):
+        lo, hi, w = _ln_fx(k, 1, 96)
+        return lo << (wp - w), hi << (wp - w)
+
+    lo, hi = seed(k_min)
+    for k in range(k_min, k_max + 1):
+        if k > k_min:
+            a_lo, a_hi = _atanh_recip_fx(2 * k - 1, wp)
+            lo += 2 * a_lo
+            hi += 2 * a_hi
+        scaled = k * k << wp
+        lo_f, hi_f = scaled // hi, scaled // lo
+        if lo_f != hi_f:
+            lo, hi = seed(k)
+            lo_f, hi_f = scaled // hi, scaled // lo
+        yield k, lo_f, hi_f, (lo, hi, wp)
+
+
 def k2_over_ln_k_floors(k: int) -> tuple:
     """Floors of both ends of the enclosure k^2 / ln_enclosure(k, 96), for k >= 2.
 
     Read in integers from the fixed-point bounds of ln k: with
     lo/2^wp <= ln k <= hi/2^wp the ends are k^2 2^wp / hi and k^2 2^wp / lo.
+    This is the one-k run of :func:`_k2_over_ln_k_run`.
     """
     if k < 2:
         raise InvalidParameterError(f"k^2 / ln k needs k >= 2, got k={k}")
-    lo, hi, wp = _ln_fx(k, 1, 96)
-    scaled = k * k << wp
-    return scaled // hi, scaled // lo
+    _, lo_f, hi_f, _ = next(_k2_over_ln_k_run(k, k))
+    return lo_f, hi_f
 
 
-def _nstar_candidates(k: int) -> list:
-    """Integer candidates near k^2 / ln k: both roundings and their neighbors."""
-    lo_f, hi_f = k2_over_ln_k_floors(k)
+def _nstar_candidates(lo_f: int, hi_f: int) -> list:
+    """Integer candidates near k^2 / ln k from the floors of its enclosure's ends.
+
+    Both roundings and their neighbors; floors that differ widen the set.
+    """
     if lo_f != hi_f:
         # widen deterministically rather than refining forever
         cands = set(range(lo_f - 1, hi_f + 2))
@@ -766,12 +822,15 @@ def counterexample_search(
     """Scan k in [k_min, k_max] for a certified violation of the C-bound.
 
     For each k the candidate step counts are the integer roundings of
-    k^2 / ln k and their neighbors (k = 1 is skipped: ln 1 = 0).  A hit
+    k^2 / ln k and their neighbors (k = 1 is skipped: ln 1 = 0), read off
+    one running logarithm (:func:`_k2_over_ln_k_run`) rather than a
+    96-bit ln k per k.  A hit
     at (k, n) certifies that the coordinate-product harmonic function on
     Z^d (d >= k) violates Q(2n) <= C sqrt(Q(n)Q(4n)) + 2^(-n^(1/2+eps)) Q(4n),
     since its growth values are exact multiples of binom(., k).  Returns
     an explicit not-found result when the range is exhausted; an empty
-    range (k_max < max(k_min, 2)) raises InvalidParameterError.
+    range (k_max < max(k_min, 2)), or an n0 at or above the largest
+    candidate (that of k_max), raises InvalidParameterError.
 
     A candidate with den(C)^2 binom(2n,k)^2 <= num(C)^2 binom(n,k) binom(4n,k)
     is certified "no violation" by that square test alone, because the
@@ -803,13 +862,17 @@ def counterexample_search(
     k_min = max(k_min, 2)
     if k_max < k_min:
         raise InvalidParameterError(f"empty k range: k_max={k_max} is below k_min={k_min}")
+    # k^2 / ln k increases for k >= 2, so k_max gives the largest candidate
+    n_top = _nstar_candidates(*k2_over_ln_k_floors(k_max))[-1]
+    if n0 >= n_top:
+        raise InvalidParameterError(f"n0={n0} leaves no candidate: the largest is n={n_top}")
     c_num2, c_den2 = C.numerator**2, C.denominator**2
     # ln C^2 from below; only C > 1 can absorb the positive bound U
     ln_c2 = ln_enclosure(C * C, precision).lo if C > 1 else None
     checked = 0
     undecided = []
-    for k in range(k_min, k_max + 1):
-        for n in _nstar_candidates(k):
+    for k, lo_f, hi_f, _ in _k2_over_ln_k_run(k_min, k_max):
+        for n in _nstar_candidates(lo_f, hi_f):
             if n <= n0:
                 continue
             checked += 1

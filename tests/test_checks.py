@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -530,13 +531,23 @@ def test_search_rejects_bad_parameters():
     with pytest.raises(InvalidParameterError):
         counterexample_search(2, F(1, 10), k_max=1)
     assert counterexample_search(2, F(1, 10), k_max=2, k_min=-5).k_range == (2, 2)
+    # an n0 at or above every candidate checks nothing: k = 3 has n = 7..10
+    for n0 in (10, 10**20):
+        with pytest.raises(InvalidParameterError):
+            counterexample_search(2, F(1, 10), k_max=3, k_min=3, n0=n0)
+    assert counterexample_search(2, F(1, 10), k_max=3, k_min=3, n0=9).candidates_checked == 1
+
+
+def _candidates_of(k):
+    """The search's candidates at k, from the per-k floors rather than the search's run."""
+    return _nstar_candidates(*k2_over_ln_k_floors(k))
 
 
 def _reference_search(C, eps, k_max, n0):
     """math.comb and the full ladder on every candidate, as the search once ran."""
     checked, undecided = 0, []
     for k in range(2, k_max + 1):
-        for n in _nstar_candidates(k):
+        for n in _candidates_of(k):
             if n <= n0:
                 continue
             checked += 1
@@ -606,7 +617,7 @@ def _square_test_reference(C, eps, k_max, n0):
     """The search without the log bound: math.comb, the square test, then the ladder."""
     checked, undecided = 0, []
     for k in range(2, k_max + 1):
-        for n in _nstar_candidates(k):
+        for n in _candidates_of(k):
             if n <= n0:
                 continue
             checked += 1
@@ -642,7 +653,7 @@ def test_log_bound_settles_c2_near_k60000_without_binomials(monkeypatch):
     monkeypatch.setattr(checks.math, "comb", no_binomials)
     res = counterexample_search(F(2), F(1, 10), 60050, k_min=60000)
     assert not res.found and res.undecided == ()
-    assert res.candidates_checked == sum(len(_nstar_candidates(k)) for k in range(60000, 60051))
+    assert res.candidates_checked == sum(len(_candidates_of(k)) for k in range(60000, 60051))
 
 
 @settings(max_examples=150, deadline=None)
@@ -681,7 +692,7 @@ def test_product_settles_c2_crossover_without_binomials(monkeypatch):
     monkeypatch.setattr(checks.math, "comb", no_binomials)
     res = counterexample_search(F(2), F(1, 10), 65454, k_min=65452)
     assert not res.found and res.undecided == ()
-    assert res.candidates_checked == sum(len(_nstar_candidates(k)) for k in range(65452, 65455))
+    assert res.candidates_checked == sum(len(_candidates_of(k)) for k in range(65452, 65455))
 
 
 def _window_before_sharing(k):
@@ -722,6 +733,77 @@ def test_shared_k2_over_ln_k_keeps_windows_and_candidates():
     assert [default_window(k) for k in range(2, 301)] == [
         _window_before_sharing(k) for k in range(2, 301)
     ]
-    assert [_nstar_candidates(k) for k in range(2, 3001)] == [
+    assert [_candidates_of(k) for k in range(2, 3001)] == [
         _candidates_before_sharing(k) for k in range(2, 3001)
     ]
+
+
+# -- the search's running logarithm -------------------------------------------------
+
+
+def _run_floors(k_min, k_max):
+    return [(lo_f, hi_f) for _, lo_f, hi_f, _ in checks._k2_over_ln_k_run(k_min, k_max)]
+
+
+@pytest.mark.parametrize("k_min, k_max", [(2, 3000), (65000, 65500)])
+def test_run_floors_equal_the_per_k_floors(k_min, k_max):
+    ks = range(k_min, k_max + 1)
+    assert _run_floors(k_min, k_max) == [k2_over_ln_k_floors(k) for k in ks]
+
+
+@settings(max_examples=100, deadline=None)
+@given(k_min=st.integers(2, 10**7), length=st.integers(1, 300))
+def test_run_encloses_ln_k(k_min, length):
+    ks = range(k_min, k_min + length)
+    run = list(checks._k2_over_ln_k_run(k_min, ks[-1]))
+    assert [k for k, *_ in run] == list(ks)
+    assert [(lo_f, hi_f) for _, lo_f, hi_f, _ in run] == [k2_over_ln_k_floors(k) for k in ks]
+    with mpmath.workdps(200):
+        for k, _, _, (lo, hi, wp) in run:
+            assert lo <= mpmath.ldexp(mpmath.log(k), wp) <= hi, k
+
+
+def test_atanh_step_encloses_atanh_of_the_reciprocal():
+    # at wp = 4: 16/3 floors to 5 and 16/(3 * 27) to 0, so lo = 5 and
+    # hi = 5 + 1 (the term summed) + 1 (the zero term) + 1 (the tail)
+    assert checks._atanh_recip_fx(3, 4) == (5, 8)
+    with mpmath.workdps(200):
+        for q in [*range(3, 2002, 2), 2 * 65455 - 1, 2 * 10**7 - 1]:
+            for wp in (64, 150):
+                lo, hi = checks._atanh_recip_fx(q, wp)
+                assert lo <= mpmath.ldexp(mpmath.atanh(mpmath.mpf(1) / q), wp) <= hi, (q, wp)
+
+
+def test_run_reseeds_where_a_step_parts_the_floors(monkeypatch):
+    # no k <= 70,000 reaches the reseed; a step whose hi gains a whole unit
+    # parts the floors at every k, and each reseed restores that k's own pair
+    step, ln_fx = checks._atanh_recip_fx, checks._ln_fx
+    seeds = []
+
+    def slack_step(q, wp):
+        lo, hi = step(q, wp)
+        return lo, hi + (1 << wp)
+
+    monkeypatch.setattr(checks, "_atanh_recip_fx", slack_step)
+    monkeypatch.setattr(checks, "_ln_fx", lambda *args: seeds.append(args) or ln_fx(*args))
+    floors = _run_floors(2, 400)
+    assert len(seeds) == 399
+    assert floors == [k2_over_ln_k_floors(k) for k in range(2, 401)]
+
+
+def test_search_takes_no_logarithm_per_k(monkeypatch):
+    from harmlat import enclosure
+
+    ln_fx, calls = enclosure._ln_fx, []
+
+    def counting(*args):
+        calls.append(args)
+        return ln_fx(*args)
+
+    monkeypatch.setattr(enclosure, "_ln_fx", counting)
+    monkeypatch.setattr(checks, "_ln_fx", counting)
+    res = counterexample_search(2, F(1, 10), 800)
+    assert not res.found and res.candidates_checked == 3196
+    # the run's seed, the n0 check's floors at k_max and ln C^2; the per-k
+    # floors took one 96-bit logarithm at each of the 799 k
+    assert len(calls) == 3

@@ -422,6 +422,9 @@ _X = '{"d":2,"terms":[{"alpha":[1,0],"coeff":"1"}]}'  # the polynomial x
         # an empty k range checks nothing, so it cannot report "holds"
         ["search", "counterexample", "--C", "2", "--eps", "1/10", "--k-min", "50",
          "--k-max", "10"],
+        # likewise an n0 at or above every candidate (k = 3 has n = 7..10)
+        ["search", "counterexample", "--C", "2", "--eps", "1/10", "--k-min", "3", "--k-max", "3",
+         "--n0", "100000000000000000000"],
         # likewise an empty scan window
         ["conjecture", "scan", "--family", "S", "--k", "6", "--C", "1", "--eps", "1/10",
          "--n-from", "50", "--n-to", "10"],

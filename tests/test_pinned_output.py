@@ -53,6 +53,10 @@ CASES = [f"check {c} --format {fmt}" for c in CHECKS for fmt in ("json", "csv")]
     "conjecture scan --family S --k 12 --C 1 --eps 1/10 --format json",
     "conjecture scan --family S --k 12 --C 1 --eps 1/10 --format csv",
     "search counterexample --C 1 --eps 1/5 --k-max 30 --n0 100",
+    # the benchmark's C = 2 search (nothing found) and two first witnesses
+    "search counterexample --C 2 --eps 1/10 --k-max 800",
+    "search counterexample --C 5/4 --eps 1/10 --k-max 1000",
+    "search counterexample --C 3/2 --eps 1/10 --k-max 1000",
     # growth values of members with a parity in every coordinate (S, T, u)
     # and of one without (random)
     "growth --family S --k 40 --n-max 160 --newton",
@@ -141,6 +145,12 @@ DIGESTS = {
         (0, 'b3f6bfb8354e775c07062435774667d8d3844bf9ca46bb70aca64727f5cb64eb'),
     'search counterexample --C 1 --eps 1/5 --k-max 30 --n0 100':
         (1, '186446123a47233f081b0cc14ae5d8732841e4fdd41eec0450bdf9d0ceb31cbf'),
+    'search counterexample --C 2 --eps 1/10 --k-max 800':
+        (0, 'e1f77c8c38723499a7e482acc4071007783e23a0f16ba4f17e6d50fc6e890d21'),
+    'search counterexample --C 5/4 --eps 1/10 --k-max 1000':
+        (1, '73c25d81206ee84b0a654759edf7965bd5a3cef0ccf6b177f661a55aae657d17'),
+    'search counterexample --C 3/2 --eps 1/10 --k-max 1000':
+        (1, '524bb823d90c2a4b9b331c72ef26721bc47ae3bf7121b75f548a899ccd8a91e7'),
     'growth --family S --k 40 --n-max 160 --newton':
         (0, '683f0a636bc899c2ab19694a5240844f111f4a2fd034aba47dff32d4152cec26'),
     'growth --family T --k 41 --n-max 100 --format csv':
