@@ -19,8 +19,8 @@ A status rule compares integers: each bound a/b enters as its numerator
 and denominator, and both sides are cross-multiplied, so deciding builds
 no Fraction and reduces nothing by gcd.  A rung hands its products (a
 cached enclosure times Q values) to the rule as unreduced integer pairs
-((lo_num, lo_den), (hi_num, hi_den)), dens > 0, and a rule takes a
-RealEnclosure alike.  A verdict's printed bounds are built only when
+((lo_num, lo_den), (hi_num, hi_den)), dens > 0, the only bound type a
+rule takes.  A verdict's printed bounds are built only when
 read: ``error_term`` is reduced on first access, and ``main`` (for the
 sum and max forms the square root of the ladder's squared main term)
 and ``margin`` are computed on first access and kept, so a caller that
@@ -41,14 +41,13 @@ safe.  The violation form meets each of its constants once, so it calls
 the enclosures directly; a conjecture scan row applies its status rule
 once, at the cap, to the bound the row prints.
 
-The counterexample search decides most candidates without any
-enclosure: its error term is non-negative, so when the main term alone
-reaches the left-hand side (an exact integer comparison of squares) the
-violation is certified false.  Only candidates that pass this square
-test reach the precision ladder of :func:`convexity_defect_check`.  For
-C > 1 the search first settles the square test in fixed-point integers,
-by an O(1) bound on the log of the squared ratio and then by a running
-product of the ratio, so most candidates never build a binomial.
+The counterexample search decides each candidate that reaches its
+exact route once, by the ladder of :func:`convexity_defect_check`.  The
+error term is non-negative, so where the main term alone reaches the
+left-hand side the ladder's first rung certifies the violation false.
+For C > 1 the search settles most such candidates first in fixed-point
+integers, by an O(1) bound on the log of the squared ratio and then by a
+running product of the ratio, so they never build a binomial.
 
 The three-circles statement (1:2:4) is the 1:P:P^2 statement at P = 2,
 and both checkers run one body with the hypothesis guard passed as data.
@@ -133,7 +132,7 @@ class Verdict:
 
     ``margin`` is a certified bound on (rhs - lhs): non-negative when the
     statement holds, non-positive when it fails, zero when undecided.
-    ``error_term`` is built from ``_err`` (an enclosure or its pairs) when
+    ``error_term`` is built from ``_err`` (its bounds as pairs) when
     first read; ``main`` and ``margin`` are built together by
     ``_bounds(error_term)`` when first read.  Both are then kept:
     deciding the status needs none of them.
@@ -206,8 +205,8 @@ def _sum_status(lhs: Fraction, msq, err) -> str:
     against f (be)^2.
     """
     a, b = lhs.as_integer_ratio()
-    (f, g), (f_hi, g_hi) = _ends(msq)
-    (c, e), (c_hi, e_hi) = _ends(err)
+    (f, g), (f_hi, g_hi) = msq
+    (c, e), (c_hi, e_hi) = err
     top, den = a * e - c * b, b * e
     if top <= 0 or top * top * g <= f * den * den:
         return HOLDS
@@ -220,8 +219,8 @@ def _sum_status(lhs: Fraction, msq, err) -> str:
 def _max_status(lhs: Fraction, msq, err) -> str:
     """Decide lhs <= max(sqrt(msq), err)."""
     a, b = lhs.as_integer_ratio()
-    (f, g), (f_hi, g_hi) = _ends(msq)
-    (c, e), (c_hi, e_hi) = _ends(err)
+    (f, g), (f_hi, g_hi) = msq
+    (c, e), (c_hi, e_hi) = err
     if a * a * g <= f * b * b or a * e <= c * b:
         return HOLDS
     if a * a * g_hi > f_hi * b * b and a * e_hi > c_hi * b:
@@ -232,8 +231,8 @@ def _max_status(lhs: Fraction, msq, err) -> str:
 def _linear_status(lhs: Fraction, main, err) -> str:
     """Decide lhs <= main + err: a/b against f/g + c/e as a g e against (f e + c g) b."""
     a, b = lhs.as_integer_ratio()
-    (f, g), (f_hi, g_hi) = _ends(main)
-    (c, e), (c_hi, e_hi) = _ends(err)
+    (f, g), (f_hi, g_hi) = main
+    (c, e), (c_hi, e_hi) = err
     if a * g * e <= (f * e + c * g) * b:
         return HOLDS
     if a * g_hi * e_hi > (f_hi * e_hi + c_hi * g_hi) * b:
@@ -244,7 +243,7 @@ def _linear_status(lhs: Fraction, main, err) -> str:
 def _below_status(lhs: Fraction, main, err) -> str:
     """Decide lhs < main strictly; err takes no part."""
     a, b = lhs.as_integer_ratio()
-    (f, g), (f_hi, g_hi) = _ends(main)
+    (f, g), (f_hi, g_hi) = main
     if a * g < f * b:
         return HOLDS
     if f_hi * b <= a * g_hi:
@@ -256,7 +255,7 @@ def _decide(lhs: Fraction, rung, precision: int, status_of) -> tuple:
     """The precision ladder shared by every checker.
 
     ``rung(p)`` returns the enclosures (main, err) of the right-hand side
-    at precision p, each a RealEnclosure or its pairs;
+    at precision p, each as its bounds' (num, den) pairs;
     ``status_of(lhs, main, err)`` is the form's status rule.  Returns
     (status, main, err, p) at the first rung that decides, or at the
     cap's rung with status ``undecided``.
@@ -412,7 +411,7 @@ def binomial_inequality_check(
 
     if n == 0:
         # degenerate: 1 <= 1 (k = 0) or 0 <= 0; constants only help
-        msq = RealEnclosure.exact(b_n * b_outer)
+        msq = (_pair(b_n, b_outer),) * 2
 
         def rung(p):
             return msq, _ZERO
@@ -449,12 +448,12 @@ def no_error_check(
     expo = 1 - 2 * eps
     target = Fraction(M * M)
     met, enc, _, met_p = _decide(
-        target, lambda p: (rational_npow(n, expo, p), _ZERO), precision, _below_status
+        target, lambda p: (_ends(rational_npow(n, expo, p)), _ZERO), precision, _below_status
     )
     if met == FAILS:
         raise HypothesisNotMetError(
             f"needs n^(1-2eps) > M^2: n={n}, eps={eps}, M={M}",
-            {"reason": "degree hypothesis", "n_power": enc.to_json(), "M_squared": str(target)},
+            {"reason": "degree hypothesis", "n_power": _enclosure(enc).to_json(), "M_squared": str(target)},
         )
     q_n, q_2n, q_4n = growth.Q(n), growth.Q(2 * n), growth.Q(4 * n)
     product = _pair(q_n, q_4n)
@@ -566,7 +565,7 @@ def aspect_ratio_check(
     def rung(prec):
         a, one_minus_a, const = _aspect_constants(p_r, P_r, alpha, n, eps, prec)
         main = const * _qpow(q_n, a, prec) * _qpow(q_outer, one_minus_a, prec)
-        return main, _times(_error_unit(p_r, n, Fraction(1, 2) - eps, prec), outer_pair)
+        return _ends(main), _times(_error_unit(p_r, n, Fraction(1, 2) - eps, prec), outer_pair)
 
     note = "guarantee threshold n0(p, P) not pinned by the statement"
     return _verdict(q_mid, rung, precision, _linear_status, None, note, squared=False)
@@ -798,9 +797,9 @@ def _square_ratio_upper(n: int, k: int, p: int) -> int:
 def _square_ratio_rules_out(n: int, k: int, c_num2: int, c_den2: int, precision: int) -> bool:
     """Whether S <= C^2 = c_num2 / c_den2 is certified at a rung of the ladder.
 
-    That is the exact square test's "no violation", decided without the
-    binomials.  The ladder stops early once hi / (2^p + k) > C^2, which
-    certifies S > C^2.
+    That is a "no violation" the violation ladder's first rung would
+    certify, decided without the binomials.  The ladder stops early once
+    hi / (2^p + k) > C^2, which certifies S > C^2.
     """
     for p in _ladder(precision):
         hi = _square_ratio_upper(n, k, p)
@@ -832,17 +831,17 @@ def counterexample_search(
     range (k_max < max(k_min, 2)), or an n0 at or above the largest
     candidate (that of k_max), raises InvalidParameterError.
 
-    A candidate with den(C)^2 binom(2n,k)^2 <= num(C)^2 binom(n,k) binom(4n,k)
-    is certified "no violation" by that square test alone, because the
-    error term is non-negative; it counts as checked but never reaches
-    :func:`convexity_defect_check`, which would return ``fails`` at its
-    first rung.  The test does not depend on eps.  Near n = k^2/ln k,
-    ln S for S = binom(2n,k)^2 / (binom(n,k) binom(4n,k)) is about
-    (ln k)/8 and must exceed ln C^2, so at C = 2 the test settles every
-    candidate below k = 65,455, the first k whose candidates pass it
-    (an exact sweep from k = 65,000).
+    A candidate on the exact route builds the three binomials and is
+    decided once, by the ladder of :func:`convexity_defect_check`.  With
+    S = binom(2n,k)^2 / (binom(n,k) binom(4n,k)), a candidate with
+    S <= C^2 is certified "no violation" at the ladder's first rung: the
+    main term alone reaches binom(2n,k), and the error term is
+    non-negative.  That does not depend on eps.  Near n = k^2/ln k, ln S
+    is about (ln k)/8 and must exceed ln C^2, so at C = 2 every candidate
+    below k = 65,455 has S <= C^2, and k = 65,455 is the first k with a
+    candidate past it (an exact sweep from k = 65,000).
 
-    For C > 1 and n >= k two filters settle the test without any
+    For C > 1 and n >= k two filters settle S <= C^2 without any
     binomial, both in integers.  First, the O(1) bound
     U = n k(k-1) / (2 (n-k+1)(4n-k+1)) >= ln S (:func:`_log_ratio_bound`)
     is compared with a lower bound of ln C^2 computed once per search.
@@ -851,9 +850,7 @@ def counterexample_search(
     k = 65,393.  Second, S is enclosed by a fixed-point running product
     over the rungs of the precision ladder
     (:func:`_square_ratio_rules_out`), which settles the candidates of
-    k = 65,394..65,454.  Every other candidate takes the exact route:
-    three binomials, the square test, then the ladder of
-    :func:`convexity_defect_check`.
+    k = 65,394..65,454.  Every other candidate takes the exact route.
     """
     C = Fraction(C)
     eps = Fraction(eps)
@@ -884,18 +881,14 @@ def counterexample_search(
                     or _square_ratio_rules_out(n, k, c_num2, c_den2, precision)
                 )
             ):
-                continue  # the square test below would rule it out
+                continue  # S <= C^2: the ladder's first rung would fail it
             b_n, b_2n, b_4n = (math.comb(m, k) for m in (n, 2 * n, 4 * n))
-            # the error term is >= 0, so a candidate failing this would fail the first rung
-            square_ok = c_den2 * b_2n * b_2n > c_num2 * b_n * b_4n
-            if not square_ok:
-                continue
             verdict = convexity_defect_check(b_n, b_2n, b_4n, n, C, eps, precision)
             if verdict.status == HOLDS:
                 # the witness's estimates, both read off certified bounds:
                 #   binom(2n,k)/binom(4n,k) > 2^(-n^(1/2+eps)), as the verdict's
                 #     error term encloses 2^(-n^(1/2+eps)) binom(4n,k) from above
-                #   binom(2n,k)^2 > C^2 binom(n,k) binom(4n,k)  (the square test)
+                #   binom(2n,k)^2 > C^2 binom(n,k) binom(4n,k), in integers
                 return CounterexampleSearchResult(
                     True,
                     k,
@@ -903,7 +896,7 @@ def counterexample_search(
                     verdict,
                     (b_n, b_2n, b_4n),
                     b_2n > verdict.error_term.hi,
-                    square_ok,
+                    c_den2 * b_2n * b_2n > c_num2 * b_n * b_4n,
                     (k_min, k_max),
                     checked,
                     tuple(undecided),

@@ -134,19 +134,15 @@ def _coerce(v) -> RealEnclosure:
 
 
 def _ends(x) -> tuple:
-    """The bounds of x as (num, den) pairs: x is an enclosure, a rational point or its pairs."""
+    """The bounds of x as (num, den) pairs: x is an enclosure or a rational point."""
     if isinstance(x, RealEnclosure):
         return x.lo.as_integer_ratio(), x.hi.as_integer_ratio()
-    if isinstance(x, tuple):
-        return x
     q = Fraction(x).as_integer_ratio()
     return q, q
 
 
 def _enclosure(x) -> RealEnclosure:
-    """x as a RealEnclosure: x is one, or its bounds as (num, den) pairs, reduced here."""
-    if isinstance(x, RealEnclosure):
-        return x
+    """The RealEnclosure of bounds given as (num, den) pairs, reduced here."""
     lo, hi = x
     return RealEnclosure(Fraction(*lo), Fraction(*hi))
 
@@ -365,8 +361,16 @@ def _pow_pairs(num: int, den: int, e_lo: tuple, e_hi: tuple, prec: int) -> tuple
     return _exp_bound(*lo, prec + 8, False), _exp_bound(*hi, prec + 8, True)
 
 
-def _power(base: Fraction, expo, prec: int) -> RealEnclosure:
-    """base**expo for base > 0: the body of pow_enclosure and rational_npow."""
+def pow_enclosure(base, expo, prec: int) -> RealEnclosure:
+    """Certified enclosure of base**expo for base > 0.
+
+    ``expo`` may be a Fraction (exact powers are returned exactly when
+    they are rational) or a RealEnclosure; the general case evaluates
+    exp(expo * ln(base)) with directed rounding throughout.
+    """
+    base = Fraction(base)
+    if base <= 0:
+        raise InvalidParameterError("power base must be positive")
     if isinstance(expo, RealEnclosure) and expo.is_point():
         expo = expo.lo
     if not isinstance(expo, RealEnclosure):
@@ -380,24 +384,11 @@ def _power(base: Fraction, expo, prec: int) -> RealEnclosure:
     return _enclosure(_pow_pairs(base.numerator, base.denominator, lo, hi, prec))
 
 
-def pow_enclosure(base, expo, prec: int) -> RealEnclosure:
-    """Certified enclosure of base**expo for base > 0.
-
-    ``expo`` may be a Fraction (exact powers are returned exactly when
-    they are rational) or a RealEnclosure; the general case evaluates
-    exp(expo * ln(base)) with directed rounding throughout.
-    """
-    base = Fraction(base)
-    if base <= 0:
-        raise InvalidParameterError("power base must be positive")
-    return _power(base, expo, prec)
-
-
 def rational_npow(n: int, e, prec: int) -> RealEnclosure:
     """Certified enclosure of n**e for a positive integer n."""
     if n < 1:
         raise InvalidParameterError("n must be a positive integer")
-    return _power(Fraction(n), e, prec)
+    return pow_enclosure(n, e, prec)
 
 
 # -- the two public constant builders ------------------------------------------
@@ -429,7 +420,7 @@ def enclose_pow(base, n: int, r, precision: int) -> RealEnclosure:
     r = Fraction(r)
     y = _exact_rational_power(Fraction(n), r)
     if y is not None:
-        return _power(base, -y, precision)
+        return pow_enclosure(base, -y, precision)
     # n**r is irrational, so its bounds differ: the exponent is no point
     r = r.as_integer_ratio()
     (a, b), (c, d) = _pow_pairs(n, 1, r, r, precision + 24)

@@ -48,7 +48,7 @@ from typing import Optional, Sequence
 
 from . import balls
 from .errors import HarmonicityError, InvalidParameterError, UsageError
-from .lattice import LatticeBall, LatticeFunction, reduce_in_place
+from .lattice import LatticeBall, LatticeFunction, is_harmonic, reduce_in_place
 from .rationals import format_rational, parse_int, parse_rational
 from .rng import SplitMix64
 
@@ -246,8 +246,16 @@ def discrete_laplacian(P: MultivariatePolynomial) -> MultivariatePolynomial:
 
 
 def is_harmonic_poly(P: MultivariatePolynomial) -> bool:
-    """Exact global lattice harmonicity as a polynomial identity."""
-    return discrete_laplacian(P).is_zero()
+    """Exact global lattice harmonicity, decided on the table of P on B_(M+1), M = deg P.
+
+    The discrete Laplacian lowers the degree by at least 2, so L P has
+    degree at most M - 2.  :func:`harmlat.lattice.is_harmonic` reads L P
+    on B_M, the interior of B_(M+1), which contains the simplex
+    {x >= 0, |x|_1 <= M - 2}, and a polynomial of degree at most M - 2
+    that vanishes there is zero.  The ball is checked against the cell
+    cap, as :func:`harmlat.growth.growth_polynomial` checks it for P.
+    """
+    return is_harmonic(evaluate_on_ball(P, max(P.degree, 0) + 1))
 
 
 # -- the shifted binomial basis ----------------------------------------------

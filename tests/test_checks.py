@@ -1,5 +1,7 @@
 """Inequality verdicts: worked cases, scale invariance, search behavior."""
 
+import hashlib
+import json
 import math
 from fractions import Fraction as F
 
@@ -40,6 +42,7 @@ from harmlat.checks import (
     _verdict,
     k2_over_ln_k_floors,
 )
+from harmlat.enclosure import _ends
 
 from conftest import growth_of
 
@@ -351,7 +354,7 @@ def _ladder_cases():
             _report_with({n: a, 2 * n: x, 4 * n: b}), 1, n, F(1, 4), cap)))
     # the max rule's only public input, the binomial max form, holds with room; drive it directly
     def square(p):
-        return exp_enclosure(F(1, 3), p) * 5, RealEnclosure.exact(0)
+        return _ends(exp_enclosure(F(1, 3), p) * 5), ((0, 1), (0, 1))
 
     checks.append(("max rule", lambda x, cap: _verdict(x, square, cap, _max_status, True, "", combine=max)))
     for n, C, eps in ((17, F(1), F(1, 10)), (30, F(3, 2), F(1, 5))):
@@ -429,6 +432,24 @@ def test_no_error_open_hypothesis_is_undecided():
         assert float(v.main.lo) <= main * (1 + 1e-12) and main <= float(v.main.hi) * (1 + 1e-12)
     for cap in (128, 256):
         assert no_error_check(Q_X1, 4, 20, eps, cap).status == "holds"
+
+
+def test_undecided_ladder_verdict_has_zero_margin():
+    # the midpoint of the bracketed right-hand side, where a 1-bit cap decides nothing
+    n, eps = 17, F(1, 4)
+
+    def check(x, cap):
+        return three_circles_check(_report_with({n: F(7, 3), 2 * n: x, 4 * n: F(50)}), n, eps, cap, explore=True)
+
+    (mid, _), = [case for case in _near_boundary(check) if case[1] is None]
+    v = check(mid, 1)
+    assert (v.status, v.precision_bits, v.margin) == ("undecided", 1, 0)
+    with mpmath.workdps(60):
+        msq = mpmath.exp(1 / mpmath.sqrt(n)) * 7 / 3 * 50  # e^(n^-2eps) Q(n) Q(4n)
+        assert v.main.lo ** 2 <= F(str(msq)) <= v.main.hi ** 2
+    # every printed byte of the undecided verdict, pinned
+    digest = hashlib.sha256(json.dumps(v.to_json(), sort_keys=True).encode()).hexdigest()
+    assert digest == "cf2525e44d4fce2149e5229dc862d21cb07791661661a05a55ba034cec784af8"
 
 
 def test_no_error_certified_not_met_still_raises():

@@ -445,6 +445,47 @@ def test_parser_errors_exit_3_not_undecided(capsys, argv):
     assert "error:" in err
 
 
+_S3 = ["growth", "--family", "S", "--k", "3", "--n-max", "4"]
+
+
+@pytest.mark.parametrize(
+    "cells, argv, message",
+    [
+        ("abc", _S3, "HARM_MAX_CELLS must be a positive integer, got 'abc'"),
+        ("0", _S3, "HARM_MAX_CELLS must be a positive integer, got '0'"),
+        ("-5", _S3, "HARM_MAX_CELLS must be a positive integer, got '-5'"),
+        (None, ["growth", "--poly", '{"d":2,"terms":[{"alpha":[1,0],"coeff":"1"},{"alpha":[1,0],"coeff":"2"}]}',
+                "--n-max", "4"], "duplicate term (1, 0)"),
+        (None, ["growth", "--poly", '{"d":2,"terms":[{"alpha":[1,0,0],"coeff":"1"}]}', "--n-max", "4"],
+         "bad exponent tuple (1, 0, 0)"),
+        (None, ["growth", "--poly", '{"d":2}', "--n-max", "4"], "malformed polynomial JSON: 'terms'"),
+        (None, ["growth", "--function", "NO_ENTRIES", "--n-max", "1"], "malformed lattice function JSON: 'entries'"),
+        (None, ["check", "three-circles", "--family", "S", "--k", "2", "--n", "0", "--eps", "1/4"],
+         "n must be >= 1"),
+        (None, ["check", "aspect", "--family", "S", "--k", "2", "--n", "0", "--p", "3", "--P", "2",
+                "--eps", "1/4", "--derive-alpha"], "n must be >= 1"),
+        (None, ["check", "no-error", "--family", "S", "--k", "2", "--degree", "-1", "--n", "20", "--eps", "1/10"],
+         "degree M must be non-negative"),
+        (None, ["check", "ratio-125", "--family", "S", "--k", "2", "--n", "-1", "--delta", "1/8"],
+         "n must be non-negative"),
+        (None, ["check", "binomial", "--n", "-1", "--k", "2", "--P", "2", "--eps", "1/4"],
+         "n and k must be non-negative"),
+        (None, ["check", "binomial", "--n", "5", "--k", "2", "--P", "1", "--eps", "1/4"], "P must be > 1"),
+        (None, ["conjecture", "scan", "--family", "S", "--k", "4", "--C", "0", "--eps", "1/10"],
+         "need C > 0 and eps > 0"),
+        (None, ["conjecture", "scan", "--family", "S", "--k", "4", "--C", "1", "--eps", "0"],
+         "need C > 0 and eps > 0"),
+    ],
+)
+def test_refused_inputs_exit_3_with_their_message(capsys, tmp_path, monkeypatch, cells, argv, message):
+    if cells is not None:
+        monkeypatch.setenv("HARM_MAX_CELLS", cells)
+    no_entries = tmp_path / "no_entries.json"
+    no_entries.write_text('{"d": 1, "R": 2}')
+    argv = [str(no_entries) if word == "NO_ENTRIES" else word for word in argv]
+    assert run(capsys, *argv) == (3, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("option", [["--k", "3"], ["--d", "2"], ["--seed", "0"]])
 def test_family_options_refused_with_function_table(capsys, tmp_path, option):
     path = tmp_path / "u.json"

@@ -28,6 +28,9 @@ TABLES = {
 # 1 - 2eps exceeds ln 16 / ln 20 by 2^-119, which 64 bits leave open
 EDGE_EPS = "6188150099896808545836439581982263/166153499473114484112975882535043072"
 
+# x^3 - 3xy^2 + x/2, harmonic on Z^2; written without spaces, as a case is split on them
+HARMONIC_POLY = '{"d":2,"terms":[{"alpha":[3,0],"coeff":"1"},{"alpha":[1,2],"coeff":"-3"},{"alpha":[1,0],"coeff":"1/2"}]}'
+
 CHECKS = [
     "three-circles --family S --k 4 --n 20 --eps 1/4",
     "three-circles --family T --k 3 --n 5 --eps 0 --explore",
@@ -47,6 +50,8 @@ CHECKS = [
     "binomial --n 20 --k 3 --P 2 --eps 1/4",
     "binomial --n 3 --k 9 --P 2 --eps 1/4",
     "binomial --n 0 --k 0 --P 2 --eps 1/2",
+    "continuous --family S --k 4 --t 1/3",
+    f"continuous --poly {HARMONIC_POLY} --t 2",
 ]
 
 CASES = [f"check {c} --format {fmt}" for c in CHECKS for fmt in ("json", "csv")] + [
@@ -139,6 +144,14 @@ DIGESTS = {
         (0, 'ee4458f67c6ff2ae7c2dfa94661248f5bcff5dfd31ff9c877e595c9f0ab18454'),
     'check binomial --n 0 --k 0 --P 2 --eps 1/2 --format csv':
         (0, 'a2ecf7331f0fce67317af48051a37276aae53da65a3ae29b5d00bdbafe8c424b'),
+    'check continuous --family S --k 4 --t 1/3 --format json':
+        (0, '2f27f232453f11bfe1d8a10b9ac0e63f4b06d85a71a241beb803570f3efdf38b'),
+    'check continuous --family S --k 4 --t 1/3 --format csv':
+        (0, '7a505808943a4cb0dc3247021363363c2fa0dcb464695d45af6335cf767ebd05'),
+    'check continuous --poly {"d":2,"terms":[{"alpha":[3,0],"coeff":"1"},{"alpha":[1,2],"coeff":"-3"},{"alpha":[1,0],"coeff":"1/2"}]} --t 2 --format json':
+        (0, 'f41c5ea5e26c679cda8415823d3e5e465b3e6ea88ffa463becdd914445d866b7'),
+    'check continuous --poly {"d":2,"terms":[{"alpha":[3,0],"coeff":"1"},{"alpha":[1,2],"coeff":"-3"},{"alpha":[1,0],"coeff":"1/2"}]} --t 2 --format csv':
+        (0, '172e954e1e799cb53c91a54c4fd6584a89c77035f7f1af96ed0eb4c259b82ead'),
     'conjecture scan --family S --k 12 --C 1 --eps 1/10 --format json':
         (0, '1054d2c45b9501fcbfd6a50c625ab7eb17d6cf8c5779ba9e57f2d9d2cc87c711'),
     'conjecture scan --family S --k 12 --C 1 --eps 1/10 --format csv':

@@ -187,6 +187,21 @@ def test_correspondence_outputs_are_lattice_harmonic():
             assert is_harmonic(evaluate_on_ball(P, P.degree + 4))
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    degree=st.integers(0, 5),
+    seed=st.integers(0, 2**32),
+    alpha=st.lists(st.integers(0, 3), min_size=3, max_size=3),
+    coeff=st.fractions(min_value=-5, max_value=5, max_denominator=7),
+)
+def test_table_harmonicity_equals_the_formal_laplacian(d, degree, seed, alpha, coeff):
+    # a random harmonic polynomial, then one monomial added to it (coeff 0 adds nothing)
+    P = random_harmonic(d, degree, seed)
+    for poly in (P, P + MultivariatePolynomial(d, {tuple(alpha[:d]): coeff})):
+        assert is_harmonic_poly(poly) == discrete_laplacian(poly).is_zero()
+
+
 def test_re_im_discretization_gives_sk_tk():
     for k in range(1, 11):
         re, im = re_im_zk(k)
