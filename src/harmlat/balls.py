@@ -6,16 +6,19 @@ aligned with that enumeration.  The hyperoctahedral group (coordinate
 permutations and sign flips) acts on each ball; walk-count rows and
 origin-centered Laplacian kernels are invariant under it, so the heavy
 convolutions run on the orbit quotient.  Orbit representatives are the
-sorted absolute-value tuples, enumerated by (radius, lex) so that the
-quotient of a smaller ball is always a prefix of a larger one.  The
-quotient's neighbour structure is stored column-wise: one list per unit
-step, aligned with the representatives, so the walk-count and Laplacian
-kernels run as C-level passes over whole columns.  :func:`laplacian_plan`
-lays out the neighbours of a whole ball's points in the same columns.
-:func:`point_orbit_indices` gives the orbit of every point of a ball, or
-of its points x >= 0 only: a table that carries its values there (see
-:func:`harmlat.polynomials.evaluate_on_ball`) has its orbit square sums
-read off those cells alone.
+sorted absolute-value tuples, enumerated by (radius, lex), so the
+quotient of a smaller ball is a prefix of a larger one's.  An
+:class:`OrbitTable` is built for one radius; :func:`orbit_table` keeps
+one per dimension and replaces it when a larger radius is asked for,
+and what was computed against the old table stays valid against the
+new.  The quotient's neighbour structure is stored column-wise: one list
+per unit step, aligned with the representatives, so the walk-count and
+Laplacian kernels run as C-level passes over whole columns.
+:func:`laplacian_plan` lays out the neighbours of a whole ball's points
+in the same columns, and :func:`point_orbit_indices` gives the orbit of
+every point of a ball, or of its points x >= 0 only: a table that
+carries its values there (see :func:`harmlat.polynomials.evaluate_on_ball`)
+has its orbit square sums read off those cells alone.
 
 The per-(d, R) tables are memoized in bounded caches of
 ``BALL_CACHE_SIZE`` entries each, more than the radii any benchmark
@@ -167,55 +170,41 @@ def group_order(d: int) -> int:
 
 
 class OrbitTable:
-    """Orbit quotient of l1 balls in a fixed dimension, grown on demand.
+    """Orbit quotient of the l1 ball B_R in dimension d, built for one radius.
 
-    ``reps`` is ordered by (radius, lex); extending the radius appends
-    representatives, so indices are stable and any table computed against
-    a smaller radius stays valid.  ``cols`` holds the neighbours
-    column-wise: ``cols[s][i]`` is the orbit index of ``reps[i]`` plus the
-    s-th unit step (in :func:`unit_steps` order), or -1 when that
-    neighbour lies outside the current ball.
+    ``reps`` is ordered by (radius, lex), so the tables of two radii agree
+    on the quotient of the smaller ball: its reps, index and sizes are a
+    prefix of the larger table's, and so is every column entry whose
+    neighbour lies in it.  Anything computed against a smaller table (the
+    cached walk-count rows of :mod:`harmlat.growth`) therefore stays valid
+    against a larger one.  ``cols`` holds the neighbours column-wise:
+    ``cols[s][i]`` is the orbit index of ``reps[i]`` plus the s-th unit
+    step (in :func:`unit_steps` order), or -1 when that neighbour lies
+    outside B_R.
     """
 
-    def __init__(self, d: int):
+    def __init__(self, d: int, R: int):
         check_dimension(d)
-        self.d = d
-        self.radius = -1
+        self.d, self.radius = d, R
         self.reps: list = []
-        self.index: dict = {}
-        self.sizes: list = []
-        self.prefix: list = []   # prefix[r] = #reps with radius <= r
-        self.cols: list = [[] for _ in range(2 * d)]  # aligned with reps
-
-    def ensure(self, R: int) -> None:
-        if R <= self.radius:
-            return
-        d = self.d
-        # reps inside the old outer shell already see all their neighbours
-        start = self.prefix[self.radius - 1] if self.radius > 0 else 0
-        for r in range(self.radius + 1, R + 1):
-            new = sorted(_sorted_tuples_with_sum(d, r))
-            for rep in new:
-                self.index[rep] = len(self.reps)
-                self.reps.append(rep)
-                self.sizes.append(orbit_size(d, rep))
+        self.prefix: list = []  # prefix[r] = #reps with radius <= r
+        for r in range(R + 1):
+            self.reps += _sorted_tuples_with_sum(d, r)
             self.prefix.append(len(self.reps))
-        self.radius = R
-        self._extend_neighbors(start)
-
-    def _extend_neighbors(self, start: int) -> None:
-        """Recompute the neighbour columns of reps[start:] against the current ball."""
+        self.index: dict = {rep: i for i, rep in enumerate(self.reps)}
+        self.sizes: list = [orbit_size(d, rep) for rep in self.reps]
         get = self.index.get
-        for col, moved in zip(self.cols, _moved_points(self.reps[start:], self.d)):
-            del col[start:]
-            col.extend(map(get, _canonical_reps(moved), repeat(-1)))
+        self.cols: list = [
+            list(map(get, _canonical_reps(moved), repeat(-1)))
+            for moved in _moved_points(self.reps, d)
+        ]
 
     def count_up_to(self, r: int) -> int:
         return self.prefix[r]
 
 
 def _sorted_tuples_with_sum(d: int, total: int):
-    """Nondecreasing tuples of d non-negative integers with given sum."""
+    """Nondecreasing tuples of d non-negative integers with given sum, in lex order."""
     out = []
 
     def rec(prefix, lo, remaining, left):
@@ -234,12 +223,10 @@ _orbit_tables: dict = {}
 
 
 def orbit_table(d: int, R: int) -> OrbitTable:
-    """Shared orbit table for dimension d, covering radius at least R."""
+    """The shared table of dimension d if it covers radius R, else one for R that replaces it."""
     tab = _orbit_tables.get(d)
-    if tab is None:
-        tab = OrbitTable(d)
-        _orbit_tables[d] = tab
-    tab.ensure(R)
+    if tab is None or tab.radius < R:
+        tab = _orbit_tables[d] = OrbitTable(d, R)
     return tab
 
 

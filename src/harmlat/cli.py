@@ -49,9 +49,9 @@ from .checks import (
 )
 from .conjecture import conjecture_scan
 from .errors import HarmError, HarmonicityError, UsageError
-from .growth import GrowthPolynomial, growth_polynomial, growth_report
+from .growth import GrowthPolynomial, growth_polynomial, growth_report, harmonic_growth_polynomial
 from .lattice import LatticeFunction
-from .polynomials import MultivariatePolynomial, family_polynomial, is_harmonic_poly
+from .polynomials import MultivariatePolynomial, family_polynomial
 from .rationals import format_rational, parse_rational
 
 EXIT_HOLDS = 0
@@ -244,10 +244,9 @@ def _cmd_check(args) -> int:
         v = aspect_ratio_check(growth, args.n, p, P, eps, alpha=alpha, precision=args.precision)
         return _emit_verdict(args, v)
     if kind == "continuous":
-        P = _load_polynomial(args)
-        if not is_harmonic_poly(P):
+        growth = harmonic_growth_polynomial(_load_polynomial(args))
+        if growth is None:
             raise HarmonicityError("continuous-time growth requires a lattice-harmonic polynomial")
-        growth = growth_polynomial(P)
         v = continuous_three_circles_check(growth, parse_rational(args.t))
         return _emit_verdict(args, v, extra={"growth_polynomial": growth.continuous_json()})
     if kind == "binomial":

@@ -25,7 +25,8 @@ coordinate permutations and sign flips, so the heavy convolutions run
 on the orbit quotient of the ball (see :mod:`harmlat.balls`).  Both
 kernels, walk-count rows and the Laplacian cascade, are C-level map
 passes over the quotient's neighbour columns, in exact Python ints.
-Walk rows are cached per dimension and extended incrementally.
+Walk rows are cached per dimension and extended incrementally; rows
+built against a smaller orbit table stay valid against a larger one.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ from typing import Optional
 
 from . import balls
 from .errors import HarmError, InvalidParameterError, OutOfRangeError
-from .lattice import LatticeFunction
+from .lattice import LatticeFunction, is_harmonic
 from .polynomials import MultivariatePolynomial, evaluate_on_ball
-from .rationals import format_rational
+from .rationals import common_denominator, format_rational
 
 
 # -- walk counts on the orbit quotient ----------------------------------------
@@ -160,8 +161,7 @@ def _difference_triangle(values: list) -> list:
     single entry), so the last a_k returned is nonzero.  For the values
     of a polynomial of degree M no a_k past a_M is returned.
     """
-    den = math.lcm(*(v.denominator for v in values))
-    row = [v.numerator * (den // v.denominator) for v in values]
+    row, den = common_denominator(values)
     newton = []
     while any(row):
         newton.append(Fraction(row[0], den))
@@ -187,8 +187,7 @@ class GrowthPolynomial:
 
     @cached_property
     def _scaled(self) -> tuple:
-        den = math.lcm(*(a.denominator for a in self.newton))
-        return den, [a.numerator * (den // a.denominator) for a in self.newton]
+        return common_denominator(self.newton)
 
     def Q(self, n: int) -> Fraction:
         """Q(n), summed in integers over one denominator with running binomials."""
@@ -197,7 +196,7 @@ class GrowthPolynomial:
             raise OutOfRangeError(
                 f"growth value at n={n} not available (the growth polynomial covers {covers})"
             )
-        den, nums = self._scaled
+        nums, den = self._scaled
         total, binom = 0, 1
         for j, c in enumerate(nums):
             total += c * binom
@@ -314,11 +313,22 @@ def growth_polynomial(P: MultivariatePolynomial, n_max: Optional[int] = None) ->
     """
     if n_max is not None and n_max < 0:
         raise InvalidParameterError("n_max must be non-negative")
+    R = max(P.degree, 0) + 1
+    return _growth_from_table(P, evaluate_on_ball(P, R if n_max is None else min(n_max, R)))
+
+
+def harmonic_growth_polynomial(P: MultivariatePolynomial) -> Optional[GrowthPolynomial]:
+    """growth_polynomial(P) if P is lattice-harmonic (decided on B_(M+1)), else None; one table."""
+    u = evaluate_on_ball(P, max(P.degree, 0) + 1)
+    return _growth_from_table(P, u) if is_harmonic(u) else None
+
+
+def _growth_from_table(P: MultivariatePolynomial, u: LatticeFunction) -> GrowthPolynomial:
+    """The growth polynomial of P from its table u on B_R, R <= M + 1; complete when R = M + 1."""
     M = max(P.degree, 0)
-    R = M + 1 if n_max is None else min(n_max, M + 1)
-    newton = growth_report(evaluate_on_ball(P, R)).newton
+    newton = growth_report(u).newton
     if len(newton) > M + 1:
         raise HarmError(
             "internal inconsistency: growth coefficients beyond the degree do not vanish"
         )
-    return GrowthPolynomial(P.d, newton, None if R == M + 1 else R)
+    return GrowthPolynomial(P.d, newton, None if u.R == M + 1 else u.R)

@@ -8,8 +8,9 @@ with S the 2d unit steps; this is the normalization under which the
 n-step walk distribution satisfies p(n+1, x) - p(n, x) = (L p)(n, x).
 
 A :class:`LatticeFunction` is a dense table of exact rationals over a
-ball, stored as integer numerators over one reduced common denominator.
-All operations are pure; values are immutable after construction.
+ball, held in the integer form of :mod:`harmlat.rationals`: integer
+numerators over one common denominator, in lowest terms.  All
+operations are pure; values are immutable after construction.
 
 The Laplacian and the directional differences read one column plan,
 :func:`harmlat.balls.laplacian_plan`, in a few C-level passes over whole
@@ -35,9 +36,9 @@ from .errors import (
     InvalidParameterError,
     UsageError,
 )
-from .rationals import format_rational, parse_int, parse_rational
-
-_REDUCE_CHUNK = 4096
+from .rationals import (
+    common_denominator, format_rational, parse_int, parse_rational, reduce_in_place,
+)
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ class LatticeFunction:
             raise InvalidParameterError(
                 f"expected {ball.point_count} values on B_{ball.R} of Z^{ball.d}, got {len(nums)}"
             )
-        den = reduce_in_place(nums, den)
+        den = reduce_in_place(den, nums)
         self.ball = ball
         self._nums = tuple(nums)
         self._den = den
@@ -109,10 +110,7 @@ class LatticeFunction:
     @classmethod
     def from_values(cls, ball: LatticeBall, values: Iterable) -> "LatticeFunction":
         """Build from a value sequence aligned with ``ball.points`` (lex order)."""
-        seq = [Fraction(v) for v in values]
-        den = math.lcm(*(v.denominator for v in seq)) if seq else 1
-        nums = [v.numerator * (den // v.denominator) for v in seq]
-        return cls(ball, nums, den)
+        return cls(ball, *common_denominator(map(Fraction, values)))
 
     @classmethod
     def constant(cls, ball: LatticeBall, c) -> "LatticeFunction":
@@ -172,10 +170,8 @@ class LatticeFunction:
         if self.ball != other.ball:
             raise InvalidParameterError("functions live on different balls")
         da, db = self._den, other._den
-        g = math.gcd(da, db)
-        ma, mb = db // g, da // g
-        nums = [a * ma + b * mb for a, b in zip(self._nums, other._nums)]
-        return LatticeFunction(self.ball, nums, da // g * db)
+        nums = [a * db + b * da for a, b in zip(self._nums, other._nums)]
+        return LatticeFunction(self.ball, nums, da * db)
 
     def square(self) -> "LatticeFunction":
         return LatticeFunction(self.ball, [v * v for v in self._nums], self._den * self._den)
@@ -216,22 +212,6 @@ class LatticeFunction:
                 f"missing value at {missing}; pass --sparse to default omitted points to 0"
             )
         return cls.from_values(ball, [table.get(p, 0) for p in ball.points])
-
-
-def reduce_in_place(nums: list, den: int) -> int:
-    """Divide the common factor of ``nums`` and ``den`` out of ``nums`` in place.
-
-    Returns the reduced denominator.  The values are divided in slices of
-    ``_REDUCE_CHUNK``, each replaced as soon as it is divided, so the
-    unreduced and the reduced values are never all alive together.
-    """
-    g = math.gcd(den, *nums)
-    if g > 1:
-        div = g.__rfloordiv__
-        for i in range(0, len(nums), _REDUCE_CHUNK):
-            nums[i : i + _REDUCE_CHUNK] = map(div, nums[i : i + _REDUCE_CHUNK])
-        den //= g
-    return den
 
 
 # -- operators ----------------------------------------------------------

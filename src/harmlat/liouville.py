@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import HarmError, HarmonicityError, InvalidParameterError, VanishingHypothesisError
-from .growth import growth_polynomial, growth_report
+from .growth import growth_report, harmonic_growth_polynomial
 from .polynomials import (
     MultivariatePolynomial,
     discrete_laplacian,
@@ -31,12 +31,12 @@ def degree_bound(P: MultivariatePolynomial) -> int:
     """Minimal k such that every k-fold directional difference of P vanishes.
 
     Equals deg(P) + 1 for nonzero polynomials (0 for the zero
-    polynomial).  Requires P lattice-harmonic.  Cross-checks that the
-    iterated Laplacian values of P^2 at the origin vanish above the
-    degree, with the check of :func:`harmlat.growth.growth_polynomial`
-    (walk route against cascade on B_{deg+1}, vanishing a_{deg+1}).
+    polynomial).  Requires P lattice-harmonic.  The table of P on
+    B_{deg+1} that decides it also cross-checks that the iterated
+    Laplacian values of P^2 at the origin vanish above the degree (walk
+    route against cascade, vanishing a_{deg+1}).
     """
-    if not is_harmonic_poly(P):
+    if harmonic_growth_polynomial(P) is None:
         raise HarmonicityError("degree bound is stated for harmonic polynomials")
     if P.is_zero():
         return 0
@@ -55,8 +55,6 @@ def degree_bound(P: MultivariatePolynomial) -> int:
                     if not q.is_zero():
                         nxt[q.canonical_key()] = q
         current = nxt
-    # cross-check: growth coefficients vanish beyond the degree
-    growth_polynomial(P)
     return k
 
 

@@ -48,8 +48,10 @@ from typing import Optional, Sequence
 
 from . import balls
 from .errors import HarmonicityError, InvalidParameterError, UsageError
-from .lattice import LatticeBall, LatticeFunction, is_harmonic, reduce_in_place
-from .rationals import format_rational, parse_int, parse_rational
+from .lattice import LatticeBall, LatticeFunction, is_harmonic
+from .rationals import (
+    common_denominator, format_rational, parse_int, parse_rational, reduce_in_place,
+)
 from .rng import SplitMix64
 
 
@@ -290,20 +292,15 @@ def _fk_combination(d: int, weights: dict) -> MultivariatePolynomial:
     ints over one common denominator, with one Fraction per final term.
     """
     fk = {a: _fk_coefficients(a) for a in set(chain.from_iterable(weights))}
-    scaled = []
-    den = 1
-    for alpha, w in weights.items():
-        w = Fraction(w)
-        lists = [fk[a] for a in alpha]
-        den_alpha = w.denominator * math.prod(den_a for _, den_a in lists)
-        scaled.append(([nums for nums, _ in lists], w.numerator, den_alpha))
-        den = math.lcm(den, den_alpha)
+    nums, den = common_denominator(
+        Fraction(w) / math.prod(fk[a][1] for a in alpha) for alpha, w in weights.items()
+    )
     acc: dict = {}
-    for lists, num, den_alpha in scaled:
-        terms = {(): num * (den // den_alpha)}
-        for nums in lists:
+    for alpha, num in zip(weights, nums):
+        terms = {(): num}
+        for coeffs in (fk[a][0] for a in alpha):
             terms = {
-                key + (e,): c * n for key, c in terms.items() for e, n in enumerate(nums) if n
+                key + (e,): c * n for key, c in terms.items() for e, n in enumerate(coeffs) if n
             }
         for key, c in terms.items():
             acc[key] = acc.get(key, 0) + c
@@ -429,20 +426,17 @@ def evaluate_on_ball(P: MultivariatePolynomial, R: int) -> LatticeFunction:
     """
     ball = LatticeBall(P.d, R)
     balls.guard_cells(P.d, R)
-    den = math.lcm(*(c.denominator for c in P.terms.values()))
-    int_terms = {a: c.numerator * (den // c.denominator) for a, c in P.terms.items()}
+    nums, den = common_denominator(P.terms.values())
+    int_terms = dict(zip(P.terms, nums))
     exponents = {e for alpha in P.terms for e in alpha}
     surj = _surjection_counts(exponents, min(max(P.degree, 0), R))
     signs = _signs(P)
     orthant = None not in signs
     pos, neg = _seeds(int_terms, P.d, R, surj, orthant)
-    g = math.gcd(den, *chain.from_iterable(pos + neg))
-    if g > 1:
-        pos, neg = ([list(map(g.__rfloordiv__, s)) for s in side] for side in (pos, neg))
-        den //= g
+    den = reduce_in_place(den, *pos, *neg)
     nums = _lines(pos, neg, P.d, R, orthant)
     if R < P.degree:
-        den = reduce_in_place(nums, den)
+        den = reduce_in_place(den, nums)
     if not orthant:
         return LatticeFunction._reduced(ball, nums, den)
     return LatticeFunction._reduced(ball, _unfold(nums, signs, R)[0], den, nums)

@@ -1,15 +1,19 @@
-"""Exact rational scalars.
+"""Exact rational scalars, their integer form and their strings.
 
-All quantities in this package are :class:`fractions.Fraction` values;
-this module only adds the string conventions used by the CLI and the
-JSON/CSV wire formats ("num/den", integers, finite decimal strings),
-with a subquadratic decimal conversion for long integers.
+All quantities in this package are :class:`fractions.Fraction` values.
+A list of them is computed on as integer numerators over one common
+denominator (:func:`common_denominator`), reduced to lowest terms by
+:func:`reduce_in_place`.  The CLI and the JSON/CSV wire formats write
+them as "num/den", integers or finite decimal strings, with a
+subquadratic decimal conversion for long integers.
 """
 
 from __future__ import annotations
 
 import decimal
+import math
 from fractions import Fraction
+from itertools import chain
 
 from .errors import UsageError
 
@@ -17,6 +21,32 @@ from .errors import UsageError
 # 8192 bits (2,467 digits) stays under str()'s default 4,300-digit limit.
 DECIMAL_LEAF_BITS = 1 << 13
 _SPLIT_LEAF_BITS = 1 << 10
+_REDUCE_CHUNK = 4096
+
+
+def common_denominator(values) -> tuple:
+    """(numerators, den) of ``values`` over their least common denominator (1 if none)."""
+    values = list(values)
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def reduce_in_place(den: int, *lists) -> int:
+    """Divide the common factor of ``den`` and every entry of ``lists`` out of the lists.
+
+    Returns the reduced denominator.  A list passed twice is divided once.
+    The lists are divided in slices of ``_REDUCE_CHUNK``, each replaced
+    as soon as it is divided, so the unreduced and the reduced values are
+    never all alive together.
+    """
+    g = math.gcd(den, *chain.from_iterable(lists))
+    if g > 1:
+        div = g.__rfloordiv__
+        for nums in {id(x): x for x in lists}.values():
+            for i in range(0, len(nums), _REDUCE_CHUNK):
+                nums[i : i + _REDUCE_CHUNK] = map(div, nums[i : i + _REDUCE_CHUNK])
+        den //= g
+    return den
 
 
 def parse_rational(text: str) -> Fraction:

@@ -7,6 +7,7 @@ member carries its full growth report on the ball of radius 80, so
 inner radii up to 20 can be checked at outer radius 4n.
 """
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -109,3 +110,20 @@ def enclosures_built(monkeypatch):
 
     monkeypatch.setattr(RealEnclosure, "__post_init__", counted)
     return built
+
+
+@pytest.fixture
+def evaluation_radii(monkeypatch):
+    """The radius of every evaluate_on_ball call while the test runs, whichever module makes it."""
+    radii = []
+
+    def counted(P, R):
+        radii.append(R)
+        return evaluate_on_ball(P, R)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.split(".")[0] == "harmlat":
+            for name, value in list(vars(module).items()):
+                if value is evaluate_on_ball:
+                    monkeypatch.setattr(module, name, counted)
+    return radii

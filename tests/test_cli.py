@@ -1,6 +1,7 @@
 """CLI surface: parsing, wire formats, exit codes."""
 
 import ast
+import hashlib
 import json
 import math
 import os
@@ -90,6 +91,22 @@ def test_check_continuous_non_harmonic_exit_3(capsys):
     assert code == 3
     assert out == ""
     assert "lattice-harmonic" in err
+
+
+@pytest.mark.parametrize(
+    "fmt,digest",
+    [
+        ("json", "c2905a207de4feb233aa22dac7dc32023177dc125e56b7ff0b592eea1e5572b4"),
+        ("csv", "4be657aaa58159eb1ca080e8ea282e38fa44d56ffb47e59b074975b69aa49de8"),
+    ],
+)
+def test_check_continuous_evaluates_once(capsys, evaluation_radii, fmt, digest):
+    # one table of S_100 on B_101 decides harmonicity and gives the growth;
+    # the digests are those printed when each read a table of its own
+    argv = ["check", "continuous", "--family", "S", "--k", "100", "--t", "1", "--format", fmt]
+    code, out, err = run(capsys, *argv)
+    assert (code, err, evaluation_radii) == (0, "", [101])
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("family", ["S", "T"])

@@ -34,7 +34,7 @@ from harmlat import (
     sos_laplacian_power,
     three_circles_check,
 )
-from harmlat import balls, checks, polynomials
+from harmlat import balls, checks, growth, polynomials
 from harmlat.balls import OrbitTable, orbit_table, unit_steps
 from harmlat.growth import _newton_via_laplacian, _orbit_square_sums, _orbit_walk_rows
 
@@ -85,18 +85,36 @@ def test_column_walk_rows_match_z1_binomials():
         assert rows[n] == [_binom(n, n + x) for (x,) in tab.reps[: tab.count_up_to(n)]]
 
 
-@pytest.mark.parametrize("d,radii", [(1, [0, 3, 7]), (2, [0, 1, 2, 9]), (3, [4, 5, 8]), (4, [6])])
-def test_neighbour_columns_survive_growth(d, radii):
-    # columns extended radius by radius equal a from-scratch neighbour table
-    tab = OrbitTable(d)
-    for R in radii:
-        tab.ensure(R)
-    for s, step in enumerate(unit_steps(d)):
-        want = [
-            tab.index.get(tuple(sorted(abs(a + b) for a, b in zip(rep, step))), -1)
-            for rep in tab.reps
-        ]
-        assert tab.cols[s] == want
+@pytest.mark.parametrize(
+    "d,R,larger", [(1, 0, 7), (1, 3, 4), (2, 1, 2), (2, 2, 9), (3, 4, 8), (4, 3, 6)]
+)
+def test_orbit_tables_agree_on_their_common_prefix(monkeypatch, d, R, larger):
+    # tables built for R and for a larger radius agree on B_R, so walk rows
+    # cached against the smaller table stay valid against the larger one
+    small, large = OrbitTable(d, R), OrbitTable(d, larger)
+    for tab in (small, large):
+        for s, step in enumerate(unit_steps(d)):
+            want = [
+                tab.index.get(tuple(sorted(abs(a + b) for a, b in zip(rep, step))), -1)
+                for rep in tab.reps
+            ]
+            assert tab.cols[s] == want
+    m = small.count_up_to(R)
+    assert len(small.reps) == m and small.prefix == large.prefix[: R + 1]
+    assert small.reps == large.reps[:m] and small.sizes == large.sizes[:m]
+    assert small.index == {rep: large.index[rep] for rep in large.reps[:m]}
+    for col, big in zip(small.cols, large.cols):
+        assert col == [k if 0 <= k < m else -1 for k in big[:m]]
+
+    def rows_with(*tables):
+        monkeypatch.setattr(growth, "_walk_rows", {})
+        for tab in tables:
+            monkeypatch.setattr(balls, "_orbit_tables", {d: tab})
+            rows = _orbit_walk_rows(d, tab.radius)
+        return rows
+
+    assert rows_with(small) == rows_with(large)[: R + 1]
+    assert rows_with(small, large) == rows_with(large)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])

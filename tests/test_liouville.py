@@ -19,6 +19,12 @@ X = MultivariatePolynomial.variable(2, 0)
 Y = MultivariatePolynomial.variable(2, 1)
 
 
+def test_degree_bound_evaluates_once(evaluation_radii):
+    # one table of S_7 on B_8 decides harmonicity and gives the cross-check
+    assert degree_bound(sk_polynomial(7)) == 8
+    assert evaluation_radii == [8]
+
+
 def test_degree_bound_examples():
     assert degree_bound(MultivariatePolynomial.constant(2, 7)) == 1
     assert degree_bound(monomial_uk(2, 2)) == 3
