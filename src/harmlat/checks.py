@@ -753,16 +753,13 @@ def k2_over_ln_k_floors(k: int) -> tuple:
 
 
 def _nstar_candidates(lo_f: int, hi_f: int) -> list:
-    """Integer candidates near k^2 / ln k from the floors of its enclosure's ends.
+    """Integer candidates near k^2 / ln k from the floors lo_f <= hi_f of its enclosure's ends.
 
-    Both roundings and their neighbors; floors that differ widen the set.
+    Both roundings and their neighbors, at least 1: lo_f - 1..lo_f + 2 when
+    the floors agree, else (widened deterministically rather than refined
+    forever) lo_f - 1..hi_f + 1.
     """
-    if lo_f != hi_f:
-        # widen deterministically rather than refining forever
-        cands = set(range(lo_f - 1, hi_f + 2))
-    else:
-        cands = {lo_f - 1, lo_f, lo_f + 1, lo_f + 2}
-    return sorted(c for c in cands if c >= 1)
+    return list(range(max(lo_f - 1, 1), hi_f + (3 if lo_f == hi_f else 2)))
 
 
 def _log_ratio_bound(n: int, k: int, l_num: int, l_den: int) -> bool:
@@ -866,6 +863,8 @@ def counterexample_search(
     c_num2, c_den2 = C.numerator**2, C.denominator**2
     # ln C^2 from below; only C > 1 can absorb the positive bound U
     ln_c2 = ln_enclosure(C * C, precision).lo if C > 1 else None
+    if ln_c2 is not None:
+        l_num, l_den = ln_c2.numerator, ln_c2.denominator
     checked = 0
     undecided = []
     for k, lo_f, hi_f, _ in _k2_over_ln_k_run(k_min, k_max):
@@ -877,7 +876,7 @@ def counterexample_search(
                 ln_c2 is not None
                 and n >= k
                 and (
-                    _log_ratio_bound(n, k, ln_c2.numerator, ln_c2.denominator)
+                    _log_ratio_bound(n, k, l_num, l_den)
                     or _square_ratio_rules_out(n, k, c_num2, c_den2, precision)
                 )
             ):

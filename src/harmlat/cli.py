@@ -18,7 +18,11 @@ from it where its statement asks, and builds it only at that first read,
 after the checker has refused any bad parameter; `growth` prints Q(0..N)
 and the zero-padded a_k, and --diff-cols is read by its CSV of Q only,
 whose difference columns are read off the a_k.  --out gets the bytes
-stdout would.
+stdout would.  One command table defines the parser tree, and `main`
+builds only the branch that argv names: the invoked command's parser.
+A level whose next word names none of its commands (help, --version,
+a missing or unknown command) is built whole, so help and usage errors
+read the full tree.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import math
 import os
 import sys
 from functools import cached_property
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import SCHEMA_VERSION, __version__
 from .checks import (
@@ -339,13 +343,157 @@ def _add_io_options(sp):
     sp.add_argument("--sparse", action="store_true", help="omitted table points default to 0")
 
 
-def _add_q_check(csub, kind: str, help: str):
-    """The parser of a check of Q: one input, --precision, --format, --out and --n."""
-    sp = csub.add_parser(kind, help=help)
+def _add_q_check(sp):
+    """A check of Q: one input, --precision, --format, --out and --n."""
     _add_io_options(sp)
     _add_common_options(sp)
     sp.add_argument("--n", type=int, required=True)
-    return sp
+
+
+_EXPLORE = "check outside the guarantee hypotheses (verdict marked accordingly)"
+
+# Leaf fillers: each adds one subcommand's options (and, outside `check`,
+# its handler) to that subcommand's parser.
+
+
+def _fill_growth(sp):
+    _add_io_options(sp)
+    _add_output_options(sp)
+    sp.add_argument("--n-max", type=int, required=True)
+    sp.add_argument("--newton", action="store_true", help="emit the binomial coefficients a_k")
+    sp.add_argument(
+        "--diff-cols", type=int, help="difference columns in CSV output without --newton (default 6)"
+    )
+    sp.set_defaults(handler=_cmd_growth)
+
+
+def _fill_three_circles(sp):
+    _add_q_check(sp)
+    sp.add_argument("--explore", action="store_true", help=_EXPLORE)
+    sp.add_argument("--eps", required=True)
+
+
+def _fill_general_p(sp):
+    _add_q_check(sp)
+    sp.add_argument("--explore", action="store_true", help=_EXPLORE)
+    sp.add_argument("--P", required=True)
+    sp.add_argument("--eps", required=True)
+
+
+def _fill_no_error(sp):
+    _add_q_check(sp)
+    sp.add_argument("--eps", required=True)
+    sp.add_argument("--degree", type=int, required=True, help="degree bound M")
+
+
+def _fill_ratio_125(sp):
+    _add_q_check(sp)
+    sp.add_argument("--delta", required=True)
+
+
+def _fill_aspect(sp):
+    _add_q_check(sp)
+    sp.add_argument("--p", required=True)
+    sp.add_argument("--P", required=True)
+    sp.add_argument("--eps", required=True)
+    group = sp.add_mutually_exclusive_group(required=True)
+    group.add_argument("--alpha", help="user-supplied balancing exponent, in (0, 1)")
+    group.add_argument(
+        "--derive-alpha",
+        action="store_true",
+        help="solve P^alpha = p^(1-alpha) with certified logarithms",
+    )
+
+
+def _fill_continuous(sp):
+    _add_polynomial_inputs(sp, sp.add_mutually_exclusive_group(required=True))
+    _add_output_options(sp)
+    sp.add_argument("--t", required=True)
+
+
+def _fill_binomial(sp):
+    _add_common_options(sp)
+    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--P", required=True)
+    sp.add_argument("--eps", required=True)
+
+
+def _fill_counterexample(sp):
+    _add_common_options(sp, csv=False)
+    sp.add_argument("--C", required=True)
+    sp.add_argument("--eps", required=True)
+    sp.add_argument("--k-max", type=int, required=True)
+    sp.add_argument("--k-min", type=int, default=2)
+    sp.add_argument("--n0", type=int, default=0)
+    sp.set_defaults(handler=_cmd_search)
+
+
+def _fill_scan(sp):
+    sp.add_argument("--family", choices=["S", "T", "u"], default="S", help="named harmonic family")
+    sp.add_argument("--k", type=int, help="family index / degree")
+    sp.add_argument("--d", type=int, help="dimension for the u family")
+    _add_common_options(sp)
+    sp.add_argument("--C", required=True)
+    sp.add_argument("--eps", required=True)
+    sp.add_argument("--n-from", type=int, help="window start (default: k^2/ln k minus k)")
+    sp.add_argument("--n-to", type=int, help="window end (default: k^2/ln k plus k)")
+    sp.set_defaults(handler=_cmd_conjecture_scan)
+
+
+class _Level(NamedTuple):
+    """One level of subcommands: the namespace attribute that gets the
+    chosen name, (name, help, leaf filler or _Level) per subcommand in help
+    order, and the handler the level sets, if any."""
+
+    dest: str
+    children: tuple
+    handler: Optional[Callable] = None
+
+
+# the one definition of the command tree, full or pruned
+_COMMANDS = _Level("command", (
+    ("growth", "exact growth report of a function", _fill_growth),
+    ("check", "certified inequality verdicts", _Level("check_kind", (
+        ("three-circles", "1:2:4 bound with error term", _fill_three_circles),
+        ("general-p", "1:P:P^2 bound with error term", _fill_general_p),
+        ("no-error", "error-free bound for degree-bounded inputs", _fill_no_error),
+        ("ratio-125", "perturbed 1:2:4(1+delta) bound", _fill_ratio_125),
+        ("aspect", "general aspect-ratio bound", _fill_aspect),
+        ("continuous", "exact continuous-time bound", _fill_continuous),
+        ("binomial", "per-degree binomial inequality", _fill_binomial),
+    ), _cmd_check)),
+    ("search", "searches", _Level("search_kind", (
+        ("counterexample", "certified violation near n = k^2/ln k", _fill_counterexample),
+    ))),
+    ("conjecture", "conjecture evidence scans", _Level("conjecture_kind", (
+        ("scan", "residual scan against the conjectured bound", _fill_scan),
+    ))),
+))
+
+
+def _add_level(parser, level: _Level, argv) -> None:
+    """Register ``level`` on ``parser``: only the subcommand argv[0] names, else all.
+
+    A pruned level names every subcommand in its usage metavar, so the
+    usage lines of errors read as the full tree's.  A full level leaves
+    the metavar unset, so its errors name the level by its dest
+    ("argument command: invalid choice: ...").
+    """
+    if level.handler:
+        parser.set_defaults(handler=level.handler)
+    names = [name for name, _, _ in level.children]
+    chosen = argv[0] if argv and argv[0] in names else None
+    sub = parser.add_subparsers(
+        dest=level.dest, required=True, metavar="{" + ",".join(names) + "}" if chosen else None
+    )
+    for name, help, node in level.children:
+        if chosen in (None, name):
+            sp = sub.add_parser(name, help=help)
+            if isinstance(node, _Level):
+                _add_level(sp, node, argv[1:] if chosen else ())
+            else:
+                node(sp)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -356,7 +504,12 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of `harm argv`: the branch of subcommands that argv names.
+
+    Levels that argv names no subcommand of are built whole (see
+    `_add_level`), so build_parser() is the full tree.
+    """
     ap = _ArgumentParser(
         prog="harm",
         description="Exact growth functions of discrete harmonic functions and "
@@ -365,91 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument(
         "--version", action="version", version=f"harm {__version__} (schema {SCHEMA_VERSION})"
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("growth", help="exact growth report of a function")
-    _add_io_options(g)
-    _add_output_options(g)
-    g.add_argument("--n-max", type=int, required=True)
-    g.add_argument("--newton", action="store_true", help="emit the binomial coefficients a_k")
-    g.add_argument(
-        "--diff-cols", type=int, help="difference columns in CSV output without --newton (default 6)"
-    )
-    g.set_defaults(handler=_cmd_growth)
-
-    c = sub.add_parser("check", help="certified inequality verdicts")
-    c.set_defaults(handler=_cmd_check)
-    csub = c.add_subparsers(dest="check_kind", required=True)
-    explore = "check outside the guarantee hypotheses (verdict marked accordingly)"
-
-    tc = _add_q_check(csub, "three-circles", "1:2:4 bound with error term")
-    tc.add_argument("--explore", action="store_true", help=explore)
-    tc.add_argument("--eps", required=True)
-
-    gp = _add_q_check(csub, "general-p", "1:P:P^2 bound with error term")
-    gp.add_argument("--explore", action="store_true", help=explore)
-    gp.add_argument("--P", required=True)
-    gp.add_argument("--eps", required=True)
-
-    ne = _add_q_check(csub, "no-error", "error-free bound for degree-bounded inputs")
-    ne.add_argument("--eps", required=True)
-    ne.add_argument("--degree", type=int, required=True, help="degree bound M")
-
-    r125 = _add_q_check(csub, "ratio-125", "perturbed 1:2:4(1+delta) bound")
-    r125.add_argument("--delta", required=True)
-
-    asp = _add_q_check(csub, "aspect", "general aspect-ratio bound")
-    asp.add_argument("--p", required=True)
-    asp.add_argument("--P", required=True)
-    asp.add_argument("--eps", required=True)
-    group = asp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--alpha", help="user-supplied balancing exponent, in (0, 1)")
-    group.add_argument(
-        "--derive-alpha",
-        action="store_true",
-        help="solve P^alpha = p^(1-alpha) with certified logarithms",
-    )
-
-    cont = csub.add_parser("continuous", help="exact continuous-time bound")
-    _add_polynomial_inputs(cont, cont.add_mutually_exclusive_group(required=True))
-    _add_output_options(cont)
-    cont.add_argument("--t", required=True)
-
-    bino = csub.add_parser("binomial", help="per-degree binomial inequality")
-    _add_common_options(bino)
-    bino.add_argument("--n", type=int, required=True)
-    bino.add_argument("--k", type=int, required=True)
-    bino.add_argument("--P", required=True)
-    bino.add_argument("--eps", required=True)
-
-    s = sub.add_parser("search", help="searches")
-    ssub = s.add_subparsers(dest="search_kind", required=True)
-    ce = ssub.add_parser("counterexample", help="certified violation near n = k^2/ln k")
-    _add_common_options(ce, csv=False)
-    ce.add_argument("--C", required=True)
-    ce.add_argument("--eps", required=True)
-    ce.add_argument("--k-max", type=int, required=True)
-    ce.add_argument("--k-min", type=int, default=2)
-    ce.add_argument("--n0", type=int, default=0)
-    ce.set_defaults(handler=_cmd_search)
-
-    cj = sub.add_parser("conjecture", help="conjecture evidence scans")
-    cjsub = cj.add_subparsers(dest="conjecture_kind", required=True)
-    scan = cjsub.add_parser("scan", help="residual scan against the conjectured bound")
-    scan.add_argument(
-        "--family", choices=["S", "T", "u"], default="S", help="named harmonic family"
-    )
-    scan.add_argument("--k", type=int, help="family index / degree")
-    scan.add_argument("--d", type=int, help="dimension for the u family")
-    _add_common_options(scan)
-    scan.add_argument("--C", required=True)
-    scan.add_argument("--eps", required=True)
-    scan.add_argument(
-        "--n-from", type=int, help="window start (default: k^2/ln k minus k)"
-    )
-    scan.add_argument("--n-to", type=int, help="window end (default: k^2/ln k plus k)")
-    scan.set_defaults(handler=_cmd_conjecture_scan)
-
+    _add_level(ap, _COMMANDS, argv)
     return ap
 
 
@@ -460,7 +529,7 @@ def dispatch(args) -> int:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     # exact outputs (a search witness's binomials, say) may run past the
     # interpreter's 4300-digit cap on int <-> str conversion
     get_limit = getattr(sys, "get_int_max_str_digits", None)
@@ -468,7 +537,7 @@ def main(argv=None) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        args = ap.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         code = dispatch(args)
     except HarmError as exc:
         print(f"error: {exc}", file=sys.stderr)

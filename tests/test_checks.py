@@ -725,13 +725,23 @@ def _window_before_sharing(k):
 
 def _candidates_before_sharing(k):
     """checks._nstar_candidates as written before it shared the k^2/ln k floors."""
-    target = RealEnclosure.exact(F(k * k)) / ln_enclosure(F(k), 96)
-    lo_f, hi_f = math.floor(target.lo), math.floor(target.hi)
+    return _candidates_by_set(*_floors_by_enclosure(k))
+
+
+def _candidates_by_set(lo_f, hi_f):
+    """checks._nstar_candidates as written before it returned one range."""
     if lo_f != hi_f:
         cands = set(range(lo_f - 1, hi_f + 2))
     else:
         cands = {lo_f - 1, lo_f, lo_f + 1, lo_f + 2}
     return sorted(c for c in cands if c >= 1)
+
+
+def test_nstar_candidates_equal_the_set_rule():
+    grid = [(lo_f, hi_f) for lo_f in range(40) for hi_f in range(lo_f, lo_f + 8)]
+    run = [(lo_f, hi_f) for _, lo_f, hi_f, _ in checks._k2_over_ln_k_run(2, 2000)]
+    for lo_f, hi_f in grid + run:
+        assert _nstar_candidates(lo_f, hi_f) == _candidates_by_set(lo_f, hi_f), (lo_f, hi_f)
 
 
 def _floors_by_enclosure(k):

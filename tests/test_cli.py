@@ -1,5 +1,6 @@
 """CLI surface: parsing, wire formats, exit codes."""
 
+import argparse
 import ast
 import hashlib
 import json
@@ -924,3 +925,204 @@ def test_check_large_n_builds_no_report(capsys, monkeypatch):
     obj = json.loads(out)
     assert obj["status"] == "holds" and obj["hypothesis_met"] is True
     assert parse_rational(obj["lhs"]) == growth_polynomial(harmlat.sk_polynomial(6)).Q(8000)
+
+
+# -- the parser's help and usage-error bytes ---------------------------------------
+
+_LEAVES = [
+    "growth",
+    *(f"check {kind}" for kind in
+      ("three-circles", "general-p", "no-error", "ratio-125", "aspect", "continuous", "binomial")),
+    "search counterexample",
+    "conjecture scan",
+]
+
+PARSER_CASES = [
+    "",
+    "-h",
+    "--version",
+    "--bogus",
+    "bogus",
+    "check",
+    "check bogus",
+    "search",
+    "conjecture",
+    "growth check",
+    "growth --family S --k 3 --n-max 4 check",
+    "check three-circles --family S --k 3 --n 2 --eps 1/4 --bogus",
+    "search counterexample --C 1",
+    "check aspect --family S --k 3 --n 2 --p 3 --P 2 --eps 1/4",
+    "check --help",
+    "search --help",
+    "conjecture --help",
+    *(f"{leaf} --help" for leaf in _LEAVES),
+]
+
+# sha256 of json.dumps([exit code, stdout, stderr]) per (COLUMNS, case), taken
+# when every parser was built whole; argparse's layout is that of Python 3.11
+PARSER_DIGESTS = {
+    (100, ''):
+        'c1749acf0692fa6118ca1d07592ca4dcd21ddd1446506ce031ca2d0cde12911d',
+    (100, '-h'):
+        '09c57395eb94f191d19b1c4899094b27bc448afebdcb642732ecffebb6722315',
+    (100, '--version'):
+        '87004a5c986b3bc96252ace051c7992dcc91eef730038edbf546f537005b7552',
+    (100, '--bogus'):
+        'c1749acf0692fa6118ca1d07592ca4dcd21ddd1446506ce031ca2d0cde12911d',
+    (100, 'bogus'):
+        '3c468afa30ddbc8abb1fb7f514a58a8d3603040dba23cf1a4a96b2897cde5292',
+    (100, 'check'):
+        '93e8d2419cc4a6730ae0ac9f39c0f6e4dbc03879acdce405052b7df9899b9e26',
+    (100, 'check bogus'):
+        'e3fa84130b5517840c6c11c55edab0092cf1cb3f5a07fbefcfaa583254f53f65',
+    (100, 'search'):
+        'e2f0ff7c7f75d7e817324cd90a80c1c4419a051ccc6955d508cca40ddfe5a8ae',
+    (100, 'conjecture'):
+        '5a9d1a79a386657652727585f75fb37b4f68d45fb25967ba8a0d5c2fb29242dd',
+    (100, 'growth check'):
+        '63b8178934271e9e514c65283d537689b9f99275cbee67787b7e8bb0dec48241',
+    (100, 'growth --family S --k 3 --n-max 4 check'):
+        '0966f61079ae7c2a240e958db4146ddd080dc81825ba7fb0d5052d785a95c948',
+    (100, 'check three-circles --family S --k 3 --n 2 --eps 1/4 --bogus'):
+        '42d91877ce4d5376f1cd8a772133de96c52089718772629fe4466cbff6116e60',
+    (100, 'search counterexample --C 1'):
+        '64b6dca187efe7aa88e242a02f8e15898141591ee3a6ac74facd742b7524d6b6',
+    (100, 'check aspect --family S --k 3 --n 2 --p 3 --P 2 --eps 1/4'):
+        '73a9e1204081ae80bfbbf9fb763b49e0b7d708f73b4ef4c09480517d304e1d2d',
+    (100, 'check --help'):
+        'af38d0a881673df3ae89769241d0b885ddb5531a92f61279b06caf550d1cc9e3',
+    (100, 'search --help'):
+        'fc1683593cd6d0d2078e8bb0c46996d97651a899417d6cceaf097edaf81d1d4c',
+    (100, 'conjecture --help'):
+        'f57e945210d24f65e3b8fb55c73bb5f3b474f2a1233739251c9a6d808e3b752e',
+    (100, 'growth --help'):
+        '87a4f255c7a2d1250d4c022bc5a3369a2d005faed32d4bee5f11ac28301a4c75',
+    (100, 'check three-circles --help'):
+        '84b2a3bbfa15e824e0ad2858ad1e47cc2007436a1bcf5bfa7a540ca9ecd75938',
+    (100, 'check general-p --help'):
+        'ce78aeb50daabe1cc0f7025292b12a217519c5655bcd8fbd1ded4f5a69288a1e',
+    (100, 'check no-error --help'):
+        '025d0b729606069b99d4a4f67023e78ab508c188a7c4782b9e41e842e49a0ffa',
+    (100, 'check ratio-125 --help'):
+        'fa7cc57a8e13d8225926b9df1b4f1aff457231c6c7d118952224953ca2b09fed',
+    (100, 'check aspect --help'):
+        '54725ef0185252f452bee24ad0dbbfb58046e13db2070813408e06c4e73a1992',
+    (100, 'check continuous --help'):
+        '9b2e2d1b0ec5ec63f6fd0808066eda160ed84031cc050b0911d275f4f4425050',
+    (100, 'check binomial --help'):
+        'da5615313affb0ef58713691364aa7d80722f80aa1e45de68b0a8233f0ad1bbb',
+    (100, 'search counterexample --help'):
+        'eb155ff5365e65a549daccf160c3ae80ccdbd4cc291e74b647940a36fceaa0cc',
+    (100, 'conjecture scan --help'):
+        '4d3dadbf630c2029d493e74cd585a8e90e41127d3bd867a57764a1e126d8c975',
+    (40, ''):
+        'd97510dbd91b47e895bf930268100f3e778d7c7a72c889cb2ad591f86ae444e6',
+    (40, '-h'):
+        '37c6f74bb16aac7dc1155bb47e027cce4a34be80c3c92bb5bda54538de0d7732',
+    (40, '--version'):
+        '87004a5c986b3bc96252ace051c7992dcc91eef730038edbf546f537005b7552',
+    (40, '--bogus'):
+        'd97510dbd91b47e895bf930268100f3e778d7c7a72c889cb2ad591f86ae444e6',
+    (40, 'bogus'):
+        '7cf8806d1d3b7ad28a500441e206514eb0125c2bbcaa785ea06e49c6e6307710',
+    (40, 'check'):
+        '32a2a80bd8fe22fe92d8d40a8a58c0f7545d93b68a2bd7723d04df3ad90b9545',
+    (40, 'check bogus'):
+        '2d5897c2f8b942015a74fa4556295b74503b2ec81d737c2c0fa2dadabecf1c1d',
+    (40, 'search'):
+        '1e969cfc745ca64087df3bc4c7bd03f69d372c6f40eb67730c0e441f89f0119e',
+    (40, 'conjecture'):
+        '5a9d1a79a386657652727585f75fb37b4f68d45fb25967ba8a0d5c2fb29242dd',
+    (40, 'growth check'):
+        '6c3caf59c74eccebac9e4b1b81a4767f74f6f272a44e4441ea79cc5bf91f3130',
+    (40, 'growth --family S --k 3 --n-max 4 check'):
+        'bc2f2c483c81b30614de616db11355bacc64c3c878ee1a17c58ddcadd42efc7b',
+    (40, 'check three-circles --family S --k 3 --n 2 --eps 1/4 --bogus'):
+        '11e4a012d459832e273d009e84d3f2feb56a250f1432d7e966a7ae0cab0ed044',
+    (40, 'search counterexample --C 1'):
+        'ce5edad8793fa4637c74f1dff688cea0f3ef950b1e85c8eb4da97f287a8d04a5',
+    (40, 'check aspect --family S --k 3 --n 2 --p 3 --P 2 --eps 1/4'):
+        '9baaa7f9a244cfc06119d94dc885e570fbaadc907001ad7ad05b1d4a9ad501b7',
+    (40, 'check --help'):
+        'd86a68eaec14cc1986515e7549c9a2153604050561ecf6f9e83f6b7f693f6af8',
+    (40, 'search --help'):
+        '31eca1c42d4ecd7ab46f780455c97b3fed9922641b95b5de7acb4339a5e532ec',
+    (40, 'conjecture --help'):
+        '567fc8c2facb686c919719a205dbc82f1d9e0ee0c5f7ea25751fa9b2d1bb5b93',
+    (40, 'growth --help'):
+        '39385e679d9174ffaeb946e54e15a1fded46e9e5ca0874a853565043e42e9891',
+    (40, 'check three-circles --help'):
+        '948a5e36259ace7cd3659e425128f99eee707a7e37b145253d65db31d9cdfa09',
+    (40, 'check general-p --help'):
+        '651b054d54f852a2e31ba4767e08c2614bf80aed887309b7be6ec2363cee2e06',
+    (40, 'check no-error --help'):
+        '1a81aa49f9e0b2b236c5a51a5aafe1085ff5418f325269f644fc72ddec3bdc52',
+    (40, 'check ratio-125 --help'):
+        '4fc28f9420d495f2b5fe4ab60026bf457b788de475b6d860aa9ee99a70d5c3d5',
+    (40, 'check aspect --help'):
+        'be86cdd6d111a8f153829e0a01ee1e3ab60a1a98b67b44cba596acd029d5370c',
+    (40, 'check continuous --help'):
+        '6875b309133fb29b2cd45eda8b5a38fcf290a2e5ee9b0cf2fd4dd88787011114',
+    (40, 'check binomial --help'):
+        '7757b83b014eaf71351c84e023a435e12f6ebe43207f154d4de3cc8aa1da53a1',
+    (40, 'search counterexample --help'):
+        '1cacc15391dd736c73cbcb42147ad0d27c9aead43b392eb742a2a45d63c93ae6',
+    (40, 'conjecture scan --help'):
+        '0112caf056e9bc2dab22564b23b80e5e845b488c880c834aafae10b517ba31ce',
+}
+
+
+def _parser_digest(capsys, monkeypatch, columns, case):
+    monkeypatch.setenv("COLUMNS", str(columns))
+    try:
+        code = main(case.split())
+    except SystemExit as exc:  # --help and --version
+        code = exc.code
+    out = capsys.readouterr()
+    return hashlib.sha256(json.dumps([code, out.out, out.err]).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("columns", [100, 40])
+@pytest.mark.parametrize("case", PARSER_CASES)
+def test_parser_help_and_errors_are_pinned(capsys, monkeypatch, columns, case):
+    assert _parser_digest(capsys, monkeypatch, columns, case) == PARSER_DIGESTS[columns, case]
+
+
+def _registered(parser, *path):
+    """The subcommand names registered on ``parser`` at the level below ``path``."""
+    while True:
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not path:
+            return list(sub.choices)
+        parser, path = sub.choices[path[0]], path[1:]
+
+
+def test_parser_registers_only_the_named_branch():
+    assert _registered(cli.build_parser()) == ["growth", "check", "search", "conjecture"]
+    assert _registered(cli.build_parser(["search", "counterexample"])) == ["search"]
+    assert _registered(cli.build_parser(["search", "counterexample"]), "search") == ["counterexample"]
+    # no token, an option or an unknown name registers the whole level, and all below it
+    for argv in ([], ["-h"], ["--version"], ["bogus", "three-circles"]):
+        assert len(_registered(cli.build_parser(argv))) == 4
+        assert len(_registered(cli.build_parser(argv), "check")) == 7
+    assert _registered(cli.build_parser(["check", "bogus"])) == ["check"]
+    assert len(_registered(cli.build_parser(["check", "bogus"]), "check")) == 7
+
+
+def test_crash_while_building_the_parser_exit_4(capsys, monkeypatch):
+    def crash(sp):
+        raise RuntimeError("no parser\ntoday")
+
+    monkeypatch.setattr(cli, "_add_io_options", crash)
+    code, out, err = run(capsys, "growth", "--family", "S", "--k", "2", "--n-max", "6")
+    assert (code, out, err) == (4, "", "error: internal failure: RuntimeError: no parser today\n")
+
+
+def test_console_script_path_reads_sys_argv(capsys):
+    argv = ["search", "counterexample", "--C", "1", "--eps", "1/5", "--k-max", "30", "--n0", "100"]
+    code = "import sys; from harmlat.cli import main; sys.exit(main())"
+    res = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=_child_env(),
+    )
+    assert (res.returncode, res.stdout, res.stderr) == (*run(capsys, *argv)[:2], "")
+    assert res.returncode == 1
