@@ -1,12 +1,18 @@
 """Degree bounds and the vanishing-ball rigidity of harmonic polynomials.
 
-For a lattice-harmonic polynomial u, every binomial coefficient of its
-growth function is a non-negative multiple of an iterated-difference
-square, so a degree-M harmonic polynomial vanishing on the ball of
-radius M has identically zero growth function and must vanish
-everywhere.  This module certifies that argument computationally and
-computes the order at which all iterated directional differences of a
-polynomial die.
+Both certificates read the growth polynomial Q(n) = sum_k a_k C(n, k)
+of a lattice-harmonic P, built from one table of P.  For harmonic u the
+sum-of-squares identity gives
+
+    a_k = L^k(u^2)(0) = (2d)^(-k) sum_{s_1..s_k} u_{s_1..s_k}(0)^2,
+
+over the 2d unit steps s_i, with u_s(x) = u(x + s) - u(x).  So a_k = 0
+exactly when every k-fold difference of u vanishes at the origin, and
+the a_k say how far the differences of P live (:func:`degree_bound`)
+and that a P vanishing on B_M, M >= deg P, is zero
+(:func:`vanishing_ball_test`).  Each call evaluates P on one ball:
+B_(deg+1) for the degree bound, B_max(M,1) for the vanishing ball, and
+the same table decides harmonicity.  No formal polynomial cascade runs.
 """
 
 from __future__ import annotations
@@ -15,46 +21,35 @@ from dataclasses import dataclass
 
 from .errors import HarmError, HarmonicityError, InvalidParameterError, VanishingHypothesisError
 from .growth import growth_report, harmonic_growth_polynomial
-from .polynomials import (
-    MultivariatePolynomial,
-    discrete_laplacian,
-    evaluate_on_ball,
-    is_harmonic_poly,
-)
-
-
-def _directional_difference_poly(P: MultivariatePolynomial, axis: int, sign: int):
-    return P.shift(axis, sign) - P
+from .lattice import is_harmonic
+from .polynomials import MultivariatePolynomial, evaluate_on_ball
 
 
 def degree_bound(P: MultivariatePolynomial) -> int:
-    """Minimal k such that every k-fold directional difference of P vanishes.
+    """Minimal k such that every k-fold directional difference of P vanishes identically.
 
-    Equals deg(P) + 1 for nonzero polynomials (0 for the zero
-    polynomial).  Requires P lattice-harmonic.  The table of P on
-    B_{deg+1} that decides it also cross-checks that the iterated
-    Laplacian values of P^2 at the origin vanish above the degree (walk
-    route against cascade, vanishing a_{deg+1}).
+    Requires P lattice-harmonic; equals deg(P) + 1 (0 for the zero
+    polynomial) and is read as the number of a_0..a_m, m the last nonzero
+    one, of the growth polynomial of P, on one table of P on B_(deg+1):
+
+    - by the sum-of-squares identity a_j = 0 for every j >= k exactly
+      when every j-fold difference of P vanishes at 0, for every j >= k;
+    - then every k-fold difference D vanishes identically: its forward
+      differences along the +e_i at 0 are (k + |b|)-fold differences of
+      P at 0, all zero, so its Newton interpolation
+      D(x) = sum_b Delta^b D(0) prod_i C(x_i, b_i) is zero;
+    - a_deg > 0 for a nonzero P: for a top monomial c_a x^a of P,
+      Delta^a P = a! c_a, since Delta^a kills every other monomial of
+      degree <= deg.
+
+    A length other than deg + 1 is an internal inconsistency.
     """
-    if harmonic_growth_polynomial(P) is None:
+    growth = harmonic_growth_polynomial(P)
+    if growth is None:
         raise HarmonicityError("degree bound is stated for harmonic polynomials")
-    if P.is_zero():
-        return 0
-    deg = P.degree
-    current = {P.canonical_key(): P}
-    k = 0
-    while current:
-        k += 1
-        if k > deg + 1:
-            raise HarmError("difference cascade failed to terminate at deg + 1")
-        nxt: dict = {}
-        for poly in current.values():
-            for axis in range(P.d):
-                for sign in (1, -1):
-                    q = _directional_difference_poly(poly, axis, sign)
-                    if not q.is_zero():
-                        nxt[q.canonical_key()] = q
-        current = nxt
+    k = len(growth.newton)
+    if k != P.degree + 1:
+        raise HarmError(f"growth polynomial has {k} coefficients, not deg + 1 = {P.degree + 1}")
     return k
 
 
@@ -67,30 +62,24 @@ class VanishingBallReport:
     newton_coefficients_checked: int
     formal_tail_zero: bool
 
-    def to_json(self) -> dict:
-        return {
-            "confirmed": self.confirmed,
-            "M": self.M,
-            "newton_coefficients_checked": self.newton_coefficients_checked,
-            "formal_tail_zero": self.formal_tail_zero,
-        }
-
 
 def vanishing_ball_test(P: MultivariatePolynomial, M: int | None = None) -> VanishingBallReport:
     """Certify that a degree <= M harmonic polynomial vanishing on B_M is 0.
 
-    Checks the hypotheses exactly (harmonicity as a polynomial identity,
-    vanishing by evaluation on B_M, the degree bound), then verifies the
-    growth coefficients: orders k <= M vanish because they only read the
-    zero values on B_M, orders k > M vanish because the k-th Laplacian
-    power of a degree <= 2M polynomial is identically zero, checked
-    formally.  A zero growth function forces u = 0 everywhere.
+    Checks the parameters first (M >= 0, deg P <= M; M defaults to
+    deg P), then evaluates P once, on B_R with R = max(M, 1).  That table
+    decides harmonicity, since L P has degree <= M - 2 and is read on
+    B_(R-1), which holds the simplex {x >= 0, |x|_1 <= M - 2}; a zero
+    table needs no Laplacian.  It decides vanishing, read at the points
+    with |x|_1 <= M, and its growth report gives a_0..a_M, which only
+    read those zero values.  The a_k with k > M vanish because L^k lowers
+    the degree of P^2 <= 2M by 2k, the degree argument of
+    :func:`harmlat.growth.growth_polynomial`.  A zero growth function
+    forces u = 0 everywhere.
 
     Raises :class:`VanishingHypothesisError` with a witness point when
     the polynomial does not vanish on B_M.
     """
-    if not is_harmonic_poly(P):
-        raise HarmonicityError("vanishing-ball rigidity is stated for harmonic polynomials")
     deg = P.degree
     if M is None:
         M = max(deg, 0)
@@ -98,20 +87,17 @@ def vanishing_ball_test(P: MultivariatePolynomial, M: int | None = None) -> Vani
         raise InvalidParameterError("M must be non-negative")
     if deg > M:
         raise InvalidParameterError(f"polynomial has degree {deg} > M = {M}")
-    u = evaluate_on_ball(P, M)
-    for point, v in u.items():
-        if v != 0:
-            raise VanishingHypothesisError(
-                f"polynomial does not vanish on B_{M}: value {v} at {point}", point, v
-            )
-    if growth_report(u).newton:  # a_0..a_M, both routes checked; empty when Q = 0
+    u = evaluate_on_ball(P, max(M, 1))
+    if not u.is_zero():  # a zero table is harmonic and vanishes on B_M
+        if not is_harmonic(u):
+            raise HarmonicityError("vanishing-ball rigidity is stated for harmonic polynomials")
+        # B_R is B_M for M >= 1; for M = 0 a nonzero harmonic P is a nonzero constant
+        point, v = next((p, v) for p, v in u.items() if v and sum(map(abs, p)) <= M)
+        raise VanishingHypothesisError(
+            f"polynomial does not vanish on B_{M}: value {v} at {point}", point, v
+        )
+    if growth_report(u, M).newton:  # a_0..a_M, both routes checked; empty when Q = 0
         raise HarmError("nonzero growth coefficient despite vanishing on the ball")
-    # orders above M: (M+1)-fold Laplacian of u^2 is formally zero
-    square = P * P
-    for _ in range(M + 1):
-        square = discrete_laplacian(square)
-    if not square.is_zero():
-        raise HarmError("Laplacian power of the square fails to vanish beyond M")
     if not P.is_zero():
         raise HarmError("hypotheses verified but polynomial is not identically zero")
     return VanishingBallReport(True, M, M + 1, True)

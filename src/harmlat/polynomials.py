@@ -145,9 +145,6 @@ class MultivariatePolynomial:
     def __hash__(self):
         return hash((self.d, tuple(sorted(self.terms.items()))))
 
-    def canonical_key(self):
-        return tuple(sorted(self.terms.items()))
-
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:

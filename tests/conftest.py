@@ -7,12 +7,15 @@ member carries its full growth report on the ball of radius 80, so
 inner radii up to 20 can be checked at outer radius 4n.
 """
 
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import harmlat
 from harmlat import (
     GrowthPolynomial,
     MultivariatePolynomial,
@@ -58,6 +61,12 @@ def _full_triangle(values):
         rows.append(row)
         row = [b - a for a, b in zip(row, row[1:])]
     return rows
+
+
+def _child_env():
+    """The environment of a child that imports the same harmlat as this process."""
+    src = str(Path(harmlat.__file__).parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def corpus_polynomials():

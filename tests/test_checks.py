@@ -472,6 +472,16 @@ def test_convexity_defect_negative_case():
     assert v.status == "fails"
 
 
+@pytest.mark.parametrize(
+    "C, k, n",
+    [(F(5, 4), 77, 1649), (F(3, 2), 313, 15174), (F(7, 4), 761, 64961), (F(2), 1410, 179890)],
+)
+def test_off_rule_witnesses_hold_at_64_bits(C, k, n):
+    # violations at n far from the search's k^2/ln k candidates, with k below its k*(C)
+    b = [math.comb(m, k) for m in (n, 2 * n, 4 * n)]
+    assert convexity_defect_check(*b, n, C, F(1, 10), precision=64).status == "holds"
+
+
 def test_witness_reads_its_estimates_off_its_verdict(monkeypatch):
     # every 2^(-n^(1/2+eps)) enclosure of the search is a rung of a verdict's ladder
     inside, outside = [], []

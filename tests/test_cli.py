@@ -5,7 +5,7 @@ import ast
 import hashlib
 import json
 import math
-import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -20,7 +20,7 @@ from harmlat.cli import main
 from harmlat.growth import GrowthPolynomial, growth_polynomial, growth_report
 from harmlat.rationals import format_rational, parse_rational
 
-from conftest import _full_triangle
+from conftest import _child_env, _full_triangle
 
 
 def run(capsys, *argv):
@@ -29,10 +29,21 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def _child_env():
-    """The environment of a child that imports the same harmlat as this process."""
-    src = str(Path(harmlat.__file__).parent.parent)
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+def _readme_examples():
+    """The commands of the README's "Examples:" block, as argv lists without ``harm``."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    block = text.split("Examples:\n\n```\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()]
+
+
+@pytest.mark.parametrize("argv", _readme_examples(), ids=" ".join)
+def test_readme_examples_exit_as_documented(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if "f.json" in argv:
+        table = evaluate_on_ball(harmlat.sk_polynomial(3), 40).to_json()
+        (tmp_path / "f.json").write_text(json.dumps(table))
+    witness = argv[:2] == ["search", "counterexample"] and "--n0" in argv
+    assert main(argv) == (1 if witness else 0), capsys.readouterr()
 
 
 def test_version_subprocess():

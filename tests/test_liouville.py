@@ -1,5 +1,8 @@
 """Degree bounds and vanishing-ball rigidity."""
 
+import subprocess
+import sys
+
 import pytest
 
 from harmlat import (
@@ -9,11 +12,15 @@ from harmlat import (
     ResourceLimitError,
     VanishingHypothesisError,
     degree_bound,
+    evaluate_on_ball,
     monomial_uk,
     sk_polynomial,
     tk_polynomial,
     vanishing_ball_test,
 )
+from harmlat.lattice import sos_laplacian_power
+
+from conftest import _child_env
 
 X = MultivariatePolynomial.variable(2, 0)
 Y = MultivariatePolynomial.variable(2, 1)
@@ -33,13 +40,34 @@ def test_degree_bound_examples():
 
 
 @pytest.mark.parametrize(
+    "source",
+    [f"sk_polynomial({k})" for k in (1, 2, 3, 4, 5, 40)]
+    + [f"tk_polynomial({k})" for k in (1, 2, 3, 4, 31)]
+    + ["monomial_uk(3, 3)", "monomial_uk(6, 6)", "random_harmonic(3, 6, 201)"],
+)
+def test_degree_bound_is_degree_plus_one(source):
+    # in a child under a timeout, so a degree bound that blows up fails instead of hanging
+    code = f"from harmlat import *; P = {source}; print(degree_bound(P), P.degree + 1)"
+    res = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), timeout=30
+    )
+    assert res.returncode == 0, res.stderr
+    bound, expected = map(int, res.stdout.split())
+    assert bound == expected
+
+
+@pytest.mark.parametrize(
     "poly",
-    [sk_polynomial(k) for k in range(1, 6)]
-    + [tk_polynomial(k) for k in range(1, 5)]
+    [sk_polynomial(k) for k in range(1, 7)] + [tk_polynomial(k) for k in range(1, 7)]
     + [monomial_uk(3, 3)],
 )
-def test_degree_bound_is_degree_plus_one(poly):
-    assert degree_bound(poly) == poly.degree + 1
+def test_degree_bound_agrees_with_sum_of_squares(poly):
+    # the reference expands L^k(u^2)(0) as a sum of squared k-fold differences
+    deg = poly.degree
+    u = evaluate_on_ball(poly, deg + 1)
+    assert sos_laplacian_power(u, deg) != 0
+    assert sos_laplacian_power(u, deg + 1) == 0
+    assert degree_bound(poly) == deg + 1
 
 
 def test_degree_bound_requires_harmonic():
@@ -70,6 +98,33 @@ def test_vanishing_s3_rejected_with_witness():
 def test_vanishing_degree_guard():
     with pytest.raises(InvalidParameterError):
         vanishing_ball_test(sk_polynomial(4), M=2)
+
+
+def test_vanishing_checks_parameters_before_harmonicity():
+    with pytest.raises(InvalidParameterError):
+        vanishing_ball_test(X * X * X, M=2)
+    with pytest.raises(InvalidParameterError):
+        vanishing_ball_test(X * X, M=-1)
+
+
+def test_vanishing_ball_test_evaluates_once(evaluation_radii):
+    s30 = sk_polynomial(30)
+    with pytest.raises(VanishingHypothesisError) as info:
+        vanishing_ball_test(s30)
+    assert info.value.witness == (-30, 0)
+    assert s30.evaluate(info.value.witness) == info.value.value
+    assert evaluation_radii == [30]
+    evaluation_radii.clear()
+    assert vanishing_ball_test(MultivariatePolynomial.zero(2), 40).confirmed
+    assert evaluation_radii == [40]
+
+
+def test_vanishing_at_m0_reads_only_the_origin():
+    # B_1 is evaluated to decide harmonicity; vanishing is read on B_0
+    assert vanishing_ball_test(MultivariatePolynomial.zero(3), 0).confirmed
+    with pytest.raises(VanishingHypothesisError) as info:
+        vanishing_ball_test(MultivariatePolynomial.constant(3, 2), 0)
+    assert info.value.witness == (0, 0, 0)
 
 
 def test_vanishing_requires_harmonic():
