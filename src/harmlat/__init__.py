@@ -62,11 +62,7 @@ from .checks import (  # noqa: F401
     ratio_125_check,
     three_circles_check,
 )
-from .liouville import (  # noqa: F401
-    VanishingBallReport,
-    degree_bound,
-    vanishing_ball_test,
-)
+from .liouville import degree_bound, vanishing_ball_test  # noqa: F401
 from .conjecture import ScanResult, ScanRow, conjecture_scan  # noqa: F401
 from .errors import (  # noqa: F401
     DomainTooSmallError,

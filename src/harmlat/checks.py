@@ -13,7 +13,9 @@ the verdict is ``undecided``.  Only the status rule differs by form:
 - max, lhs <= max(sqrt(msq), err), the binomial max form;
 - linear, lhs <= main + err, the aspect ratios;
 - strict below, lhs < main, the degree hypothesis M^2 < n^(1-2eps) of
-  the error-free form.
+  the error-free form;
+- open, which never decides: the error-free form's verdict when the cap
+  leaves its degree hypothesis open.
 
 A status rule compares integers: each bound a/b enters as its numerator
 and denominator, and both sides are cross-multiplied, so deciding builds
@@ -251,6 +253,11 @@ def _below_status(lhs: Fraction, main, err) -> str:
     return UNDECIDED
 
 
+def _open_status(lhs: Fraction, main, err) -> str:
+    """Decide nothing: the verdict of a check whose hypothesis is open."""
+    return UNDECIDED
+
+
 def _decide(lhs: Fraction, rung, precision: int, status_of) -> tuple:
     """The precision ladder shared by every checker.
 
@@ -444,29 +451,23 @@ def no_error_check(
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
     if n <= 16:
-        raise HypothesisNotMetError(f"needs n > 16, got n={n}", {"reason": "n<=16"})
+        raise HypothesisNotMetError(f"needs n > 16, got n={n}")
     expo = 1 - 2 * eps
     target = Fraction(M * M)
-    met, enc, _, met_p = _decide(
+    met, _, _, met_p = _decide(
         target, lambda p: (_ends(rational_npow(n, expo, p)), _ZERO), precision, _below_status
     )
     if met == FAILS:
-        raise HypothesisNotMetError(
-            f"needs n^(1-2eps) > M^2: n={n}, eps={eps}, M={M}",
-            {"reason": "degree hypothesis", "n_power": _enclosure(enc).to_json(), "M_squared": str(target)},
-        )
+        raise HypothesisNotMetError(f"needs n^(1-2eps) > M^2: n={n}, eps={eps}, M={M}")
     q_n, q_2n, q_4n = growth.Q(n), growth.Q(2 * n), growth.Q(4 * n)
     product = _pair(q_n, q_4n)
 
     def rung(p):
         return _times(_exp_factor(n, eps, p), product), _ZERO
 
-    if met == UNDECIDED:
-        msq = _enclosure(rung(met_p)[0])
+    if met == UNDECIDED:  # open only at the cap's rung, where this verdict stops too
         note = f"no-error form: degree hypothesis n^(1-2eps) > M^2 open at {met_p} bits"
-        return Verdict(
-            UNDECIDED, q_2n, _ZERO, lambda err: (sqrt_enclosure(msq, met_p), Fraction(0)), None, note, met_p
-        )
+        return _verdict(q_2n, rung, precision, _open_status, None, note)
     return _verdict(q_2n, rung, precision, _sum_status, True, "no-error form")
 
 

@@ -15,7 +15,8 @@ it reads; --function, --poly and --family exclude one another.  Every
 command reads one growth object, a GrowthPolynomial: a table's growth
 report on B_N, or a polynomial's growth polynomial.  A check reads Q(n)
 from it where its statement asks, and builds it only at that first read,
-after the checker has refused any bad parameter; `growth` prints Q(0..N)
+after the checker has refused any bad parameter (no-error refuses there
+a polynomial of degree above --degree); `growth` prints Q(0..N)
 and the zero-padded a_k, and --diff-cols is read by its CSV of Q only,
 whose difference columns are read off the a_k.  --out gets the bytes
 stdout would.  One command table defines the parser tree, and `main`
@@ -52,7 +53,7 @@ from .checks import (
     three_circles_check,
 )
 from .conjecture import conjecture_scan
-from .errors import HarmError, HarmonicityError, UsageError
+from .errors import HarmError, HarmonicityError, HypothesisNotMetError, UsageError
 from .growth import GrowthPolynomial, growth_polynomial, growth_report, harmonic_growth_polynomial
 from .lattice import LatticeFunction
 from .polynomials import MultivariatePolynomial, family_polynomial
@@ -165,12 +166,22 @@ def _load_function(args, needed_radius: int) -> LatticeFunction:
 
 
 def _growth_for(args, needed_n: int):
-    """A --function table's report on B_needed_n, or a polynomial's growth polynomial."""
+    """A --function table's report on B_needed_n, or a polynomial's growth polynomial.
+
+    A polynomial of degree above no-error's --degree is refused before
+    its growth is built; a table's degree is the caller's obligation.
+    """
     if args.function:
         return growth_report(_load_function(args, needed_n), needed_n)
     if args.sparse:
         raise UsageError("--sparse applies to --function tables only")
-    return growth_polynomial(_load_polynomial(args, needed_n), needed_n)
+    P = _load_polynomial(args, needed_n)
+    degree = getattr(args, "degree", None)  # registered by no-error only
+    if degree is not None and degree < P.degree:
+        raise HypothesisNotMetError(
+            f"--degree {degree} is below the degree {P.degree} of the input polynomial"
+        )
+    return growth_polynomial(P, needed_n)
 
 
 class _GrowthOnRead:
@@ -253,22 +264,20 @@ def _cmd_check(args) -> int:
             raise HarmonicityError("continuous-time growth requires a lattice-harmonic polynomial")
         v = continuous_three_circles_check(growth, parse_rational(args.t))
         return _emit_verdict(args, v, extra={"growth_polynomial": growth.continuous_json()})
-    if kind == "binomial":
-        P = parse_rational(args.P)
-        result = binomial_inequality_check(args.n, args.k, P, eps, args.precision)
-        if args.fmt == "csv":
-            _emit(args, _verdict_csv(result.plain, result.max_form))
-        else:
-            _emit_json(
-                args,
-                {
-                    "kind": "binomial_check",
-                    "plain": result.plain.to_json(),
-                    "max_form": result.max_form.to_json(),
-                },
-            )
-        return _STATUS_EXIT[result.plain.status]
-    raise UsageError(f"unknown check {kind!r}")
+    P = parse_rational(args.P)  # binomial: argparse admits no other check
+    result = binomial_inequality_check(args.n, args.k, P, eps, args.precision)
+    if args.fmt == "csv":
+        _emit(args, _verdict_csv(result.plain, result.max_form))
+    else:
+        _emit_json(
+            args,
+            {
+                "kind": "binomial_check",
+                "plain": result.plain.to_json(),
+                "max_form": result.max_form.to_json(),
+            },
+        )
+    return _STATUS_EXIT[result.plain.status]
 
 
 def _cmd_search(args) -> int:

@@ -14,15 +14,10 @@ class InvalidGeneratorError(HarmError):
 
 
 class HarmonicityError(HarmError):
-    """A function required to be harmonic is not; carries evidence.
+    """A function required to be harmonic is not; ``value`` is the offending Laplacian, or None."""
 
-    ``witness`` is a lattice point (or None), ``value`` the offending
-    Laplacian value or polynomial.
-    """
-
-    def __init__(self, message, witness=None, value=None):
+    def __init__(self, message, value=None):
         super().__init__(message)
-        self.witness = witness
         self.value = value
 
 
@@ -40,10 +35,6 @@ class ResourceLimitError(HarmError):
 
 class HypothesisNotMetError(HarmError):
     """A theorem checker was invoked outside the theorem's hypotheses."""
-
-    def __init__(self, message, details=None):
-        super().__init__(message)
-        self.details = details or {}
 
 
 class VanishingHypothesisError(HarmError):

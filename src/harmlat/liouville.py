@@ -17,8 +17,6 @@ the same table decides harmonicity.  No formal polynomial cascade runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import HarmError, HarmonicityError, InvalidParameterError, VanishingHypothesisError
 from .growth import growth_report, harmonic_growth_polynomial
 from .lattice import is_harmonic
@@ -53,18 +51,8 @@ def degree_bound(P: MultivariatePolynomial) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class VanishingBallReport:
-    """Certificate that a harmonic polynomial vanishing on B_M is zero."""
-
-    confirmed: bool
-    M: int
-    newton_coefficients_checked: int
-    formal_tail_zero: bool
-
-
-def vanishing_ball_test(P: MultivariatePolynomial, M: int | None = None) -> VanishingBallReport:
-    """Certify that a degree <= M harmonic polynomial vanishing on B_M is 0.
+def vanishing_ball_test(P: MultivariatePolynomial, M: int | None = None) -> int:
+    """Certify that a degree <= M harmonic polynomial vanishing on B_M is 0; returns M.
 
     Checks the parameters first (M >= 0, deg P <= M; M defaults to
     deg P), then evaluates P once, on B_R with R = max(M, 1).  That table
@@ -77,8 +65,9 @@ def vanishing_ball_test(P: MultivariatePolynomial, M: int | None = None) -> Vani
     :func:`harmlat.growth.growth_polynomial`.  A zero growth function
     forces u = 0 everywhere.
 
-    Raises :class:`VanishingHypothesisError` with a witness point when
-    the polynomial does not vanish on B_M.
+    Every failure raises, so the certified radius M is all it returns:
+    :class:`VanishingHypothesisError`, with a witness point, when the
+    polynomial does not vanish on B_M.
     """
     deg = P.degree
     if M is None:
@@ -100,4 +89,4 @@ def vanishing_ball_test(P: MultivariatePolynomial, M: int | None = None) -> Vani
         raise HarmError("nonzero growth coefficient despite vanishing on the ball")
     if not P.is_zero():
         raise HarmError("hypotheses verified but polynomial is not identically zero")
-    return VanishingBallReport(True, M, M + 1, True)
+    return M

@@ -41,8 +41,8 @@ class SplitMix64:
 
     __slots__ = ("state",)
 
-    def __init__(self, seed: int, worker: int = 0):
-        self.state = stream_state(seed, worker)
+    def __init__(self, seed: int):
+        self.state = stream_state(seed)
 
     def next_u64(self) -> int:
         self.state = (self.state + GOLDEN) & MASK64

@@ -62,17 +62,49 @@ def test_cli_import_leaves_numpy_unloaded():
     assert (res.returncode, res.stdout, res.stderr) == (0, "False\n", "")
 
 
-def test_library_source_imports_no_numpy():
+# math names exact on ints and Fractions; every other math name is float-valued
+_EXACT_MATH = {"ceil", "comb", "factorial", "floor", "gcd", "isqrt", "lcm", "perm", "prod", "trunc"}
+_FLOAT_MODULES = {"numpy", "mpmath", "random", "cmath"}
+
+
+def _floating_point_uses(tree):
+    """(line, use) for each float or complex literal, float() call, float-valued
+    math name and import of a floating-point module in a module's syntax tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            yield node.lineno, repr(node.value)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            yield node.lineno, "float()"
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "math":
+            if node.attr not in _EXACT_MATH:
+                yield node.lineno, f"math.{node.attr}"
+        elif isinstance(node, ast.Import):
+            yield from ((node.lineno, a.name) for a in node.names if a.name.split(".")[0] in _FLOAT_MODULES)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.split(".")[0] in _FLOAT_MODULES:
+                yield node.lineno, node.module
+            elif node.module == "math":
+                yield from ((node.lineno, f"math.{a.name}") for a in node.names if a.name not in _EXACT_MATH)
+
+
+def test_floating_point_guard_flags_each_kind():
+    src = "\n".join([
+        "import numpy", "from cmath import pi", "from math import log, comb",
+        "x = 0.5 + float(1) + math.sqrt(2) + math.floor(q)",
+    ])
+    assert sorted(_floating_point_uses(ast.parse(src))) == [
+        (1, "numpy"), (2, "cmath"), (3, "math.log"), (4, "0.5"), (4, "float()"), (4, "math.sqrt"),
+    ]
+
+
+def test_library_source_uses_no_floating_point():
+    """No result may pass through a float: the package's source names none.
+
+    decimal stays allowed: format_int runs it exactly, with Inexact trapped.
+    """
     found = []
     for path in sorted(Path(harmlat.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""]
-            else:
-                continue
-            found += [f"{path.name}:{node.lineno}" for m in modules if m.split(".")[0] == "numpy"]
+        found += [f"{path.name}:{line} {use}" for line, use in _floating_point_uses(ast.parse(path.read_text()))]
     assert found == []
 
 
@@ -540,6 +572,25 @@ def test_check_no_error_hypothesis_exit_3(capsys):
     assert "n^(1-2eps)" in err
 
 
+_S20 = ["--family", "S", "--k", "20"]
+_POLY5 = ["--poly", json.dumps(harmlat.sk_polynomial(5).to_json())]
+
+
+@pytest.mark.parametrize("source, deg, degree, n", [
+    (_S20, 20, 1, 17), (_S20, 20, 1, 20), (_S20, 20, 19, 500), (_POLY5, 5, 4, 20),
+    (_S20, 20, 20, 500), (_POLY5, 5, 5, 30),
+], ids=["S20-1-17", "S20-1-20", "S20-19-500", "poly5-4-20", "S20-20-500", "poly5-5-30"])
+def test_check_no_error_reads_the_degree_of_a_polynomial_input(capsys, source, deg, degree, n):
+    """A --degree below the input's degree is an unmet hypothesis, not a verdict; an equal one is read."""
+    code, out, err = run(capsys, "check", "no-error", *source, "--degree", str(degree), "--n", str(n), "--eps", "0")
+    if degree < deg:
+        message = f"--degree {degree} is below the degree {deg} of the input polynomial"
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+    else:
+        obj = json.loads(out)
+        assert (code, err, obj["status"], obj["hypothesis_met"]) == (0, "", "holds", True)
+
+
 def test_check_no_error_open_hypothesis_exit_2(capsys):
     # 1 - 2eps exceeds ln 16 / ln 20 by about 2^-119: u = x on Z^1 (Q(n) = n
     # up to scale), M = 4, n = 20; 64 bits leave the degree hypothesis open
@@ -874,29 +925,35 @@ def test_internal_failure_exit_4(capsys, monkeypatch):
     assert err == "error: internal failure: MemoryError: no room for the table\n"
 
 
+def _poly_inputs(k, j):
+    """--family S_k, and --poly S_k + T_j / 3, both of degree k."""
+    poly = harmlat.sk_polynomial(k) + harmlat.tk_polynomial(j).scale(Fraction(1, 3))
+    return {"family": ["--family", "S", "--k", str(k)], "poly": ["--poly", json.dumps(poly.to_json())]}
+
+
 # deg 70: the small n of each kind needs Q up to some needed_n <= 70 (a
-# partial growth polynomial), the large n beyond it (a complete one)
-_INPUTS = {
-    "family": ["--family", "S", "--k", "70"],
-    "poly": ["--poly", json.dumps(
-        (harmlat.sk_polynomial(70) + harmlat.tk_polynomial(20).scale(Fraction(1, 3))).to_json()
-    )],
-}
+# partial growth polynomial), the large n beyond it (a complete one).
+# no-error reads degree-4 inputs, as its --degree must bound the degree:
+# then n^(1-2eps) > M^2 forces 4n > M + 1, so it has no partial side.
+_INPUTS = _poly_inputs(70, 20)
 _KINDS = {
-    "three-circles": (["--eps", "1/4", "--explore"], 5, 20),
-    "general-p": (["--P", "3/2", "--eps", "1/4", "--explore"], 5, 40),
-    "no-error": (["--eps", "0", "--degree", "4"], 17, 20),
-    "ratio-125": (["--delta", "1/8"], 3, 20),
-    "aspect": (["--p", "3", "--P", "2", "--eps", "1/4", "--derive-alpha"], 2, 15),
+    "three-circles": (_INPUTS, ["--eps", "1/4", "--explore"], 5, 20),
+    "general-p": (_INPUTS, ["--P", "3/2", "--eps", "1/4", "--explore"], 5, 40),
+    "no-error": (_poly_inputs(4, 3), ["--eps", "0", "--degree", "4"], None, 17),
+    "ratio-125": (_INPUTS, ["--delta", "1/8"], 3, 20),
+    "aspect": (_INPUTS, ["--p", "3", "--P", "2", "--eps", "1/4", "--derive-alpha"], 2, 15),
 }
+_SIDES = ["partial", "complete"]
 
 
-@pytest.mark.parametrize("side", [0, 1], ids=["partial", "complete"])
-@pytest.mark.parametrize("source", sorted(_INPUTS))
-@pytest.mark.parametrize("kind", sorted(_KINDS))
+@pytest.mark.parametrize("kind, source, side", [
+    pytest.param(kind, source, side, id=f"{kind}-{source}-{_SIDES[side]}")
+    for kind in sorted(_KINDS) for source in sorted(_INPUTS) for side in (0, 1)
+    if _KINDS[kind][2 + side] is not None
+])
 def test_check_reads_q_from_growth_polynomial(capsys, monkeypatch, kind, source, side):
     """A check on a polynomial prints what its checker gives on the walk route's report."""
-    options, *ns = _KINDS[kind]
+    inputs, options, *ns = _KINDS[kind]
     built = []
 
     def spy(P, n_max):
@@ -907,7 +964,7 @@ def test_check_reads_q_from_growth_polynomial(capsys, monkeypatch, kind, source,
         return growth_report(evaluate_on_ball(P, n_max))  # the walk route on B_n_max
 
     for fmt in ("json", "csv"):
-        argv = ["check", kind, *_INPUTS[source], "--n", str(ns[side]), *options, "--format", fmt]
+        argv = ["check", kind, *inputs[source], "--n", str(ns[side]), *options, "--format", fmt]
         monkeypatch.setattr(cli, "growth_polynomial", spy)
         got = run(capsys, *argv)
         monkeypatch.setattr(cli, "growth_polynomial", via_report)

@@ -76,14 +76,12 @@ def test_degree_bound_requires_harmonic():
 
 
 def test_vanishing_zero_polynomial_confirmed():
-    report = vanishing_ball_test(MultivariatePolynomial.zero(2), M=3)
-    assert report.confirmed and report.formal_tail_zero
+    assert vanishing_ball_test(MultivariatePolynomial.zero(2), M=3) == 3
 
 
 def test_vanishing_cancelling_expression_confirmed():
-    p = X * Y - X * Y  # normalizes to zero
-    report = vanishing_ball_test(p)
-    assert report.confirmed
+    p = X * Y - X * Y  # normalizes to zero; M defaults to max(deg, 0)
+    assert vanishing_ball_test(p) == 0
 
 
 def test_vanishing_s3_rejected_with_witness():
@@ -115,13 +113,13 @@ def test_vanishing_ball_test_evaluates_once(evaluation_radii):
     assert s30.evaluate(info.value.witness) == info.value.value
     assert evaluation_radii == [30]
     evaluation_radii.clear()
-    assert vanishing_ball_test(MultivariatePolynomial.zero(2), 40).confirmed
+    assert vanishing_ball_test(MultivariatePolynomial.zero(2), 40) == 40
     assert evaluation_radii == [40]
 
 
 def test_vanishing_at_m0_reads_only_the_origin():
     # B_1 is evaluated to decide harmonicity; vanishing is read on B_0
-    assert vanishing_ball_test(MultivariatePolynomial.zero(3), 0).confirmed
+    assert vanishing_ball_test(MultivariatePolynomial.zero(3), 0) == 0
     with pytest.raises(VanishingHypothesisError) as info:
         vanishing_ball_test(MultivariatePolynomial.constant(3, 2), 0)
     assert info.value.witness == (0, 0, 0)
@@ -136,4 +134,4 @@ def test_vanishing_ball_respects_the_cell_cap(monkeypatch):
     monkeypatch.setenv("HARM_MAX_CELLS", "100")
     with pytest.raises(ResourceLimitError):
         vanishing_ball_test(MultivariatePolynomial.zero(2), 20)  # B_20 of Z^2: 841 cells
-    assert vanishing_ball_test(MultivariatePolynomial.zero(2), 6).confirmed  # 85 cells
+    assert vanishing_ball_test(MultivariatePolynomial.zero(2), 6) == 6  # 85 cells

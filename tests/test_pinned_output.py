@@ -27,6 +27,12 @@ TABLES = {
 # eps just inside the edge of no-error's degree hypothesis at n = 20, M = 4:
 # 1 - 2eps exceeds ln 16 / ln 20 by 2^-119, which 64 bits leave open
 EDGE_EPS = "6188150099896808545836439581982263/166153499473114484112975882535043072"
+# 1 - 2eps = floor(2^400 ln 16 / ln 20) / 2^400 + 2^-300: the hypothesis
+# stays open at 128 and 256 bits, and 300 bits decide it
+EDGE_EPS_300 = (
+    "192344427191889083917377428408566509808256797135286398787515649651731791649787976249666938592200912453643548505725806273"
+    "/5164499756173817179311838344006023748659411585658447025661318713081295244033682389259290706560275662871806343945494986752"
+)
 
 # x^3 - 3xy^2 + x/2, harmonic on Z^2; written without spaces, as a case is split on them
 HARMONIC_POLY = '{"d":2,"terms":[{"alpha":[3,0],"coeff":"1"},{"alpha":[1,2],"coeff":"-3"},{"alpha":[1,0],"coeff":"1/2"}]}'
@@ -42,6 +48,9 @@ CHECKS = [
     "no-error --family S --k 3 --degree 3 --n 20 --eps 1/10",
     "no-error --function FAIL_TABLE --sparse --degree 0 --n 17 --eps 1/10",
     f"no-error --function LINE_TABLE --sparse --degree 4 --n 20 --eps {EDGE_EPS} --precision 64",
+    f"no-error --function LINE_TABLE --sparse --degree 4 --n 20 --eps {EDGE_EPS_300} --precision 128",
+    f"no-error --function LINE_TABLE --sparse --degree 4 --n 20 --eps {EDGE_EPS_300} --precision 256",
+    f"no-error --function LINE_TABLE --sparse --degree 4 --n 20 --eps {EDGE_EPS_300} --precision 300",
     "ratio-125 --family u --k 2 --d 2 --n 5 --delta 1/8",
     "ratio-125 --family S --k 5 --n 0 --delta 1/5",
     "aspect --family S --k 3 --n 5 --p 3 --P 2 --eps 1/4 --derive-alpha",
@@ -112,6 +121,18 @@ DIGESTS = {
         (2, 'ad828041175bdfd18e43487d9debbef68951b82364718184b080dc4e92b0f896'),
     'check no-error --function LINE_TABLE --sparse --degree 4 --n 20 --eps 6188150099896808545836439581982263/166153499473114484112975882535043072 --precision 64 --format csv':
         (2, 'a30f6648c61af847641691626f357111ac16652477add8ec17e92c3167d6f8c7'),
+    'check no-error --function LINE_TABLE --sparse --degree 4 --n 20 --eps 192344427191889083917377428408566509808256797135286398787515649651731791649787976249666938592200912453643548505725806273/5164499756173817179311838344006023748659411585658447025661318713081295244033682389259290706560275662871806343945494986752 --precision 128 --format json':
+        (2, '8e1a5cec1b3d9bdd983c7f15e33785a9f4b72bf8240e384f3d0d49abcd5f94b7'),
+    'check no-error --function LINE_TABLE --sparse --degree 4 --n 20 --eps 192344427191889083917377428408566509808256797135286398787515649651731791649787976249666938592200912453643548505725806273/5164499756173817179311838344006023748659411585658447025661318713081295244033682389259290706560275662871806343945494986752 --precision 128 --format csv':
+        (2, '9710eb50c2f900c8f8dbd891a9a219b920959bca0766ff5354bed31cf52f56b1'),
+    'check no-error --function LINE_TABLE --sparse --degree 4 --n 20 --eps 192344427191889083917377428408566509808256797135286398787515649651731791649787976249666938592200912453643548505725806273/5164499756173817179311838344006023748659411585658447025661318713081295244033682389259290706560275662871806343945494986752 --precision 256 --format json':
+        (2, '97cef9707dfe16840de8f7af62ebdae49e9c579ee88df651337fed09ae43a725'),
+    'check no-error --function LINE_TABLE --sparse --degree 4 --n 20 --eps 192344427191889083917377428408566509808256797135286398787515649651731791649787976249666938592200912453643548505725806273/5164499756173817179311838344006023748659411585658447025661318713081295244033682389259290706560275662871806343945494986752 --precision 256 --format csv':
+        (2, 'e2d2a7e73425551dec61d4313628752b1b4e0f8141d1703d0f0621d38b89d195'),
+    'check no-error --function LINE_TABLE --sparse --degree 4 --n 20 --eps 192344427191889083917377428408566509808256797135286398787515649651731791649787976249666938592200912453643548505725806273/5164499756173817179311838344006023748659411585658447025661318713081295244033682389259290706560275662871806343945494986752 --precision 300 --format json':
+        (0, '3ee4c5bd19af7adc2214ef5bd116023b42771546bbc98881837ae4b126e1adc3'),
+    'check no-error --function LINE_TABLE --sparse --degree 4 --n 20 --eps 192344427191889083917377428408566509808256797135286398787515649651731791649787976249666938592200912453643548505725806273/5164499756173817179311838344006023748659411585658447025661318713081295244033682389259290706560275662871806343945494986752 --precision 300 --format csv':
+        (0, 'e07630494079c52305b76cb20db1a93b639d779d89965857dc3c7abccb09ec86'),
     'check ratio-125 --family u --k 2 --d 2 --n 5 --delta 1/8 --format json':
         (0, '7fe639256b905589ef922f62a953eedf13f0e0f6ef51eacfae5db0f737a2207c'),
     'check ratio-125 --family u --k 2 --d 2 --n 5 --delta 1/8 --format csv':
