@@ -16,9 +16,10 @@ per unit step, aligned with the representatives, so the walk-count and
 Laplacian kernels run as C-level passes over whole columns.
 :func:`laplacian_plan` lays out the neighbours of a whole ball's points
 in the same columns, and :func:`point_orbit_indices` gives the orbit of
-every point of a ball, or of its points x >= 0 only: a table that
-carries its values there (see :func:`harmlat.polynomials.evaluate_on_ball`)
-has its orbit square sums read off those cells alone.
+every point of a ball, or of its points x >= 0 only.  A polynomial's
+table carries its parity components on those points alone (see
+:func:`harmlat.polynomials.evaluate_on_ball`), and its orbit square sums
+are read off them; every other table's are read off every cell.
 
 The per-(d, R) tables are memoized in bounded caches of
 ``BALL_CACHE_SIZE`` entries each, more than the radii any benchmark

@@ -42,7 +42,7 @@ from typing import Optional
 from . import balls
 from .errors import HarmError, InvalidParameterError, OutOfRangeError
 from .lattice import LatticeFunction, is_harmonic
-from .polynomials import MultivariatePolynomial, evaluate_on_ball
+from .polynomials import MultivariatePolynomial, _line, evaluate_on_ball
 from .rationals import common_denominator, format_rational
 
 
@@ -89,33 +89,40 @@ def _orbit_walk_rows(d: int, n: int) -> list:
 # -- exact growth values -------------------------------------------------------
 
 
-def _orbit_square_sums(u: LatticeFunction) -> list:
-    """Sum of squared scaled numerators of u over each orbit of its ball.
+def _orbit_square_sums(u: LatticeFunction) -> tuple:
+    """(sums, den): the squared numerators of u over den summed over each orbit of its ball.
 
-    A table that carries its orthant, as
-    :func:`harmlat.polynomials.evaluate_on_ball` hands over for a
-    polynomial with a parity in every coordinate, has u^2 the same at
-    every sign flip of a point, and each point of an orbit has exactly one
-    flip in the orthant x >= 0.  Then only the orthant's numerators
-    ``u._orthant`` are squared, and each orbit's sum is taken
-    2^(number of nonzero coordinates) times.  Otherwise every cell is.
+    A table from :func:`harmlat.polynomials.evaluate_on_ball` carries its
+    parity components u_e on the orthant x >= 0, over one denominator.
+    For x >= 0, the sum of u^2 over the distinct sign flips of x is
+    2^nz(x) sum_e u_e(x)^2, with nz(x) the number of nonzero coordinates:
+    the sign characters of the components are orthogonal over those
+    flips, and a component odd in a zero coordinate of x vanishes at x.
+    Each point of an orbit has exactly one flip in the orthant, and nz is
+    the same on the whole orbit.  So only the orthant's cells are
+    scattered, with sum_e u_e^2 each, and each orbit's sum is then taken
+    2^nz times; the full table is not built.  Any other table (from JSON
+    or from lattice operations) has every cell's square scattered.
     """
     tab = balls.orbit_table(u.d, u.R)
     sums = [0] * tab.count_up_to(u.R)
-    nums = u._orthant
-    orthant = nums is not None
-    if not orthant:
-        nums, _ = u.scaled_values()
-    for oi, sq in zip(balls.point_orbit_indices(u.d, u.R, orthant), map(mul, nums, nums)):
+    if u._orthant is None:
+        nums, den = u.scaled_values()
+        for oi, sq in zip(balls.point_orbit_indices(u.d, u.R), map(mul, nums, nums)):
+            sums[oi] += sq
+        return sums, den
+    parts, den = u._orthant
+    squares = repeat(0)
+    for _, nums in parts:
+        squares = map(add, squares, map(mul, nums, nums))
+    for oi, sq in zip(balls.point_orbit_indices(u.d, u.R, True), squares):
         sums[oi] += sq
-    if orthant:
-        zeros = map(tuple.count, tab.reps, repeat(0))
-        sums = list(map(lshift, sums, map(sub, repeat(u.d), zeros)))
-    return sums
+    zeros = map(tuple.count, tab.reps, repeat(0))
+    return list(map(lshift, sums, map(sub, repeat(u.d), zeros))), den
 
 
 def _newton_via_laplacian(
-    u: LatticeFunction, sums: Optional[list] = None, N: Optional[int] = None
+    u: LatticeFunction, squares: Optional[tuple] = None, N: Optional[int] = None
 ) -> list:
     """The values L^k(u^2)(0), k = 0..N (default N = R), via the symmetrized cascade.
 
@@ -126,16 +133,14 @@ def _newton_via_laplacian(
     cascade runs on B_N: the representatives are ordered by radius, and
     those of B_N are a prefix of the table.  Once L^k(u^2) vanishes on
     its ball, every higher order is 0 and the passes stop; for a
-    polynomial of degree M that happens at k = M + 1.  ``sums`` are the
-    orbit square sums of u when the caller already has them
-    (:func:`growth_report` does).
+    polynomial of degree M that happens at k = M + 1.  ``squares`` are
+    the orbit square sums of u with their denominator when the caller
+    already has them (:func:`growth_report` does).
     """
     d = u.d
     N = u.R if N is None else N
     tab = balls.orbit_table(d, N)
-    if sums is None:
-        sums = _orbit_square_sums(u)
-    _, den = u.scaled_values()
+    sums, den = _orbit_square_sums(u) if squares is None else squares
     G = balls.group_order(d)
     twod = 2 * d
     # h[i] = G * (symmetrized u^2)(rep_i) * den^2, for the reps of B_N
@@ -189,13 +194,26 @@ class GrowthPolynomial:
     def _scaled(self) -> tuple:
         return common_denominator(self.newton)
 
+    @cached_property
+    def _values(self) -> tuple:
+        """Q(0..n_max): the running sums whose forward differences at 0 are the a_k."""
+        nums, den = self._scaled
+        if not nums:
+            return (Fraction(0),) * (self.n_max + 1)
+        return tuple(Fraction(v, den) for v in islice(_line(nums), self.n_max + 1))
+
     def Q(self, n: int) -> Fraction:
-        """Q(n), summed in integers over one denominator with running binomials."""
+        """Q(n): read off Q(0..n_max) when n_max is set, else summed with running binomials.
+
+        The sum runs in integers over one denominator.
+        """
         if n < 0 or (self.n_max is not None and n > self.n_max):
             covers = "every n >= 0" if self.n_max is None else f"0..{self.n_max}"
             raise OutOfRangeError(
                 f"growth value at n={n} not available (the growth polynomial covers {covers})"
             )
+        if self.n_max is not None:
+            return self._values[n]
         nums, den = self._scaled
         total, binom = 0, 1
         for j, c in enumerate(nums):
@@ -247,22 +265,23 @@ def growth_report(u: LatticeFunction, n_max: Optional[int] = None) -> GrowthPoly
     The binomial coefficients are computed twice, as forward differences
     of Q(0..N) at 0 and through iterated Laplacians of u^2 at the origin;
     the two routes must agree exactly or the report is refused.  The
-    orbit square sums of u, the one pass over every cell of the ball, are
-    computed once and feed both routes.  With n_max < R both routes run
-    on B_{n_max} only.  The result holds the a_k before the first zero
-    difference row and has ``n_max`` = N.
+    orbit square sums of u, the one pass over the cells of the ball (of
+    its orthant only, for a polynomial's table), are computed once and
+    feed both routes.  With n_max < R both routes run on B_{n_max} only.
+    The result holds the a_k before the first zero difference row and has
+    ``n_max`` = N.
     """
     N = u.R if n_max is None else n_max
     if N < 0 or N > u.R:
         raise OutOfRangeError(f"need 0 <= n_max <= {u.R}, got {n_max}")
-    sums = _orbit_square_sums(u)
-    _, den = u.scaled_values()
+    squares = _orbit_square_sums(u)
+    sums, den = squares
     den2 = den * den
     twod = 2 * u.d
     rows = _orbit_walk_rows(u.d, N)
     values = [Fraction(sum(map(mul, rows[n], sums)), den2 * twod ** n) for n in range(N + 1)]
     newton = tuple(_difference_triangle(values))
-    if list(newton) + [0] * (N + 1 - len(newton)) != _newton_via_laplacian(u, sums, N):
+    if list(newton) + [0] * (N + 1 - len(newton)) != _newton_via_laplacian(u, squares, N):
         raise HarmError(
             "internal inconsistency: difference-triangle coefficients disagree "
             "with iterated-Laplacian values"

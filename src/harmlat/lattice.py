@@ -10,7 +10,12 @@ n-step walk distribution satisfies p(n+1, x) - p(n, x) = (L p)(n, x).
 A :class:`LatticeFunction` is a dense table of exact rationals over a
 ball, held in the integer form of :mod:`harmlat.rationals`: integer
 numerators over one common denominator, in lowest terms.  All
-operations are pure; values are immutable after construction.
+operations are pure; values are immutable after construction.  A table
+evaluated from a polynomial is handed over as parity components on the
+orthant x >= 0 (see :func:`harmlat.polynomials.evaluate_on_ball`), which
+the growth report reads; its values on the whole ball are built from
+them, each component copied to the other orthants with its signs and
+the copies summed, on their first read.
 
 The Laplacian and the directional differences read one column plan,
 :func:`harmlat.balls.laplacian_plan`, in a few C-level passes over whole
@@ -24,9 +29,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product, repeat
-from operator import add, mul, sub
-from typing import Iterable, Optional
+from itertools import accumulate, chain, combinations_with_replacement, product, repeat
+from operator import add, mul, neg, sub
+from typing import Iterable
 
 from . import balls
 from .errors import (
@@ -71,7 +76,7 @@ class LatticeBall:
 class LatticeFunction:
     """Dense exact-rational function on a ball; equality is pointwise."""
 
-    __slots__ = ("ball", "_nums", "_den", "_orthant")
+    __slots__ = ("ball", "_scaled", "_orthant")
 
     def __init__(self, ball: LatticeBall, nums: Iterable[int], den: int = 1):
         if den <= 0:
@@ -83,27 +88,40 @@ class LatticeFunction:
             )
         den = reduce_in_place(den, nums)
         self.ball = ball
-        self._nums = tuple(nums)
-        self._den = den
+        self._scaled = (tuple(nums), den)
         self._orthant = None
 
     @classmethod
-    def _reduced(
-        cls, ball: LatticeBall, nums: list, den: int, orthant: Optional[list] = None
-    ) -> "LatticeFunction":
-        """Take over ``nums``, already one value per point and in lowest terms with ``den``.
+    def _from_orthant(cls, ball: LatticeBall, parts: list, den: int) -> "LatticeFunction":
+        """The sum of parity components, each given on the orthant x >= 0 of ``ball``.
 
-        No copy to a list and no gcd pass.  ``orthant``, when given, holds
-        the numerators over ``den`` at the points x >= 0, in lex order, of a
-        function whose square is the same at every sign flip of a point's
-        coordinates; :func:`harmlat.growth.growth_report` squares only
-        those.  Every other table has ``_orthant`` None, and equality and
-        hashing ignore it.
+        ``parts`` holds (signs, nums) pairs: flipping coordinate l
+        multiplies the component by signs[l], and nums are its numerators
+        over ``den`` at the points x >= 0, in lex order.  They are kept as
+        ``_orthant``, which :func:`harmlat.growth.growth_report` squares;
+        the full table is built from them on its first read
+        (:meth:`scaled_values`).
         """
         self = cls.__new__(cls)
-        self.ball, self._nums, self._den = ball, tuple(nums), den
-        self._orthant = None if orthant is None else tuple(orthant)
+        self.ball, self._scaled, self._orthant = ball, None, (parts, den)
         return self
+
+    def _assemble(self) -> tuple:
+        """(nums, den) on the whole ball: each component unfolded with its signs, summed.
+
+        The components' joint denominator need not leave the sum in lowest
+        terms, so two or more components are reduced here; one alone is in
+        lowest terms already (see :func:`harmlat.polynomials.evaluate_on_ball`).
+        """
+        parts, den = self._orthant
+        R = self.R
+        nums = [0] * self.ball.point_count
+        for k, (signs, orth) in enumerate(parts):
+            values = _unfold(orth, signs, R)[0]
+            nums = list(map(add, nums, values)) if k else values
+        if len(parts) > 1:
+            den = reduce_in_place(den, nums)
+        return tuple(nums), den
 
     # -- construction -------------------------------------------------
 
@@ -128,60 +146,60 @@ class LatticeFunction:
         return self.ball.R
 
     def scaled_values(self) -> tuple:
-        """(numerator tuple, common denominator); aligned with ball.points."""
-        return self._nums, self._den
+        """(numerator tuple, common denominator) in lowest terms; aligned with ball.points."""
+        if self._scaled is None:
+            self._scaled = self._assemble()
+        return self._scaled
 
     def value(self, point) -> Fraction:
-        return Fraction(self._nums[self.ball.index_of(point)], self._den)
+        nums, den = self.scaled_values()
+        return Fraction(nums[self.ball.index_of(point)], den)
 
     def values(self) -> list:
-        den = self._den
-        return [Fraction(n, den) for n in self._nums]
+        nums, den = self.scaled_values()
+        return [Fraction(n, den) for n in nums]
 
     def items(self):
-        den = self._den
-        for p, n in zip(self.ball.points, self._nums):
+        nums, den = self.scaled_values()
+        for p, n in zip(self.ball.points, nums):
             yield p, Fraction(n, den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LatticeFunction):
             return NotImplemented
-        return (
-            self.ball == other.ball
-            and self._den == other._den
-            and self._nums == other._nums
-        )
+        return self.ball == other.ball and self.scaled_values() == other.scaled_values()
 
     def __hash__(self):
-        return hash((self.ball, self._den, self._nums))
+        return hash((self.ball, self.scaled_values()))
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self._nums)
+        return not any(self.scaled_values()[0])
 
     # -- pointwise algebra (exact) --------------------------------------
 
     def scale(self, c) -> "LatticeFunction":
         c = Fraction(c)
-        return LatticeFunction(
-            self.ball, [v * c.numerator for v in self._nums], self._den * c.denominator
-        )
+        nums, den = self.scaled_values()
+        return LatticeFunction(self.ball, [v * c.numerator for v in nums], den * c.denominator)
 
     def add(self, other: "LatticeFunction") -> "LatticeFunction":
         if self.ball != other.ball:
             raise InvalidParameterError("functions live on different balls")
-        da, db = self._den, other._den
-        nums = [a * db + b * da for a, b in zip(self._nums, other._nums)]
+        (a_nums, da), (b_nums, db) = self.scaled_values(), other.scaled_values()
+        nums = [a * db + b * da for a, b in zip(a_nums, b_nums)]
         return LatticeFunction(self.ball, nums, da * db)
 
     def square(self) -> "LatticeFunction":
-        return LatticeFunction(self.ball, [v * v for v in self._nums], self._den * self._den)
+        nums, den = self.scaled_values()
+        return LatticeFunction(self.ball, [v * v for v in nums], den * den)
 
     # -- JSON wire format ------------------------------------------------
 
     def to_json(self) -> dict:
-        entries = []
-        for p, n in zip(self.ball.points, self._nums):
-            entries.append(list(p) + [format_rational(Fraction(n, self._den))])
+        nums, den = self.scaled_values()
+        entries = [
+            list(p) + [format_rational(Fraction(n, den))] for p, n in zip(self.ball.points, nums)
+        ]
         return {"d": self.d, "R": self.R, "entries": entries}
 
     @classmethod
@@ -212,6 +230,41 @@ class LatticeFunction:
                 f"missing value at {missing}; pass --sparse to default omitted points to 0"
             )
         return cls.from_values(ball, [table.get(p, 0) for p in ball.points])
+
+
+def _unfold(orth: list, signs: tuple, R: int, negated=False) -> tuple:
+    """Values on B_R of Z^d from those on its orthant x >= 0, both in lex order.
+
+    Flipping coordinate l multiplies the function by signs[l].  B_R is
+    the blocks {v} x B_{R-|v|} of Z^(d-1), v = -R..R (points, for d = 1):
+    the blocks v >= 0 are unfolded from their orthant parts, and block -v
+    is block v times signs[0], copied whole.  Returns the values and, with
+    ``negated``, minus the values (else None).  The blocks are unfolded
+    with their negations where a sign is -1, so no value is negated twice.
+    """
+    s, rest = signs[0], signs[1:]
+    need = negated or s < 0
+    if rest:
+        sizes = [math.comb(R - v + len(rest), len(rest)) for v in range(R + 1)]
+        parts = [
+            _unfold(orth[end - size : end], rest, R - v, need)
+            for v, (size, end) in enumerate(zip(sizes, accumulate(sizes)))
+        ]
+        plus, minus = [p for p, _ in parts], [m for _, m in parts]
+    else:
+        plus, minus = orth, list(map(neg, orth)) if need else None
+    values = _join(plus, plus if s > 0 else minus, rest)
+    return values, _join(minus, minus if s > 0 else plus, rest) if negated else None
+
+
+def _join(blocks: list, back: list, nested) -> list:
+    """Blocks -v for v = R..1 (from ``back``), then v = 0..R, as one list.
+
+    The blocks are lists when ``nested``, else single values.
+    """
+    if nested:
+        return list(chain.from_iterable(chain(back[:0:-1], blocks)))
+    return back[:0:-1] + blocks
 
 
 # -- operators ----------------------------------------------------------

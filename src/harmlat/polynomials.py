@@ -17,31 +17,27 @@ built in integers: 2^k k! F_k is the product of the linear factors
 2x + k - 1 - 2j, and sums of products F_alpha are taken over one common
 denominator.
 
-Evaluation on a ball runs along lines of the last coordinate z.  The
-forward differences of P at z = 0, on both sides, are polynomials in the
-other coordinates; they are evaluated once on the (d-1)-ball by the same
-scheme, recursively, and every line is then produced by chained running
-sums in exact integers over the coefficients' common denominator.  The
-common factor of the top-level differences and that denominator is
-divided out of those differences, before the lines are run out; every
-value is an integer combination of them, so this is exact.  From radius
-deg P on the values are then in lowest terms (the proof is in
-:func:`evaluate_on_ball`); below it the factor left is divided out of
-the values.
-
-A coordinate whose exponents in P are all even or all odd gives P a
-sign under its flip.  With a sign in every coordinate, as for S_k, T_k
-and u_k, the differences inherit the signs of the other coordinates,
-only the orthant x >= 0 is evaluated, and the other orthants are copied
-from it, block by block; the table keeps the orthant's values, which are
-all that the growth report squares.  Any other polynomial is evaluated on
-the whole ball.
+Evaluation on a ball runs along lines of the last coordinate z, on the
+orthant x >= 0 only.  P is split into its parity components, one for
+each parity pattern of the exponents; each has a sign under every
+coordinate flip, so its orthant values fix it on the whole ball.  The
+forward differences of a component at z = 0 are polynomials in the other
+coordinates; they are evaluated once on the orthant of the (d-1)-ball by
+the same scheme, recursively, and every line is then produced by chained
+running sums in exact integers over the coefficients' common
+denominator.  The common factor of the top-level differences and that
+denominator is divided out of those differences, before the lines are
+run out; every value is an integer combination of them, so this is
+exact.  A single component's values are then in lowest terms (the proof
+is in :func:`evaluate_on_ball`); a sum of two or more is reduced when it
+is built.  The table keeps the components' orthant values, which are all
+that the growth report squares, and builds the values on the whole ball
+from them only when they are read (:mod:`harmlat.lattice`).
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
 from typing import Optional, Sequence
@@ -394,170 +390,104 @@ def evaluate_on_ball(P: MultivariatePolynomial, R: int) -> LatticeFunction:
     """Exact evaluation of P at every point of B_R, in ball enumeration order.
 
     The ball is checked against the cell cap.  The coefficients are
-    brought to integers over their common denominator; :func:`_seeds`
-    gives the differences of P along the last coordinate on B_R of
-    Z^(d-1), and :func:`_lines` runs them out into the values.  The
-    common factor of the seeds and the denominator is divided out of the
-    seeds: every value is an integer combination of the seeds, so the
-    values stay exact integers.
+    brought to integers over their common denominator, and the terms are
+    split by the parity pattern of their exponents into components: each
+    is odd in the coordinates where its exponents are odd and even in the
+    others, so flipping a coordinate multiplies it by a sign.  Each
+    component is evaluated on the orthant x >= 0 only: :func:`_seeds`
+    gives its differences along the last coordinate on the orthant of B_R
+    of Z^(d-1), and :func:`_lines` runs them out into the values.  The
+    common factor of all the components' seeds and the denominator is
+    divided out of the seeds: every value is an integer combination of
+    them, so the values stay exact integers.
 
-    Each coordinate's parity is read off P's exponents (:func:`_signs`).
-    With a parity in every coordinate only the orthant x >= 0 is
-    evaluated and reduced, the other orthants are copied from it
-    (:func:`_unfold`), and the table carries the orthant's values, over
-    the table's denominator, for :func:`harmlat.growth.growth_report` to
-    square.  Otherwise the whole ball is evaluated.
+    The table carries the components' orthant values over that one
+    denominator, for :func:`harmlat.growth.growth_report` to square, and
+    builds the values on the whole ball from them (each component copied
+    to the other orthants with its signs, then summed) only when they are
+    read.  Two or more components are reduced to lowest terms there.
 
-    When R >= M = deg P the values are then in lowest terms, so the table
-    is handed over without a gcd pass.  Let V = den' P be the values after
-    the seed factor g is divided out, den' = den / g, and h the gcd of den'
-    and V on B_R.  By Newton interpolation V(x) = sum_{|b| <= M}
-    Delta^b V(0) prod_j C(x_j, b_j), where Delta^b V(0) is an integer
-    combination of the values of V on the simplex {x >= 0, |x|_1 <= M},
-    which lies in B_R, and C(x_j, b_j) is an integer for every integer
-    x_j.  So h divides V at every point of Z^d, hence every seed (a
-    difference of V along z), hence gcd(den', seeds) = 1.  For R < M the
-    seeds need not be values on the ball, and the factor left is divided
-    out of the values (of the orthant's only, when those are all that is
-    evaluated: every other value is one of them or its negative).
+    A single component, which is P when it has a parity in every
+    coordinate, is in lowest terms without a gcd pass.  Let V = den' P be
+    its values after the seed factor g is divided out, den' = den / g, and
+    h the gcd of den' and V on the orthant of B_R.  Every other value of V
+    is one of those or its negative.  When R >= M = deg P, by Newton
+    interpolation V(x) = sum_{|b| <= M} Delta^b V(0) prod_j C(x_j, b_j),
+    where Delta^b V(0) is an integer combination of the values of V on the
+    simplex {x >= 0, |x|_1 <= M}, which lies in the orthant of B_R, and
+    C(x_j, b_j) is an integer for every integer x_j.  So h divides V at
+    every point of Z^d, hence every seed (a difference of V along z),
+    hence gcd(den', seeds) = 1.  For R < M the seeds need not be values on
+    the ball, and the factor left is divided out of the orthant values.
     """
     ball = LatticeBall(P.d, R)
     balls.guard_cells(P.d, R)
     nums, den = common_denominator(P.terms.values())
-    int_terms = dict(zip(P.terms, nums))
+    components: dict = {}
+    for alpha, c in zip(P.terms, nums):
+        components.setdefault(tuple(-1 if a % 2 else 1 for a in alpha), {})[alpha] = c
     exponents = {e for alpha in P.terms for e in alpha}
     surj = _surjection_counts(exponents, min(max(P.degree, 0), R))
-    signs = _signs(P)
-    orthant = None not in signs
-    pos, neg = _seeds(int_terms, P.d, R, surj, orthant)
-    den = reduce_in_place(den, *pos, *neg)
-    nums = _lines(pos, neg, P.d, R, orthant)
+    seeds = [_seeds(terms, P.d, R, surj) for terms in components.values()]
+    den = reduce_in_place(den, *chain.from_iterable(seeds))
+    orthants = [_lines(s, P.d, R) for s in seeds]
     if R < P.degree:
-        den = reduce_in_place(den, nums)
-    if not orthant:
-        return LatticeFunction._reduced(ball, nums, den)
-    return LatticeFunction._reduced(ball, _unfold(nums, signs, R)[0], den, nums)
+        den = reduce_in_place(den, *orthants)
+    return LatticeFunction._from_orthant(ball, list(zip(components, orthants)), den)
 
 
-def _signs(P: MultivariatePolynomial) -> tuple:
-    """Per coordinate, the sign flipping it multiplies P by: 1 or -1, or None.
+def _ball_values(terms: dict, d: int, R: int, surj: dict) -> list:
+    """Values of an integer polynomial on the orthant x >= 0 of B_R of Z^d, in lex order.
 
-    It is 1 when every exponent of that coordinate is even, -1 when every
-    one is odd, and None when they are mixed (the zero polynomial is even).
-    """
-    out = []
-    for exps in zip(*P.terms) if P.terms else [(0,)] * P.d:
-        odd = {e % 2 for e in exps}
-        out.append(None if len(odd) > 1 else -1 if odd == {1} else 1)
-    return tuple(out)
-
-
-def _ball_values(terms: dict, d: int, R: int, surj: dict, orthant=False) -> list:
-    """Values of an integer polynomial on B_R of Z^d, in lex order (d = 0: one point).
-
-    With ``orthant`` (for a polynomial with a parity in every coordinate)
-    only the points x >= 0 are given.
+    For d = 0 the one point's value.
     """
     if d == 0:
         return [terms.get((), 0)]
-    return _lines(*_seeds(terms, d, R, surj, orthant), d, R, orthant)
+    return _lines(_seeds(terms, d, R, surj), d, R)
 
 
-def _seeds(terms: dict, d: int, R: int, surj: dict, orthant=False) -> tuple:
-    """Forward differences at z = 0 of an integer polynomial on Z^d, d >= 1, on B_R of Z^(d-1).
+def _seeds(terms: dict, d: int, R: int, surj: dict) -> list:
+    """Forward differences at z = 0 of an integer polynomial on Z^d, d >= 1, for x' >= 0.
 
     P is split on its last coordinate z, P = sum_j c_j(x') z^j.  Along
     the line through x' the forward differences at z = 0 are polynomials
     in x',
 
-        Delta^i P(x', 0) = sum_j i! S2(j, i) c_j(x'),   i! S2(j, i) = surj[j][i],
+        Delta^i P(x', 0) = sum_j i! S2(j, i) c_j(x'),   i! S2(j, i) = surj[j][i].
 
-    and for z -> -z the same with c_j multiplied by (-1)^j.  A value at
-    0 <= z <= b <= R reads only the orders i <= z, so only orders
-    i <= m = min(deg_z P, R) are taken.  These 2m + 1 seed polynomials
-    are evaluated on B_R of Z^(d-1) by :func:`_ball_values` with this
-    same table (any table with a row for each exponent of P and columns
-    to m serves).  Returns the m + 1 lists of each side, z >= 0 and
-    z <= 0; both start with the same order-0 list.  With ``orthant`` (a
-    parity in every coordinate, which each seed polynomial inherits in
-    x') the seeds are evaluated on the orthant x' >= 0 and the z <= 0
-    side is returned empty.
+    A value at 0 <= z <= b <= R reads only the orders i <= z, so only
+    orders i <= m = min(deg_z P, R) are taken.  These m + 1 seed
+    polynomials are evaluated on the orthant x' >= 0 of B_R of Z^(d-1) by
+    :func:`_ball_values` with this same table (any table with a row for
+    each exponent of P and columns to m serves).  Returns their m + 1
+    value lists.
     """
     by_z: dict = {}
     for alpha, c in terms.items():
         by_z.setdefault(alpha[-1], {})[alpha[:-1]] = c
     m = min(max(by_z, default=0), R)
-    pos, neg = [], []
+    out = []
     for i in range(m + 1):
-        up: dict = {}
-        down: dict = {}
+        seed: dict = {}
         for j, coeffs in by_z.items():
             w = surj[j][i]
-            if w and orthant:
+            if w:
                 for rest, c in coeffs.items():
-                    up[rest] = up.get(rest, 0) + w * c
-            elif w:
-                sign = -w if j % 2 else w
-                for rest, c in coeffs.items():
-                    up[rest] = up.get(rest, 0) + w * c
-                    down[rest] = down.get(rest, 0) + sign * c
-        pos.append(_ball_values(up, d - 1, R, surj, orthant))
-        if not orthant:
-            neg.append(_ball_values(down, d - 1, R, surj) if i else pos[0])
-    return pos, neg
-
-
-def _lines(pos: list, neg: list, d: int, R: int, orthant=False) -> list:
-    """Values on B_R of Z^d from the :func:`_seeds` of each side.
-
-    Each line z = -b..b, b = R - |x'|_1, is m chained running sums per
-    side, in exact ints.  With ``orthant`` only the lines of x' >= 0 are
-    run, and only for z >= 0.
-    """
-    out: list = []
-    if orthant:
-        for b, up in zip(_remaining(d - 1, R, True), zip(*pos)):
-            out.extend(islice(_line(up), b + 1))
-        return out
-    for b, up, down in zip(_remaining(d - 1, R), zip(*pos), zip(*neg)):
-        out.extend(reversed(list(islice(_line(down), 1, b + 1))))
-        out.extend(islice(_line(up), b + 1))
+                    seed[rest] = seed.get(rest, 0) + w * c
+        out.append(_ball_values(seed, d - 1, R, surj))
     return out
 
 
-def _unfold(orth: list, signs: tuple, R: int, negated=False) -> tuple:
-    """Values on B_R of Z^d from those on its orthant x >= 0, both in lex order.
+def _lines(seeds: list, d: int, R: int) -> list:
+    """Values on the orthant x >= 0 of B_R of Z^d from the :func:`_seeds`.
 
-    Flipping coordinate l multiplies the function by signs[l].  B_R is
-    the blocks {v} x B_{R-|v|} of Z^(d-1), v = -R..R (points, for d = 1):
-    the blocks v >= 0 are unfolded from their orthant parts, and block -v
-    is block v times signs[0], copied whole.  Returns the values and, with
-    ``negated``, minus the values (else None).  The blocks are unfolded
-    with their negations where a sign is -1, so no value is negated twice.
+    Each line z = 0..b, b = R - |x'|_1, is m chained running sums, in
+    exact ints.
     """
-    s, rest = signs[0], signs[1:]
-    need = negated or s < 0
-    if rest:
-        sizes = [math.comb(R - v + len(rest), len(rest)) for v in range(R + 1)]
-        parts = [
-            _unfold(orth[end - size : end], rest, R - v, need)
-            for v, (size, end) in enumerate(zip(sizes, accumulate(sizes)))
-        ]
-        plus, minus = [p for p, _ in parts], [m for _, m in parts]
-    else:
-        plus, minus = orth, list(map(operator.neg, orth)) if need else None
-    values = _join(plus, plus if s > 0 else minus, rest)
-    return values, _join(minus, minus if s > 0 else plus, rest) if negated else None
-
-
-def _join(blocks: list, back: list, nested) -> list:
-    """Blocks -v for v = R..1 (from ``back``), then v = 0..R, as one list.
-
-    The blocks are lists when ``nested``, else single values.
-    """
-    if nested:
-        return list(chain.from_iterable(chain(back[:0:-1], blocks)))
-    return back[:0:-1] + blocks
+    out: list = []
+    for b, line_seeds in zip(_remaining(d - 1, R), zip(*seeds)):
+        out.extend(islice(_line(line_seeds), b + 1))
+    return out
 
 
 def _line(seeds: tuple):
@@ -583,13 +513,13 @@ def _surjection_counts(exponents, r: int) -> dict:
     return surj
 
 
-def _remaining(d: int, R: int, orthant=False) -> list:
-    """R - |x|_1 for every x of B_R of Z^d (x >= 0 with ``orthant``), in lex order (d = 0: [R])."""
+def _remaining(d: int, R: int) -> list:
+    """R - |x|_1 for every x >= 0 of B_R of Z^d, in lex order (d = 0: [R])."""
     if d == 0:
         return [R]
     out: list = []
-    for v in range(0 if orthant else -R, R + 1):
-        out += _remaining(d - 1, R - abs(v), orthant)
+    for v in range(R + 1):
+        out += _remaining(d - 1, R - v)
     return out
 
 

@@ -3,8 +3,8 @@
 The walk-count rows and the Laplacian cascade run as column passes over
 the orbit quotient (``OrbitTable.cols``); here they are compared with
 closed forms and with the sum-of-squares route, which share no code with
-them.  The orthant route, for polynomials with a parity in every
-coordinate, is compared with the route that reads no parity.  Verdicts
+them.  A polynomial's table, its parity components on the orthant, is
+compared with the pointwise values and with the per-cell route.  Verdicts
 must not depend on the state of the constant caches, and every cache in
 the package must be bounded.
 """
@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import harmlat
 from harmlat import (
+    LatticeBall,
     LatticeFunction,
     MultivariatePolynomial,
     aspect_ratio_check,
@@ -34,7 +35,7 @@ from harmlat import (
     sos_laplacian_power,
     three_circles_check,
 )
-from harmlat import balls, checks, growth, polynomials
+from harmlat import balls, checks, growth, lattice
 from harmlat.balls import OrbitTable, orbit_table, unit_steps
 from harmlat.growth import _newton_via_laplacian, _orbit_square_sums, _orbit_walk_rows
 
@@ -158,47 +159,123 @@ def parity_polynomials(draw):
     return MultivariatePolynomial(d, terms), draw(st.integers(0, 6))
 
 
+def _signs(alpha):
+    """The sign pattern of a term: -1 where its exponent is odd, 1 where even."""
+    return tuple(-1 if a % 2 else 1 for a in alpha)
+
+
+def _assert_orthant_route_is_pointwise(P, R):
+    # the parity components on the orthant against P's own terms, the
+    # table they build against the pointwise values, and their orbit
+    # square sums and growth report against the per-cell route on a plain
+    # table of the same values
+    u = evaluate_on_ball(P, R)
+    ball = u.ball
+    parts, den = u._orthant
+    patterns = {_signs(alpha) for alpha in P.terms}
+    assert len(parts) == len(patterns) and {s for s, _ in parts} == patterns
+    orthant = [p for p in ball.points if min(p) >= 0]
+    for signs, nums in parts:
+        component = MultivariatePolynomial(
+            P.d, {a: c for a, c in P.terms.items() if _signs(a) == signs}
+        )
+        assert [F(n, den) for n in nums] == [component.evaluate(p) for p in orthant]
+    squares = _orbit_square_sums(u)
+    assert u._scaled is None
+    want = LatticeFunction.from_values(ball, [P.evaluate(p) for p in ball.points])
+    assert u.scaled_values() == want.scaled_values()
+    assert u == want and hash(u) == hash(want)
+    plain = LatticeFunction(ball, *u.scaled_values())
+    assert plain._orthant is None
+    plain_squares = _orbit_square_sums(plain)
+    if len(parts) <= 1:  # one component is in lowest terms as evaluated
+        assert squares == plain_squares
+    (sums, den), (plain_sums, plain_den) = squares, plain_squares
+    assert [F(s, den * den) for s in sums] == [F(s, plain_den**2) for s in plain_sums]
+    assert growth_report(u).newton == growth_report(plain).newton
+
+
 @settings(max_examples=120, deadline=None)
 @given(parity_polynomials())
 # below the degree, with a factor 2 that only the reduction of the values finds
 @example((MultivariatePolynomial(2, {(3, 2): F(1, 2), (1, 0): 1}), 1))
+# (x^2 + x)/2 on B_4 of Z^1: each component keeps the denominator 2, and
+# only their sum, an integer at every x, is reduced to denominator 1
+@example((MultivariatePolynomial(1, {(2,): F(1, 2), (1,): F(1, 2)}), 4))
 def test_orthant_route_equals_full_ball_route(case):
-    # the orthant route (a parity in every coordinate) against the route
-    # with no parity read: the two-sided lines over the whole ball, the
-    # orbit square sums of every cell, and the growth report built on them.
-    # A parity in z only, or in some coordinates, takes the latter route
-    P, R = case
-    u = evaluate_on_ball(P, R)
-    assert (u._orthant is not None) == (None not in polynomials._signs(P))
-    if u._orthant is not None:
-        nums, _ = u.scaled_values()
-        points = balls.ball_points(P.d, R)
-        assert u._orthant == tuple(n for n, p in zip(nums, points) if min(p) >= 0)
-    den = math.lcm(*(c.denominator for c in P.terms.values()))
-    terms = {a: c.numerator * (den // c.denominator) for a, c in P.terms.items()}
-    exponents = {e for a in P.terms for e in a}
-    surj = polynomials._surjection_counts(exponents, min(max(P.degree, 0), R))
-    full = polynomials._lines(*polynomials._seeds(terms, P.d, R, surj), P.d, R)
-    plain = LatticeFunction(u.ball, full, den)
-    assert plain._orthant is None
-    assert u.scaled_values() == plain.scaled_values()
-    assert _orbit_square_sums(u) == _orbit_square_sums(plain)
-    assert growth_report(u).newton == growth_report(plain).newton
+    # a parity imposed in every coordinate (one component), in z only, or
+    # in some coordinates
+    _assert_orthant_route_is_pointwise(*case)
+
+
+@st.composite
+def mixed_parity_polynomials(draw):
+    """(P, R): terms of two or more parity patterns, rational coefficients, d <= 4, R <= deg + 2."""
+    d = draw(st.integers(1, 4))
+    deg = draw(st.integers(1, 6))
+    R = draw(st.integers(0, deg + 2))
+    exponent = st.lists(st.integers(0, deg), min_size=d, max_size=d).map(tuple)
+    coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=12).filter(bool)
+    terms = draw(
+        st.dictionaries(exponent.filter(lambda a: sum(a) <= deg), coeffs, min_size=2, max_size=8)
+        .filter(lambda t: len({_signs(a) for a in t}) >= 2)
+    )
+    return MultivariatePolynomial(d, terms), R
+
+
+@settings(max_examples=120, deadline=None)
+@given(mixed_parity_polynomials())
+@example((MultivariatePolynomial(1, {(2,): F(1, 2), (1,): F(1, 2)}), 4))
+@example((MultivariatePolynomial(3, {(2, 1, 0): F(1, 2), (0, 1, 1): F(1, 2), (1, 0, 0): 1}), 1))
+@example((MultivariatePolynomial.zero(3), 2))
+@example((MultivariatePolynomial.zero(4), 0))
+def test_parity_components_equal_pointwise_values(case):
+    # two or more components over one denominator, below and above the
+    # degree, and the zero polynomial (no component)
+    _assert_orthant_route_is_pointwise(*case)
+
+
+def test_growth_report_of_a_polynomial_reads_only_the_orthant(monkeypatch):
+    # the report of a member with no parity squares the orthant's cells
+    # only: the per-cell orbit plan is refused, and the full table is
+    # never built
+    P = random_harmonic(3, 6, 201)
+    ball = LatticeBall(3, 12)
+    want = growth_report(LatticeFunction.from_values(ball, [P.evaluate(p) for p in ball.points]))
+    balls.point_orbit_indices.cache_clear()
+    orthant_only = balls.point_orbit_indices
+
+    def refuse_full(d, R, orthant=False):
+        if not orthant:
+            raise AssertionError("per-cell orbit plan built")
+        return orthant_only(d, R, orthant)
+
+    def refuse_unfold(*args):
+        raise AssertionError("full table built")
+
+    monkeypatch.setattr(balls, "point_orbit_indices", refuse_full)
+    monkeypatch.setattr(lattice, "_unfold", refuse_unfold)
+    u = evaluate_on_ball(P, 12)
+    assert len(u._orthant[0]) > 1
+    assert growth_report(u).newton == want.newton
+    assert u._scaled is None
 
 
 def test_table_route_builds_no_point_tuples(monkeypatch):
-    # evaluation and both growth routes read the ball only through orbit
-    # indices: no cell's point tuple and no point -> position map is built,
-    # on the full-ball route (a random member) and on the orthant route
-    # (u_2, and a member odd in x and z and even in y) alike
+    # evaluation, both growth routes and the full table's assembly read the
+    # ball only through orbit indices: no cell's point tuple and no
+    # point -> position map is built, for a random member (several parity
+    # components) and for u_2 and a member odd in x and z and even in y
+    # (one component each) alike
     members = [
         random_harmonic(3, 5, 17),
         monomial_uk(3, 2),
         correspondence(MultivariatePolynomial(3, {(3, 0, 1): 1, (1, 2, 1): -3})),
     ]
     tables = [evaluate_on_ball(P, 12) for P in members]
-    assert [u._orthant is not None for u in tables] == [False, True, True]
+    assert [len(u._orthant[0]) for u in tables] == [8, 1, 1]
     wants = [growth_report(u) for u in tables]
+    fulls = [u.scaled_values() for u in tables]
     balls.point_orbit_indices.cache_clear()
 
     def refuse(*args):
@@ -206,7 +283,9 @@ def test_table_route_builds_no_point_tuples(monkeypatch):
 
     monkeypatch.setattr(balls, "ball_points", refuse)
     monkeypatch.setattr(balls, "ball_position", refuse)
-    assert [growth_report(evaluate_on_ball(P, 12)) for P in members] == wants
+    tables = [evaluate_on_ball(P, 12) for P in members]
+    assert [growth_report(u) for u in tables] == wants
+    assert [u.scaled_values() for u in tables] == fulls
 
 
 # -- cascade against the sum-of-squares identity ---------------------------------

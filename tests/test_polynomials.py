@@ -280,8 +280,8 @@ def rational_polynomials(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(rational_polynomials())
-# (x^2 + x)/2 + 1 on B_2 of Z^1: its two sides' seeds share the order-0
-# list, and all of them and the denominator share the factor 2
+# (x^2 + x)/2 + 1 on B_2 of Z^1: its two parity components' seeds are
+# coprime to the denominator 2, and only their sum is reduced by it
 @example((MultivariatePolynomial(1, {(2,): F(1, 2), (1,): F(1, 2), (0,): 1}), 2))
 def test_evaluate_on_ball_matches_pointwise_evaluate(case):
     P, R = case
@@ -322,8 +322,9 @@ def test_evaluate_on_ball_reduction_beyond_the_seeds():
     # -xy/2 vanishes on B_1 of Z^2, but its seeds there (the values of -x
     # on B_1 of Z^1) are coprime to the denominator 2
     P = MultivariatePolynomial(2, {(1, 1): F(-1, 2)})
-    pos, neg = _seeds({(1, 1): -1}, 2, 1, _surjection_counts({1}, 1))
-    assert math.gcd(2, *itertools.chain.from_iterable(pos + neg)) == 1
+    seeds = _seeds({(1, 1): -1}, 2, 1, _surjection_counts({1}, 1))
+    assert seeds == [[0, 0], [0, -1]]
+    assert math.gcd(2, *itertools.chain.from_iterable(seeds)) == 1
     assert evaluate_on_ball(P, 1).scaled_values() == ((0,) * 5, 1)
 
 
