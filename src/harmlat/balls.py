@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import os
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, repeat
 from operator import add
 
@@ -182,6 +182,13 @@ class OrbitTable:
     ``cols[s][i]`` is the orbit index of ``reps[i]`` plus the s-th unit
     step (in :func:`unit_steps` order), or -1 when that neighbour lies
     outside B_R.
+
+    The reps also split into two radius-parity classes, each in (radius,
+    lex) order; a unit step changes the radius by one, so it always leads
+    into the other class.  The walk-count rows hold one class each (W(n, x)
+    = 0 unless |x|_1 = n mod 2), through ``parity_prefix``,
+    :meth:`by_parity` and :attr:`parity_cols`.  Within a class, too, the
+    reps of a smaller ball are a prefix of a larger ball's.
     """
 
     def __init__(self, d: int, R: int):
@@ -189,9 +196,12 @@ class OrbitTable:
         self.d, self.radius = d, R
         self.reps: list = []
         self.prefix: list = []  # prefix[r] = #reps with radius <= r
+        self.parity_prefix: list = []  # parity_prefix[r] = #reps with radius <= r, = r mod 2
         for r in range(R + 1):
             self.reps += _sorted_tuples_with_sum(d, r)
             self.prefix.append(len(self.reps))
+            # the reps of the other parity, radius <= r - 1, are counted at r - 1
+            self.parity_prefix.append(len(self.reps) - (self.parity_prefix[-1] if r else 0))
         self.index: dict = {rep: i for i, rep in enumerate(self.reps)}
         self.sizes: list = [orbit_size(d, rep) for rep in self.reps]
         get = self.index.get
@@ -202,6 +212,35 @@ class OrbitTable:
 
     def count_up_to(self, r: int) -> int:
         return self.prefix[r]
+
+    def by_parity(self, values, p: int, r: int) -> list:
+        """The entries of ``values`` (aligned with ``reps``) of class p up to radius r.
+
+        One slice per radius block p, p + 2, ..., <= r, so the result is
+        aligned with the reps of that class in their order.
+        """
+        starts = [0] + self.prefix
+        return list(chain.from_iterable(
+            values[starts[k]:starts[k + 1]] for k in range(p, r + 1, 2)
+        ))
+
+    @cached_property
+    def parity_cols(self) -> tuple:
+        """``cols`` of each radius-parity class, re-indexed into the other class.
+
+        ``parity_cols[p][s][j]`` is the index, among the reps of class
+        1 - p, of the j-th rep of class p plus the s-th unit step, or -1
+        when that neighbour lies outside B_R.
+        """
+        pos: list = []  # each rep's index within its class, radius block by block
+        for r, end in enumerate(self.parity_prefix):
+            pos += range(self.parity_prefix[r - 2] if r >= 2 else 0, end)
+        pos.append(-1)  # an outside neighbour stays -1
+        at = pos.__getitem__
+        return tuple(
+            [list(map(at, self.by_parity(col, p, self.radius))) for col in self.cols]
+            for p in (0, 1)
+        )
 
 
 def _sorted_tuples_with_sum(d: int, total: int):

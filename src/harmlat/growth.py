@@ -25,8 +25,11 @@ coordinate permutations and sign flips, so the heavy convolutions run
 on the orbit quotient of the ball (see :mod:`harmlat.balls`).  Both
 kernels, walk-count rows and the Laplacian cascade, are C-level map
 passes over the quotient's neighbour columns, in exact Python ints.
-Walk rows are cached per dimension and extended incrementally; rows
-built against a smaller orbit table stay valid against a larger one.
+Z^d is bipartite, so W(n, x) = 0 unless |x|_1 = n (mod 2): walk row n
+holds only the orbits of that radius parity, and Q(n) is summed over
+them alone.  Walk rows are cached per dimension and extended
+incrementally; rows built against a smaller orbit table stay valid
+against a larger one.
 """
 
 from __future__ import annotations
@@ -66,23 +69,27 @@ def _neighbour_sums(cols, values: list, m: int):
 
 
 def _orbit_walk_rows(d: int, n: int) -> list:
-    """Rows 0..n of walk counts on orbit representatives (cached per d).
+    """Rows 0..n of walk counts, each on one radius-parity class of orbit reps (cached per d).
 
-    Row m is a list of ints aligned with the first count_up_to(m) orbit
-    representatives; entries are W(m, x) for any x in the orbit.  Row m
-    sums row m-1 over the neighbour columns.  Row m-1 is padded with
-    zeros up to the radius the columns reach, so unbuilt radii read 0.
-    The padding always ends in a zero, at radius m, and the -1 of an
-    outside neighbour reads it.
+    W(m, x) = 0 unless |x|_1 <= m and |x|_1 = m (mod 2), so row m holds
+    W(m, x), for any x in the orbit, only for the representatives of that
+    class: it is aligned with the first parity_prefix[m] of them, in
+    (radius, lex) order, and every entry is positive.  A unit step changes
+    the radius parity, so row m sums row m-1 over the neighbour columns of
+    its class, re-indexed into the other (``OrbitTable.parity_cols``).
+    Row m-1 is padded with zeros up to radius m + 1, which the columns
+    reach, and then with one more zero, which the -1 of an outside
+    neighbour reads.
     """
     tab = balls.orbit_table(d, n)
     rows = _walk_rows.setdefault(d, [[1]])
     while len(rows) <= n:
         m = len(rows)  # building row m from row m-1
         prev = rows[m - 1]
-        reach = tab.count_up_to(min(m + 1, tab.radius))
-        padded = prev + [0] * (reach - len(prev))
-        rows.append(list(_neighbour_sums(tab.cols, padded, tab.count_up_to(m))))
+        reach = tab.parity_prefix[m + 1] if m < tab.radius else len(prev)
+        padded = prev + [0] * (reach - len(prev) + 1)
+        cols = tab.parity_cols[m % 2]
+        rows.append(list(_neighbour_sums(cols, padded, tab.parity_prefix[m])))
     return rows
 
 
@@ -279,7 +286,11 @@ def growth_report(u: LatticeFunction, n_max: Optional[int] = None) -> GrowthPoly
     den2 = den * den
     twod = 2 * u.d
     rows = _orbit_walk_rows(u.d, N)
-    values = [Fraction(sum(map(mul, rows[n], sums)), den2 * twod ** n) for n in range(N + 1)]
+    tab = balls.orbit_table(u.d, N)
+    classes = [tab.by_parity(sums, p, N) for p in (0, 1)]
+    values = [
+        Fraction(sum(map(mul, rows[n], classes[n % 2])), den2 * twod ** n) for n in range(N + 1)
+    ]
     newton = tuple(_difference_triangle(values))
     if list(newton) + [0] * (N + 1 - len(newton)) != _newton_via_laplacian(u, squares, N):
         raise HarmError(

@@ -428,25 +428,27 @@ def evaluate_on_ball(P: MultivariatePolynomial, R: int) -> LatticeFunction:
         components.setdefault(tuple(-1 if a % 2 else 1 for a in alpha), {})[alpha] = c
     exponents = {e for alpha in P.terms for e in alpha}
     surj = _surjection_counts(exponents, min(max(P.degree, 0), R))
-    seeds = [_seeds(terms, P.d, R, surj) for terms in components.values()]
+    rem = _remaining(P.d - 1, R)
+    seeds = [_seeds(terms, P.d, R, surj, rem) for terms in components.values()]
     den = reduce_in_place(den, *chain.from_iterable(seeds))
-    orthants = [_lines(s, P.d, R) for s in seeds]
+    orthants = [_lines(s, rem[P.d - 1]) for s in seeds]
     if R < P.degree:
         den = reduce_in_place(den, *orthants)
     return LatticeFunction._from_orthant(ball, list(zip(components, orthants)), den)
 
 
-def _ball_values(terms: dict, d: int, R: int, surj: dict) -> list:
+def _ball_values(terms: dict, d: int, R: int, surj: dict, rem: list) -> list:
     """Values of an integer polynomial on the orthant x >= 0 of B_R of Z^d, in lex order.
 
-    For d = 0 the one point's value.
+    For d = 0 the one point's value.  ``rem`` is :func:`_remaining` of
+    (d - 1, R) or of a larger dimension.
     """
     if d == 0:
         return [terms.get((), 0)]
-    return _lines(_seeds(terms, d, R, surj), d, R)
+    return _lines(_seeds(terms, d, R, surj, rem), rem[d - 1])
 
 
-def _seeds(terms: dict, d: int, R: int, surj: dict) -> list:
+def _seeds(terms: dict, d: int, R: int, surj: dict, rem: list) -> list:
     """Forward differences at z = 0 of an integer polynomial on Z^d, d >= 1, for x' >= 0.
 
     P is split on its last coordinate z, P = sum_j c_j(x') z^j.  Along
@@ -459,8 +461,8 @@ def _seeds(terms: dict, d: int, R: int, surj: dict) -> list:
     orders i <= m = min(deg_z P, R) are taken.  These m + 1 seed
     polynomials are evaluated on the orthant x' >= 0 of B_R of Z^(d-1) by
     :func:`_ball_values` with this same table (any table with a row for
-    each exponent of P and columns to m serves).  Returns their m + 1
-    value lists.
+    each exponent of P and columns to m serves) and the same ``rem``.
+    Returns their m + 1 value lists.
     """
     by_z: dict = {}
     for alpha, c in terms.items():
@@ -474,18 +476,19 @@ def _seeds(terms: dict, d: int, R: int, surj: dict) -> list:
             if w:
                 for rest, c in coeffs.items():
                     seed[rest] = seed.get(rest, 0) + w * c
-        out.append(_ball_values(seed, d - 1, R, surj))
+        out.append(_ball_values(seed, d - 1, R, surj, rem))
     return out
 
 
-def _lines(seeds: list, d: int, R: int) -> list:
+def _lines(seeds: list, remaining: list) -> list:
     """Values on the orthant x >= 0 of B_R of Z^d from the :func:`_seeds`.
 
     Each line z = 0..b, b = R - |x'|_1, is m chained running sums, in
-    exact ints.
+    exact ints; ``remaining`` holds the b of every x' >= 0 of B_R of
+    Z^(d-1), in lex order.
     """
     out: list = []
-    for b, line_seeds in zip(_remaining(d - 1, R), zip(*seeds)):
+    for b, line_seeds in zip(remaining, zip(*seeds)):
         out.extend(islice(_line(line_seeds), b + 1))
     return out
 
@@ -514,12 +517,15 @@ def _surjection_counts(exponents, r: int) -> dict:
 
 
 def _remaining(d: int, R: int) -> list:
-    """R - |x|_1 for every x >= 0 of B_R of Z^d, in lex order (d = 0: [R])."""
-    if d == 0:
-        return [R]
-    out: list = []
-    for v in range(R + 1):
-        out += _remaining(d - 1, R - v)
+    """The lists R - |x|_1 for every x >= 0 of B_R of Z^k, in lex order, for k = 0..d.
+
+    In lex order the points of Z^k are the lines (x', 0..b) over the
+    points x' of Z^(k-1), b = R - |x'|_1, so list k runs b down to 0 for
+    each entry b of list k - 1.
+    """
+    out = [[R]]
+    for _ in range(d):
+        out.append(list(chain.from_iterable(map(range, out[-1], repeat(-1), repeat(-1)))))
     return out
 
 

@@ -27,7 +27,8 @@ from harmlat import (
     sk_polynomial,
     tk_polynomial,
 )
-from harmlat.growth import _difference_triangle
+from harmlat.balls import orbit_table
+from harmlat.growth import _difference_triangle, _orbit_walk_rows
 
 CORPUS_RADIUS = 80
 
@@ -48,6 +49,23 @@ def growth_of(values) -> GrowthPolynomial:
     """
     newton = _difference_triangle([Fraction(v) for v in values])
     return GrowthPolynomial(None, tuple(newton), len(values) - 1)
+
+
+def spread_walk_row(d, n):
+    """Row n of the walk rows spread over every orbit rep of B_n, in the table's order.
+
+    The row holds the reps of radius = n (mod 2) alone, in (radius, lex)
+    order; the reps of the other radius parity read 0.
+    """
+    row = _orbit_walk_rows(d, n)[n]
+    tab = orbit_table(d, n)
+    reps = tab.reps[: tab.count_up_to(n)]
+    ours = [i for i, rep in enumerate(reps) if sum(rep) % 2 == n % 2]
+    assert len(row) == len(ours)
+    full = [0] * len(reps)
+    for i, w in zip(ours, row):
+        full[i] = w
+    return full
 
 
 def _full_triangle(values):

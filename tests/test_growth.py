@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -28,7 +29,7 @@ from harmlat import growth
 from harmlat.balls import ball_points, orbit_table, point_orbit_indices
 from harmlat.growth import _difference_triangle, _newton_via_laplacian, _orbit_walk_rows
 
-from conftest import _full_triangle, growth_of
+from conftest import _full_triangle, growth_of, spread_walk_row
 from montecarlo import monte_carlo_Q
 
 
@@ -61,7 +62,7 @@ def padded(newton, N):
 
 def walk_count_table(d, n):
     """Row n of _orbit_walk_rows(d, n) spread over B_n: {point: W(n, point)}, nonzero only."""
-    row = _orbit_walk_rows(d, n)[n]
+    row = spread_walk_row(d, n)
     counts = zip(ball_points(d, n), map(row.__getitem__, point_orbit_indices(d, n)))
     return {p: w for p, w in counts if w}
 
@@ -86,18 +87,30 @@ def test_walk_counts_match_enumeration(d, n):
 
 
 def test_walk_count_invariants_up_to_60():
-    # at the orbit level: normalization, parity and symmetry for n <= 60, d <= 3
+    # at the orbit level: normalization, parity and symmetry for n <= 60, d <= 3;
+    # a row holds one radius-parity class of B_n, and each of its entries is positive
     for d in (1, 2, 3):
         rows = _orbit_walk_rows(d, 60)
         tab = orbit_table(d, 60)
+        radii = list(map(sum, tab.reps))
         for n in range(0, 61):
-            row = rows[n]
+            assert all(w > 0 for w in rows[n])
+            assert len(rows[n]) == sum(1 for r in radii if r <= n and r % 2 == n % 2)
+            row = spread_walk_row(d, n)
             total = sum(w * tab.sizes[i] for i, w in enumerate(row))
             assert total == (2 * d) ** n
             for i, w in enumerate(row):
                 radius = sum(tab.reps[i])
                 if (radius - n) % 2 != 0 or radius > n:
                     assert w == 0
+
+
+def test_walk_rows_hold_only_reachable_orbits():
+    # rows 0..80 hold the nonzero W(n, .) alone: one radius parity of B_n
+    for d, entries in [(2, 23_821), (3, 176_792)]:
+        rows = _orbit_walk_rows(d, 80)[:81]
+        assert sum(map(len, rows)) == entries
+        assert all(map(all, rows))
 
 
 def test_walk_counts_symmetry_on_full_table():
@@ -166,6 +179,34 @@ def test_report_q_is_the_walk_mean_of_u_squared(case):
     for n in range(N + 1):
         assert rep.Q(n) == brute_force_Q(u, n)
     assert not rep.newton or rep.newton[-1] != 0  # the a_k end before the first zero row
+
+
+def _mixed_parity_polynomial(d):
+    """A rational polynomial on Z^d with terms of several parity patterns."""
+    e = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+    terms = {(0,) * d: 1, e[0]: F(-2, 3), tuple(2 * a for a in e[-1]): F(1, 2),
+             (1,) * d: 3, tuple(3 * a for a in e[0]): F(-1, 5)}
+    return MultivariatePolynomial(d, terms)
+
+
+@pytest.mark.parametrize("d,R,below", [(1, 8, 3), (2, 7, 4), (3, 5, 2)])
+@pytest.mark.parametrize("route", ["orthant", "cells"])
+def test_report_equals_brute_force_walk_mean(d, R, below, route):
+    # Q(n) = sum_x u(x)^2 W(n, x) / (2d)^n with W from every enumerated walk,
+    # for a polynomial's table (parity components on the orthant) and for a
+    # table of values (every cell)
+    P = _mixed_parity_polynomial(d)
+    u = evaluate_on_ball(P, R)
+    if route == "cells":
+        rng = random.Random(R)
+        values = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(u.ball.point_count)]
+        u = LatticeFunction.from_values(u.ball, values)
+    assert (u._orthant is None) == (route == "cells")
+    want = [brute_force_Q(u, n) for n in range(R + 1)]
+    for N in (R, below):
+        rep = growth_report(u, N)
+        assert rep.n_max == N
+        assert [rep.Q(n) for n in range(N + 1)] == want[: N + 1]
 
 
 def test_report_refuses_disagreeing_routes(monkeypatch):

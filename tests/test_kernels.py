@@ -39,6 +39,8 @@ from harmlat import balls, checks, growth, lattice
 from harmlat.balls import OrbitTable, orbit_table, unit_steps
 from harmlat.growth import _newton_via_laplacian, _orbit_square_sums, _orbit_walk_rows
 
+from conftest import spread_walk_row
+
 
 def _harmlat_modules():
     return [
@@ -70,20 +72,20 @@ def test_column_walk_rows_match_z2_product_formula():
     # rotating Z^2 by 45 degrees splits the walk into two independent
     # 1d walks: W(n, x, y) = C(n, (n+x+y)/2) C(n, (n+x-y)/2)
     N = 40
-    rows = _orbit_walk_rows(2, N)
     tab = orbit_table(2, N)
     for n in range(N + 1):
-        assert len(rows[n]) == tab.count_up_to(n)
-        for (x, y), w in zip(tab.reps, rows[n]):
+        row = spread_walk_row(2, n)
+        assert len(row) == tab.count_up_to(n)
+        for (x, y), w in zip(tab.reps, row):
             assert w == _binom(n, n + x + y) * _binom(n, n + x - y), (n, x, y)
 
 
 def test_column_walk_rows_match_z1_binomials():
     N = 60
-    rows = _orbit_walk_rows(1, N)
     tab = orbit_table(1, N)
     for n in range(N + 1):
-        assert rows[n] == [_binom(n, n + x) for (x,) in tab.reps[: tab.count_up_to(n)]]
+        want = [_binom(n, n + x) for (x,) in tab.reps[: tab.count_up_to(n)]]
+        assert spread_walk_row(1, n) == want
 
 
 @pytest.mark.parametrize(

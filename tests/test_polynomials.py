@@ -30,7 +30,7 @@ from harmlat import (
     tk_polynomial,
 )
 from harmlat.balls import ball_points
-from harmlat.polynomials import _seeds, _surjection_counts, is_harmonic_poly
+from harmlat.polynomials import _remaining, _seeds, _surjection_counts, is_harmonic_poly
 
 X2 = MultivariatePolynomial.variable(2, 0)
 Y2 = MultivariatePolynomial.variable(2, 1)
@@ -322,7 +322,7 @@ def test_evaluate_on_ball_reduction_beyond_the_seeds():
     # -xy/2 vanishes on B_1 of Z^2, but its seeds there (the values of -x
     # on B_1 of Z^1) are coprime to the denominator 2
     P = MultivariatePolynomial(2, {(1, 1): F(-1, 2)})
-    seeds = _seeds({(1, 1): -1}, 2, 1, _surjection_counts({1}, 1))
+    seeds = _seeds({(1, 1): -1}, 2, 1, _surjection_counts({1}, 1), _remaining(1, 1))
     assert seeds == [[0, 0], [0, -1]]
     assert math.gcd(2, *itertools.chain.from_iterable(seeds)) == 1
     assert evaluate_on_ball(P, 1).scaled_values() == ((0,) * 5, 1)
