@@ -19,7 +19,8 @@ in the same columns, and :func:`point_orbit_indices` gives the orbit of
 every point of a ball, or of its points x >= 0 only.  A polynomial's
 table carries its parity components on those points alone (see
 :func:`harmlat.polynomials.evaluate_on_ball`), and its orbit square sums
-are read off them; every other table's are read off every cell.
+are read off them; every other table's are read off every cell, or off
+the cells of a smaller ball, which :func:`inner_ball_positions` finds.
 
 The per-(d, R) tables are memoized in bounded caches of
 ``BALL_CACHE_SIZE`` entries each, more than the radii any benchmark
@@ -106,6 +107,24 @@ def ball_points(d: int, R: int) -> tuple:
 def ball_position(d: int, R: int) -> dict:
     """Map point -> index into ball_points(d, R)."""
     return {p: i for i, p in enumerate(ball_points(d, R))}
+
+
+def inner_ball_positions(d: int, R: int, N: int) -> list:
+    """Positions in ball_points(d, R) of the points of B_N, N <= R, in their lex order.
+
+    In lex order B_R of Z^d is the blocks {v} x B_{R-|v|} of Z^(d-1),
+    v = -R..R, each counted in closed form, and B_N is the blocks
+    {v} x B_{N-|v|}, |v| <= N, of the same tails; no point is built.
+    """
+    if d == 1:
+        return list(range(R - N, R + N + 1))
+    out: list = []
+    start = 0
+    for v in range(-R, R + 1):
+        if abs(v) <= N:
+            out += map(add, inner_ball_positions(d - 1, R - abs(v), N - abs(v)), repeat(start))
+        start += ball_point_count(d - 1, R - abs(v))
+    return out
 
 
 def _step_axes(d: int):

@@ -30,6 +30,12 @@ holds only the orbits of that radius parity, and Q(n) is summed over
 them alone.  Walk rows are cached per dimension and extended
 incrementally; rows built against a smaller orbit table stay valid
 against a larger one.
+
+A report reads u through its orbit square sums, on B_N only.  A
+polynomial's table keeps the line seeds of its parity components, so
+the report runs one component's lines at a time on the orthant and
+keeps only the running sum of their squares; a table whose full values
+are built has each cell squared.
 """
 
 from __future__ import annotations
@@ -44,8 +50,8 @@ from typing import Optional
 
 from . import balls
 from .errors import HarmError, InvalidParameterError, OutOfRangeError
-from .lattice import LatticeFunction, is_harmonic
-from .polynomials import MultivariatePolynomial, _line, evaluate_on_ball
+from .lattice import LatticeFunction, _line, is_harmonic
+from .polynomials import MultivariatePolynomial, evaluate_on_ball
 from .rationals import common_denominator, format_rational
 
 
@@ -96,36 +102,55 @@ def _orbit_walk_rows(d: int, n: int) -> list:
 # -- exact growth values -------------------------------------------------------
 
 
-def _orbit_square_sums(u: LatticeFunction) -> tuple:
-    """(sums, den): the squared numerators of u over den summed over each orbit of its ball.
+def _orbit_square_sums(u: LatticeFunction, N: Optional[int] = None) -> tuple:
+    """(sums, den): the squared numerators of u over den summed over each orbit of B_N.
 
-    A table from :func:`harmlat.polynomials.evaluate_on_ball` carries its
-    parity components u_e on the orthant x >= 0, over one denominator.
-    For x >= 0, the sum of u^2 over the distinct sign flips of x is
-    2^nz(x) sum_e u_e(x)^2, with nz(x) the number of nonzero coordinates:
-    the sign characters of the components are orthogonal over those
-    flips, and a component odd in a zero coordinate of x vanishes at x.
-    Each point of an orbit has exactly one flip in the orthant, and nz is
-    the same on the whole orbit.  So only the orthant's cells are
-    scattered, with sum_e u_e^2 each, and each orbit's sum is then taken
-    2^nz times; the full table is not built.  Any other table (from JSON
-    or from lattice operations) has every cell's square scattered.
+    N defaults to the radius of u's ball, and only the cells of B_N are
+    squared and scattered: the orbits of B_N are the first
+    count_up_to(N) of the orbit table.  A table from
+    :func:`harmlat.polynomials.evaluate_on_ball` whose full values have
+    not been built carries its parity components u_e as line seeds on the
+    orthant x >= 0.  For x >= 0, the sum of u^2 over the distinct sign
+    flips of x is 2^nz(x) sum_e u_e(x)^2, with nz(x) the number of nonzero
+    coordinates: the sign characters of the components are orthogonal
+    over those flips, and a component odd in a zero coordinate of x
+    vanishes at x.  Each point of an orbit has exactly one flip in the
+    orthant, and nz is the same on the whole orbit.  So the components'
+    lines are run on the orthant of B_N one component at a time, each
+    component's squares are added into one list per cell and its values
+    dropped, the orthant's cells are scattered once, and each orbit's sum
+    is then taken 2^nz times; the full table is not built.  When the
+    denominator is not known to be lowest (a ball below the degree), the
+    factor it shares with the values is divided out of the sums.  Every
+    other table, one whose full values are built included, has each
+    cell's square scattered.
     """
-    tab = balls.orbit_table(u.d, u.R)
-    sums = [0] * tab.count_up_to(u.R)
-    if u._orthant is None:
-        nums, den = u.scaled_values()
-        for oi, sq in zip(balls.point_orbit_indices(u.d, u.R), map(mul, nums, nums)):
+    N = u.R if N is None else N
+    tab = balls.orbit_table(u.d, N)
+    m = tab.count_up_to(N)
+    sums = [0] * m
+    if u._scaled is not None:
+        nums, den = u._scaled
+        if N < u.R:
+            nums = list(map(nums.__getitem__, balls.inner_ball_positions(u.d, u.R, N)))
+        for oi, sq in zip(balls.point_orbit_indices(u.d, N), map(mul, nums, nums)):
             sums[oi] += sq
         return sums, den
-    parts, den = u._orthant
-    squares = repeat(0)
-    for _, nums in parts:
-        squares = map(add, squares, map(mul, nums, nums))
-    for oi, sq in zip(balls.point_orbit_indices(u.d, u.R, True), squares):
+    _, _, den, lowest = u._orthant
+    g, squares = 1 if lowest else den, None  # g: the factor den shares with the values
+    for _, nums in u._components(u.R - N):
+        if g > 1:
+            g = math.gcd(g, *nums)
+        square = map(mul, nums, nums)
+        squares = list(square if squares is None else map(add, squares, square))
+        del nums, square  # one component's values at a time
+    for oi, sq in zip(balls.point_orbit_indices(u.d, N, True), squares or ()):
         sums[oi] += sq
     zeros = map(tuple.count, tab.reps, repeat(0))
-    return list(map(lshift, sums, map(sub, repeat(u.d), zeros))), den
+    sums = list(map(lshift, sums, map(sub, repeat(u.d), zeros)))
+    if g > 1:
+        sums = list(map((g * g).__rfloordiv__, sums))
+    return sums, den // g
 
 
 def _newton_via_laplacian(
@@ -141,17 +166,17 @@ def _newton_via_laplacian(
     those of B_N are a prefix of the table.  Once L^k(u^2) vanishes on
     its ball, every higher order is 0 and the passes stop; for a
     polynomial of degree M that happens at k = M + 1.  ``squares`` are
-    the orbit square sums of u with their denominator when the caller
-    already has them (:func:`growth_report` does).
+    the orbit square sums of u on B_N with their denominator when the
+    caller already has them (:func:`growth_report` does).
     """
     d = u.d
     N = u.R if N is None else N
     tab = balls.orbit_table(d, N)
-    sums, den = _orbit_square_sums(u) if squares is None else squares
+    sums, den = _orbit_square_sums(u, N) if squares is None else squares
     G = balls.group_order(d)
     twod = 2 * d
     # h[i] = G * (symmetrized u^2)(rep_i) * den^2, for the reps of B_N
-    h = list(map(mul, islice(sums, tab.count_up_to(N)), map(G.__floordiv__, tab.sizes)))
+    h = list(map(mul, sums, map(G.__floordiv__, tab.sizes)))
     out = [Fraction(h[0], G * den * den)]
     for k in range(1, N + 1):
         if not any(h):
@@ -281,7 +306,7 @@ def growth_report(u: LatticeFunction, n_max: Optional[int] = None) -> GrowthPoly
     N = u.R if n_max is None else n_max
     if N < 0 or N > u.R:
         raise OutOfRangeError(f"need 0 <= n_max <= {u.R}, got {n_max}")
-    squares = _orbit_square_sums(u)
+    squares = _orbit_square_sums(u, N)
     sums, den = squares
     den2 = den * den
     twod = 2 * u.d

@@ -12,10 +12,13 @@ ball, held in the integer form of :mod:`harmlat.rationals`: integer
 numerators over one common denominator, in lowest terms.  All
 operations are pure; values are immutable after construction.  A table
 evaluated from a polynomial is handed over as parity components on the
-orthant x >= 0 (see :func:`harmlat.polynomials.evaluate_on_ball`), which
-the growth report reads; its values on the whole ball are built from
-them, each component copied to the other orthants with its signs and
-the copies summed, on their first read.
+orthant x >= 0, each given by the seeds of its lines along the last
+coordinate (see :func:`harmlat.polynomials.evaluate_on_ball`), and keeps
+no value.  Its readers run the lines (:func:`_lines`) one component at a
+time and drop each component's values before the next: the growth
+report squares them, and the values on the whole ball are built on
+their first read, each component copied to the other orthants with its
+signs and the copies summed.
 
 The Laplacian and the directional differences read one column plan,
 :func:`harmlat.balls.laplacian_plan`, in a few C-level passes over whole
@@ -29,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, combinations_with_replacement, product, repeat
+from itertools import accumulate, chain, combinations_with_replacement, islice, product, repeat
 from operator import add, mul, neg, sub
 from typing import Iterable
 
@@ -92,34 +95,51 @@ class LatticeFunction:
         self._orthant = None
 
     @classmethod
-    def _from_orthant(cls, ball: LatticeBall, parts: list, den: int) -> "LatticeFunction":
-        """The sum of parity components, each given on the orthant x >= 0 of ``ball``.
+    def _from_orthant(
+        cls, ball: LatticeBall, parts: list, remaining: list, den: int, lowest: bool
+    ) -> "LatticeFunction":
+        """The sum of parity components, each given by its line seeds on the orthant x >= 0.
 
-        ``parts`` holds (signs, nums) pairs: flipping coordinate l
-        multiplies the component by signs[l], and nums are its numerators
-        over ``den`` at the points x >= 0, in lex order.  They are kept as
-        ``_orthant``, which :func:`harmlat.growth.growth_report` squares;
-        the full table is built from them on its first read
-        (:meth:`scaled_values`).
+        ``parts`` holds (signs, seeds) pairs: flipping coordinate l
+        multiplies the component by signs[l], and its numerators over
+        ``den`` on the orthant of ``ball`` are :func:`_lines` of its seeds
+        and ``remaining``.  No value is kept: :meth:`_components` runs one
+        component's lines at a time for :func:`harmlat.growth.growth_report`
+        to square, and the full table is built the same way on its first
+        read (:meth:`scaled_values`).  ``lowest`` says that ``den`` leaves
+        each component in lowest terms; else the readers divide out the
+        factor they find in the values (see
+        :func:`harmlat.polynomials.evaluate_on_ball`).
         """
         self = cls.__new__(cls)
-        self.ball, self._scaled, self._orthant = ball, None, (parts, den)
+        self.ball, self._scaled, self._orthant = ball, None, (parts, remaining, den, lowest)
         return self
+
+    def _components(self, cut: int = 0):
+        """(signs, nums) of each parity component on the orthant x >= 0 of B_(R-cut), in turn.
+
+        Each component's lines are run on every call, so a caller that
+        drops one component's values before it asks for the next holds one
+        component at a time.
+        """
+        parts, remaining, _, _ = self._orthant
+        for signs, seeds in parts:
+            yield signs, _lines(seeds, remaining, cut)
 
     def _assemble(self) -> tuple:
         """(nums, den) on the whole ball: each component unfolded with its signs, summed.
 
         The components' joint denominator need not leave the sum in lowest
-        terms, so two or more components are reduced here; one alone is in
-        lowest terms already (see :func:`harmlat.polynomials.evaluate_on_ball`).
+        terms, so two or more components are reduced here, and so is one
+        whose denominator is not known to be lowest.
         """
-        parts, den = self._orthant
-        R = self.R
+        parts, _, den, lowest = self._orthant
         nums = [0] * self.ball.point_count
-        for k, (signs, orth) in enumerate(parts):
-            values = _unfold(orth, signs, R)[0]
+        for k, (signs, orth) in enumerate(self._components()):
+            values = _unfold(orth, signs, self.R)[0]
             nums = list(map(add, nums, values)) if k else values
-        if len(parts) > 1:
+            del orth, values  # one component's values at a time
+        if len(parts) > 1 or not lowest:
             den = reduce_in_place(den, nums)
         return tuple(nums), den
 
@@ -230,6 +250,31 @@ class LatticeFunction:
                 f"missing value at {missing}; pass --sparse to default omitted points to 0"
             )
         return cls.from_values(ball, [table.get(p, 0) for p in ball.points])
+
+
+def _lines(seeds: list, remaining: list, cut: int = 0) -> list:
+    """Values on the orthant x >= 0 of B_(R-cut) of Z^d from line seeds laid out on B_R.
+
+    ``seeds`` are the forward differences along the last coordinate z at
+    z = 0, one list per order, aligned with ``remaining``: the
+    b = R - |x'|_1 of every x' >= 0 of B_R of Z^(d-1), in lex order.  Each
+    line z = 0..b - cut with b >= cut is len(seeds) - 1 chained running
+    sums, in exact ints; in lex order these lines are the orthant of
+    B_(R-cut).
+    """
+    out: list = []
+    for b, line_seeds in zip(remaining, zip(*seeds)):
+        if b >= cut:
+            out.extend(islice(_line(line_seeds), b - cut + 1))
+    return out
+
+
+def _line(seeds: tuple):
+    """f(0), f(1), ... of the polynomial whose forward differences at 0 are ``seeds``."""
+    seq = repeat(seeds[-1])
+    for s in reversed(seeds[:-1]):
+        seq = accumulate(seq, initial=s)
+    return seq
 
 
 def _unfold(orth: list, signs: tuple, R: int, negated=False) -> tuple:

@@ -26,25 +26,27 @@ coordinates; they are evaluated once on the orthant of the (d-1)-ball by
 the same scheme, recursively, and every line is then produced by chained
 running sums in exact integers over the coefficients' common
 denominator.  The common factor of the top-level differences and that
-denominator is divided out of those differences, before the lines are
-run out; every value is an integer combination of them, so this is
-exact.  A single component's values are then in lowest terms (the proof
-is in :func:`evaluate_on_ball`); a sum of two or more is reduced when it
-is built.  The table keeps the components' orthant values, which are all
-that the growth report squares, and builds the values on the whole ball
-from them only when they are read (:mod:`harmlat.lattice`).
+denominator is divided out of those differences; every value is an
+integer combination of them, so this is exact.  A single component's
+values are then in lowest terms on a ball of radius at least the degree
+(the proof is in :func:`evaluate_on_ball`); a sum of two or more is
+reduced when it is built.  The table keeps the top-level differences,
+the line seeds, and runs no line: the growth report runs one
+component's lines at a time and squares them, and the values on the
+whole ball are built the same way only when they are read
+(:mod:`harmlat.lattice`).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, chain, islice, repeat
+from itertools import chain, repeat
 from typing import Optional, Sequence
 
 from . import balls
 from .errors import HarmonicityError, InvalidParameterError, UsageError
-from .lattice import LatticeBall, LatticeFunction, is_harmonic
+from .lattice import LatticeBall, LatticeFunction, _lines, is_harmonic
 from .rationals import (
     common_denominator, format_rational, parse_int, parse_rational, reduce_in_place,
 )
@@ -396,16 +398,19 @@ def evaluate_on_ball(P: MultivariatePolynomial, R: int) -> LatticeFunction:
     others, so flipping a coordinate multiplies it by a sign.  Each
     component is evaluated on the orthant x >= 0 only: :func:`_seeds`
     gives its differences along the last coordinate on the orthant of B_R
-    of Z^(d-1), and :func:`_lines` runs them out into the values.  The
-    common factor of all the components' seeds and the denominator is
-    divided out of the seeds: every value is an integer combination of
-    them, so the values stay exact integers.
+    of Z^(d-1), the seeds of its lines, which
+    :func:`harmlat.lattice._lines` runs out into the values.  The common
+    factor of all the components' seeds and the denominator is divided
+    out of the seeds: every value is an integer combination of them, so
+    the values stay exact integers.
 
-    The table carries the components' orthant values over that one
-    denominator, for :func:`harmlat.growth.growth_report` to square, and
-    builds the values on the whole ball from them (each component copied
-    to the other orthants with its signs, then summed) only when they are
-    read.  Two or more components are reduced to lowest terms there.
+    No line is run here.  The table carries each component's seeds, the
+    length of every line and the one denominator, and runs a component's
+    lines only when its values are read, one component at a time: for
+    :func:`harmlat.growth.growth_report` to square, or to build the values
+    on the whole ball (each component copied to the other orthants with
+    its signs, then summed) on their first read.  Two or more components
+    are reduced to lowest terms there.
 
     A single component, which is P when it has a parity in every
     coordinate, is in lowest terms without a gcd pass.  Let V = den' P be
@@ -418,7 +423,8 @@ def evaluate_on_ball(P: MultivariatePolynomial, R: int) -> LatticeFunction:
     C(x_j, b_j) is an integer for every integer x_j.  So h divides V at
     every point of Z^d, hence every seed (a difference of V along z),
     hence gcd(den', seeds) = 1.  For R < M the seeds need not be values on
-    the ball, and the factor left is divided out of the orthant values.
+    the ball, and the table's readers divide the factor left out of the
+    values they run.
     """
     ball = LatticeBall(P.d, R)
     balls.guard_cells(P.d, R)
@@ -431,10 +437,8 @@ def evaluate_on_ball(P: MultivariatePolynomial, R: int) -> LatticeFunction:
     rem = _remaining(P.d - 1, R)
     seeds = [_seeds(terms, P.d, R, surj, rem) for terms in components.values()]
     den = reduce_in_place(den, *chain.from_iterable(seeds))
-    orthants = [_lines(s, rem[P.d - 1]) for s in seeds]
-    if R < P.degree:
-        den = reduce_in_place(den, *orthants)
-    return LatticeFunction._from_orthant(ball, list(zip(components, orthants)), den)
+    parts = list(zip(components, seeds))
+    return LatticeFunction._from_orthant(ball, parts, rem[P.d - 1], den, R >= P.degree)
 
 
 def _ball_values(terms: dict, d: int, R: int, surj: dict, rem: list) -> list:
@@ -478,27 +482,6 @@ def _seeds(terms: dict, d: int, R: int, surj: dict, rem: list) -> list:
                     seed[rest] = seed.get(rest, 0) + w * c
         out.append(_ball_values(seed, d - 1, R, surj, rem))
     return out
-
-
-def _lines(seeds: list, remaining: list) -> list:
-    """Values on the orthant x >= 0 of B_R of Z^d from the :func:`_seeds`.
-
-    Each line z = 0..b, b = R - |x'|_1, is m chained running sums, in
-    exact ints; ``remaining`` holds the b of every x' >= 0 of B_R of
-    Z^(d-1), in lex order.
-    """
-    out: list = []
-    for b, line_seeds in zip(remaining, zip(*seeds)):
-        out.extend(islice(_line(line_seeds), b + 1))
-    return out
-
-
-def _line(seeds: tuple):
-    """f(0), f(1), ... of the polynomial whose forward differences at 0 are ``seeds``."""
-    seq = repeat(seeds[-1])
-    for s in reversed(seeds[:-1]):
-        seq = accumulate(seq, initial=s)
-    return seq
 
 
 def _surjection_counts(exponents, r: int) -> dict:

@@ -27,7 +27,9 @@ from harmlat import (
 )
 from harmlat import growth
 from harmlat.balls import ball_points, orbit_table, point_orbit_indices
-from harmlat.growth import _difference_triangle, _newton_via_laplacian, _orbit_walk_rows
+from harmlat.growth import (
+    _difference_triangle, _newton_via_laplacian, _orbit_square_sums, _orbit_walk_rows,
+)
 
 from conftest import _full_triangle, growth_of, spread_walk_row
 from montecarlo import monte_carlo_Q
@@ -207,6 +209,37 @@ def test_report_equals_brute_force_walk_mean(d, R, below, route):
         rep = growth_report(u, N)
         assert rep.n_max == N
         assert [rep.Q(n) for n in range(N + 1)] == want[: N + 1]
+
+
+@pytest.mark.parametrize("route", ["cells", "orthant"])
+def test_report_below_the_radius_squares_only_that_ball(monkeypatch, route):
+    # a report to N < R squares the cells of B_N only, on both routes: its
+    # square sums have one entry per orbit of B_N, equal those of the B_N
+    # part of the table, and so do its a_k
+    if route == "cells":
+        rng = random.Random(4)
+        ball = LatticeBall(3, 9)
+        u = LatticeFunction.from_values(
+            ball, [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(ball.point_count)]
+        )
+    else:
+        u = evaluate_on_ball(_mixed_parity_polynomial(3), 9)
+    seen = []
+    cascade = growth._newton_via_laplacian
+
+    def spy(u, squares, N):
+        seen.append(squares)
+        return cascade(u, squares, N)
+
+    monkeypatch.setattr(growth, "_newton_via_laplacian", spy)
+    sums, den = _orbit_square_sums(u, 4)
+    newton = growth_report(u, 4).newton
+    assert (u._scaled is None) == (route == "orthant")  # a polynomial's table is not built
+    part = LatticeFunction.from_values(LatticeBall(3, 4), map(u.value, ball_points(3, 4)))
+    part_sums, part_den = _orbit_square_sums(part)
+    assert len(sums) == orbit_table(3, 4).count_up_to(4) == len(part_sums) == len(seen[0][0])
+    assert [F(s, den * den) for s in sums] == [F(s, part_den**2) for s in part_sums]
+    assert newton == growth_report(part).newton
 
 
 def test_report_refuses_disagreeing_routes(monkeypatch):

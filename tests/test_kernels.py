@@ -12,6 +12,8 @@ the package must be bounded.
 import importlib
 import math
 import pkgutil
+import subprocess
+import sys
 from fractions import Fraction as F
 from functools import partial
 
@@ -25,21 +27,26 @@ from harmlat import (
     LatticeFunction,
     MultivariatePolynomial,
     aspect_ratio_check,
+    VanishingHypothesisError,
     correspondence,
     evaluate_on_ball,
     general_P_check,
+    growth_polynomial,
     growth_report,
     monomial_uk,
     random_harmonic,
     ratio_125_check,
     sos_laplacian_power,
     three_circles_check,
+    vanishing_ball_test,
 )
-from harmlat import balls, checks, growth, lattice
+from harmlat import balls, checks, growth, lattice, polynomials
 from harmlat.balls import OrbitTable, orbit_table, unit_steps
-from harmlat.growth import _newton_via_laplacian, _orbit_square_sums, _orbit_walk_rows
+from harmlat.growth import (
+    _newton_via_laplacian, _orbit_square_sums, _orbit_walk_rows, harmonic_growth_polynomial,
+)
 
-from conftest import spread_walk_row
+from conftest import _child_env, spread_walk_row
 
 
 def _harmlat_modules():
@@ -139,6 +146,16 @@ def test_orthant_plan_equals_canonical_reps(d):
         assert orbits == tuple(index[tuple(sorted(p))] for p in points if min(p) >= 0), (d, R)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_inner_ball_positions_equal_point_lookups(d):
+    # the block recursion against each point's position in the larger ball
+    for R in range(7):
+        position = balls.ball_position(d, R)
+        for N in range(R + 1):
+            want = [position[p] for p in balls.ball_points(d, N)]
+            assert balls.inner_ball_positions(d, R, N) == want, (d, R, N)
+
+
 @st.composite
 def parity_polynomials(draw):
     """(P, R): a rational polynomial in d <= 4 variables, degree <= 6, R <= 6.
@@ -167,13 +184,14 @@ def _signs(alpha):
 
 
 def _assert_orthant_route_is_pointwise(P, R):
-    # the parity components on the orthant against P's own terms, the
-    # table they build against the pointwise values, and their orbit
-    # square sums and growth report against the per-cell route on a plain
-    # table of the same values
+    # the parity components on the orthant, run from their line seeds,
+    # against P's own terms, the table they build against the pointwise
+    # values, and their orbit square sums and growth report against the
+    # per-cell route on a plain table of the same values
     u = evaluate_on_ball(P, R)
     ball = u.ball
-    parts, den = u._orthant
+    parts = list(u._components())
+    den = u._orthant[2]
     patterns = {_signs(alpha) for alpha in P.terms}
     assert len(parts) == len(patterns) and {s for s, _ in parts} == patterns
     orthant = [p for p in ball.points if min(p) >= 0]
@@ -261,6 +279,92 @@ def test_growth_report_of_a_polynomial_reads_only_the_orthant(monkeypatch):
     assert len(u._orthant[0]) > 1
     assert growth_report(u).newton == want.newton
     assert u._scaled is None
+
+
+def _top_level_lines(monkeypatch, d, R):
+    """The seeds of every line run of the orthant of B_R of Z^d, R >= 1, while the test runs.
+
+    Every module that holds the line runner is patched.  The seeds' own
+    recursion runs the orthant of a ball of Z^(d-1), which has fewer
+    cells, and is not recorded.
+    """
+    run, calls = polynomials._lines, []
+    cells = math.comb(R + d, d)
+
+    def counted(seeds, *args):
+        out = run(seeds, *args)
+        if len(out) == cells:
+            calls.append(id(seeds))
+        return out
+
+    for module in _harmlat_modules():
+        for name, value in list(vars(module).items()):
+            if value is run:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_evaluation_runs_no_line_and_the_first_report_each_once(monkeypatch):
+    # the table keeps each component's line seeds; its first report runs
+    # each component's lines once and builds no full table; reading the
+    # full table runs them once more, and a report of a table whose full
+    # values are built squares those and runs none
+    P = random_harmonic(3, 6, 201)
+    calls = _top_level_lines(monkeypatch, 3, 12)
+    u = evaluate_on_ball(P, 12)
+    assert calls == []
+    components = sorted(id(seeds) for _, seeds in u._orthant[0])
+    assert len(components) == 8
+    want = growth_report(u)
+    assert sorted(calls) == components and u._scaled is None
+    calls.clear()
+    u.scaled_values()
+    assert sorted(calls) == components
+    calls.clear()
+    assert growth_report(u) == want and calls == []
+
+
+@pytest.mark.parametrize("reader", ["harmonic growth polynomial", "vanishing ball"])
+def test_harmonicity_readers_run_each_component_once(monkeypatch, reader):
+    # harmonicity reads the full table, so it is built first, and the
+    # growth report squares its cells instead of running the lines again
+    P = random_harmonic(3, 6, 201)
+    R = 7 if reader == "harmonic growth polynomial" else 6  # B_(M+1); B_M
+    parts = len(evaluate_on_ball(P, R)._orthant[0])
+    want = growth_polynomial(P)
+    calls = _top_level_lines(monkeypatch, 3, R)
+    if reader == "harmonic growth polynomial":
+        assert harmonic_growth_polynomial(P) == want
+    else:
+        with pytest.raises(VanishingHypothesisError):
+            vanishing_ball_test(P)
+    assert len(set(calls)) == len(calls) == parts > 1
+
+
+# tracemalloc peak of one report of a Z^3 member, with the orbit tables,
+# walk rows and orthant orbit plan warm
+MEMORY_CHILD = """
+import tracemalloc
+from harmlat import balls, evaluate_on_ball, growth_report, random_harmonic
+from harmlat.growth import _orbit_walk_rows
+P = random_harmonic(3, 6, 201)
+balls.orbit_table(3, 60), _orbit_walk_rows(3, 60), balls.point_orbit_indices(3, 60, True)
+tracemalloc.start()
+growth_report(evaluate_on_ball(P, 60))
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_report_of_a_polynomial_holds_one_component_at_a_time():
+    # random_harmonic(3, 6, 201) on B_60 has 8 parity components.  Peak:
+    # 14.4 MB when the table kept every component's orthant values,
+    # 8.0 MB when the report runs and drops them one component at a time
+    res = subprocess.run(
+        [sys.executable, "-c", MEMORY_CHILD],
+        capture_output=True, text=True, env=_child_env(), timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert int(res.stdout) < 11 * 2**20
 
 
 def test_table_route_builds_no_point_tuples(monkeypatch):
