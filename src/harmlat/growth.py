@@ -31,11 +31,12 @@ them alone.  Walk rows are cached per dimension and extended
 incrementally; rows built against a smaller orbit table stay valid
 against a larger one.
 
-A report reads u through its orbit square sums, on B_N only.  A
-polynomial's table keeps the line seeds of its parity components, so
-the report runs one component's lines at a time on the orthant and
-keeps only the running sum of their squares; a table whose full values
-are built has each cell squared.
+A report reads u through its orbit square sums, on B_N only, over the
+square of u's own denominator; it divides nothing.  A polynomial's
+table keeps the line seeds of its parity components, so the report runs
+one component's lines at a time on the orthant and keeps only the
+running sum of their squares; a table whose full values are built has
+each cell squared.
 """
 
 from __future__ import annotations
@@ -119,11 +120,10 @@ def _orbit_square_sums(u: LatticeFunction, N: Optional[int] = None) -> tuple:
     lines are run on the orthant of B_N one component at a time, each
     component's squares are added into one list per cell and its values
     dropped, the orthant's cells are scattered once, and each orbit's sum
-    is then taken 2^nz times; the full table is not built.  When the
-    denominator is not known to be lowest (a ball below the degree), the
-    factor it shares with the values is divided out of the sums.  Every
-    other table, one whose full values are built included, has each
-    cell's square scattered.
+    is then taken 2^nz times; the full table is not built.  Every other
+    table, one whose full values are built included, has each cell's
+    square scattered.  On both routes den is the table's own, and nothing
+    is reduced for N < R: the sums are exact over den^2 as they stand.
     """
     N = u.R if N is None else N
     tab = balls.orbit_table(u.d, N)
@@ -136,11 +136,9 @@ def _orbit_square_sums(u: LatticeFunction, N: Optional[int] = None) -> tuple:
         for oi, sq in zip(balls.point_orbit_indices(u.d, N), map(mul, nums, nums)):
             sums[oi] += sq
         return sums, den
-    _, _, den, lowest = u._orthant
-    g, squares = 1 if lowest else den, None  # g: the factor den shares with the values
+    _, _, den = u._orthant
+    squares = None
     for _, nums in u._components(u.R - N):
-        if g > 1:
-            g = math.gcd(g, *nums)
         square = map(mul, nums, nums)
         squares = list(square if squares is None else map(add, squares, square))
         del nums, square  # one component's values at a time
@@ -148,9 +146,7 @@ def _orbit_square_sums(u: LatticeFunction, N: Optional[int] = None) -> tuple:
         sums[oi] += sq
     zeros = map(tuple.count, tab.reps, repeat(0))
     sums = list(map(lshift, sums, map(sub, repeat(u.d), zeros)))
-    if g > 1:
-        sums = list(map((g * g).__rfloordiv__, sums))
-    return sums, den // g
+    return sums, den
 
 
 def _newton_via_laplacian(

@@ -13,12 +13,13 @@ numerators over one common denominator, in lowest terms.  All
 operations are pure; values are immutable after construction.  A table
 evaluated from a polynomial is handed over as parity components on the
 orthant x >= 0, each given by the seeds of its lines along the last
-coordinate (see :func:`harmlat.polynomials.evaluate_on_ball`), and keeps
-no value.  Its readers run the lines (:func:`_lines`) one component at a
-time and drop each component's values before the next: the growth
-report squares them, and the values on the whole ball are built on
-their first read, each component copied to the other orthants with its
-signs and the copies summed.
+coordinate (see :func:`harmlat.polynomials.evaluate_on_ball`), each in
+lowest terms over one denominator, and keeps no value.  Its readers run
+the lines (:func:`_lines`) one component at a time and drop each
+component's values before the next: the growth report squares them, and
+the values on the whole ball are built on their first read, each
+component copied to the other orthants with its signs and the copies
+summed and reduced.
 
 The Laplacian and the directional differences read one column plan,
 :func:`harmlat.balls.laplacian_plan`, in a few C-level passes over whole
@@ -96,23 +97,22 @@ class LatticeFunction:
 
     @classmethod
     def _from_orthant(
-        cls, ball: LatticeBall, parts: list, remaining: list, den: int, lowest: bool
+        cls, ball: LatticeBall, parts: list, remaining: list, den: int
     ) -> "LatticeFunction":
         """The sum of parity components, each given by its line seeds on the orthant x >= 0.
 
         ``parts`` holds (signs, seeds) pairs: flipping coordinate l
         multiplies the component by signs[l], and its numerators over
         ``den`` on the orthant of ``ball`` are :func:`_lines` of its seeds
-        and ``remaining``.  No value is kept: :meth:`_components` runs one
-        component's lines at a time for :func:`harmlat.growth.growth_report`
-        to square, and the full table is built the same way on its first
-        read (:meth:`scaled_values`).  ``lowest`` says that ``den`` leaves
-        each component in lowest terms; else the readers divide out the
-        factor they find in the values (see
-        :func:`harmlat.polynomials.evaluate_on_ball`).
+        and ``remaining``.  ``den`` shares no factor with the components'
+        values (see :func:`harmlat.polynomials.evaluate_on_ball`).  No
+        value is kept: :meth:`_components` runs one component's lines at a
+        time for :func:`harmlat.growth.growth_report` to square, and the
+        full table is built the same way on its first read
+        (:meth:`scaled_values`).
         """
         self = cls.__new__(cls)
-        self.ball, self._scaled, self._orthant = ball, None, (parts, remaining, den, lowest)
+        self.ball, self._scaled, self._orthant = ball, None, (parts, remaining, den)
         return self
 
     def _components(self, cut: int = 0):
@@ -122,25 +122,24 @@ class LatticeFunction:
         drops one component's values before it asks for the next holds one
         component at a time.
         """
-        parts, remaining, _, _ = self._orthant
+        parts, remaining, _ = self._orthant
         for signs, seeds in parts:
             yield signs, _lines(seeds, remaining, cut)
 
     def _assemble(self) -> tuple:
         """(nums, den) on the whole ball: each component unfolded with its signs, summed.
 
-        The components' joint denominator need not leave the sum in lowest
-        terms, so two or more components are reduced here, and so is one
-        whose denominator is not known to be lowest.
+        Each component is in lowest terms over the joint denominator, but
+        a sum of two or more need not be, so the sum is reduced; for one
+        component the reduction finds nothing to divide.
         """
-        parts, _, den, lowest = self._orthant
+        _, _, den = self._orthant
         nums = [0] * self.ball.point_count
         for k, (signs, orth) in enumerate(self._components()):
             values = _unfold(orth, signs, self.R)[0]
             nums = list(map(add, nums, values)) if k else values
             del orth, values  # one component's values at a time
-        if len(parts) > 1 or not lowest:
-            den = reduce_in_place(den, nums)
+        den = reduce_in_place(den, nums)
         return tuple(nums), den
 
     # -- construction -------------------------------------------------

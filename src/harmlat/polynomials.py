@@ -25,12 +25,11 @@ forward differences of a component at z = 0 are polynomials in the other
 coordinates; they are evaluated once on the orthant of the (d-1)-ball by
 the same scheme, recursively, and every line is then produced by chained
 running sums in exact integers over the coefficients' common
-denominator.  The common factor of the top-level differences and that
-denominator is divided out of those differences; every value is an
-integer combination of them, so this is exact.  A single component's
-values are then in lowest terms on a ball of radius at least the degree
-(the proof is in :func:`evaluate_on_ball`); a sum of two or more is
-reduced when it is built.  The table keeps the top-level differences,
+denominator.  The top-level differences a line does not read are set to
+0, and the common factor of the rest and that denominator is divided
+out of them, which leaves the components' values in lowest terms at any
+radius (see :func:`evaluate_on_ball`); a sum of two or more components
+is reduced when it is built.  The table keeps the top-level differences,
 the line seeds, and runs no line: the growth report runs one
 component's lines at a time and squares them, and the values on the
 whole ball are built the same way only when they are read
@@ -399,32 +398,22 @@ def evaluate_on_ball(P: MultivariatePolynomial, R: int) -> LatticeFunction:
     component is evaluated on the orthant x >= 0 only: :func:`_seeds`
     gives its differences along the last coordinate on the orthant of B_R
     of Z^(d-1), the seeds of its lines, which
-    :func:`harmlat.lattice._lines` runs out into the values.  The common
-    factor of all the components' seeds and the denominator is divided
-    out of the seeds: every value is an integer combination of them, so
-    the values stay exact integers.
+    :func:`harmlat.lattice._lines` runs out into the values.
+
+    A line z = 0..b reads only its seeds of order <= b; every other seed
+    is set to 0, and the common factor of the denominator and all the
+    components' seeds is divided out of the seeds.  Each seed a line reads
+    is an integer combination of that line's values, and each value is an
+    integer combination of the seeds its line reads, so the denominator
+    then shares no factor with the components' values: every table is in
+    lowest terms component by component, at any radius.
 
     No line is run here.  The table carries each component's seeds, the
     length of every line and the one denominator, and runs a component's
     lines only when its values are read, one component at a time: for
     :func:`harmlat.growth.growth_report` to square, or to build the values
     on the whole ball (each component copied to the other orthants with
-    its signs, then summed) on their first read.  Two or more components
-    are reduced to lowest terms there.
-
-    A single component, which is P when it has a parity in every
-    coordinate, is in lowest terms without a gcd pass.  Let V = den' P be
-    its values after the seed factor g is divided out, den' = den / g, and
-    h the gcd of den' and V on the orthant of B_R.  Every other value of V
-    is one of those or its negative.  When R >= M = deg P, by Newton
-    interpolation V(x) = sum_{|b| <= M} Delta^b V(0) prod_j C(x_j, b_j),
-    where Delta^b V(0) is an integer combination of the values of V on the
-    simplex {x >= 0, |x|_1 <= M}, which lies in the orthant of B_R, and
-    C(x_j, b_j) is an integer for every integer x_j.  So h divides V at
-    every point of Z^d, hence every seed (a difference of V along z),
-    hence gcd(den', seeds) = 1.  For R < M the seeds need not be values on
-    the ball, and the table's readers divide the factor left out of the
-    values they run.
+    its signs, then summed) on their first read.
     """
     ball = LatticeBall(P.d, R)
     balls.guard_cells(P.d, R)
@@ -436,9 +425,15 @@ def evaluate_on_ball(P: MultivariatePolynomial, R: int) -> LatticeFunction:
     surj = _surjection_counts(exponents, min(max(P.degree, 0), R))
     rem = _remaining(P.d - 1, R)
     seeds = [_seeds(terms, P.d, R, surj, rem) for terms in components.values()]
+    top = max(map(len, seeds), default=1) - 1  # the highest seed order
+    for j, b in enumerate(rem[P.d - 1]):
+        if b < top:  # a short line: its seeds of order > b are read by no value
+            for component in seeds:
+                for order in component[b + 1 :]:
+                    order[j] = 0
     den = reduce_in_place(den, *chain.from_iterable(seeds))
     parts = list(zip(components, seeds))
-    return LatticeFunction._from_orthant(ball, parts, rem[P.d - 1], den, R >= P.degree)
+    return LatticeFunction._from_orthant(ball, parts, rem[P.d - 1], den)
 
 
 def _ball_values(terms: dict, d: int, R: int, surj: dict, rem: list) -> list:

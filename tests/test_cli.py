@@ -108,6 +108,27 @@ def test_library_source_uses_no_floating_point():
     assert found == []
 
 
+def _gcd_uses(tree):
+    """(line, use) for each math.gcd or math.lcm named in a module's syntax tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "math":
+            if node.attr in ("gcd", "lcm"):
+                yield node.lineno, f"math.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            yield from ((node.lineno, f"math.{a.name}") for a in node.names if a.name in ("gcd", "lcm"))
+
+
+def test_only_rationals_takes_a_gcd_or_lcm():
+    """Lists are brought to one denominator and reduced by the two helpers of rationals only."""
+    src = "from math import lcm, comb\ng = math.gcd(a, b) + math.prod(c)"
+    assert sorted(_gcd_uses(ast.parse(src))) == [(1, "math.lcm"), (2, "math.gcd")]
+    found = []
+    for path in sorted(Path(harmlat.__file__).parent.glob("*.py")):
+        if path.name != "rationals.py":
+            found += [f"{path.name}:{line} {use}" for line, use in _gcd_uses(ast.parse(path.read_text()))]
+    assert found == []
+
+
 def test_closed_stdout_pipe_is_not_a_crash():
     argv = ["search", "counterexample", "--C", "1", "--eps", "1/5", "--k-max", "30", "--n0", "100"]
     proc = subprocess.Popen(

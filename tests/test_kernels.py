@@ -191,9 +191,14 @@ def _assert_orthant_route_is_pointwise(P, R):
     u = evaluate_on_ball(P, R)
     ball = u.ball
     parts = list(u._components())
-    den = u._orthant[2]
+    seeded, remaining, den = u._orthant
     patterns = {_signs(alpha) for alpha in P.terms}
     assert len(parts) == len(patterns) and {s for s, _ in parts} == patterns
+    # a line z = 0..b reads its seeds of order <= b only; every other seed
+    # is 0, and den shares no factor with any component, at any radius
+    for _, seeds in seeded:
+        assert all(order[j] == 0 for j, b in enumerate(remaining) for order in seeds[b + 1 :])
+    assert math.gcd(den, *(n for _, nums in parts for n in nums)) == 1
     orthant = [p for p in ball.points if min(p) >= 0]
     for signs, nums in parts:
         component = MultivariatePolynomial(
@@ -210,6 +215,11 @@ def _assert_orthant_route_is_pointwise(P, R):
     plain_squares = _orbit_square_sums(plain)
     if len(parts) <= 1:  # one component is in lowest terms as evaluated
         assert squares == plain_squares
+        # the per-cell route on u's own full table, on B_R and below it
+        fresh = evaluate_on_ball(P, R)
+        for N in range(R + 1):
+            assert _orbit_square_sums(fresh, N) == _orbit_square_sums(u, N), N
+        assert fresh._scaled is None and u._scaled is not None
     (sums, den), (plain_sums, plain_den) = squares, plain_squares
     assert [F(s, den * den) for s in sums] == [F(s, plain_den**2) for s in plain_sums]
     assert growth_report(u).newton == growth_report(plain).newton
@@ -217,7 +227,8 @@ def _assert_orthant_route_is_pointwise(P, R):
 
 @settings(max_examples=120, deadline=None)
 @given(parity_polynomials())
-# below the degree, with a factor 2 that only the reduction of the values finds
+# below the degree: den 2 divides every value on B_1 (x^3 y^2 / 2 + x is x
+# there) but not the order-1 seed x^3 / 2 of the line x = 1, which no value reads
 @example((MultivariatePolynomial(2, {(3, 2): F(1, 2), (1, 0): 1}), 1))
 # (x^2 + x)/2 on B_4 of Z^1: each component keeps the denominator 2, and
 # only their sum, an integer at every x, is reduced to denominator 1

@@ -308,9 +308,9 @@ def shared_factor_polynomials(draw):
 @settings(max_examples=120, deadline=None)
 @given(shared_factor_polynomials())
 def test_evaluate_on_ball_equals_reduced_pointwise_values(case):
-    # the seed factor is divided out, and below deg P evaluate_on_ball
-    # reduces the values itself: the fully reduced (nums, den) of the
-    # pointwise values either way
+    # the seeds no line reads are zeroed and the seed factor is divided
+    # out: the fully reduced (nums, den) of the pointwise values, below
+    # deg P and above it
     P, R = case
     ball = LatticeBall(P.d, R)
     assert evaluate_on_ball(P, R) == LatticeFunction.from_values(
@@ -320,7 +320,8 @@ def test_evaluate_on_ball_equals_reduced_pointwise_values(case):
 
 def test_evaluate_on_ball_reduction_beyond_the_seeds():
     # -xy/2 vanishes on B_1 of Z^2, but its seeds there (the values of -x
-    # on B_1 of Z^1) are coprime to the denominator 2
+    # on B_1 of Z^1) are coprime to the denominator 2; the -1 is of order 1
+    # on the line x = 1, z = 0..0, which no value reads, and is zeroed
     P = MultivariatePolynomial(2, {(1, 1): F(-1, 2)})
     seeds = _seeds({(1, 1): -1}, 2, 1, _surjection_counts({1}, 1), _remaining(1, 1))
     assert seeds == [[0, 0], [0, -1]]
