@@ -34,8 +34,9 @@ against a larger one.
 A report reads u through its orbit square sums, on B_N only, over the
 square of u's own denominator; it divides nothing.  A polynomial's
 table keeps the line seeds of its parity components, so the report runs
-one component's lines at a time on the orthant and keeps only the
-running sum of their squares; a table whose full values are built has
+the components' lines on the orthant side by side, one line at a time,
+and adds each line's summed squares straight into the orbit sums; it
+holds no orthant-sized list.  A table whose full values are built has
 each cell squared.
 """
 
@@ -51,7 +52,7 @@ from typing import Optional
 
 from . import balls
 from .errors import HarmError, InvalidParameterError, OutOfRangeError
-from .lattice import LatticeFunction, _line, is_harmonic
+from .lattice import LatticeFunction, _differences, _line, _line_runs, is_harmonic
 from .polynomials import MultivariatePolynomial, evaluate_on_ball
 from .rationals import common_denominator, format_rational
 
@@ -117,18 +118,29 @@ def _orbit_square_sums(u: LatticeFunction, N: Optional[int] = None) -> tuple:
     over those flips, and a component odd in a zero coordinate of x
     vanishes at x.  Each point of an orbit has exactly one flip in the
     orthant, and nz is the same on the whole orbit.  So the components'
-    lines are run on the orthant of B_N one component at a time, each
-    component's squares are added into one list per cell and its values
-    dropped, the orthant's cells are scattered once, and each orbit's sum
-    is then taken 2^nz times; the full table is not built.  Every other
-    table, one whose full values are built included, has each cell's
-    square scattered.  On both routes den is the table's own, and nothing
-    is reduced for N < R: the sums are exact over den^2 as they stand.
+    lines are run on the orthant of B_N side by side, one line at a time
+    (:func:`harmlat.lattice._line_runs`): the components' squares on a
+    line are summed per cell and added straight into the sums of the
+    cells' orbits, and each orbit's sum is then taken 2^nz times; no more
+    than one line of each component is held, and the full table is not
+    built.
+
+    Along a line the summed squares are one polynomial in z, even (each
+    component is even or odd in z) and of degree <= 2m, with m the highest
+    seed order, so they are fixed by their values at z = 0..m, mirrored
+    to z = -m..m.  A line long enough runs only those m + 1 values of each
+    component and the rest as the line of that polynomial, the square
+    line: with several components its 2m running sums a cell cost less
+    than the components' own running sums, squares and sums.
+
+    Every other table, one whose full values are built included, has each
+    cell's square scattered.  On both routes den is the table's own, and
+    nothing is reduced for N < R: the sums are exact over den^2 as they
+    stand.
     """
     N = u.R if N is None else N
     tab = balls.orbit_table(u.d, N)
-    m = tab.count_up_to(N)
-    sums = [0] * m
+    sums = [0] * tab.count_up_to(N)
     if u._scaled is not None:
         nums, den = u._scaled
         if N < u.R:
@@ -136,14 +148,30 @@ def _orbit_square_sums(u: LatticeFunction, N: Optional[int] = None) -> tuple:
         for oi, sq in zip(balls.point_orbit_indices(u.d, N), map(mul, nums, nums)):
             sums[oi] += sq
         return sums, den
-    _, _, den = u._orthant
-    squares = None
-    for _, nums in u._components(u.R - N):
-        square = map(mul, nums, nums)
-        squares = list(square if squares is None else map(add, squares, square))
-        del nums, square  # one component's values at a time
-    for oi, sq in zip(balls.point_orbit_indices(u.d, N, True), squares or ()):
-        sums[oi] += sq
+    parts, remaining, den = u._orthant
+    # A cell of the components' lines costs ``steps`` running sums,
+    # squares and sums, and a cell of the square line 2m running sums; its
+    # set-up (the differences and one more line) costs about 500, measured
+    # under CPython 3.11, so the square line runs on lines longer than
+    # ``long``.  Such a line reads every seed of every component, and no
+    # component has degree above m in z.
+    m = max((len(seeds) for _, seeds in parts), default=1) - 1
+    steps = sum(len(seeds) + 1 for _, seeds in parts) - 1
+    long = m + 1 + 500 // (steps - 2 * m) if steps > 2 * m else N + 1  # no line is longer
+    cells = iter(balls.point_orbit_indices(u.d, N, True))
+    for lines in zip(*(_line_runs(seeds, remaining, u.R - N) for _, seeds in parts)):
+        n = lines[0][0]
+        head = m + 1 if n > long else n
+        squares = None
+        for _, line_seeds in lines:
+            values = list(islice(_line(line_seeds), head))
+            square = map(mul, values, values)
+            squares = square if squares is None else map(add, squares, square)
+        if head < n:
+            half = list(squares)
+            squares = islice(_line(_differences(half[:0:-1] + half) or [0]), m, m + n)
+        for sq, oi in zip(squares, cells):  # squares first: the line's end takes no cell
+            sums[oi] += sq
     zeros = map(tuple.count, tab.reps, repeat(0))
     sums = list(map(lshift, sums, map(sub, repeat(u.d), zeros)))
     return sums, den
@@ -187,19 +215,13 @@ def _newton_via_laplacian(
 def _difference_triangle(values: list) -> list:
     """The a_k = Delta^k Q(0) of Q(0..N) = ``values``, up to the last nonzero one.
 
-    The rows of forward differences are taken in integers over one
-    denominator, and each row gives only its first entry, as a Fraction.
-    The differences of an all-zero row are zero, so the rows stop at the
-    first all-zero one; the row before it is a nonzero constant (or a
-    single entry), so the last a_k returned is nonzero.  For the values
-    of a polynomial of degree M no a_k past a_M is returned.
+    The differences are taken in integers over one denominator
+    (:func:`harmlat.lattice._differences`, which stops at the first
+    all-zero row), so the last a_k returned is nonzero.  For the values of
+    a polynomial of degree M no a_k past a_M is returned.
     """
     row, den = common_denominator(values)
-    newton = []
-    while any(row):
-        newton.append(Fraction(row[0], den))
-        row = list(map(sub, row[1:], row))
-    return newton
+    return [Fraction(a, den) for a in _differences(row)]
 
 
 @dataclass(frozen=True)

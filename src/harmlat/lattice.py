@@ -14,12 +14,13 @@ operations are pure; values are immutable after construction.  A table
 evaluated from a polynomial is handed over as parity components on the
 orthant x >= 0, each given by the seeds of its lines along the last
 coordinate (see :func:`harmlat.polynomials.evaluate_on_ball`), each in
-lowest terms over one denominator, and keeps no value.  Its readers run
-the lines (:func:`_lines`) one component at a time and drop each
-component's values before the next: the growth report squares them, and
-the values on the whole ball are built on their first read, each
-component copied to the other orthants with its signs and the copies
-summed and reduced.
+lowest terms over one denominator, and keeps no value.  One runner,
+:func:`_line_runs`, lays the lines out for every reader.  The growth
+report runs all the components' lines side by side, one line at a time,
+and keeps only their squares summed per orbit; the values on the whole
+ball are built on their first read, one component at a time, each
+copied to the other orthants with its signs and the copies summed and
+reduced.
 
 The Laplacian and the directional differences read one column plan,
 :func:`harmlat.balls.laplacian_plan`, in a few C-level passes over whole
@@ -106,25 +107,14 @@ class LatticeFunction:
         ``den`` on the orthant of ``ball`` are :func:`_lines` of its seeds
         and ``remaining``.  ``den`` shares no factor with the components'
         values (see :func:`harmlat.polynomials.evaluate_on_ball`).  No
-        value is kept: :meth:`_components` runs one component's lines at a
-        time for :func:`harmlat.growth.growth_report` to square, and the
-        full table is built the same way on its first read
-        (:meth:`scaled_values`).
+        value is kept: :func:`harmlat.growth.growth_report` runs the
+        components' lines (:func:`_line_runs`) side by side, one line at a
+        time, and squares them, and the full table is built one component
+        at a time on its first read (:meth:`scaled_values`).
         """
         self = cls.__new__(cls)
         self.ball, self._scaled, self._orthant = ball, None, (parts, remaining, den)
         return self
-
-    def _components(self, cut: int = 0):
-        """(signs, nums) of each parity component on the orthant x >= 0 of B_(R-cut), in turn.
-
-        Each component's lines are run on every call, so a caller that
-        drops one component's values before it asks for the next holds one
-        component at a time.
-        """
-        parts, remaining, _ = self._orthant
-        for signs, seeds in parts:
-            yield signs, _lines(seeds, remaining, cut)
 
     def _assemble(self) -> tuple:
         """(nums, den) on the whole ball: each component unfolded with its signs, summed.
@@ -133,12 +123,12 @@ class LatticeFunction:
         a sum of two or more need not be, so the sum is reduced; for one
         component the reduction finds nothing to divide.
         """
-        _, _, den = self._orthant
+        parts, remaining, den = self._orthant
         nums = [0] * self.ball.point_count
-        for k, (signs, orth) in enumerate(self._components()):
-            values = _unfold(orth, signs, self.R)[0]
+        for k, (signs, seeds) in enumerate(parts):
+            values = _unfold(_lines(seeds, remaining), signs, self.R)[0]
             nums = list(map(add, nums, values)) if k else values
-            del orth, values  # one component's values at a time
+            del values  # one component's values at a time
         den = reduce_in_place(den, nums)
         return tuple(nums), den
 
@@ -251,21 +241,28 @@ class LatticeFunction:
         return cls.from_values(ball, [table.get(p, 0) for p in ball.points])
 
 
-def _lines(seeds: list, remaining: list, cut: int = 0) -> list:
-    """Values on the orthant x >= 0 of B_(R-cut) of Z^d from line seeds laid out on B_R.
+def _lines(seeds: list, remaining: list) -> list:
+    """The values on the orthant x >= 0 of B_R of Z^d: the lines of :func:`_line_runs`, in turn."""
+    out: list = []
+    for n, line_seeds in _line_runs(seeds, remaining):
+        out.extend(islice(_line(line_seeds), n))
+    return out
+
+
+def _line_runs(seeds: list, remaining: list, cut: int = 0):
+    """(n, line seeds) of each line of the orthant x >= 0 of B_(R-cut) of Z^d, in lex order.
 
     ``seeds`` are the forward differences along the last coordinate z at
     z = 0, one list per order, aligned with ``remaining``: the
-    b = R - |x'|_1 of every x' >= 0 of B_R of Z^(d-1), in lex order.  Each
-    line z = 0..b - cut with b >= cut is len(seeds) - 1 chained running
-    sums, in exact ints; in lex order these lines are the orthant of
-    B_(R-cut).
+    b = R - |x'|_1 of every x' >= 0 of B_R of Z^(d-1), in lex order.  The
+    line through x' is kept when b >= cut and has the n = b - cut + 1
+    values z = 0..b - cut, which :func:`_line` runs from its seeds in
+    len(seeds) - 1 chained running sums, in exact ints; in lex order these
+    lines are the orthant of B_(R-cut).
     """
-    out: list = []
     for b, line_seeds in zip(remaining, zip(*seeds)):
         if b >= cut:
-            out.extend(islice(_line(line_seeds), b - cut + 1))
-    return out
+            yield b - cut + 1, line_seeds
 
 
 def _line(seeds: tuple):
@@ -274,6 +271,21 @@ def _line(seeds: tuple):
     for s in reversed(seeds[:-1]):
         seq = accumulate(seq, initial=s)
     return seq
+
+
+def _differences(row: list) -> list:
+    """The forward differences of ``row`` at its first entry, up to the last nonzero order.
+
+    The differences of an all-zero row are zero, so the rows stop at the
+    first all-zero one: the last difference returned is nonzero, and a
+    row of zeros has none.  :func:`_line` of them runs ``row`` out again,
+    and on past it as the polynomial of least degree through it.
+    """
+    out = []
+    while any(row):
+        out.append(row[0])
+        row = list(map(sub, row[1:], row))
+    return out
 
 
 def _unfold(orth: list, signs: tuple, R: int, negated=False) -> tuple:

@@ -409,11 +409,11 @@ def evaluate_on_ball(P: MultivariatePolynomial, R: int) -> LatticeFunction:
     lowest terms component by component, at any radius.
 
     No line is run here.  The table carries each component's seeds, the
-    length of every line and the one denominator, and runs a component's
-    lines only when its values are read, one component at a time: for
-    :func:`harmlat.growth.growth_report` to square, or to build the values
-    on the whole ball (each component copied to the other orthants with
-    its signs, then summed) on their first read.
+    length of every line and the one denominator, and runs the lines only
+    when its values are read: for :func:`harmlat.growth.growth_report` to
+    square, all components side by side, one line at a time, or to build
+    the values on the whole ball on their first read, one component at a
+    time (each copied to the other orthants with its signs, then summed).
     """
     ball = LatticeBall(P.d, R)
     balls.guard_cells(P.d, R)

@@ -190,8 +190,8 @@ def _assert_orthant_route_is_pointwise(P, R):
     # per-cell route on a plain table of the same values
     u = evaluate_on_ball(P, R)
     ball = u.ball
-    parts = list(u._components())
     seeded, remaining, den = u._orthant
+    parts = [(signs, lattice._lines(seeds, remaining)) for signs, seeds in seeded]
     patterns = {_signs(alpha) for alpha in P.terms}
     assert len(parts) == len(patterns) and {s for s, _ in parts} == patterns
     # a line z = 0..b reads its seeds of order <= b only; every other seed
@@ -215,14 +215,30 @@ def _assert_orthant_route_is_pointwise(P, R):
     plain_squares = _orbit_square_sums(plain)
     if len(parts) <= 1:  # one component is in lowest terms as evaluated
         assert squares == plain_squares
-        # the per-cell route on u's own full table, on B_R and below it
-        fresh = evaluate_on_ball(P, R)
-        for N in range(R + 1):
-            assert _orbit_square_sums(fresh, N) == _orbit_square_sums(u, N), N
-        assert fresh._scaled is None and u._scaled is not None
+    # the streamed route against the per-cell route on u's own full table,
+    # on B_R and below it; _assemble reduces a sum of two or more
+    # components, so their denominators can differ
+    _assert_streamed_sums_are_per_cell(P, u)
     (sums, den), (plain_sums, plain_den) = squares, plain_squares
     assert [F(s, den * den) for s in sums] == [F(s, plain_den**2) for s in plain_sums]
     assert growth_report(u).newton == growth_report(plain).newton
+
+
+def _assert_streamed_sums_are_per_cell(P, full, radii=None):
+    """The streamed orbit square sums of P's fresh table against ``full``'s per-cell ones.
+
+    ``full`` is P's table on the same ball with its values built; the two
+    are compared at every N in ``radii`` (default 0..R), exactly for one
+    component and as Fractions otherwise.
+    """
+    fresh = evaluate_on_ball(P, full.R)
+    one = len(fresh._orthant[0]) <= 1
+    for N in range(full.R + 1) if radii is None else radii:
+        (sums, den), (cell_sums, cell_den) = (_orbit_square_sums(v, N) for v in (fresh, full))
+        if one:
+            assert (sums, den) == (cell_sums, cell_den), N
+        assert [F(s, den * den) for s in sums] == [F(s, cell_den**2) for s in cell_sums], N
+    assert fresh._scaled is None and full._scaled is not None
 
 
 @settings(max_examples=120, deadline=None)
@@ -237,6 +253,39 @@ def test_orthant_route_equals_full_ball_route(case):
     # a parity imposed in every coordinate (one component), in z only, or
     # in some coordinates
     _assert_orthant_route_is_pointwise(*case)
+
+
+# x times every y^a z^b, a + b <= 8: four components, all odd in x, so
+# the lines x = 0 hold no nonzero value
+_ODD_IN_X = MultivariatePolynomial(
+    3, {(1, a, b): (-1) ** a * (a + 2 * b + 1) for a in range(9) for b in range(9 - a)}
+)
+
+
+@pytest.mark.parametrize(
+    "P, R, zero_lines",
+    [
+        pytest.param(random_harmonic(3, 6, 202), 30, False, id="Z3-8-components"),
+        pytest.param(random_harmonic(2, 6, 102), 80, False, id="Z2-4-components"),
+        pytest.param(_ODD_IN_X, 40, True, id="Z3-odd-in-x"),
+    ],
+)
+def test_long_lines_run_as_square_lines(monkeypatch, P, R, zero_lines):
+    # past m + 1 values, and far enough to pay, a line of a table with
+    # several components runs as the line of their summed squares, from
+    # its values at z = -m..m; the orbit sums equal the per-cell route's
+    # on the full table, on B_R and below it
+    full = evaluate_on_ball(P, R)
+    full.scaled_values()
+    rows, differences = [], lattice._differences
+
+    def recorded(row):
+        rows.append(any(row))
+        return differences(row)
+
+    monkeypatch.setattr(growth, "_differences", recorded)
+    _assert_streamed_sums_are_per_cell(P, full, (R, R - 1, R // 2, 2))
+    assert any(rows) and zero_lines == (not all(rows))
 
 
 @st.composite
@@ -293,20 +342,19 @@ def test_growth_report_of_a_polynomial_reads_only_the_orthant(monkeypatch):
 
 
 def _top_level_lines(monkeypatch, d, R):
-    """The seeds of every line run of the orthant of B_R of Z^d, R >= 1, while the test runs.
+    """The seeds of every run of the orthant lines of B_R of Z^d, R >= 1, while the test runs.
 
     Every module that holds the line runner is patched.  The seeds' own
-    recursion runs the orthant of a ball of Z^(d-1), which has fewer
-    cells, and is not recorded.
+    recursion runs the lines of the orthant of a ball of Z^(d-1), which
+    has fewer, and is not recorded.
     """
-    run, calls = polynomials._lines, []
-    cells = math.comb(R + d, d)
+    run, calls = lattice._line_runs, []
+    lines = math.comb(R + d - 1, d - 1)
 
-    def counted(seeds, *args):
-        out = run(seeds, *args)
-        if len(out) == cells:
+    def counted(seeds, remaining, *args):
+        if len(remaining) == lines:
             calls.append(id(seeds))
-        return out
+        return run(seeds, remaining, *args)
 
     for module in _harmlat_modules():
         for name, value in list(vars(module).items()):
@@ -317,9 +365,9 @@ def _top_level_lines(monkeypatch, d, R):
 
 def test_evaluation_runs_no_line_and_the_first_report_each_once(monkeypatch):
     # the table keeps each component's line seeds; its first report runs
-    # each component's lines once and builds no full table; reading the
-    # full table runs them once more, and a report of a table whose full
-    # values are built squares those and runs none
+    # each component's lines once, all side by side, and builds no full
+    # table; reading the full table runs them once more, and a report of a
+    # table whose full values are built squares those and runs none
     P = random_harmonic(3, 6, 201)
     calls = _top_level_lines(monkeypatch, 3, 12)
     u = evaluate_on_ball(P, 12)
@@ -352,30 +400,48 @@ def test_harmonicity_readers_run_each_component_once(monkeypatch, reader):
     assert len(set(calls)) == len(calls) == parts > 1
 
 
-# tracemalloc peak of one report of a Z^3 member, with the orbit tables,
-# walk rows and orthant orbit plan warm
+# tracemalloc peak of one Z^3 member's report on B_60, with the orbit
+# tables, walk rows and orthant orbit plan warm: of its evaluation and
+# report, or (argument "report") of the report of an evaluated table
 MEMORY_CHILD = """
-import tracemalloc
+import sys, tracemalloc
 from harmlat import balls, evaluate_on_ball, growth_report, random_harmonic
 from harmlat.growth import _orbit_walk_rows
 P = random_harmonic(3, 6, 201)
 balls.orbit_table(3, 60), _orbit_walk_rows(3, 60), balls.point_orbit_indices(3, 60, True)
-tracemalloc.start()
-growth_report(evaluate_on_ball(P, 60))
+if sys.argv[1] != "report":
+    tracemalloc.start()
+u = evaluate_on_ball(P, 60)
+if not tracemalloc.is_tracing():
+    tracemalloc.start()
+growth_report(u)
 print(tracemalloc.get_traced_memory()[1])
 """
 
 
-def test_report_of_a_polynomial_holds_one_component_at_a_time():
-    # random_harmonic(3, 6, 201) on B_60 has 8 parity components.  Peak:
-    # 14.4 MB when the table kept every component's orthant values,
-    # 8.0 MB when the report runs and drops them one component at a time
+def _traced_peak(stages):
     res = subprocess.run(
-        [sys.executable, "-c", MEMORY_CHILD],
+        [sys.executable, "-c", MEMORY_CHILD, stages],
         capture_output=True, text=True, env=_child_env(), timeout=120,
     )
     assert res.returncode == 0, res.stderr
-    assert int(res.stdout) < 11 * 2**20
+    return int(res.stdout)
+
+
+def test_report_of_a_polynomial_holds_one_component_at_a_time():
+    # random_harmonic(3, 6, 201) on B_60 has 8 parity components.
+    # Evaluation and report peak at 14.4 MiB when the table kept every
+    # component's orthant values, 7.8 MiB when the report ran and dropped
+    # them one component at a time, and 3.7 MiB now that it runs one line
+    # of each at a time
+    assert _traced_peak("evaluation") < 11 * 2**20
+
+
+def test_report_of_a_polynomial_holds_one_line_of_each_component():
+    # the report alone: 5.2 MiB when it held the per-cell sum of the
+    # squares and one component's orthant values, 1.0 MiB now that each
+    # line's squares go straight into the orbit sums
+    assert _traced_peak("report") < 2 * 2**20
 
 
 def test_table_route_builds_no_point_tuples(monkeypatch):
