@@ -34,10 +34,12 @@ against a larger one.
 A report reads u through its orbit square sums, on B_N only, over the
 square of u's own denominator; it divides nothing.  A polynomial's
 table keeps the line seeds of its parity components, so the report runs
-the components' lines on the orthant side by side, one line at a time,
-and adds each line's summed squares straight into the orbit sums; it
-holds no orthant-sized list.  A table whose full values are built has
-each cell squared.
+the components' lines on the orthant only and adds their summed squares
+straight into the orbit sums; it holds no orthant-sized list.  With
+several components it runs the lines one radius at a time, and the
+lines through the permutations of one point, a line orbit, share one
+line of summed squares.  A table whose full values are built has each
+cell squared.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from typing import Optional
 
 from . import balls
 from .errors import HarmError, InvalidParameterError, OutOfRangeError
-from .lattice import LatticeFunction, _differences, _line, _line_runs, is_harmonic
+from .lattice import LatticeFunction, _line, _line_runs, is_harmonic
 from .polynomials import MultivariatePolynomial, evaluate_on_ball
 from .rationals import common_denominator, format_rational
 
@@ -118,20 +120,24 @@ def _orbit_square_sums(u: LatticeFunction, N: Optional[int] = None) -> tuple:
     over those flips, and a component odd in a zero coordinate of x
     vanishes at x.  Each point of an orbit has exactly one flip in the
     orthant, and nz is the same on the whole orbit.  So the components'
-    lines are run on the orthant of B_N side by side, one line at a time
-    (:func:`harmlat.lattice._line_runs`): the components' squares on a
-    line are summed per cell and added straight into the sums of the
-    cells' orbits, and each orbit's sum is then taken 2^nz times; no more
-    than one line of each component is held, and the full table is not
-    built.
+    lines are run on the orthant of B_N only, their squares are summed
+    per cell and added into the sums of the cells' orbits, and each
+    orbit's sum is then taken 2^nz times; the full table is not built.
 
-    Along a line the summed squares are one polynomial in z, even (each
-    component is even or odd in z) and of degree <= 2m, with m the highest
-    seed order, so they are fixed by their values at z = 0..m, mirrored
-    to z = -m..m.  A line long enough runs only those m + 1 values of each
-    component and the rest as the line of that polynomial, the square
-    line: with several components its 2m running sums a cell cost less
-    than the components' own running sums, squares and sums.
+    A table with one component runs its lines one at a time
+    (:func:`harmlat.lattice._line_runs`).  With several components the
+    lines go by line orbit (:func:`_line_orbit_batches`):
+    the lines through x' and through a permutation of x' cross the same
+    orbits of B_N in the same order, so their summed squares are added
+    up and scattered along one of them.  Along a line the summed squares
+    are one polynomial in z, even (each component is even or odd in z) and
+    of degree <= 2m, with m the highest seed order, so they are fixed by
+    their values at z = 0..m, mirrored to z = -m..m.  Each component's
+    values at z = 0..m are run on every line of a batch at once
+    (:func:`_heads`), squared, summed over the components and over each
+    line orbit's lines; a line orbit no longer than m + 1 is scattered
+    from those values, and a longer one runs the rest as the line of that
+    polynomial, the square line, one per line orbit.
 
     Every other table, one whose full values are built included, has each
     cell's square scattered.  On both routes den is the table's own, and
@@ -149,32 +155,95 @@ def _orbit_square_sums(u: LatticeFunction, N: Optional[int] = None) -> tuple:
             sums[oi] += sq
         return sums, den
     parts, remaining, den = u._orthant
-    # A cell of the components' lines costs ``steps`` running sums,
-    # squares and sums, and a cell of the square line 2m running sums; its
-    # set-up (the differences and one more line) costs about 500, measured
-    # under CPython 3.11, so the square line runs on lines longer than
-    # ``long``.  Such a line reads every seed of every component, and no
-    # component has degree above m in z.
-    m = max((len(seeds) for _, seeds in parts), default=1) - 1
-    steps = sum(len(seeds) + 1 for _, seeds in parts) - 1
-    long = m + 1 + 500 // (steps - 2 * m) if steps > 2 * m else N + 1  # no line is longer
-    cells = iter(balls.point_orbit_indices(u.d, N, True))
-    for lines in zip(*(_line_runs(seeds, remaining, u.R - N) for _, seeds in parts)):
-        n = lines[0][0]
-        head = m + 1 if n > long else n
-        squares = None
-        for _, line_seeds in lines:
-            values = list(islice(_line(line_seeds), head))
-            square = map(mul, values, values)
-            squares = square if squares is None else map(add, squares, square)
-        if head < n:
-            half = list(squares)
-            squares = islice(_line(_differences(half[:0:-1] + half) or [0]), m, m + n)
-        for sq, oi in zip(squares, cells):  # squares first: the line's end takes no cell
-            sums[oi] += sq
+    cells = balls.point_orbit_indices(u.d, N, True)
+    if len(parts) == 1:  # each line's own squares
+        cells = iter(cells)
+        for n, line_seeds in _line_runs(parts[0][1], remaining, u.R - N):
+            values = list(islice(_line(line_seeds), n))
+            # squares first: zip stops at the line's end without taking a cell
+            for sq, oi in zip(map(mul, values, values), cells):
+                sums[oi] += sq
+    elif parts:
+        m = max(len(seeds) for _, seeds in parts) - 1
+        for positions, slots, orbits in _line_orbit_batches(u.d, remaining, N):
+            longest = max(n for _, n in orbits)
+            heads = [_heads(seeds, positions, min(m + 1, longest)) for _, seeds in parts]
+            totals = list(map(_summed_squares, zip(*heads)))
+            if len(orbits) < len(positions):  # add up each line orbit's lines
+                summed = [[0] * len(orbits) for _ in totals]
+                for total, orbit_total in zip(totals, summed):
+                    for o, sq in zip(slots, total):
+                        orbit_total[o] += sq
+                totals = summed
+            lines = repeat(None)
+            if longest > m + 1:  # the square lines' seeds, at z = -m of the mirrored values
+                row, seeds = totals[:0:-1] + totals, []
+                while row:
+                    seeds.append(row[0])
+                    row = [list(map(sub, b, a)) for a, b in zip(row, row[1:])]
+                lines = zip(*seeds)
+            for (start, n), head, line_seeds in zip(orbits, zip(*totals), lines):
+                if n > m + 1:
+                    head = islice(_line(line_seeds), m, m + n)
+                for sq, oi in zip(head, cells[start : start + n]):
+                    sums[oi] += sq
     zeros = map(tuple.count, tab.reps, repeat(0))
     sums = list(map(lshift, sums, map(sub, repeat(u.d), zeros)))
     return sums, den
+
+
+def _line_orbit_batches(d: int, remaining: list, N: int) -> list:
+    """The lines of the orthant of B_N of Z^d in batches, by line orbit.
+
+    ``remaining`` is the b = R - |x'|_1 of each line of the table on B_R
+    (see :func:`harmlat.lattice._line_runs`); the line through x' keeps
+    its n = N - |x'|_1 + 1 values z = 0..n - 1 on B_N, when n >= 1.  Its
+    line orbit is the orbit of x' in the orthant of B_N of Z^(d-1), from
+    :func:`harmlat.balls.point_orbit_indices` (Z^1 has one line), so
+    every line of a line orbit has the same length.  A batch is one radius
+    |x'|_1 when d >= 3; in Z^2 every line orbit is one line, and the whole
+    orthant is one batch.  Each batch is (positions, slots, orbits): each
+    line's index among the seeds, each line's line orbit among the
+    batch's, and each line orbit's (start, n), with ``start`` the offset
+    of its first line's cells in the orthant of B_N, whose lines lie end
+    to end in lex order.
+    """
+    cut = remaining[0] - N  # the first line, x' = 0, has b = R
+    batches: dict = {}
+    start = 0
+    lines = ((i, b - cut + 1) for i, b in enumerate(remaining) if b >= cut)
+    line_orbits = balls.point_orbit_indices(d - 1, N, True) if d > 1 else (0,)
+    for (i, n), orbit in zip(lines, line_orbits):
+        positions, slots, orbits = batches.setdefault(n if d > 2 else 0, ([], [], {}))
+        positions.append(i)
+        slots.append(orbits.setdefault(orbit, (len(orbits), start, n))[0])
+        start += n
+    return [(p, s, [o[1:] for o in orbits.values()]) for p, s, orbits in batches.values()]
+
+
+def _heads(seeds: list, positions: list, count: int) -> list:
+    """Values z = 0..count - 1 of the lines at ``positions``, one list per z, from their seeds.
+
+    Each order's seeds are gathered by index, and each pass sums adjacent
+    orders over the whole batch (Pascal's rule, Delta^j f(z + 1) =
+    Delta^j f(z) + Delta^(j+1) f(z)), only as far as a later value reads.
+    """
+    orders = [list(map(order.__getitem__, positions)) for order in seeds]
+    heads = [orders[0]]
+    for z in range(1, count):
+        for j in range(min(len(orders) - 1, count - z)):
+            orders[j] = list(map(add, orders[j], orders[j + 1]))
+        heads.append(orders[0])
+    return heads
+
+
+def _summed_squares(lists) -> list:
+    """The entrywise sum of the squares of two or more equally long ``lists``."""
+    total = None
+    for values in lists:
+        square = map(mul, values, values)
+        total = square if total is None else map(add, total, square)
+    return list(total)
 
 
 def _newton_via_laplacian(
@@ -215,13 +284,19 @@ def _newton_via_laplacian(
 def _difference_triangle(values: list) -> list:
     """The a_k = Delta^k Q(0) of Q(0..N) = ``values``, up to the last nonzero one.
 
-    The differences are taken in integers over one denominator
-    (:func:`harmlat.lattice._differences`, which stops at the first
-    all-zero row), so the last a_k returned is nonzero.  For the values of
-    a polynomial of degree M no a_k past a_M is returned.
+    The rows of forward differences are taken in integers over one
+    denominator, and each row gives only its first entry, as a Fraction.
+    The differences of an all-zero row are zero, so the rows stop at the
+    first all-zero one; the row before it is a nonzero constant (or a
+    single entry), so the last a_k returned is nonzero.  For the values
+    of a polynomial of degree M no a_k past a_M is returned.
     """
     row, den = common_denominator(values)
-    return [Fraction(a, den) for a in _differences(row)]
+    newton = []
+    while any(row):
+        newton.append(Fraction(row[0], den))
+        row = list(map(sub, row[1:], row))
+    return newton
 
 
 @dataclass(frozen=True)

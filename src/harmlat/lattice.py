@@ -15,12 +15,12 @@ evaluated from a polynomial is handed over as parity components on the
 orthant x >= 0, each given by the seeds of its lines along the last
 coordinate (see :func:`harmlat.polynomials.evaluate_on_ball`), each in
 lowest terms over one denominator, and keeps no value.  One runner,
-:func:`_line_runs`, lays the lines out for every reader.  The growth
-report runs all the components' lines side by side, one line at a time,
-and keeps only their squares summed per orbit; the values on the whole
-ball are built on their first read, one component at a time, each
-copied to the other orthants with its signs and the copies summed and
-reduced.
+:func:`_line_runs`, lays the lines out for every reader but the growth
+report of several components, which reads the seeds of one batch of
+lines at a time by index.  The report keeps only the components'
+squares summed per orbit; the values on the whole ball are built on
+their first read, one component at a time, each copied to the other
+orthants with its signs and the copies summed and reduced.
 
 The Laplacian and the directional differences read one column plan,
 :func:`harmlat.balls.laplacian_plan`, in a few C-level passes over whole
@@ -108,9 +108,9 @@ class LatticeFunction:
         and ``remaining``.  ``den`` shares no factor with the components'
         values (see :func:`harmlat.polynomials.evaluate_on_ball`).  No
         value is kept: :func:`harmlat.growth.growth_report` runs the
-        components' lines (:func:`_line_runs`) side by side, one line at a
-        time, and squares them, and the full table is built one component
-        at a time on its first read (:meth:`scaled_values`).
+        components' lines on the orthant and squares them, and the full
+        table is built one component at a time on its first read
+        (:meth:`scaled_values`).
         """
         self = cls.__new__(cls)
         self.ball, self._scaled, self._orthant = ball, None, (parts, remaining, den)
@@ -271,21 +271,6 @@ def _line(seeds: tuple):
     for s in reversed(seeds[:-1]):
         seq = accumulate(seq, initial=s)
     return seq
-
-
-def _differences(row: list) -> list:
-    """The forward differences of ``row`` at its first entry, up to the last nonzero order.
-
-    The differences of an all-zero row are zero, so the rows stop at the
-    first all-zero one: the last difference returned is nonzero, and a
-    row of zeros has none.  :func:`_line` of them runs ``row`` out again,
-    and on past it as the polynomial of least degree through it.
-    """
-    out = []
-    while any(row):
-        out.append(row[0])
-        row = list(map(sub, row[1:], row))
-    return out
 
 
 def _unfold(orth: list, signs: tuple, R: int, negated=False) -> tuple:

@@ -411,9 +411,9 @@ def evaluate_on_ball(P: MultivariatePolynomial, R: int) -> LatticeFunction:
     No line is run here.  The table carries each component's seeds, the
     length of every line and the one denominator, and runs the lines only
     when its values are read: for :func:`harmlat.growth.growth_report` to
-    square, all components side by side, one line at a time, or to build
-    the values on the whole ball on their first read, one component at a
-    time (each copied to the other orthants with its signs, then summed).
+    square on the orthant, or to build the values on the whole ball on
+    their first read, one component at a time (each copied to the other
+    orthants with its signs, then summed).
     """
     ball = LatticeBall(P.d, R)
     balls.guard_cells(P.d, R)

@@ -14,6 +14,7 @@ import math
 import pkgutil
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction as F
 from functools import partial
 
@@ -256,36 +257,80 @@ def test_orthant_route_equals_full_ball_route(case):
 
 
 # x times every y^a z^b, a + b <= 8: four components, all odd in x, so
-# the lines x = 0 hold no nonzero value
+# the lines x = 0 hold no nonzero value, and the line x = y = 0 is its own
+# line orbit
 _ODD_IN_X = MultivariatePolynomial(
     3, {(1, a, b): (-1) ** a * (a + 2 * b + 1) for a in range(9) for b in range(9 - a)}
 )
+
+
+def _parity_patterns(P, count):
+    """P's terms of its last ``count`` parity patterns, in sorted order: even in x first."""
+    patterns = sorted({_signs(alpha) for alpha in P.terms})[-count:]
+    return MultivariatePolynomial(
+        P.d, {a: c for a, c in P.terms.items() if _signs(a) in patterns}
+    )
+
+
+def _square_lines(monkeypatch):
+    """Whether each square line run while the test runs is nonzero (the multi-component route).
+
+    A table with several components runs ``growth._line`` only for the
+    square lines of its line orbits.
+    """
+    runs, line = [], lattice._line
+
+    def recorded(seeds):
+        runs.append(any(seeds))
+        return line(seeds)
+
+    monkeypatch.setattr(growth, "_line", recorded)
+    return runs
 
 
 @pytest.mark.parametrize(
     "P, R, zero_lines",
     [
         pytest.param(random_harmonic(3, 6, 202), 30, False, id="Z3-8-components"),
+        pytest.param(
+            _parity_patterns(random_harmonic(3, 6, 202), 4), 30, False, id="Z3-4-components"
+        ),
+        pytest.param(
+            _parity_patterns(random_harmonic(3, 6, 202), 2), 30, False, id="Z3-2-components"
+        ),
         pytest.param(random_harmonic(2, 6, 102), 80, False, id="Z2-4-components"),
+        pytest.param(random_harmonic(4, 4, 7), 16, False, id="Z4-16-components"),
         pytest.param(_ODD_IN_X, 40, True, id="Z3-odd-in-x"),
     ],
 )
 def test_long_lines_run_as_square_lines(monkeypatch, P, R, zero_lines):
-    # past m + 1 values, and far enough to pay, a line of a table with
-    # several components runs as the line of their summed squares, from
-    # its values at z = -m..m; the orbit sums equal the per-cell route's
-    # on the full table, on B_R and below it
+    # past m + 1 values, each line orbit of a table with several components
+    # runs as one line of their summed squares, from its values at
+    # z = -m..m; the orbit sums equal the per-cell route's on the full
+    # table, on B_R and below it.  Z^4 has line orbits of 1, 3 and 6 lines
     full = evaluate_on_ball(P, R)
     full.scaled_values()
-    rows, differences = [], lattice._differences
-
-    def recorded(row):
-        rows.append(any(row))
-        return differences(row)
-
-    monkeypatch.setattr(growth, "_differences", recorded)
+    assert len(full._orthant[0]) > 1
+    runs = _square_lines(monkeypatch)
     _assert_streamed_sums_are_per_cell(P, full, (R, R - 1, R // 2, 2))
-    assert any(rows) and zero_lines == (not all(rows))
+    assert any(runs) and zero_lines == (not all(runs))
+
+
+def test_one_square_line_runs_per_line_orbit():
+    # the lines through x' and through every permutation of x' share one
+    # square line, counted here from the points of the orthant: the lines
+    # longer than m + 1, m the degree of P in z, have that many distinct
+    # sorted x'
+    P, R = random_harmonic(3, 6, 201), 30
+    m = max(alpha[-1] for alpha in P.terms)
+    orthant = [p for p in LatticeBall(2, R).points if min(p) >= 0]
+    want = len({tuple(sorted(x)) for x in orthant if R - sum(x) + 1 > m + 1})
+    u = evaluate_on_ball(P, R)
+    with pytest.MonkeyPatch.context() as patch:
+        runs = _square_lines(patch)
+        squares = _orbit_square_sums(u)
+    assert len(runs) == want and want < len([x for x in orthant if R - sum(x) + 1 > m + 1])
+    assert squares == _orbit_square_sums(evaluate_on_ball(P, R))
 
 
 @st.composite
@@ -341,63 +386,74 @@ def test_growth_report_of_a_polynomial_reads_only_the_orthant(monkeypatch):
     assert u._scaled is None
 
 
-def _top_level_lines(monkeypatch, d, R):
-    """The seeds of every run of the orthant lines of B_R of Z^d, R >= 1, while the test runs.
+def _seed_reads(monkeypatch, d, R):
+    """Reads of each component's seeds, per (id of the seeds, line), while the test runs.
 
-    Every module that holds the line runner is patched.  The seeds' own
-    recursion runs the lines of the orthant of a ball of Z^(d-1), which
-    has fewer, and is not recorded.
+    The seeds of a table on B_R of Z^d, R >= 1, are read by line: by the
+    line runner (patched in every module that holds it), which reads every
+    line of B_(R-cut) in turn, and by index, by ``growth._heads``, for the
+    lines of one batch.  The seeds' own recursion runs the lines of the
+    orthant of a ball of Z^(d-1), which has fewer, and is not recorded.
     """
-    run, calls = lattice._line_runs, []
+    run, heads, reads = lattice._line_runs, growth._heads, Counter()
     lines = math.comb(R + d - 1, d - 1)
 
-    def counted(seeds, remaining, *args):
+    def counted(seeds, remaining, cut=0):
         if len(remaining) == lines:
-            calls.append(id(seeds))
-        return run(seeds, remaining, *args)
+            kept = [i for i, b in enumerate(remaining) if b >= cut]
+            reads.update((id(seeds), i) for i in kept)
+        return run(seeds, remaining, cut)
+
+    def gathered(seeds, positions, count):
+        reads.update((id(seeds), i) for i in positions)
+        return heads(seeds, positions, count)
 
     for module in _harmlat_modules():
         for name, value in list(vars(module).items()):
             if value is run:
                 monkeypatch.setattr(module, name, counted)
-    return calls
+    monkeypatch.setattr(growth, "_heads", gathered)
+    return reads
 
 
 def test_evaluation_runs_no_line_and_the_first_report_each_once(monkeypatch):
-    # the table keeps each component's line seeds; its first report runs
-    # each component's lines once, all side by side, and builds no full
-    # table; reading the full table runs them once more, and a report of a
-    # table whose full values are built squares those and runs none
+    # the table keeps each component's line seeds; its first report reads
+    # each component's seeds of every line once, by line orbit, and builds
+    # no full table; reading the full table runs them once more, and a
+    # report of a table whose full values are built squares those and
+    # reads no seed
     P = random_harmonic(3, 6, 201)
-    calls = _top_level_lines(monkeypatch, 3, 12)
+    reads = _seed_reads(monkeypatch, 3, 12)
     u = evaluate_on_ball(P, 12)
-    assert calls == []
-    components = sorted(id(seeds) for _, seeds in u._orthant[0])
-    assert len(components) == 8
+    assert not reads
+    parts, remaining, _ = u._orthant
+    assert len(parts) == 8
+    every = Counter((id(seeds), i) for _, seeds in parts for i in range(len(remaining)))
     want = growth_report(u)
-    assert sorted(calls) == components and u._scaled is None
-    calls.clear()
+    assert reads == every and u._scaled is None
+    reads.clear()
     u.scaled_values()
-    assert sorted(calls) == components
-    calls.clear()
-    assert growth_report(u) == want and calls == []
+    assert reads == every
+    reads.clear()
+    assert growth_report(u) == want and not reads
 
 
 @pytest.mark.parametrize("reader", ["harmonic growth polynomial", "vanishing ball"])
 def test_harmonicity_readers_run_each_component_once(monkeypatch, reader):
     # harmonicity reads the full table, so it is built first, and the
-    # growth report squares its cells instead of running the lines again
+    # growth report squares its cells instead of reading the seeds again
     P = random_harmonic(3, 6, 201)
     R = 7 if reader == "harmonic growth polynomial" else 6  # B_(M+1); B_M
     parts = len(evaluate_on_ball(P, R)._orthant[0])
     want = growth_polynomial(P)
-    calls = _top_level_lines(monkeypatch, 3, R)
+    reads = _seed_reads(monkeypatch, 3, R)
     if reader == "harmonic growth polynomial":
         assert harmonic_growth_polynomial(P) == want
     else:
         with pytest.raises(VanishingHypothesisError):
             vanishing_ball_test(P)
-    assert len(set(calls)) == len(calls) == parts > 1
+    assert set(reads.values()) == {1} and parts > 1
+    assert len(reads) == parts * math.comb(R + 2, 2) and len({c for c, _ in reads}) == parts
 
 
 # tracemalloc peak of one Z^3 member's report on B_60, with the orbit
@@ -428,19 +484,20 @@ def _traced_peak(stages):
     return int(res.stdout)
 
 
-def test_report_of_a_polynomial_holds_one_component_at_a_time():
+def test_evaluation_and_report_of_a_polynomial_hold_no_orthant_of_values():
     # random_harmonic(3, 6, 201) on B_60 has 8 parity components.
     # Evaluation and report peak at 14.4 MiB when the table kept every
     # component's orthant values, 7.8 MiB when the report ran and dropped
-    # them one component at a time, and 3.7 MiB now that it runs one line
-    # of each at a time
+    # them one component at a time, 3.7 MiB when it ran one line of each
+    # at a time, and 3.8 MiB now that it runs one radius of lines at a time
     assert _traced_peak("evaluation") < 11 * 2**20
 
 
-def test_report_of_a_polynomial_holds_one_line_of_each_component():
+def test_report_of_a_polynomial_holds_one_radius_of_lines():
     # the report alone: 5.2 MiB when it held the per-cell sum of the
-    # squares and one component's orthant values, 1.0 MiB now that each
-    # line's squares go straight into the orbit sums
+    # squares and one component's orthant values, 1.0 MiB when each line's
+    # squares went straight into the orbit sums, and 1.1 MiB now that each
+    # radius's lines are run and summed by line orbit together
     assert _traced_peak("report") < 2 * 2**20
 
 
