@@ -33,23 +33,28 @@ against a larger one.
 
 A report reads u through its orbit square sums, on B_N only, over the
 square of u's own denominator; it divides nothing.  A polynomial's
-table keeps the line seeds of its parity components, so the report runs
-the components' lines on the orthant only and adds their summed squares
-straight into the orbit sums; it holds no orthant-sized list.  With
-several components it runs the lines one radius at a time, and the
-lines through the permutations of one point, a line orbit, share one
-line of summed squares.  A table whose full values are built has each
-cell squared.
+table keeps the line seeds of its parity components.  Their summed
+square s is a polynomial, even in every coordinate and of degree at most
+2m in each, with m the largest exponent of any one coordinate of P; so
+is its sum sigma over the permutations of the coordinates, and the orbit
+sum of a representative r is sigma(r) size(r) / d!.  When d m <= R the
+report reads s on the box [0..m]^d, from the lines through it only, and
+extends sigma axis by axis to the representatives of B_N, with no plan
+of cells.  Any other polynomial table runs its lines on the orthant,
+one line of each component at a time, and adds their summed squares
+straight into the orbit sums.  A table whose full values are built has
+each cell squared.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice, repeat
-from operator import add, lshift, mul, sub
+from itertools import chain, islice, product, repeat
+from operator import add, floordiv, lshift, mul, sub
 from typing import Optional
 
 from . import balls
@@ -109,38 +114,38 @@ def _orbit_walk_rows(d: int, n: int) -> list:
 def _orbit_square_sums(u: LatticeFunction, N: Optional[int] = None) -> tuple:
     """(sums, den): the squared numerators of u over den summed over each orbit of B_N.
 
-    N defaults to the radius of u's ball, and only the cells of B_N are
-    squared and scattered: the orbits of B_N are the first
+    N defaults to the radius of u's ball; the orbits of B_N are the first
     count_up_to(N) of the orbit table.  A table from
     :func:`harmlat.polynomials.evaluate_on_ball` whose full values have
     not been built carries its parity components u_e as line seeds on the
     orthant x >= 0.  For x >= 0, the sum of u^2 over the distinct sign
-    flips of x is 2^nz(x) sum_e u_e(x)^2, with nz(x) the number of nonzero
-    coordinates: the sign characters of the components are orthogonal
-    over those flips, and a component odd in a zero coordinate of x
-    vanishes at x.  Each point of an orbit has exactly one flip in the
-    orthant, and nz is the same on the whole orbit.  So the components'
-    lines are run on the orthant of B_N only, their squares are summed
-    per cell and added into the sums of the cells' orbits, and each
-    orbit's sum is then taken 2^nz times; the full table is not built.
+    flips of x is 2^nz(x) s(x), with s = sum_e u_e^2 and nz(x) the number
+    of nonzero coordinates: the sign characters of the components are
+    orthogonal over those flips, and a component odd in a zero coordinate
+    of x vanishes at x.  Each point of an orbit has exactly one flip in
+    the orthant, and nz is the same on the whole orbit.  So the sum over
+    the orbit of a representative r = (x_1 <= ... <= x_d) is 2^nz(r)
+    times the sum of s over the distinct permutations of r, and the full
+    table is not built.
 
-    A table with one component runs its lines one at a time
-    (:func:`harmlat.lattice._line_runs`).  With several components the
-    lines go by line orbit (:func:`_line_orbit_batches`):
-    the lines through x' and through a permutation of x' cross the same
-    orbits of B_N in the same order, so their summed squares are added
-    up and scattered along one of them.  Along a line the summed squares
-    are one polynomial in z, even (each component is even or odd in z) and
-    of degree <= 2m, with m the highest seed order, so they are fixed by
-    their values at z = 0..m, mirrored to z = -m..m.  Each component's
-    values at z = 0..m are run on every line of a batch at once
-    (:func:`_heads`), squared, summed over the components and over each
-    line orbit's lines; a line orbit no longer than m + 1 is scattered
-    from those values, and a longer one runs the rest as the line of that
-    polynomial, the square line, one per line orbit.
+    s is a polynomial, even in every coordinate (each u_e is even or odd
+    in each), and of degree at most 2m in each coordinate, with m the
+    largest exponent of any one coordinate in P.  So is its symmetrization
+    sigma = sum_(pi in S_d) s o pi, which is symmetric as well.  The
+    permutations fixing r number d! 2^nz(r) / size(r), so the orbit sum
+    of r is exactly sigma(r) size(r) / d!.  When d m <= R, every line
+    through x' in [0..m]^(d-1) reaches z = m (R - |x'|_1 >= m) and reads
+    all its seeds, so s is read on the box [0..m]^d from those lines
+    alone (:func:`_box_squares`), and :func:`_symmetric_squares` extends
+    sigma from there, one axis at a time, to every representative of
+    B_N.
 
-    Every other table, one whose full values are built included, has each
-    cell's square scattered.  On both routes den is the table's own, and
+    Any other polynomial table runs its lines on the orthant of B_N, one
+    line of each component at a time (:func:`harmlat.lattice._line_runs`),
+    and adds the components' summed squares straight into the sums of
+    the cells' orbits, each orbit's sum then taken 2^nz times.  Every
+    other table, one whose full values are built included, has each
+    cell's square scattered.  On every route den is the table's own, and
     nothing is reduced for N < R: the sums are exact over den^2 as they
     stand.
     """
@@ -154,96 +159,154 @@ def _orbit_square_sums(u: LatticeFunction, N: Optional[int] = None) -> tuple:
         for oi, sq in zip(balls.point_orbit_indices(u.d, N), map(mul, nums, nums)):
             sums[oi] += sq
         return sums, den
-    parts, remaining, den = u._orthant
-    cells = balls.point_orbit_indices(u.d, N, True)
-    if len(parts) == 1:  # each line's own squares
-        cells = iter(cells)
-        for n, line_seeds in _line_runs(parts[0][1], remaining, u.R - N):
+    parts, remaining, den, m = u._orthant
+    if u.d * m <= u.R:
+        sizes = map(mul, _symmetric_squares(u, N), tab.sizes)
+        return list(map(floordiv, sizes, repeat(math.factorial(u.d)))), den
+    cells = iter(balls.point_orbit_indices(u.d, N, True))
+    for lines in zip(*(_line_runs(seeds, remaining, u.R - N) for _, seeds in parts)):
+        squares = None
+        for n, line_seeds in lines:
             values = list(islice(_line(line_seeds), n))
-            # squares first: zip stops at the line's end without taking a cell
-            for sq, oi in zip(map(mul, values, values), cells):
-                sums[oi] += sq
-    elif parts:
-        m = max(len(seeds) for _, seeds in parts) - 1
-        for positions, slots, orbits in _line_orbit_batches(u.d, remaining, N):
-            longest = max(n for _, n in orbits)
-            heads = [_heads(seeds, positions, min(m + 1, longest)) for _, seeds in parts]
-            totals = list(map(_summed_squares, zip(*heads)))
-            if len(orbits) < len(positions):  # add up each line orbit's lines
-                summed = [[0] * len(orbits) for _ in totals]
-                for total, orbit_total in zip(totals, summed):
-                    for o, sq in zip(slots, total):
-                        orbit_total[o] += sq
-                totals = summed
-            lines = repeat(None)
-            if longest > m + 1:  # the square lines' seeds, at z = -m of the mirrored values
-                row, seeds = totals[:0:-1] + totals, []
-                while row:
-                    seeds.append(row[0])
-                    row = [list(map(sub, b, a)) for a, b in zip(row, row[1:])]
-                lines = zip(*seeds)
-            for (start, n), head, line_seeds in zip(orbits, zip(*totals), lines):
-                if n > m + 1:
-                    head = islice(_line(line_seeds), m, m + n)
-                for sq, oi in zip(head, cells[start : start + n]):
-                    sums[oi] += sq
+            square = map(mul, values, values)
+            squares = square if squares is None else map(add, squares, square)
+        # squares first: zip stops at the line's end without taking a cell
+        for sq, oi in zip(squares, cells):
+            sums[oi] += sq
     zeros = map(tuple.count, tab.reps, repeat(0))
     sums = list(map(lshift, sums, map(sub, repeat(u.d), zeros)))
     return sums, den
 
 
-def _line_orbit_batches(d: int, remaining: list, N: int) -> list:
-    """The lines of the orthant of B_N of Z^d in batches, by line orbit.
+def _symmetric_squares(u: LatticeFunction, N: int) -> list:
+    """sigma = sum_(pi in S_d) s o pi at every representative of B_N, in the orbit table's order.
 
-    ``remaining`` is the b = R - |x'|_1 of each line of the table on B_R
-    (see :func:`harmlat.lattice._line_runs`); the line through x' keeps
-    its n = N - |x'|_1 + 1 values z = 0..n - 1 on B_N, when n >= 1.  Its
-    line orbit is the orbit of x' in the orthant of B_N of Z^(d-1), from
-    :func:`harmlat.balls.point_orbit_indices` (Z^1 has one line), so
-    every line of a line orbit has the same length.  A batch is one radius
-    |x'|_1 when d >= 3; in Z^2 every line orbit is one line, and the whole
-    orthant is one batch.  Each batch is (positions, slots, orbits): each
-    line's index among the seeds, each line's line orbit among the
-    batch's, and each line orbit's (start, n), with ``start`` the offset
-    of its first line's cells in the orthant of B_N, whose lines lie end
-    to end in lex order.
+    s = sum_e u_e^2 over the parity components of a polynomial's table
+    with d m <= R (see :func:`_orbit_square_sums`).  s is read on the box
+    [0..m]^d and symmetrized there: the sum of s over the permutations of
+    a box point x, each counted once, times the permutations fixing x.
+    Then sigma is extended from axis d down to axis 1.  Before stage k,
+    sigma is known at (p, x_k, t) for every prefix p in [0..m]^(k-1),
+    every box value x_k = 0..m and every sorted tail
+    t = (x_(k+1) <= ... <= x_d) reached so far.  Along axis k it is an even
+    polynomial of degree <= 2m, so stage k runs it as a line from those
+    m + 1 values (:func:`_even_lines`) up to
+    x_k <= min(x_(k+1), N - |t|_1), and each x_k reached makes the sorted
+    tail (x_k, t) of the next stage.  After stage 1 the tails are the
+    representatives of B_N, each reached once.  Each tail carries the
+    orbit index of (0, ..., 0, t), and the orbit table's column of the
+    step +e_k takes (0, ..., 0, x_k, t) to (0, ..., 0, x_k + 1, t), a
+    representative too while x_k < x_(k+1); so sigma is written into the
+    orbit slots with no point looked up.
     """
-    cut = remaining[0] - N  # the first line, x' = 0, has b = R
-    batches: dict = {}
-    start = 0
-    lines = ((i, b - cut + 1) for i, b in enumerate(remaining) if b >= cut)
-    line_orbits = balls.point_orbit_indices(d - 1, N, True) if d > 1 else (0,)
-    for (i, n), orbit in zip(lines, line_orbits):
-        positions, slots, orbits = batches.setdefault(n if d > 2 else 0, ([], [], {}))
-        positions.append(i)
-        slots.append(orbits.setdefault(orbit, (len(orbits), start, n))[0])
-        start += n
-    return [(p, s, [o[1:] for o in orbits.values()]) for p, s, orbits in batches.values()]
+    d, width = u.d, u._orthant[3] + 1
+    heads = _box_squares(u._orthant[0], _box_lines(d - 1, u.R, width - 1), width)
+    keys = list(map(tuple, map(sorted, product(range(width), repeat=d))))
+    totals = dict.fromkeys(keys, 0)
+    for key, square in zip(keys, chain.from_iterable(zip(*heads))):  # s on the box, lex order
+        totals[key] += square
+    for key in totals:
+        totals[key] *= math.prod(map(math.factorial, Counter(key).values()))
+    sigma = list(map(totals.__getitem__, keys))
+    tab = balls.orbit_table(d, N)
+    # per tail t = (x_(k+1), ..., x_d): x_(k+1) (N for the empty tail),
+    # N - |t|_1, and the orbit index of the representative (0, ..., 0, t)
+    firsts, rests, slots = [N], [N], [0]
+    cols = [sigma[j::width] for j in range(width)]
+    for k in range(d, 0, -1):
+        # each tail's entries, one per prefix, in lex order with x_(k-1) fastest
+        per = len(cols[0]) // len(slots)
+        ends = list(map(min, firsts, rests))
+        # longest lines first: the lines still running are always a prefix
+        order = sorted(range(len(ends)), key=ends.__getitem__, reverse=True)
+        at = [i * per + p for i in order for p in range(per)]
+        cols = [list(map(col.__getitem__, at)) for col in cols]
+        ends, rests, slots = ([v[i] for i in order] for v in (ends, rests, slots))
+        counts, reaching = [], len(ends)
+        for z in range(ends[0] + 1):
+            while ends[reaching - 1] < z:
+                reaching -= 1
+            counts.append(reaching * per)
+        step = tab.cols[2 * k - 2].__getitem__  # + e_k, from x_k = z to z + 1
+        firsts, next_rests, next_slots = [], [], []
+        out = [[] for _ in range(width if k > 1 else 1)]
+        for z, values in enumerate(_even_lines(cols, counts)):
+            n = len(values) // per
+            slots = slots[:n] if z == 0 else list(map(step, slots[:n]))
+            firsts += repeat(z, n)
+            next_rests += map(sub, rests[:n], repeat(z))
+            next_slots += slots
+            for j, col in enumerate(out):  # x_(k-1) = j: the next stage's box values
+                col += values[j :: len(out)]
+        rests, slots, cols = next_rests, next_slots, out
+    at_slot = dict(zip(slots, cols[0]))
+    return list(map(at_slot.__getitem__, range(len(slots))))
 
 
-def _heads(seeds: list, positions: list, count: int) -> list:
-    """Values z = 0..count - 1 of the lines at ``positions``, one list per z, from their seeds.
+def _box_lines(k: int, R: int, m: int) -> list:
+    """Positions of the points of [0..m]^k, in lex order, among those of the orthant of B_R of Z^k.
 
-    Each order's seeds are gathered by index, and each pass sums adjacent
-    orders over the whole batch (Pascal's rule, Delta^j f(z + 1) =
-    Delta^j f(z) + Delta^(j+1) f(z)), only as far as a later value reads.
+    In lex order the orthant of B_R of Z^k is the blocks {v} x (the
+    orthant of B_(R-v) of Z^(k-1)), v = 0..R, each counted in closed form;
+    m <= R is assumed for k >= 1.
     """
-    orders = [list(map(order.__getitem__, positions)) for order in seeds]
-    heads = [orders[0]]
-    for z in range(1, count):
-        for j in range(min(len(orders) - 1, count - z)):
-            orders[j] = list(map(add, orders[j], orders[j + 1]))
-        heads.append(orders[0])
+    if k == 0:
+        return [0]
+    out, start = [], 0
+    for v in range(m + 1):
+        out += map(add, _box_lines(k - 1, R - v, m), repeat(start))
+        start += math.comb(R - v + k - 1, k - 1)
+    return out
+
+
+def _box_squares(parts: list, positions: list, count: int) -> list:
+    """s = sum_e u_e^2 at z = 0..count - 1 of the lines at ``positions``, one list per z.
+
+    Each component's seeds of those lines are gathered by index, and each
+    pass sums adjacent orders over all of them at once (Pascal's rule,
+    Delta^j f(z + 1) = Delta^j f(z) + Delta^(j+1) f(z)), only as far as a
+    later value reads.  Every line must reach z = count - 1 and read all
+    its seeds.
+    """
+    heads = [[0] * len(positions) for _ in range(count)]
+    for _, seeds in parts:
+        orders = [list(map(order.__getitem__, positions)) for order in seeds]
+        for z in range(count):
+            heads[z] = list(map(add, heads[z], map(mul, orders[0], orders[0])))
+            for j in range(min(len(orders) - 1, count - 1 - z)):
+                orders[j] = list(map(add, orders[j], orders[j + 1]))
     return heads
 
 
-def _summed_squares(lists) -> list:
-    """The entrywise sum of the squares of two or more equally long ``lists``."""
-    total = None
-    for values in lists:
-        square = map(mul, values, values)
-        total = square if total is None else map(add, total, square)
-    return list(total)
+def _even_lines(heads: list, counts: list):
+    """Values at z = 0, 1, ... of even polynomials of degree <= 2m, given at z = 0..m.
+
+    ``heads[j]`` holds every line's value at z = j, with m = len(heads) - 1;
+    the lines are in order of decreasing length, and the first counts[z]
+    of them reach z.  Yields, for z = 0..len(counts) - 1, the values of
+    those lines at z: up to z = m the heads themselves.  Mirrored to
+    z = -m..m, the values fix each line, so the lines that reach past m
+    run on from their backward differences at z = m, taken column by
+    column: each step is one pass per order over all of them, from the
+    highest order down (nabla^j f(z + 1) = nabla^j f(z) + nabla^(j+1) f(z + 1)),
+    and a line that ends is cut from the highest order, which every
+    lower one then stops at.
+    """
+    m, last = len(heads) - 1, len(counts) - 1
+    for z in range(min(m, last) + 1):
+        yield heads[z][: counts[z]]
+    if last <= m:
+        return
+    reaching = [values[: counts[m + 1]] for values in heads]
+    row, orders = reaching[:0:-1] + reaching, []
+    while row:
+        orders.append(row[-1])
+        row = [list(map(sub, b, a)) for a, b in zip(row, row[1:])]
+    for z in range(m + 1, last + 1):
+        orders[-1] = orders[-1][: counts[z]]
+        for j in range(len(orders) - 2, -1, -1):
+            orders[j] = list(map(add, orders[j], orders[j + 1]))
+        yield orders[0]
 
 
 def _newton_via_laplacian(

@@ -14,13 +14,15 @@ operations are pure; values are immutable after construction.  A table
 evaluated from a polynomial is handed over as parity components on the
 orthant x >= 0, each given by the seeds of its lines along the last
 coordinate (see :func:`harmlat.polynomials.evaluate_on_ball`), each in
-lowest terms over one denominator, and keeps no value.  One runner,
+lowest terms over one denominator, and keeps no value.  It also keeps
+m, the largest exponent of any one coordinate.  One runner,
 :func:`_line_runs`, lays the lines out for every reader but the growth
-report of several components, which reads the seeds of one batch of
-lines at a time by index.  The report keeps only the components'
-squares summed per orbit; the values on the whole ball are built on
-their first read, one component at a time, each copied to the other
-orthants with its signs and the copies summed and reduced.
+report of a table whose ball holds the box [0..m]^d, which reads by
+index the seeds of the lines through the box only.  The report keeps
+only the components' squares summed per orbit; the values on the whole
+ball are built on their first read, one component at a time, each
+copied to the other orthants with its signs and the copies summed and
+reduced.
 
 The Laplacian and the directional differences read one column plan,
 :func:`harmlat.balls.laplacian_plan`, in a few C-level passes over whole
@@ -98,7 +100,7 @@ class LatticeFunction:
 
     @classmethod
     def _from_orthant(
-        cls, ball: LatticeBall, parts: list, remaining: list, den: int
+        cls, ball: LatticeBall, parts: list, remaining: list, den: int, exponent: int
     ) -> "LatticeFunction":
         """The sum of parity components, each given by its line seeds on the orthant x >= 0.
 
@@ -106,14 +108,16 @@ class LatticeFunction:
         multiplies the component by signs[l], and its numerators over
         ``den`` on the orthant of ``ball`` are :func:`_lines` of its seeds
         and ``remaining``.  ``den`` shares no factor with the components'
-        values (see :func:`harmlat.polynomials.evaluate_on_ball`).  No
-        value is kept: :func:`harmlat.growth.growth_report` runs the
-        components' lines on the orthant and squares them, and the full
-        table is built one component at a time on its first read
+        values (see :func:`harmlat.polynomials.evaluate_on_ball`), and
+        ``exponent`` is the largest exponent of any one coordinate in the
+        polynomial.  No value is kept: :func:`harmlat.growth.growth_report`
+        squares the components' values on the orthant, reading only the
+        lines through the box [0..exponent]^d when the ball holds it, and
+        the full table is built one component at a time on its first read
         (:meth:`scaled_values`).
         """
         self = cls.__new__(cls)
-        self.ball, self._scaled, self._orthant = ball, None, (parts, remaining, den)
+        self.ball, self._scaled, self._orthant = ball, None, (parts, remaining, den, exponent)
         return self
 
     def _assemble(self) -> tuple:
@@ -123,7 +127,7 @@ class LatticeFunction:
         a sum of two or more need not be, so the sum is reduced; for one
         component the reduction finds nothing to divide.
         """
-        parts, remaining, den = self._orthant
+        parts, remaining, den, _ = self._orthant
         nums = [0] * self.ball.point_count
         for k, (signs, seeds) in enumerate(parts):
             values = _unfold(_lines(seeds, remaining), signs, self.R)[0]

@@ -30,10 +30,9 @@ denominator.  The top-level differences a line does not read are set to
 out of them, which leaves the components' values in lowest terms at any
 radius (see :func:`evaluate_on_ball`); a sum of two or more components
 is reduced when it is built.  The table keeps the top-level differences,
-the line seeds, and runs no line: the growth report runs one
-component's lines at a time and squares them, and the values on the
-whole ball are built the same way only when they are read
-(:mod:`harmlat.lattice`).
+the line seeds, and runs no line: the growth report squares the values
+of the lines it needs, and the values on the whole ball are built one
+component at a time only when they are read (:mod:`harmlat.lattice`).
 """
 
 from __future__ import annotations
@@ -409,11 +408,14 @@ def evaluate_on_ball(P: MultivariatePolynomial, R: int) -> LatticeFunction:
     lowest terms component by component, at any radius.
 
     No line is run here.  The table carries each component's seeds, the
-    length of every line and the one denominator, and runs the lines only
-    when its values are read: for :func:`harmlat.growth.growth_report` to
-    square on the orthant, or to build the values on the whole ball on
-    their first read, one component at a time (each copied to the other
-    orthants with its signs, then summed).
+    length of every line, the one denominator and m, the largest exponent
+    of any one coordinate in P, and runs the lines only when its values
+    are read: for :func:`harmlat.growth.growth_report` to square on the
+    orthant, or to build the values on the whole ball on their first
+    read, one component at a time (each copied to the other orthants with
+    its signs, then summed).  When d m <= R the report runs only the lines
+    through the box [0..m]^d: each has b = R - |x'|_1 >= m, at least every
+    seed order, so none of its seeds was set to 0, and it reaches z = m.
     """
     ball = LatticeBall(P.d, R)
     balls.guard_cells(P.d, R)
@@ -433,7 +435,7 @@ def evaluate_on_ball(P: MultivariatePolynomial, R: int) -> LatticeFunction:
                     order[j] = 0
     den = reduce_in_place(den, *chain.from_iterable(seeds))
     parts = list(zip(components, seeds))
-    return LatticeFunction._from_orthant(ball, parts, rem[P.d - 1], den)
+    return LatticeFunction._from_orthant(ball, parts, rem[P.d - 1], den, max(exponents, default=0))
 
 
 def _ball_values(terms: dict, d: int, R: int, surj: dict, rem: list) -> list:

@@ -191,10 +191,12 @@ def _assert_orthant_route_is_pointwise(P, R):
     # per-cell route on a plain table of the same values
     u = evaluate_on_ball(P, R)
     ball = u.ball
-    seeded, remaining, den = u._orthant
+    seeded, remaining, den, exponent = u._orthant
     parts = [(signs, lattice._lines(seeds, remaining)) for signs, seeds in seeded]
     patterns = {_signs(alpha) for alpha in P.terms}
     assert len(parts) == len(patterns) and {s for s, _ in parts} == patterns
+    # the table keeps the largest exponent of any one coordinate
+    assert exponent == max((max(alpha) for alpha in P.terms), default=0)
     # a line z = 0..b reads its seeds of order <= b only; every other seed
     # is 0, and den shares no factor with any component, at any radius
     for _, seeds in seeded:
@@ -257,8 +259,7 @@ def test_orthant_route_equals_full_ball_route(case):
 
 
 # x times every y^a z^b, a + b <= 8: four components, all odd in x, so
-# the lines x = 0 hold no nonzero value, and the line x = y = 0 is its own
-# line orbit
+# the lines x = 0 hold no nonzero value, those through the box included
 _ODD_IN_X = MultivariatePolynomial(
     3, {(1, a, b): (-1) ** a * (a + 2 * b + 1) for a in range(9) for b in range(9 - a)}
 )
@@ -273,19 +274,32 @@ def _parity_patterns(P, count):
 
 
 def _square_lines(monkeypatch):
-    """Whether each square line run while the test runs is nonzero (the multi-component route).
+    """The lines that run past the box at each stage of the symmetric route while the test runs.
 
-    A table with several components runs ``growth._line`` only for the
-    square lines of its line orbits.
+    A table whose ball holds the box [0..m]^d extends sigma, its summed
+    squares symmetrized, one axis at a time, and each stage runs its lines
+    past the box in one call of ``growth._even_lines``.
     """
-    runs, line = [], lattice._line
+    runs, even_lines = [], growth._even_lines
 
-    def recorded(seeds):
-        runs.append(any(seeds))
-        return line(seeds)
+    def recorded(heads, counts):
+        runs.append(counts[len(heads)] if len(counts) > len(heads) else 0)
+        return even_lines(heads, counts)
 
-    monkeypatch.setattr(growth, "_line", recorded)
+    monkeypatch.setattr(growth, "_even_lines", recorded)
     return runs
+
+
+def _box_reads(monkeypatch):
+    """The summed squares that each read of the box lines returns while the test runs."""
+    boxes, box_squares = [], growth._box_squares
+
+    def recorded(parts, positions, count):
+        boxes.append(box_squares(parts, positions, count))
+        return boxes[-1]
+
+    monkeypatch.setattr(growth, "_box_squares", recorded)
+    return boxes
 
 
 @pytest.mark.parametrize(
@@ -304,33 +318,92 @@ def _square_lines(monkeypatch):
     ],
 )
 def test_long_lines_run_as_square_lines(monkeypatch, P, R, zero_lines):
-    # past m + 1 values, each line orbit of a table with several components
-    # runs as one line of their summed squares, from its values at
-    # z = -m..m; the orbit sums equal the per-cell route's on the full
-    # table, on B_R and below it.  Z^4 has line orbits of 1, 3 and 6 lines
+    # on a ball that holds the box [0..m]^d, m the largest exponent of any
+    # one coordinate, the summed squares are read on the box and, summed
+    # over the permutations of the coordinates, run past it along each axis
+    # in turn as even lines of degree <= 2m; the orbit sums equal the
+    # per-cell route's on the full table, on B_R and below it.  The box
+    # lines x = 0 of _ODD_IN_X read zeros only
     full = evaluate_on_ball(P, R)
     full.scaled_values()
-    assert len(full._orthant[0]) > 1
-    runs = _square_lines(monkeypatch)
+    assert len(full._orthant[0]) > 1 and P.d * full._orthant[3] <= R
+    runs, boxes = _square_lines(monkeypatch), _box_reads(monkeypatch)
     _assert_streamed_sums_are_per_cell(P, full, (R, R - 1, R // 2, 2))
-    assert any(runs) and zero_lines == (not all(runs))
+    assert any(runs) and len(runs) == 4 * P.d and len(boxes) == 4
+    zero = [not any(line) for heads in boxes for line in zip(*heads)]
+    assert zero_lines == any(zero)
 
 
 def test_one_square_line_runs_per_line_orbit():
-    # the lines through x' and through every permutation of x' share one
-    # square line, counted here from the points of the orthant: the lines
-    # longer than m + 1, m the degree of P in z, have that many distinct
-    # sorted x'
+    # stage 1 runs the symmetrized squares along x_1 once per sorted tail
+    # x_2 <= x_3, a line orbit of the orthant of B_R of Z^2, where that
+    # line leaves the box: min(x_2, R - x_2 - x_3) > m.  Stage 2 runs once
+    # per x_1 in [0..m] and x_3 with min(x_3, R - x_3) > m, stage 3 once
+    # per (x_1, x_2) in [0..m]^2; all counted here from the points
     P, R = random_harmonic(3, 6, 201), 30
-    m = max(alpha[-1] for alpha in P.terms)
+    m = max(max(alpha) for alpha in P.terms)
     orthant = [p for p in LatticeBall(2, R).points if min(p) >= 0]
-    want = len({tuple(sorted(x)) for x in orthant if R - sum(x) + 1 > m + 1})
+    tails = {tuple(sorted(x)) for x in orthant}
+    want = [
+        (m + 1) ** 2,
+        (m + 1) * len({x3 for _, x3 in tails if min(x3, R - x3) > m}),
+        len([t for t in tails if min(t[0], R - sum(t)) > m]),
+    ]
     u = evaluate_on_ball(P, R)
     with pytest.MonkeyPatch.context() as patch:
         runs = _square_lines(patch)
         squares = _orbit_square_sums(u)
-    assert len(runs) == want and want < len([x for x in orthant if R - sum(x) + 1 > m + 1])
+    assert runs == want and want[2] < len([x for x in orthant if R - sum(x) + 1 > m + 1])
     assert squares == _orbit_square_sums(evaluate_on_ball(P, R))
+
+
+@st.composite
+def box_polynomials(draw):
+    """(P, R): d <= 4, one parity component or several, R from d m - 1 to d m + 3.
+
+    m, the largest exponent of any one coordinate in P, is at most 6, 4, 3
+    and 2 for d = 1..4.
+    """
+    d = draw(st.integers(1, 4))
+    top = (6, 4, 3, 2)[d - 1]
+    coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=6).filter(bool)
+    if draw(st.booleans()):  # one component: each coordinate's exponents of one parity
+        parity = draw(st.lists(st.integers(0, 1), min_size=d, max_size=d))
+        exponent = st.lists(st.integers(0, top - 1), min_size=d, max_size=d).map(
+            lambda a: tuple(e + (e - p) % 2 for e, p in zip(a, parity))
+        )
+        terms = st.dictionaries(exponent, coeffs, min_size=1, max_size=5)
+    else:
+        exponent = st.lists(st.integers(0, top), min_size=d, max_size=d).map(tuple)
+        terms = st.dictionaries(exponent, coeffs, min_size=2, max_size=5).filter(
+            lambda t: len({_signs(a) for a in t}) >= 2
+        )
+    P = MultivariatePolynomial(d, draw(terms))
+    m = max(max(alpha) for alpha in P.terms)
+    return P, max(d * m + draw(st.sampled_from([-1, 0, 1, 3])), 0)
+
+
+_ODD_IN_X_SMALL = MultivariatePolynomial(3, {(1, 0, 0): 1, (1, 2, 1): -2, (3, 1, 0): F(1, 3)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(box_polynomials())
+@example((MultivariatePolynomial.zero(3), 0))
+@example((MultivariatePolynomial.zero(2), 3))
+@example((monomial_uk(3, 2), 3))  # one component, R = d m
+@example((_ODD_IN_X_SMALL, 8))  # three components, all odd in x; R = d m - 1
+@example((_ODD_IN_X_SMALL, 9))
+def test_symmetric_squares_equal_the_per_cell_route(case):
+    # the summed squares read on the box and extended from it against the
+    # per-cell route on the assembled table, at every N <= R; the box is
+    # read exactly when d m <= R, and every other table runs its lines
+    P, R = case
+    full = evaluate_on_ball(P, R)
+    full.scaled_values()
+    with pytest.MonkeyPatch.context() as patch:
+        boxes = _box_reads(patch)
+        _assert_streamed_sums_are_per_cell(P, full)
+    assert bool(boxes) == (P.d * full._orthant[3] <= R)
 
 
 @st.composite
@@ -391,11 +464,12 @@ def _seed_reads(monkeypatch, d, R):
 
     The seeds of a table on B_R of Z^d, R >= 1, are read by line: by the
     line runner (patched in every module that holds it), which reads every
-    line of B_(R-cut) in turn, and by index, by ``growth._heads``, for the
-    lines of one batch.  The seeds' own recursion runs the lines of the
-    orthant of a ball of Z^(d-1), which has fewer, and is not recorded.
+    line of B_(R-cut) in turn, and by index, by ``growth._box_squares``,
+    for the lines through the box.  The seeds' own recursion runs the
+    lines of the orthant of a ball of Z^(d-1), which has fewer, and is not
+    recorded.
     """
-    run, heads, reads = lattice._line_runs, growth._heads, Counter()
+    run, box_squares, reads = lattice._line_runs, growth._box_squares, Counter()
     lines = math.comb(R + d - 1, d - 1)
 
     def counted(seeds, remaining, cut=0):
@@ -404,29 +478,30 @@ def _seed_reads(monkeypatch, d, R):
             reads.update((id(seeds), i) for i in kept)
         return run(seeds, remaining, cut)
 
-    def gathered(seeds, positions, count):
-        reads.update((id(seeds), i) for i in positions)
-        return heads(seeds, positions, count)
+    def gathered(parts, positions, count):
+        reads.update((id(seeds), i) for _, seeds in parts for i in positions)
+        return box_squares(parts, positions, count)
 
     for module in _harmlat_modules():
         for name, value in list(vars(module).items()):
             if value is run:
                 monkeypatch.setattr(module, name, counted)
-    monkeypatch.setattr(growth, "_heads", gathered)
+    monkeypatch.setattr(growth, "_box_squares", gathered)
     return reads
 
 
 def test_evaluation_runs_no_line_and_the_first_report_each_once(monkeypatch):
-    # the table keeps each component's line seeds; its first report reads
-    # each component's seeds of every line once, by line orbit, and builds
-    # no full table; reading the full table runs them once more, and a
+    # the table keeps each component's line seeds; its first report (B_12
+    # does not hold the box [0..6]^3) reads each component's seeds of every
+    # line once, and builds no full table; reading the full table runs them
+    # once more, and a
     # report of a table whose full values are built squares those and
     # reads no seed
     P = random_harmonic(3, 6, 201)
     reads = _seed_reads(monkeypatch, 3, 12)
     u = evaluate_on_ball(P, 12)
     assert not reads
-    parts, remaining, _ = u._orthant
+    parts, remaining = u._orthant[:2]
     assert len(parts) == 8
     every = Counter((id(seeds), i) for _, seeds in parts for i in range(len(remaining)))
     want = growth_report(u)
@@ -454,6 +529,37 @@ def test_harmonicity_readers_run_each_component_once(monkeypatch, reader):
             vanishing_ball_test(P)
     assert set(reads.values()) == {1} and parts > 1
     assert len(reads) == parts * math.comb(R + 2, 2) and len({c for c, _ in reads}) == parts
+
+
+@pytest.mark.parametrize(
+    "P, R",
+    [
+        pytest.param(random_harmonic(3, 6, 201), 20, id="Z3-8-components"),
+        pytest.param(monomial_uk(3, 3), 12, id="u3"),
+        pytest.param(_ODD_IN_X, 24, id="Z3-odd-in-x-R=dm"),
+    ],
+)
+def test_symmetric_squares_read_only_the_box_lines(monkeypatch, P, R):
+    # when B_R holds the box [0..m]^d, the report reads each component's
+    # seeds of the lines through x' in [0..m]^(d-1) once and no other
+    # seed, builds no orbit plan of cells, of the orthant or of the ball,
+    # and builds no full table
+    full = evaluate_on_ball(P, R)
+    want = growth_report(LatticeFunction(full.ball, *full.scaled_values()))
+    m = max(max(alpha) for alpha in P.terms)
+    lines = [x for x in LatticeBall(P.d - 1, R).points if min(x) >= 0]
+    box = [i for i, x in enumerate(lines) if max(x) <= m]
+    reads = _seed_reads(monkeypatch, P.d, R)
+
+    def refuse(*args):
+        raise AssertionError("orbit plan of cells or full table built")
+
+    monkeypatch.setattr(balls, "point_orbit_indices", refuse)
+    monkeypatch.setattr(lattice, "_unfold", refuse)
+    u = evaluate_on_ball(P, R)
+    assert P.d * m <= R and growth_report(u) == want and u._scaled is None
+    assert reads == Counter((id(seeds), i) for _, seeds in u._orthant[0] for i in box)
+    assert len(box) == (m + 1) ** (P.d - 1) < len(lines)
 
 
 # tracemalloc peak of one Z^3 member's report on B_60, with the orbit
@@ -489,15 +595,17 @@ def test_evaluation_and_report_of_a_polynomial_hold_no_orthant_of_values():
     # Evaluation and report peak at 14.4 MiB when the table kept every
     # component's orthant values, 7.8 MiB when the report ran and dropped
     # them one component at a time, 3.7 MiB when it ran one line of each
-    # at a time, and 3.8 MiB now that it runs one radius of lines at a time
+    # at a time, 3.8 MiB when it ran one radius of lines at a time, and
+    # 3.7 MiB now that it reads only the lines through the box [0..6]^3
     assert _traced_peak("evaluation") < 11 * 2**20
 
 
 def test_report_of_a_polynomial_holds_one_radius_of_lines():
     # the report alone: 5.2 MiB when it held the per-cell sum of the
     # squares and one component's orthant values, 1.0 MiB when each line's
-    # squares went straight into the orbit sums, and 1.1 MiB now that each
-    # radius's lines are run and summed by line orbit together
+    # squares went straight into the orbit sums, 1.1 MiB when each radius's
+    # lines were run and summed by line orbit together, and 1.0 MiB now
+    # that the squares are read on the box and extended from it
     assert _traced_peak("report") < 2 * 2**20
 
 
